@@ -1,0 +1,55 @@
+"""Cross-commit golden digests of same-seed span dumps.
+
+The determinism tests compare two runs *inside* one commit, so a
+refactor that moves every run the same way passes them all.  These
+digests pin the span dump of one small episode per flush shape — serial
+file flush (with a truncated write and a node crash), a Manager crash
+resumed by a replica, a live-migration stream, async to memory only and
+async to fresh SAN files, the content-addressed store (incl. the seed
+that stalls ``cas.write``), and a fleet campaign — so a change that
+shifts a span, a timestamp or a fault crossing has to say so here.
+
+Re-pin a digest only for a deliberate behaviour change, and name the
+case and the reason in the commit message.
+"""
+
+import hashlib
+
+import pytest
+
+from repro.cluster import chaos
+
+CASES = {
+    "chaos-7": lambda: chaos.run_chaos(7, trace_spans=True),
+    "chaos-17": lambda: chaos.run_chaos(17, trace_spans=True),
+    "failover-continue-3": lambda: chaos.run_failover_chaos(
+        3, "manager.ledger.continue", trace_spans=True),
+    "migration-4": lambda: chaos.run_migration_chaos(4, trace_spans=True),
+    "async-mem-5": lambda: chaos.run_async_chaos(5, trace_spans=True),
+    "async-file-3": lambda: chaos.run_async_chaos(3, trace_spans=True),
+    "cas-11": lambda: chaos.run_cas_chaos(11, trace_spans=True),
+    "cas-12": lambda: chaos.run_cas_chaos(12, trace_spans=True),
+    "fleet-18": lambda: chaos.run_fleet_chaos(18, trace_spans=True),
+}
+
+GOLDEN = {
+    "chaos-7": "a0cfe50f5d4d4122b700ad5cc76e08bc11b99d9cbddc5e1b0f7e09b8632b58af",
+    "chaos-17": "7a43947f40f92ad32f2276a5b9a363d8f487b79e28622087dfa4e66a310c6c31",
+    "failover-continue-3": "27cea4b83cf4d885418af5a04fb8c7a11f72ea387f9cbfd757bbb1089949f037",
+    "migration-4": "82302a2648811f7d838da5af268721ea5bd0e4091b9d17b1d4a8ecac1b1a738a",
+    "async-mem-5": "c61e46eab9ab89308012cef1e2bbaede8413027f9566bc12e279cdd84ca9a136",
+    "async-file-3": "814fd3c38ad69b32d7410a449db218b5e039794d5685c494b1a411892ba95be7",
+    "cas-11": "f4c9545f6ec6f19d2fa3f638f08616849bd1082cee2be665f1e6cfc21233ad90",
+    "cas-12": "f1a00b109a286c113952e03dc4bc8c45efbe1c5b671b1bb3df2e69cb83eb49bd",
+    "fleet-18": "55d91be7e029e0fa11d5a8307bf1f4eb8609f3b57c003748689d3a4a93f82b13",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_span_dump_digest_is_pinned(case):
+    report = CASES[case]()
+    assert report.violations == []
+    digest = hashlib.sha256(report.span_dump.encode()).hexdigest()
+    assert digest == GOLDEN[case], (
+        f"{case}: span dump moved (now {digest}); if the change is "
+        "deliberate, re-pin it and say why in the commit message")
