@@ -993,12 +993,14 @@ class Agent:
         than leaving it visible as restartable.  Faults can land on the
         ``cas.write`` and ``cas.commit`` crossings between the steps.
         """
-        stall = self.cluster.san.consume_stall()
         span = self.cluster.span("cas.flush", node=self.node.name,
                                  pod=image.pod_id, category="cas",
                                  parent=("op", op_id))
         directives = yield from self.cluster.trace(
             "cas.write", node=self.node.name, pod=image.pod_id)
+        # claimed after the crossing, like the file flush: a stall
+        # injected at ``cas.write`` must delay *this* write
+        stall = self.cluster.san.consume_stall()
         yield self.engine.sleep(max(0.0, sink.write_delay(image) + stall
                                     - overlap_s))
         if op_id and op_id in self.gc_ops:

@@ -192,6 +192,38 @@ def test_truncate_fault_leaves_no_restartable_file(world):
     assert final_sums(cluster) == expected_sums(ROUNDS)
 
 
+def test_san_stall_at_cas_write_delays_the_flush_it_was_aimed_at(world):
+    """A ``san_stall`` injected at one pod's ``cas.write`` crossing is
+    paid by that pod's flush — not by whichever Agent flushes next."""
+    from repro.obs import SpanTracer
+
+    cluster, manager = world
+    launch_pingpong(cluster, rounds=ROUNDS, ballast=BALLAST)
+    tracer = SpanTracer(cluster.engine).install(cluster)
+    stall = 1.5
+    FaultInjector(cluster, FaultPlan(seed=0, faults=[
+        FaultSpec(kind="san_stall", phase="cas.write", node="blade0",
+                  seconds=stall),
+    ])).install()
+    targets = [("blade0", "pp-srv", "cas:/san/stall-srv.img"),
+               ("blade1", "pp-cli", "cas:/san/stall-cli.img")]
+    holder = {}
+    cluster.engine.schedule(0.15, lambda: holder.update(
+        a=manager.checkpoint(targets)))
+    cluster.engine.schedule(3.0, lambda: holder.update(
+        b=manager.checkpoint(targets)))
+    cluster.engine.run(until=300.0)
+    assert holder["a"].finished.result.ok and holder["b"].finished.result.ok
+    flushes = {"pp-srv": [], "pp-cli": []}
+    for span in tracer.by_category("cas"):
+        if span.name == "cas.flush":
+            flushes[span.pod].append(span.duration)
+    (srv_a, srv_b), (cli_a, cli_b) = flushes["pp-srv"], flushes["pp-cli"]
+    # the stalled flush grew by the stall; nobody else's did
+    assert srv_a >= stall
+    assert max(cli_a, srv_b, cli_b) < stall
+
+
 def test_incremental_steady_state_images_shrink(world):
     """Small-scale acceptance: after the epoch-0 full image, delta
     checkpoints drop mean image size by well over 40%."""
