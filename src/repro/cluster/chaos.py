@@ -132,7 +132,7 @@ def run_chaos(seed: int, n_nodes: int = 4, n_ops: int = 4, rounds: int = 300,
               until: float = 300.0, trace_spans: bool = False) -> ChaosReport:
     """One chaos episode; returns the audited :class:`ChaosReport`."""
     from ..core.manager import Manager, PhaseTimeouts
-    from ..core.pipeline import FileSink
+    from ..core.sinks import resolve_sink
 
     cluster = Cluster.build(n_nodes, seed=seed)
     tracer = None
@@ -228,32 +228,24 @@ def run_chaos(seed: int, n_nodes: int = 4, n_ops: int = 4, rounds: int = 300,
     # ---- I2: nothing partial is visible as restartable on the SAN ----
     home = cluster.node(0)
     for path, pod_id in san_paths:
-        sink = FileSink(cluster.san, home.kernel.vfs, path)
-        if not sink.exists():
-            continue
-        try:
-            sink.load(pod_id)
-        except Exception as err:  # noqa: BLE001 - any load failure is the violation
+        sink = resolve_sink(f"file:{path}", cluster, home.kernel.vfs)
+        err = restore_error(sink, pod_id) if sink.exists() else None
+        if err:
             report.violations.append(f"I2: partial image visible at {path}: {err}")
 
     # ---- I3: the last good checkpoint stayed restorable ----
     last = manager.last_checkpoint
     if last is not None and last.ok:
         for node_name, pod_id, uri in last.targets:
-            if uri.startswith("file:"):
-                sink = FileSink(cluster.san, home.kernel.vfs, uri[len("file:"):])
-                try:
-                    sink.load(pod_id)
-                except Exception as err:  # noqa: BLE001
-                    report.violations.append(
-                        f"I3: last_checkpoint {uri} unloadable: {err}")
-            else:
-                node = cluster.node_by_name(node_name)
-                if node.crashed:
-                    continue  # lost with the blade, not corrupted
-                if not manager.agents[node_name].mem_sink.load(pod_id):
-                    report.violations.append(
-                        f"I3: last_checkpoint mem image for {pod_id} missing on {node_name}")
+            sink = resolve_sink(uri, cluster, home.kernel.vfs,
+                                manager.agents[node_name].mem_sink)
+            if not sink.shared and cluster.node_by_name(node_name).crashed:
+                continue  # lost with the blade, not corrupted
+            err = restore_error(sink, pod_id)
+            if err:
+                report.violations.append(
+                    f"I3: last_checkpoint {uri} of {pod_id} on {node_name} "
+                    f"unrestorable: {err}")
 
     # ---- I4: meta-all-received before any continue, per successful op ----
     for kind, op_id, status in report.ops:
@@ -298,6 +290,18 @@ def final_sums(cluster: Cluster) -> Tuple[Optional[int], Optional[int]]:
             elif proc.program.name == "chaos.pp-server" and proc.exit_code == 0:
                 ssum = proc.regs["sum"]
     return csum, ssum
+
+
+def restore_error(sink, pod_id: str) -> Optional[str]:
+    """Why a restart of ``pod_id`` from ``sink`` would fail; None when
+    it would not.  "Nothing partial is visible" in the batteries' audits
+    means exactly this, not merely that a container parses."""
+    try:
+        if not sink.load(pod_id):
+            return "no image"
+    except Exception as err:  # noqa: BLE001 - any failure is the finding
+        return str(err)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +393,7 @@ def run_failover_chaos(seed: int, crash_phase: str, n_nodes: int = 4,
     sequences (and ``span_dump`` when tracing).
     """
     from ..core.manager import Manager, PhaseTimeouts
-    from ..core.pipeline import FileSink
+    from ..core.sinks import resolve_sink
     from ..storage.ledger import OpLedger
 
     cluster = Cluster.build(n_nodes, seed=seed)
@@ -520,12 +524,9 @@ def run_failover_chaos(seed: int, crash_phase: str, n_nodes: int = 4,
     # ---- F2: nothing partial is visible as restartable on the SAN ----
     home = cluster.node(0)
     for path, pod_id in san_paths:
-        sink = FileSink(cluster.san, home.kernel.vfs, path)
-        if not sink.exists():
-            continue
-        try:
-            sink.load(pod_id)
-        except Exception as err:  # noqa: BLE001 - any load failure is the violation
+        sink = resolve_sink(f"file:{path}", cluster, home.kernel.vfs)
+        err = restore_error(sink, pod_id) if sink.exists() else None
+        if err:
             report.violations.append(f"F2: partial image visible at {path}: {err}")
 
     # ---- F3 at end state ----
@@ -556,16 +557,13 @@ def run_failover_chaos(seed: int, crash_phase: str, n_nodes: int = 4,
     last = mgr.last_checkpoint
     if last is not None and last.ok:
         for node_name, pod_id, uri in last.targets:
-            if uri.startswith("file:"):
-                sink = FileSink(cluster.san, home.kernel.vfs, uri[len("file:"):])
-                try:
-                    sink.load(pod_id)
-                except Exception as err:  # noqa: BLE001
-                    report.violations.append(
-                        f"I3: last_checkpoint {uri} unloadable: {err}")
-            elif not mgr.agents[node_name].mem_sink.load(pod_id):
+            err = restore_error(resolve_sink(
+                uri, cluster, home.kernel.vfs, mgr.agents[node_name].mem_sink),
+                pod_id)
+            if err:
                 report.violations.append(
-                    f"I3: last_checkpoint mem image for {pod_id} missing on {node_name}")
+                    f"I3: last_checkpoint {uri} of {pod_id} on {node_name} "
+                    f"unrestorable: {err}")
 
     # ---- I4: meta-all-received before any continue, per successful op ----
     for kind, op_id, status in report.ops:
@@ -1132,7 +1130,8 @@ def run_async_chaos(seed: int, n_nodes: int = 4, n_ops: int = 5,
     A4  End-to-end checksums match whenever the application finished.
     """
     from ..core.manager import Manager, PhaseTimeouts
-    from ..core.pipeline import FileSink, ImagePipeline
+    from ..core.pipeline import ImagePipeline
+    from ..core.sinks import resolve_sink
 
     cluster = Cluster.build(n_nodes, seed=seed)
     tracer = None
@@ -1216,12 +1215,9 @@ def run_async_chaos(seed: int, n_nodes: int = 4, n_ops: int = 5,
     # ---- A2: nothing partial is visible as restartable on the SAN ----
     home = cluster.node(0)
     for path, pod_id in san_paths:
-        sink = FileSink(cluster.san, home.kernel.vfs, path)
-        if not sink.exists():
-            continue
-        try:
-            sink.load(pod_id)
-        except Exception as err:  # noqa: BLE001 - any load failure is the violation
+        sink = resolve_sink(f"file:{path}", cluster, home.kernel.vfs)
+        err = restore_error(sink, pod_id) if sink.exists() else None
+        if err:
             report.violations.append(f"A2: partial image visible at {path}: {err}")
 
     # ---- A3: every committed delta chain restores byte-identically ----

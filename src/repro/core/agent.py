@@ -42,15 +42,17 @@ from .netckpt import (
     unblock_pod_network,
 )
 from .pipeline import (
-    FileSink,
     ImagePipeline,
     MemorySink,
     PipelineState,
     ReassembledImage,
-    StreamSink,
+    Sink,
+    chain_entry,
+    image_from_entry,
     negotiate_filters,
     record_stage_metrics,
 )
+from .sinks import release_op, resolve_sink
 from .standalone import (
     activate_pod,
     capture_pod_standalone,
@@ -98,6 +100,57 @@ def _stage_seconds(image: PodImage, kind: Optional[str] = None) -> float:
             continue
         total += float(cost.get("seconds", 0.0))
     return total
+
+
+class _Checkpoint:
+    """One checkpoint session: the command as read here, then whatever
+    each step of :meth:`Agent._do_checkpoint` leaves for the next."""
+
+    def __init__(self, agent: "Agent", chan, fd, msg, pod: Pod) -> None:
+        self.chan, self.fd, self.msg, self.pod = chan, fd, msg, pod
+        self.pod_id = msg["pod"]
+        self.op_id = int(msg.get("op_id", 0))
+        self.context = msg.get("context", "snapshot")
+        self.order = msg.get("order", "net-first")
+        self.live = bool(msg.get("live", False))
+        self.sink = resolve_sink(msg["uri"], agent.cluster, agent.kernel.vfs,
+                                 agent.mem_sink)
+        filters, self.accepted, self.rejected = negotiate_filters(
+            msg.get("filters"))
+        self.pipeline = ImagePipeline(filters)
+        # a delta against a base the destination Agent does not hold is
+        # useless: images that leave this node must be self-contained
+        self.chain_local = self.sink.dest is None
+        # measured dirty tracking pays off for a chain-local delta filter
+        # — and for any sink whose cost model needs the dirty byte count
+        # to tell changed blocks from clean ones
+        self.track_dirty = self.chain_local and (self.sink.wants_dirty or any(
+            f.name == "delta" and getattr(f, "measured", True)
+            for f in filters))
+        #: where in the sequence the image is encoded.  Zero-stall
+        #: capture-then-resume needs the pod to survive (snapshot
+        #: context) and the image to stay on this node's sinks — direct
+        #: migration and the standalone-first ablation keep the pod
+        #: suspended across the encode.
+        if self.order == "standalone-first":
+            self.encode_at = "pre-meta"
+        elif (msg.get("async_ckpt", False) and self.context == "snapshot"
+              and self.sink.dest is None):
+            self.encode_at = "post-resume"
+        else:
+            self.encode_at = "overlap"
+        #: the key the Manager registered its operation span under (no
+        #: parent without a tracer): every per-pod span hangs off it and
+        #: inherits the key's ambient context (driving Manager span,
+        #: owner), so a trace assembly can attribute this Agent's work
+        #: to the incarnation that commanded it with no ids on the wire.
+        self.op_parent = ("op", self.op_id)
+        self.t0 = agent.engine.now
+        # left behind by the steps
+        self.net_window = self.commit_span = NULL_SPAN
+        self.residual = self.proc_dirty = self.standalone = self.image = None
+        self.t_resume = self.snapshot_id = self.stream_charge = None
+        self.cow_bytes = 0
 
 
 class Agent:
@@ -222,12 +275,11 @@ class Agent:
                 if op:
                     self.gc_ops.add(op)
                     self._signal_op(op, {"cmd": "abort"})
-                    # content-addressed store: release anything the op
-                    # staged or published fleet-wide (op-keyed, so this
-                    # is idempotent under replayed broadcasts and never
+                    # shared stores: release anything the op staged or
+                    # published fleet-wide (op-keyed, so this is
+                    # idempotent under replayed broadcasts and never
                     # touches a later committed generation)
-                    from ..storage.cas import CasStore
-                    CasStore.on(self.cluster.san).abort_op(op)
+                    release_op(self.cluster, op)
                 if not already:
                     for pid in msg.get("pods", []):
                         self._gc_pod(pid)
@@ -277,330 +329,278 @@ class Agent:
         return capture_pod_network(pod)
 
     def _do_checkpoint(self, chan, fd, msg):
+        """Figure 1, Agent side: one fixed sequence of steps sharing one
+        :class:`_Checkpoint`; only the position of :meth:`_encode` in it
+        varies (DESIGN §11 draws the three)."""
         kernel = self.kernel
-        engine = self.engine
-        pod_id = msg["pod"]
-        uri = msg["uri"]
-        context = msg.get("context", "snapshot")
-        op_id = int(msg.get("op_id", 0))
-        live = bool(msg.get("live", False))
-        wait_timeout = float(msg.get("wait_timeout", 0.0) or 0.0)
-        pod: Optional[Pod] = kernel.pods.get(pod_id)
+        pod: Optional[Pod] = kernel.pods.get(msg["pod"])
         if pod is None:
-            yield from send_msg(kernel, chan, fd, {"type": "error", "error": f"no pod {pod_id!r}"})
+            yield from send_msg(kernel, chan, fd, {
+                "type": "error", "error": f"no pod {msg['pod']!r}"})
             return
-        # filter negotiation: the Manager requests a chain, the Agent
-        # accepts the stages it supports and reports the applied chain
-        # back in the meta-data exchange
-        filters, accepted_specs, rejected_specs = negotiate_filters(msg.get("filters"))
-        pipeline = ImagePipeline(filters)
-        # a delta against a base the destination Agent does not hold is
-        # useless: images that leave this node must be self-contained
-        chain_local = not uri.startswith("agent://")
-        # measured dirty tracking pays off for a chain-local delta filter
-        # — and for any content-addressed target, whose dedup model needs
-        # the dirty byte count to tell changed blocks from clean ones
-        track_dirty = chain_local and (any(
-            f.name == "delta" and getattr(f, "measured", True)
-            for f in filters) or uri.startswith("cas:"))
-        # zero-stall (asynchronous) checkpointing: capture-then-resume
-        # needs the pod to survive (snapshot context) and the image to
-        # stay on this node's sinks — direct migration and the
-        # standalone-first ordering ablation fall back to the serial path
-        use_async = (bool(msg.get("async_ckpt", False))
-                     and context == "snapshot"
-                     and not uri.startswith("agent://")
-                     and msg.get("order", "net-first") != "standalone-first")
-        stack = kernel.netstack
-        t0 = engine.now
-        #: the Manager's operation span (if a tracer is installed the
-        #: Manager registered it under this key; resolves to no parent
-        #: otherwise) — all per-pod phase spans hang off it.  The tracer
-        #: also stamps the key's ambient context (driving Manager span,
-        #: owner name) onto every span parented here, so a later trace
-        #: assembly can attribute this Agent's work to the incarnation
-        #: that commanded it without any ids riding the wire.
-        op_parent = ("op", op_id)
+        ck = _Checkpoint(self, chan, fd, msg, pod)
+        yield from self._capture(ck)
+        if not (yield from self._report_meta(ck)):
+            return
+        yield from self._capture_standalone(ck)
+        reply = yield from self._await_continue(ck)
+        if reply is None:
+            return
+        yield from self._commit(ck, reply)
+        yield from self._report_done(ck)
+        yield from self._deliver(ck)
 
-        # 1. suspend pod, block network
-        phase = self.cluster.span("agent.phase.suspend", node=self.node.name,
-                                  pod=pod_id, parent=op_parent)
+    def _phase(self, ck: "_Checkpoint", name: str, **attrs):
+        return self.cluster.span(f"agent.phase.{name}", node=self.node.name,
+                                 pod=ck.pod_id, parent=ck.op_parent, **attrs)
+
+    def _cross(self, ck: "_Checkpoint", name: str):
+        return self.cluster.trace(name, node=self.node.name, pod=ck.pod_id)
+
+    def _capture(self, ck: "_Checkpoint"):
+        """Steps 1–2: suspend the pod and block its network, then the
+        network-state checkpoint (plus bypass-device state, §5 ext.)."""
+        engine, node, pod = self.engine, self.node, ck.pod
+        phase = self._phase(ck, "suspend")
         pod.suspend()
         while not pod.quiescent():
             yield engine.sleep(QUIESCE_POLL)
-        net_window = block_pod_network(self.cluster, stack, pod,
-                                       node=self.node.name, parent=op_parent)
-        t_suspended = engine.now
-        # live migration: once suspended, nothing dirties memory anymore —
-        # whatever the pre-copy rounds did not ship is the final residual
-        residual = (sum(p.memory.dirty_in(PRECOPY_CONSUMER)
-                        for p in pod.processes()) if live else None)
-        # measured dirty tables against the checkpoint baseline, captured
-        # at suspend; the baseline clear is *staged* — only a committed
-        # op keeps it, an abort folds the generation back so the next
-        # epoch never undercounts
-        proc_dirty = None
-        if track_dirty:
-            proc_dirty = capture_proc_dirty(pod, CKPT_CONSUMER)
+        ck.net_window = block_pod_network(self.cluster, self.kernel.netstack,
+                                          pod, node=node.name,
+                                          parent=ck.op_parent)
+        ck.t_suspended = engine.now
+        if ck.live:
+            # live migration: once suspended, nothing dirties memory
+            # anymore — whatever the pre-copy rounds did not ship is the
+            # final residual
+            ck.residual = sum(p.memory.dirty_in(PRECOPY_CONSUMER)
+                              for p in pod.processes())
+        if ck.track_dirty:
+            # measured dirty tables against the checkpoint baseline,
+            # captured at suspend; the baseline clear is *staged* — only
+            # a committed op keeps it, an abort folds the generation back
+            # so the next epoch never undercounts
+            ck.proc_dirty = capture_proc_dirty(pod, CKPT_CONSUMER)
             for p in pod.processes():
                 p.memory.begin_clear(CKPT_CONSUMER)
-        yield from self.cluster.trace("agent.suspend", node=self.node.name, pod=pod_id)
+        yield from self._cross(ck, "agent.suspend")
         phase.end()
 
         # Ordering ablation: the default saves network state first so the
         # standalone capture overlaps the Manager's meta-data sync; the
         # "standalone-first" variant serializes them (the design §4 argues
         # against), exposing the sync latency in the total.
-        order = msg.get("order", "net-first")
-
-        def standalone_pass():
-            standalone = capture_pod_standalone(pod)
-            return standalone
-
-        if order == "standalone-first":
-            phase = self.cluster.span("agent.phase.standalone",
-                                      node=self.node.name, pod=pod_id,
-                                      parent=op_parent, order=order)
-            standalone = standalone_pass()
-            yield engine.sleep(self.node.spec.ckpt_fixed_s)
+        if ck.encode_at == "pre-meta":
+            phase = self._phase(ck, "standalone", order=ck.order)
+            ck.standalone = capture_pod_standalone(pod)
+            yield engine.sleep(node.spec.ckpt_fixed_s)
             phase.end()
 
-        # 2. network-state checkpoint (plus bypass-device state, §5 ext.)
-        phase = self.cluster.span("agent.phase.netstate", node=self.node.name,
-                                  pod=pod_id, parent=op_parent)
-        sock_records, sock_fd_rows = self._capture_network(pod)
+        phase = self._phase(ck, "netstate")
+        ck.sock_records, ck.sock_fd_rows = self._capture_network(pod)
         dev_states, dev_fd_rows = capture_pod_devices(pod)
-        devices = {"states": dev_states, "fd_rows": dev_fd_rows}
-        net_bytes = netstate_nbytes(sock_records)
-        yield engine.sleep(CKPT_PER_SOCKET * max(1, len(sock_records))
-                           + net_bytes / self.node.spec.memcpy_bandwidth)
-        t_net_done = engine.now
-        yield from self.cluster.trace("agent.netstate", node=self.node.name, pod=pod_id)
-        phase.end(nbytes=net_bytes, sockets=len(sock_records))
+        ck.devices = {"states": dev_states, "fd_rows": dev_fd_rows}
+        net_bytes = netstate_nbytes(ck.sock_records)
+        yield engine.sleep(CKPT_PER_SOCKET * max(1, len(ck.sock_records))
+                           + net_bytes / node.spec.memcpy_bandwidth)
+        ck.t_net_done = engine.now
+        yield from self._cross(ck, "agent.netstate")
+        phase.end(nbytes=net_bytes, sockets=len(ck.sock_records))
         self.cluster.count("agent.netstate.bytes", net_bytes)
-        meta = build_pod_meta(pod_id, sock_records)
 
-        if order == "standalone-first":
+        if ck.encode_at == "pre-meta":
             # serialize the image *before* reporting: nothing overlaps
-            phase = self.cluster.span("agent.phase.standalone",
-                                      node=self.node.name, pod=pod_id,
-                                      parent=op_parent, order=order)
-            image = pipeline.pack(standalone, sock_records, sock_fd_rows, devices,
-                                  state=self.pipeline_state,
-                                  serialize_bandwidth=self.node.spec.memcpy_bandwidth,
-                                  chain_local=chain_local, proc_dirty=proc_dirty)
-            t_enc = engine.now
-            yield engine.sleep(_stage_seconds(image))
-            self._emit_stage_spans(image, t_enc, pod_id, phase)
+            phase = self._phase(ck, "standalone", order=ck.order)
+            yield from self._encode(ck, phase)
             phase.end()
 
-        # 2a. report meta-data
-        phase = self.cluster.span("agent.phase.meta_report", node=self.node.name,
-                                  pod=pod_id, parent=op_parent)
-        report: Dict[str, Any] = {"type": "meta", "pod": pod_id, "meta": meta,
-                                  "filters": accepted_specs,
-                                  "filters_rejected": rejected_specs}
-        ok = yield from send_msg(kernel, chan, fd, report)
+    def _report_meta(self, ck: "_Checkpoint"):
+        """Step 2a: report meta-data; False when the Manager is gone."""
+        phase = self._phase(ck, "meta_report")
+        ok = yield from send_msg(self.kernel, ck.chan, ck.fd, {
+            "type": "meta", "pod": ck.pod_id,
+            "meta": build_pod_meta(ck.pod_id, ck.sock_records),
+            "filters": ck.accepted, "filters_rejected": ck.rejected})
         if not ok:
-            phase.end(status="failed")
-            self._abort_checkpoint(
-                pod, net_window,
-                dirty_consumer=CKPT_CONSUMER if track_dirty else None)
-            return
-        yield from self.cluster.trace("agent.meta_sent", node=self.node.name, pod=pod_id)
+            yield from self._abort(ck, phase, status="failed", notify=False)
+            return False
+        yield from self._cross(ck, "agent.meta_sent")
+        phase.end()
+        return True
+
+    def _capture_standalone(self, ck: "_Checkpoint"):
+        """Step 3: the standalone checkpoint, overlapping the Manager's
+        meta-data sync."""
+        spec = self.node.spec
+        phase = self._phase(ck, "standalone", order=ck.order)
+        if ck.encode_at != "pre-meta":
+            ck.standalone = capture_pod_standalone(ck.pod)
+        if ck.encode_at == "overlap":
+            yield from self._encode(ck, phase)
+        elif ck.encode_at == "post-resume":
+            # only the table snapshot happens inside the outage window
+            yield self.engine.sleep(min(spec.capture_fixed_s, spec.ckpt_fixed_s))
+            yield from self._cross(ck, "agent.async_capture")
+        ck.t_standalone_done = self.engine.now
+        yield from self._cross(ck, "agent.standalone")
         phase.end()
 
-        # 3. standalone checkpoint (overlaps the Manager's meta sync)
-        phase = self.cluster.span("agent.phase.standalone", node=self.node.name,
-                                  pod=pod_id, parent=op_parent, order=order)
-        if order != "standalone-first":
-            standalone = standalone_pass()
-            if use_async:
-                # zero-stall capture: only the table snapshot happens
-                # inside the outage window; serialize/filter/write run
-                # against the frozen tables after the pod resumes
-                image = None
-                yield engine.sleep(min(self.node.spec.capture_fixed_s,
-                                       self.node.spec.ckpt_fixed_s))
-                yield from self.cluster.trace("agent.async_capture",
-                                              node=self.node.name, pod=pod_id)
-            else:
-                image = pipeline.pack(standalone, sock_records, sock_fd_rows, devices,
-                                      state=self.pipeline_state,
-                                      serialize_bandwidth=self.node.spec.memcpy_bandwidth,
-                                      chain_local=chain_local, proc_dirty=proc_dirty)
-                t_enc = engine.now
-                yield engine.sleep(self.node.spec.ckpt_fixed_s + _stage_seconds(image))
-                self._emit_stage_spans(image, t_enc + self.node.spec.ckpt_fixed_s,
-                                       pod_id, phase)
-        t_standalone_done = engine.now
-        yield from self.cluster.trace("agent.standalone", node=self.node.name, pod=pod_id)
-        phase.end()
+    def _pack(self, ck: "_Checkpoint", charged: bool = True) -> PodImage:
+        return ck.pipeline.pack(
+            ck.standalone, ck.sock_records, ck.sock_fd_rows, ck.devices,
+            state=self.pipeline_state,
+            serialize_bandwidth=(self.node.spec.memcpy_bandwidth
+                                 if charged else None),
+            chain_local=ck.chain_local, proc_dirty=ck.proc_dirty)
 
-        # 3a/4a. finish only after 'continue' arrives.  The wait carries
-        # its own deadline (sent by the Manager): if the Manager crashes
-        # or is partitioned away, neither 'continue' nor 'abort' can ever
-        # arrive, and the Agent must abort unilaterally rather than keep
-        # the pod suspended forever.
-        t_wait = engine.now
-        phase = self.cluster.span("agent.phase.barrier", node=self.node.name,
-                                  pod=pod_id, parent=op_parent)
-        # continue-wait re-attach (HA Manager): while parked here the
-        # session is addressable through the (op, pod) registry, so a
-        # takeover Manager can deliver 'continue' or 'abort' over a
-        # *different* connection when the original Manager is dead
+    def _encode(self, ck: "_Checkpoint", span):
+        """The encode step: pack the image, charge the pipeline's time,
+        and replay its per-stage costs as ``stage`` spans under ``span``.
+
+        Where the step runs decides how the fixed kernel work (descriptor
+        walks, serialization prep) is charged beside the codec: the
+        ``pre-meta`` capture already paid it; ``overlap`` pays it in the
+        same sleep; ``post-resume`` pays the slice the short capture
+        deferred, against the frozen tables, before the codec touches
+        any bytes.
+        """
+        spec = self.node.spec
+        ck.image = self._pack(ck)
+        fused = 0.0
+        if ck.encode_at == "overlap":
+            fused = spec.ckpt_fixed_s
+        elif ck.encode_at == "post-resume":
+            yield self.engine.sleep(max(0.0, spec.ckpt_fixed_s
+                                        - spec.capture_fixed_s))
+        t_enc = self.engine.now
+        yield self.engine.sleep(fused + _stage_seconds(ck.image))
+        self._emit_stage_spans(ck.image, t_enc + fused, ck.pod_id, span)
+
+    def _await_continue(self, ck: "_Checkpoint"):
+        """Steps 3a/4a: finish only after ``continue`` arrives; returns
+        the reply, or None after aborting (Manager dead, ``abort``
+        received, or the op garbage-collected)."""
+        t_wait = self.engine.now
+        phase = self._phase(ck, "barrier")
+        reply = yield from self._recv_continue(ck)
+        gone = (reply is None or reply.get("cmd") == "abort"
+                or ck.op_id in self.gc_ops)
+        if not gone:
+            yield from self._cross(ck, "agent.continue_recv")
+        self.cluster.observe(f"agent.barrier_wait_s.{self.node.name}",
+                             self.engine.now - t_wait)
+        # the second tombstone test catches an op that died while a
+        # fault stalled us at the crossing above
+        if gone or ck.op_id in self.gc_ops:
+            yield from self._abort(ck, phase)
+            return None
+        phase.end()
+        return reply
+
+    def _recv_continue(self, ck: "_Checkpoint"):
+        """The Manager's verdict, or None on timeout / connection loss.
+
+        The wait carries its own deadline (sent by the Manager): if the
+        Manager crashes or is partitioned away, neither ``continue`` nor
+        ``abort`` can ever arrive, and the Agent must abort unilaterally
+        rather than keep the pod suspended forever.  While parked here
+        the session is addressable through :attr:`op_waits`, so a
+        takeover Manager can deliver either over a *different*
+        connection when the original Manager is dead.
+        """
+        kernel, engine = self.kernel, self.engine
+        chan, fd, op_id, pod_id = ck.chan, ck.fd, ck.op_id, ck.pod_id
+        wait_timeout = float(ck.msg.get("wait_timeout", 0.0) or 0.0)
         signal = Future(f"op-signal-{op_id}:{pod_id}")
         if op_id:
             self.op_waits[(op_id, pod_id)] = signal
         try:
-            if wait_timeout > 0.0:
-                waiter = engine.spawn(recv_msg(kernel, chan, fd),
-                                      name=f"ckpt-wait@{self.node.name}")
-                race = Future(f"ckpt-race-{op_id}:{pod_id}")
-                waiter.finished.add_done_callback(
-                    lambda f: race.set_result(("conn", f.result))
-                    if not race.done else None)
-                signal.add_done_callback(
-                    lambda f: race.set_result(("side", f.result))
-                    if not race.done else None)
-                try:
-                    in_time, arrived = yield engine.timeout(race, wait_timeout)
-                except Exception:
-                    in_time, arrived = True, None
-                if not in_time or arrived is None:
-                    reply = None
-                else:
-                    source, reply = arrived
-                if not in_time or (arrived is not None and arrived[0] == "side"):
-                    # timed out, or the side channel won: abandon the
-                    # original connection's half-read recv
-                    waiter.cancel()
-                    chan.waiting = None
-                    chan.blocked_on = None
-            else:
-                reply = yield from recv_msg(kernel, chan, fd)
+            if wait_timeout <= 0.0:
+                return (yield from recv_msg(kernel, chan, fd))
+            waiter = engine.spawn(recv_msg(kernel, chan, fd),
+                                  name=f"ckpt-wait@{self.node.name}")
+            race = Future(f"ckpt-race-{op_id}:{pod_id}")
+            waiter.finished.add_done_callback(
+                lambda f: race.set_result(("conn", f.result))
+                if not race.done else None)
+            signal.add_done_callback(
+                lambda f: race.set_result(("side", f.result))
+                if not race.done else None)
+            try:
+                in_time, arrived = yield engine.timeout(race, wait_timeout)
+            except Exception:
+                in_time, arrived = True, None
+            if not in_time or (arrived is not None and arrived[0] == "side"):
+                # timed out, or the side channel won: abandon the
+                # original connection's half-read recv
+                waiter.cancel()
+                chan.waiting = None
+                chan.blocked_on = None
+            if not in_time or arrived is None:
+                return None
+            return arrived[1]
         finally:
             if op_id:
                 self.op_waits.pop((op_id, pod_id), None)
-        if reply is None or reply.get("cmd") == "abort" or op_id in self.gc_ops:
-            # Manager died, aborted, or already garbage-collected this
-            # operation: resume the application gracefully
-            self.cluster.observe(f"agent.barrier_wait_s.{self.node.name}",
-                                 engine.now - t_wait)
-            phase.end(status="aborted")
-            self._abort_checkpoint(
-                pod, net_window,
-                dirty_consumer=CKPT_CONSUMER if track_dirty else None)
-            yield from send_msg(kernel, chan, fd, {"type": "aborted", "pod": pod_id})
-            return
-        yield from self.cluster.trace("agent.continue_recv", node=self.node.name, pod=pod_id)
-        self.cluster.observe(f"agent.barrier_wait_s.{self.node.name}",
-                             engine.now - t_wait)
-        if op_id in self.gc_ops:
-            # the op died while a fault stalled us at the boundary above
-            phase.end(status="aborted")
-            self._abort_checkpoint(
-                pod, net_window,
-                dirty_consumer=CKPT_CONSUMER if track_dirty else None)
-            yield from send_msg(kernel, chan, fd, {"type": "aborted", "pod": pod_id})
-            return
-        phase.end()
 
-        # 3b/4. continue received: lift the block and commit locally
-        phase = self.cluster.span("agent.phase.commit", node=self.node.name,
-                                  pod=pod_id, parent=op_parent)
-        if context == "snapshot":
-            unblock_pod_network(stack, pod, net_window)
-        else:
+    def _commit(self, ck: "_Checkpoint", reply):
+        """Steps 3b/4: ``continue`` received — lift the block, finish
+        the image (send-queue redirect; the ``post-resume`` encode) and
+        commit it to this node's stores."""
+        kernel, engine, pod, pod_id = self.kernel, self.engine, ck.pod, ck.pod_id
+        ck.commit_span = self._phase(ck, "commit")
+        if ck.context != "snapshot":
             # migration: silence and destroy the old pod before lifting
             # the filter so nothing stale can reach the restored peers
             pod.destroy()
-            unblock_pod_network(stack, pod, net_window)
+        unblock_pod_network(kernel.netstack, pod, ck.net_window)
 
-        # §5 optimization: redirect send-queue contents into the peers'
-        # checkpoint streams, eliminating the post-restart re-send.  The
-        # Manager's continue message carries the destinations (it alone
-        # knows where each peer pod is migrating).
         redirect_out = reply.get("redirect_out", [])
-        if redirect_out and image is not None:
-            rec_by_id = {int(r["sock_id"]): r for r in sock_records}
-            for entry in redirect_out:
-                rec = rec_by_id.get(int(entry["sock_id"]))
-                if rec is None:
-                    continue
-                trimmed = bytes(rec["send_data"][int(entry["discard"]):])
-                rec["send_data"] = b""
-                rec["send_redirected"] = True
-                if trimmed:
-                    yield from self._push_redirect(
-                        entry["dst_node"], entry["peer_pod"],
-                        int(entry["peer_sock_id"]), trimmed)
-            # the image must reflect the stripped queues (re-pack, not
-            # re-charged: the bytes were already serialized once; the
-            # pipeline diffs against the *previous* epoch because the
-            # first pack's base is only staged, not committed)
-            repacked = pipeline.pack(standalone, sock_records, sock_fd_rows, devices,
-                                     state=self.pipeline_state, chain_local=chain_local,
-                                     proc_dirty=proc_dirty)
-            repacked.stage_costs = image.stage_costs
-            image = repacked
-        t_resume = None
-        cow_bytes = 0
-        if use_async:
+        if redirect_out and ck.image is not None:
+            yield from self._redirect_send_queues(ck, redirect_out)
+        if ck.encode_at == "post-resume":
             # zero-stall: the pod resumes *here* — the outage window ends
             # before any codec work; serialize/filter run against the
             # frozen capture tables while the application runs on
             pod.resume()
-            t_resume = engine.now
+            ck.t_resume = engine.now
             for p in pod.processes():
                 # copy-on-write window: bytes the resumed pod dirties
                 # under the in-flight snapshot must be duplicated before
                 # the encoder reads them
                 p.memory.clear_dirty(COW_CONSUMER)
-            phase.end(async_ckpt=True)
+            ck.commit_span.end(async_ckpt=True)
             post_enc = self.cluster.span("agent.post.encode",
                                          node=self.node.name, pod=pod_id,
-                                         parent=op_parent, category="post")
-            yield from self.cluster.trace("agent.async_encode",
-                                          node=self.node.name, pod=pod_id)
-            image = pipeline.pack(standalone, sock_records, sock_fd_rows,
-                                  devices, state=self.pipeline_state,
-                                  serialize_bandwidth=self.node.spec.memcpy_bandwidth,
-                                  chain_local=chain_local, proc_dirty=proc_dirty)
-            # the deferred slice of the fixed kernel work (descriptor
-            # walks, serialization prep) runs here, against the frozen
-            # tables, before the codec touches any bytes
-            yield engine.sleep(max(0.0, self.node.spec.ckpt_fixed_s
-                                   - self.node.spec.capture_fixed_s))
-            t_enc = engine.now
-            yield engine.sleep(_stage_seconds(image))
-            self._emit_stage_spans(image, t_enc, pod_id, post_enc)
+                                         parent=ck.op_parent, category="post")
+            yield from self._cross(ck, "agent.async_encode")
+            yield from self._encode(ck, post_enc)
             async_pod = kernel.pods.get(pod_id)
             if async_pod is not None:
                 for p in async_pod.processes():
-                    cow_bytes += p.memory.dirty_in(COW_CONSUMER)
+                    ck.cow_bytes += p.memory.dirty_in(COW_CONSUMER)
                     p.memory.reset_dirty(COW_CONSUMER)
-            if cow_bytes:
-                yield engine.sleep(cow_bytes / self.node.spec.memcpy_bandwidth)
-            post_enc.end(nbytes=image.total_bytes, cow_bytes=cow_bytes)
-        if proc_dirty is not None and image is not None:
+            if ck.cow_bytes:
+                yield engine.sleep(ck.cow_bytes / self.node.spec.memcpy_bandwidth)
+            post_enc.end(nbytes=ck.image.total_bytes, cow_bytes=ck.cow_bytes)
+        if ck.proc_dirty is not None:
             # stamp the measured dirty total on the image: the CAS dedup
             # model reads it to decide which accounted blocks re-hash
-            image.acct_dirty_bytes = sum(
-                sum(table.values()) for table in proc_dirty.values())
-        if op_id not in self.gc_ops:
+            ck.image.acct_dirty_bytes = sum(
+                sum(table.values()) for table in ck.proc_dirty.values())
+        if ck.op_id not in self.gc_ops:
             self.pipeline_state.commit(pod_id)
-            self.mem_sink.store(image)
-            if track_dirty:
+            self.mem_sink.store(ck.image)
+            if ck.track_dirty:
                 commit_pod = kernel.pods.get(pod_id)
                 if commit_pod is not None:
                     # the op is final on this node: the staged baseline
                     # clear becomes the next generation's starting point
                     for p in commit_pod.processes():
                         p.memory.commit_clear(CKPT_CONSUMER)
-            if op_id:
-                self.committed_ops[pod_id] = op_id
-        elif use_async:
+            if ck.op_id:
+                self.committed_ops[pod_id] = ck.op_id
+        elif ck.encode_at == "post-resume":
             # the op was garbage-collected while the encoder ran: the gc
             # already rolled the stores back; drop the staged base too
             self.pipeline_state.abandon(pod_id)
@@ -609,117 +609,133 @@ class Agent:
         # reactivating the pod" — point-in-time capture of the shared
         # storage the pod's chroot lives on, so restart can also roll
         # files back to the checkpointed instant
-        snapshot_id = None
-        if msg.get("fs_snapshot"):
-            snap = self.cluster.snapshots.take(self.cluster.san, now=engine.now)
-            snapshot_id = len(self.cluster.snapshots) - 1
+        if ck.msg.get("fs_snapshot"):
+            self.cluster.snapshots.take(self.cluster.san, now=engine.now)
+            ck.snapshot_id = len(self.cluster.snapshots) - 1
 
-        # 4. report done (with the per-stage pipeline breakdown: the
-        # serialize / filter split happened above; the write to the sink
-        # happens after resume, so its cost is reported as modeled)
-        sink = self._sink_for(uri)
+    def _redirect_send_queues(self, ck: "_Checkpoint", redirect_out):
+        """§5 optimization: redirect send-queue contents into the peers'
+        checkpoint streams, eliminating the post-restart re-send.  The
+        Manager's continue message carries the destinations (it alone
+        knows where each peer pod is migrating)."""
+        rec_by_id = {int(r["sock_id"]): r for r in ck.sock_records}
+        for entry in redirect_out:
+            rec = rec_by_id.get(int(entry["sock_id"]))
+            if rec is None:
+                continue
+            trimmed = bytes(rec["send_data"][int(entry["discard"]):])
+            rec["send_data"] = b""
+            rec["send_redirected"] = True
+            if trimmed:
+                yield from self._push_redirect(
+                    entry["dst_node"], entry["peer_pod"],
+                    int(entry["peer_sock_id"]), trimmed)
+        # the image must reflect the stripped queues (re-packed, not
+        # re-charged: the bytes were already serialized once; the
+        # pipeline diffs against the *previous* epoch because the first
+        # pack's base is only staged, not committed)
+        repacked = self._pack(ck, charged=False)
+        repacked.stage_costs = ck.image.stage_costs
+        ck.image = repacked
+
+    def _report_done(self, ck: "_Checkpoint"):
+        """Step 4: report done, with the per-stage pipeline breakdown
+        (the serialize / filter split happened above; the write to the
+        sink happens after resume, so its cost is reported as modeled)."""
+        image, sink, now = ck.image, ck.sink, self.engine.now
         stage_stats = list(image.stage_costs) + [sink.write_cost(image).as_stats()]
         record_stage_metrics(self.cluster, stage_stats)
-        # live migration: the final stream only moves what the pre-copy
-        # rounds left dirty; the encoded payload still travels whole
-        stream_charge = None
-        if live and uri.startswith("agent://"):
-            stream_charge = min(image.accounted_bytes, residual)
-        t_write = (stream_charge / sink.fabric_bandwidth
-                   if stream_charge is not None else sink.write_delay(image))
+        if ck.live and sink.dest is not None:
+            # live migration: the final stream only moves what the
+            # pre-copy rounds left dirty; the encoded payload still
+            # travels whole
+            ck.stream_charge = min(image.accounted_bytes, ck.residual)
+        ck.t_write = (ck.stream_charge / sink.fabric_bandwidth
+                      if ck.stream_charge is not None
+                      else sink.write_delay(image))
         stats = {
-            "t_suspend": t_suspended - t0,
-            "t_network": t_net_done - t_suspended,
-            "t_standalone": t_standalone_done - t_net_done,
-            "t_local": engine.now - t0,
+            "t_suspend": ck.t_suspended - ck.t0,
+            "t_network": ck.t_net_done - ck.t_suspended,
+            "t_standalone": ck.t_standalone_done - ck.t_net_done,
+            "t_local": now - ck.t0,
             "t_serialize": _stage_seconds(image, "serialize"),
             "t_filter": _stage_seconds(image, "filter"),
-            "t_write": t_write,
+            "t_write": ck.t_write,
             "image_bytes": image.total_bytes,
             "raw_image_bytes": image.raw_total_bytes,
             "encoded_bytes": image.encoded_bytes,
             "netstate_bytes": image.netstate_bytes,
-            "sockets": len(sock_records),
-            "fs_snapshot": snapshot_id,
-            "filters": accepted_specs,
+            "sockets": len(ck.sock_records),
+            "fs_snapshot": ck.snapshot_id,
+            "filters": ck.accepted,
             "epoch": image.epoch,
             "stages": stage_stats,
         }
-        if live:
+        if ck.live:
             # keys present only in live mode so non-live wire traffic
             # (and thus every existing schedule) is unchanged
-            stats["t_suspend_at"] = t0
-            stats["residual_bytes"] = residual
-        if use_async:
+            stats["t_suspend_at"] = ck.t0
+            stats["residual_bytes"] = ck.residual
+        if ck.encode_at == "post-resume":
             # async-only keys, same conditional-key discipline: serial
             # wire traffic (and thus every existing schedule) is unchanged
-            stats["t_suspend_window"] = t_resume - t0
+            stats["t_suspend_window"] = ck.t_resume - ck.t0
             stats["t_encode"] = _stage_seconds(image)
-            stats["cow_bytes"] = cow_bytes
+            stats["cow_bytes"] = ck.cow_bytes
         else:
             # the commit phase ends exactly where ``t_local`` is measured,
             # so the agent lane's phase durations sum to the reported
             # latency (the async path already ended it at resume — there
             # the phase sum is the outage window, not the full latency)
-            phase.end(image_bytes=image.total_bytes)
-        yield from send_msg(kernel, chan, fd, {
-            "type": "done",
-            "pod": pod_id,
-            "status": "ok",
-            "stats": stats,
-        })
+            ck.commit_span.end(image_bytes=image.total_bytes)
+        yield from send_msg(self.kernel, ck.chan, ck.fd, {
+            "type": "done", "pod": ck.pod_id, "status": "ok", "stats": stats})
 
-        # finalize (the async path resumed the pod before encoding)
-        if context == "snapshot" and not use_async:
-            pod.resume()
-        if uri.startswith("agent://"):
-            post = self.cluster.span("agent.post.stream", node=self.node.name,
-                                     pod=pod_id, parent=op_parent,
-                                     category="post")
-            yield from self._stream_image(chan, fd, image, uri, sink,
-                                          charge_bytes=stream_charge)
-            if stream_charge is not None:
-                post.annotate(residual_bytes=stream_charge)
+    def _deliver(self, ck: "_Checkpoint"):
+        """Finalize: resume the pod (unless the ``post-resume`` commit
+        already did), then move the image to where its URI says —
+        deliberately outside the checkpoint latency, per the paper
+        (``post`` spans, excluded from phase reconciliation)."""
+        image, sink = ck.image, ck.sink
+        if ck.context == "snapshot" and ck.encode_at != "post-resume":
+            ck.pod.resume()
+        if sink.ack is None:
+            return  # memory was the destination: committed already
+        streams = sink.dest is not None
+        post = self.cluster.span(
+            "agent.post.stream" if streams else "agent.post.flush",
+            node=self.node.name, pod=ck.pod_id, parent=ck.op_parent,
+            category="post")
+        if streams:
+            yield from self._stream_image(ck)
+            if ck.stream_charge is not None:
+                post.annotate(residual_bytes=ck.stream_charge)
             post.end(nbytes=image.total_bytes)
-        elif uri.startswith(("file:", "cas:")):
-            # flush to shared storage after the application resumed —
-            # deliberately outside the checkpoint latency, per the paper
-            # (a ``post`` span, excluded from phase reconciliation)
-            post = self.cluster.span("agent.post.flush", node=self.node.name,
-                                     pod=pod_id, parent=op_parent,
-                                     category="post")
-            if use_async:
+        else:
+            overlap_s = 0.0
+            if ck.encode_at == "post-resume":
                 # stage-overlapped write-out: the SAN link ran while the
                 # codec did (network never idle behind the compressor),
                 # so only the write tail beyond the encode time remains
-                yield from self.cluster.trace("agent.async_stream",
-                                              node=self.node.name, pod=pod_id)
-            if uri.startswith("cas:"):
-                flushed = yield from self._flush_to_cas(
-                    image, sink, op_id=op_id,
-                    overlap_s=_stage_seconds(image) if use_async else 0.0)
-            else:
-                directives = yield from self.cluster.trace(
-                    "agent.flush", node=self.node.name, pod=pod_id)
-                flushed = yield from self._flush_to_file(
-                    image, sink, op_id=op_id,
-                    truncate=directives.get("truncate"),
-                    overlap_s=_stage_seconds(image) if use_async else 0.0)
+                yield from self._cross(ck, "agent.async_stream")
+                overlap_s = _stage_seconds(image)
+            flushed = yield from self._flush(image, sink, ck.op_id, overlap_s)
             post.end(status="ok" if flushed else "failed",
                      nbytes=image.total_bytes)
             if flushed:
                 self.cluster.count("agent.flush.bytes", image.total_bytes)
-            yield from send_msg(kernel, chan, fd, {
-                "type": "flushed" if flushed else "flush-failed", "pod": pod_id})
+            yield from send_msg(self.kernel, ck.chan, ck.fd, {
+                "type": "flushed" if flushed else "flush-failed",
+                "pod": ck.pod_id})
 
     def _emit_stage_spans(self, image: PodImage, t_start: float, pod_id: str,
-                          parent) -> float:
+                          parent) -> None:
         """Subdivide a modeled pack sleep into per-stage ``stage`` spans.
 
         The Agent sleeps once for the whole pipeline; the per-stage costs
         recorded on the image say how that sleep decomposes, and this
         replays them as explicit-time spans so exported traces show the
-        serialize / filter split.  Returns the time after the last stage.
+        serialize / filter split.
         """
         t = t_start
         for cost in image.stage_costs:
@@ -733,62 +749,47 @@ class Agent:
                                  in_bytes=cost.get("in_bytes"),
                                  out_bytes=cost.get("out_bytes"))
             t += seconds
-        return t
 
-    def _abort_checkpoint(self, pod: Pod, window=NULL_SPAN,
-                          dirty_consumer: Optional[str] = None) -> None:
-        if dirty_consumer is not None:
+    def _abort(self, ck: "_Checkpoint", phase, status: str = "aborted",
+               notify: bool = True):
+        """The one abort path: close the phase, give the pod back, and
+        (when the connection may still be alive) say so."""
+        phase.end(status=status)
+        if ck.track_dirty:
             # fold the staged baseline clear back: nothing was committed,
             # so the generation still belongs to the next checkpoint
-            for p in pod.processes():
-                p.memory.abort_clear(dirty_consumer)
-        unblock_pod_network(self.kernel.netstack, pod, window, status="aborted")
-        pod.resume()
+            for p in ck.pod.processes():
+                p.memory.abort_clear(CKPT_CONSUMER)
+        unblock_pod_network(self.kernel.netstack, ck.pod, ck.net_window,
+                            status="aborted")
+        ck.pod.resume()
+        if notify:
+            yield from send_msg(self.kernel, ck.chan, ck.fd,
+                                {"type": "aborted", "pod": ck.pod_id})
 
-    def _sink_for(self, uri: str):
-        """The pipeline sink an URI lands in (memory, SAN file, stream)."""
-        if uri.startswith("agent://"):
-            return StreamSink(self.cluster.fabric.bandwidth)
-        if uri.startswith("file:"):
-            return FileSink(self.cluster.san, self.kernel.vfs, uri[len("file:"):])
-        if uri.startswith("cas:"):
-            from ..storage.cas import CasSink
-            return CasSink(self.cluster.san, self.kernel.vfs, uri[len("cas:"):])
-        return self.mem_sink
-
-    def _stream_image(self, chan, fd, image: PodImage, uri: str, sink: StreamSink,
-                      charge_bytes: Optional[int] = None):
+    def _stream_image(self, ck: "_Checkpoint"):
         """Direct migration: push the image to the destination Agent.
 
         The encoded payload travels over the simulated network for real;
         the accounted (ballast) memory is charged as streaming time at
         fabric bandwidth without materializing the bytes — so a compress
-        stage directly shortens the stream.  ``charge_bytes`` overrides
-        the accounted charge (live migration streams only the residual
-        the pre-copy rounds left dirty).
+        stage directly shortens the stream (``ck.t_write``; a live
+        migration streams only the residual the pre-copy rounds left
+        dirty).
         """
-        kernel = self.kernel
-        target = self.cluster.node_by_name(uri[len("agent://"):])
+        kernel, chan, fd, image = self.kernel, ck.chan, ck.fd, ck.image
+        charge_bytes = ck.stream_charge
+        target = self.cluster.node_by_name(ck.sink.dest)
         tchan = kernel.host_channel("agent-push")
         tfd = yield kernel.host_call(tchan, "socket", "tcp")
         rc = yield kernel.host_call(tchan, "connect", tfd, (target.ip, AGENT_PORT))
         if isinstance(rc, Errno):
             yield from send_msg(kernel, chan, fd, {"type": "error", "error": f"push connect: {rc.name}"})
             return
-        delay = (charge_bytes / sink.fabric_bandwidth
-                 if charge_bytes is not None else sink.write_delay(image))
-        yield self.engine.sleep(delay)
-        push = {
-            "cmd": "push_image",
-            "pod": image.pod_id,
-            "data": image.data,
-            "accounted": image.accounted_bytes,
-            "netstate": image.netstate_bytes,
-            "filters": image.filters,
-            "epoch": image.epoch,
-            "raw_bytes": image.raw_encoded_bytes,
-            "raw_accounted": image.raw_accounted_bytes,
-        }
+        yield self.engine.sleep(ck.t_write)
+        # the peer stores the same chain entry a SAN container holds
+        push = {"cmd": "push_image", "pod": image.pod_id,
+                **chain_entry(image)}
         if charge_bytes is not None:
             # live migration only (non-live wire traffic stays identical):
             # tell the destination how much accounted memory this final
@@ -938,68 +939,30 @@ class Agent:
             entry = self.precopy_store.get(msg["pod"])
             if entry is not None:
                 entry["placed"] = int(msg["placed"])
-        self.mem_sink.store(PodImage(
-            pod_id=msg["pod"],
-            data=bytes(msg["data"]),
-            encoded_bytes=len(msg["data"]),
-            accounted_bytes=int(msg["accounted"]),
-            netstate_bytes=int(msg["netstate"]),
-            filters=list(msg.get("filters") or []),
-            epoch=int(msg.get("epoch", 0)),
-            raw_encoded_bytes=msg.get("raw_bytes"),
-            raw_accounted_bytes=msg.get("raw_accounted"),
-        ))
+        self.mem_sink.store(image_from_entry(msg["pod"], msg))
 
-    def _flush_to_file(self, image: PodImage, sink: FileSink,
-                       op_id: int = 0, truncate: Optional[float] = None,
-                       overlap_s: float = 0.0):
-        """Write the image to shared storage; True iff the flush published
-        a complete, loadable container.
-
-        The write pays any injected SAN stall, honors a ``truncate``
-        fault directive (cut the container short), refuses to publish
-        for a garbage-collected operation, and *verifies by reading the
-        container back* — a partial write is unlinked and reported as
+    def _flush(self, image: PodImage, sink: Sink, op_id: int = 0,
+               overlap_s: float = 0.0):
+        """Write the image to its shared sink; True iff the flush
+        published a complete, loadable generation.  One sequence for
+        every sink; a partial generation is rolled back and reported as
         ``flush-failed`` rather than left visible as restartable.
 
         ``overlap_s`` is codec time the write already ran behind (the
-        async path's stage overlap): the flush charges only
+        post-resume encode's stage overlap): the flush charges only
         ``max(0, write + stall - overlap)`` — the tail of the slower of
         the two pipelines.
         """
-        stall = self.cluster.san.consume_stall()
-        yield self.engine.sleep(max(0.0, sink.write_delay(image) + stall - overlap_s))
-        if op_id and op_id in self.gc_ops:
-            # the Manager aborted and collected this op while we slept
-            return False
-        sink.store(image, truncate=truncate)
-        try:
-            sink.load(image.pod_id)
-        except RestartError:
-            sink.unlink()
-            return False
-        return True
-
-    def _flush_to_cas(self, image: PodImage, sink, op_id: int = 0,
-                      overlap_s: float = 0.0):
-        """Flush into the content-addressed store; True iff the staged
-        generation published complete and loadable.
-
-        Same discipline as :meth:`_flush_to_file` with the write split at
-        the CAS commit point: ``stage`` uploads the chunks the index is
-        missing (a ``truncate`` fault directive cuts that upload short),
-        ``publish`` swaps the recipe in, and read-back validation rolls a
-        partial generation back — restoring the previous one — rather
-        than leaving it visible as restartable.  Faults can land on the
-        ``cas.write`` and ``cas.commit`` crossings between the steps.
-        """
-        span = self.cluster.span("cas.flush", node=self.node.name,
-                                 pod=image.pod_id, category="cas",
-                                 parent=("op", op_id))
-        directives = yield from self.cluster.trace(
-            "cas.write", node=self.node.name, pod=image.pod_id)
-        # claimed after the crossing, like the file flush: a stall
-        # injected at ``cas.write`` must delay *this* write
+        where = {"node": self.node.name, "pod": image.pod_id}
+        span = NULL_SPAN
+        if sink.span_ns is not None:
+            span = self.cluster.span(f"{sink.span_ns}.flush",
+                                     category=sink.span_ns,
+                                     parent=("op", op_id), **where)
+        directives = yield from self.cluster.trace(sink.crossings["write"],
+                                                   **where)
+        # claimed after the crossing: a stall injected there must delay
+        # *this* write, not whichever Agent flushes next
         stall = self.cluster.san.consume_stall()
         yield self.engine.sleep(max(0.0, sink.write_delay(image) + stall
                                     - overlap_s))
@@ -1008,27 +971,26 @@ class Agent:
             span.end(status="aborted")
             return False
         sink.stage(image, op_id=op_id, truncate=directives.get("truncate"))
-        directives = yield from self.cluster.trace(
-            "cas.commit", node=self.node.name, pod=image.pod_id)
-        if op_id and op_id in self.gc_ops:
-            # collected at the commit crossing: the stage is already an
-            # orphan — drop it instead of publishing for a dead op
-            sink.rollback(op_id)
-            span.end(status="aborted")
-            return False
+        if "commit" in sink.crossings:
+            yield from self.cluster.trace(sink.crossings["commit"], **where)
+            if op_id and op_id in self.gc_ops:
+                # collected at the commit crossing: the stage is already
+                # an orphan — drop it instead of publishing for a dead op
+                sink.rollback(op_id)
+                span.end(status="aborted")
+                return False
         if not sink.publish(op_id):
-            # the pending stage at the path is no longer ours (an
-            # interleaved op replaced it, or it was swept): publishing
-            # it would promote a rival's — possibly truncated — stage
-            # under our read-back, so fail without touching the
-            # published generation
+            # the pending stage is no longer ours (an interleaved op
+            # replaced it, or it was swept): publishing it would promote
+            # a rival's — possibly truncated — stage under our read-back,
+            # so fail without touching the published generation
             span.end(status="failed")
             return False
         try:
             sink.load(image.pod_id)
         except RestartError:
-            # partial upload published: roll back to the previous
-            # generation (op-keyed, so a replayed GC cannot undo more)
+            # a partial generation got published: roll it back (op-keyed
+            # where the sink can, so a replayed GC cannot undo more)
             sink.rollback(op_id)
             span.end(status="failed")
             return False
@@ -1059,17 +1021,17 @@ class Agent:
                 # over-charges rather than undercounts
                 p.memory.reset_dirty(CKPT_CONSUMER)
 
-    def _load_chain(self, pod_id: str, uri: str) -> List[PodImage]:
+    def _load_chain(self, pod_id: str, sink: Sink) -> List[PodImage]:
         """Load a checkpoint image chain (epoch order; length 1 unless
-        incremental checkpoints extended it)."""
-        if uri in ("mem", "") or uri.startswith("agent://"):
-            chain = self.mem_sink.load(pod_id)
-            if not chain:
-                raise RestartError(f"no in-memory image for pod {pod_id!r} on {self.node.name}")
-            return chain
-        if uri.startswith(("file:", "cas:")):
-            return self._sink_for(uri).load(pod_id)
-        raise RestartError(f"unsupported URI {uri!r}")
+        incremental checkpoints extended it).  An image that is not on
+        shared storage is in this Agent's memory — committed here, or
+        pushed here by a migrating peer."""
+        if sink.shared:
+            return sink.load(pod_id)
+        chain = self.mem_sink.load(pod_id)
+        if not chain:
+            raise RestartError(f"no in-memory image for pod {pod_id!r} on {self.node.name}")
+        return chain
 
     # ------------------------------------------------------------------
     # restart (Figure 3, Agent side)
@@ -1082,13 +1044,14 @@ class Agent:
                                   pod=msg.get("pod"), parent=op_parent)
         yield from self.cluster.trace("agent.load_meta", node=self.node.name,
                                       pod=msg.get("pod"))
+        sink = resolve_sink(msg["uri"], self.cluster, kernel.vfs, self.mem_sink)
         try:
-            chain = self._load_chain(msg["pod"], msg["uri"])
+            chain = self._load_chain(msg["pod"], sink)
         except RestartError as err:
             phase.end(status="failed")
             yield from send_msg(kernel, chan, fd, {"type": "error", "error": str(err)})
             return
-        if msg["uri"].startswith("file:") and not msg.get("preloaded", True):
+        if sink.shared and not msg.get("preloaded", True):
             yield self.engine.sleep(self.cluster.san.transfer_delay(
                 sum(img.total_bytes for img in chain)))
         try:
@@ -1127,7 +1090,8 @@ class Agent:
         t0 = engine.now
         op_parent = ("op", int(msg.get("op_id", 0)))
         if chain is None:
-            chain = self._load_chain(pod_id, msg.get("uri", "mem"))
+            chain = self._load_chain(pod_id, resolve_sink(
+                msg.get("uri", "mem"), self.cluster, kernel.vfs, self.mem_sink))
         if reassembled is None:
             reassembled = ImagePipeline.reassemble(chain, state=self.pipeline_state)
         payload = reassembled.payload

@@ -52,17 +52,25 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..cluster.builder import Cluster
 from ..cluster.node import Node
+from ..obs.tracer import NULL_SPAN
 from ..sim.tasks import Future, Task, all_of
 from ..storage.ledger import OpLedger
 from ..vos.syscalls import Errno
 from . import codec
 from .agent import AGENT_PORT, Agent, deploy_agents
 from .meta import derive_restart_plan
-from .pipeline import FileSink
+from .sinks import release_op, resolve_sink
 from .wire import recv_msg, send_msg
 
 #: «node, pod, URI» — the request tuple of Section 4.
 Target = Tuple[str, str, str]
+
+#: the acknowledgement a sink promises after ``done`` (``Sink.ack``) ->
+#: the post-phase span it runs under and what its absence means.
+_POST_ACKS = {
+    "streamed": ("stream", "image streaming failed"),
+    "flushed": ("flush", "image flush failed or timed out"),
+}
 
 #: how long one ledger record keeps an op owned before a replica may
 #: claim it.  Each phase record renews the lease, so a live Manager
@@ -500,10 +508,9 @@ class Manager:
         flush_count = [0]
         all_meta = Future("all-meta")
         op_failed = Future(f"ckpt-{op_id}-failed")
-        expect_stream = {pod for (_n, pod, uri) in targets if uri.startswith("agent://")}
-        expect_flush = {pod for (_n, pod, uri) in targets
-                        if uri.startswith(("file:", "cas:"))}
-        flush_needed = expect_stream | expect_flush
+        acks = {pod: resolve_sink(uri, self.cluster, kernel.vfs).ack
+                for (_n, pod, uri) in targets}
+        flush_needed = {pod for pod, ack in acks.items() if ack is not None}
         fail = self._op_failer(result, all_meta, op_failed)
 
         def redirect_out_for(pod_id: str) -> List[dict]:
@@ -626,29 +633,20 @@ class Manager:
             done_count[0] += 1
             if done_count[0] == len(targets):
                 yield from machine.advance("done", pods=sorted(result.pods))
-            # direct-migration streaming / file flush acknowledgements
-            if pod_id in expect_stream:
-                post = self.cluster.span("manager.post.stream", node=node_name,
-                                         pod=pod_id, parent=op_span,
-                                         category="post")
-                ack = yield from self._recv_timed(chan, fd, timeouts.flush)
-                if ack is None or ack.get("type") != "streamed":
-                    post.end(status="failed")
-                    fail(f"{pod_id}: image streaming failed")
-                    return
-                post.end()
-            elif pod_id in expect_flush:
-                post = self.cluster.span("manager.post.flush", node=node_name,
-                                         pod=pod_id, parent=op_span,
-                                         category="post")
-                ack = yield from self._recv_timed(chan, fd, timeouts.flush)
-                if ack is None or ack.get("type") != "flushed":
-                    post.end(status="failed")
-                    fail(f"{pod_id}: image flush failed or timed out")
-                    return
-                post.end()
-            else:
+            # the image's journey to its destination (direct-migration
+            # stream, shared-storage flush) is acknowledged separately
+            if acks[pod_id] is None:
                 return
+            kind, failure = _POST_ACKS[acks[pod_id]]
+            post = self.cluster.span(f"manager.post.{kind}", node=node_name,
+                                     pod=pod_id, parent=op_span,
+                                     category="post")
+            ack = yield from self._recv_timed(chan, fd, timeouts.flush)
+            if ack is None or ack.get("type") != acks[pod_id]:
+                post.end(status="failed")
+                fail(f"{pod_id}: {failure}")
+                return
+            post.end()
             flush_count[0] += 1
             if flush_count[0] == len(flush_needed):
                 yield from machine.advance("flush")
@@ -761,47 +759,36 @@ class Manager:
         """Remove every image this failed operation may have written.
 
         Even a *complete* per-pod image from a failed operation is one
-        half of an inconsistent cut and must not be restartable.  SAN
-        containers are unlinked (never the ones the last good checkpoint
-        points at); Agents are told to roll their stores back and to
-        suppress any late store by a still-hung session (the op-id
-        tombstone).
+        half of an inconsistent cut and must not be restartable.  Shared
+        sinks are rolled back (never under the last good checkpoint);
+        Agents are told to roll their stores back and to suppress any
+        late store by a still-hung session (the op-id tombstone).
         """
         protected = set()
         if self.last_checkpoint is not None:
-            protected = {uri for (_n, _p, uri) in self.last_checkpoint.targets
-                         if uri.startswith("file:")}
+            protected = {uri for (_n, _p, uri) in self.last_checkpoint.targets}
         by_node: Dict[str, List[str]] = {}
         for node_name, pod_id, uri in targets:
-            if uri.startswith("file:") and uri not in protected:
-                path = uri[len("file:"):]
-                fs, inner = self.home.kernel.vfs.resolve(path)
-                if inner in fs.files:
-                    fs.files.pop(inner, None)
-                    result.gc_paths.append(path)
-                    self.cluster.count("manager.gc_partial_images")
-            if uri.startswith("cas:"):
-                # content-addressed target: op-keyed rollback restores
-                # the previous published generation (no protected-set
-                # check needed — a committed generation carries a
-                # different op id and is never touched)
-                from ..storage.cas import CasStore
-                path = uri[len("cas:"):]
-                yield from self.cluster.trace("cas.gc", node=node_name,
-                                              pod=pod_id)
-                span = self.cluster.span("cas.gc", node=node_name,
-                                         pod=pod_id, category="cas",
-                                         parent=("op", result.op_id))
-                acted = CasStore.on(self.cluster.san).rollback_path(
-                    path, result.op_id)
+            sink = resolve_sink(uri, self.cluster, self.home.kernel.vfs)
+            # an op-keyed rollback restores the previous generation and
+            # can never touch a committed one (it carries another op's
+            # id); a container that records no owner is only removed
+            # when the last good checkpoint does not point at it
+            if sink.shared and (sink.tracks_ops or uri not in protected):
+                span = NULL_SPAN
+                if "gc" in sink.crossings:
+                    yield from self.cluster.trace(sink.crossings["gc"],
+                                                  node=node_name, pod=pod_id)
+                    span = self.cluster.span(f"{sink.span_ns}.gc",
+                                             node=node_name, pod=pod_id,
+                                             category=sink.span_ns,
+                                             parent=("op", result.op_id))
+                acted = sink.rollback(result.op_id)
                 span.end(status="rolled-back" if acted else "clean")
                 if acted:
-                    result.gc_paths.append(path)
+                    result.gc_paths.append(sink.path)
                     self.cluster.count("manager.gc_partial_images")
-            if uri.startswith("agent://"):
-                by_node.setdefault(uri[len("agent://"):], []).append(pod_id)
-            else:
-                by_node.setdefault(node_name, []).append(pod_id)
+            by_node.setdefault(sink.dest or node_name, []).append(pod_id)
         for node_name, pods in by_node.items():
             node = self.cluster.node_by_name(node_name)
             if node.crashed:
@@ -1174,11 +1161,12 @@ class Manager:
         load = {n.name: len(n.kernel.pods) for n in survivors}
         new_targets: List[Target] = []
         for node_name, pod_id, uri in last.targets:
-            if uri.startswith("agent://"):
+            sink = resolve_sink(uri, self.cluster, self.home.kernel.vfs)
+            if sink.dest is not None:
                 # migration image: it lives in the destination Agent's
                 # memory store
-                node_name, uri = uri[len("agent://"):], "mem"
-            if uri.startswith(("file:", "cas:")):
+                node_name, uri = sink.dest, "mem"
+            if sink.shared:
                 # shared-storage image (SAN container or CAS recipe):
                 # restartable from any surviving node
                 if placement and pod_id in placement:
@@ -1283,13 +1271,9 @@ class Manager:
         # and its publish left pending recipes holding references; every
         # op this takeover aborted releases exactly its unshared chunks
         # (op-keyed, so live generations and other pods are untouched)
-        aborted = [op_id for op_id, _phase, outcome in actions
-                   if outcome == "aborted"]
-        if aborted:
-            from ..storage.cas import CasStore
-            store = CasStore.on(self.cluster.san)
-            for op_id in aborted:
-                reclaimed = store.abort_op(op_id)
+        for op_id, _phase, outcome in actions:
+            if outcome == "aborted":
+                reclaimed = release_op(self.cluster, op_id)
                 if reclaimed:
                     self.cluster.count("cas.sweep_orphans.bytes", reclaimed)
         return actions
@@ -1356,31 +1340,18 @@ class Manager:
     def _image_ready(self, op, node_name: str, pod_id: str, uri: str,
                      timeouts: PhaseTimeouts):
         """Is this one image durable and attributable to op ``op``?"""
-        if uri.startswith("file:"):
-            sink = FileSink(self.cluster.san, self.home.kernel.vfs,
-                            uri[len("file:"):])
-            if not sink.exists():
+        sink = resolve_sink(uri, self.cluster, self.home.kernel.vfs)
+        if sink.shared:
+            if not sink.exists(op.op_id):
+                # absent, or a different generation is published (the
+                # rollback of a failed flush restores the previous op's)
                 return False
             try:
                 sink.load(pod_id)
             except Exception:
                 return False
             return True
-        if uri.startswith("cas:"):
-            from ..storage.cas import CasSink, CasStore
-            path = uri[len("cas:"):]
-            recipe = CasStore.on(self.cluster.san).recipes.get(path)
-            if recipe is None or int(recipe.get("op_id", -1)) != op.op_id:
-                # absent, or a different generation is published (the
-                # rollback of a failed flush restores the previous op's)
-                return False
-            try:
-                CasSink(self.cluster.san, self.home.kernel.vfs,
-                        path).load(pod_id)
-            except Exception:
-                return False
-            return True
-        dest = uri[len("agent://"):] if uri.startswith("agent://") else node_name
+        dest = sink.dest or node_name
         if self.cluster.node_by_name(dest).crashed:
             return False
         reply = yield from self._send_simple(dest, {

@@ -679,16 +679,34 @@ def image_extends_chain(image: PodImage) -> bool:
 
 
 class Sink:
-    """Where a checkpoint image lands, and what the write costs.
-
-    A sink owns the *storage semantics* (chain bookkeeping) and the
-    *write cost model*; the Agent drives the protocol (the paper's
-    write-to-memory-first discipline, the post-resume flush, the
-    node-to-node push) and charges ``write_delay`` where its protocol
-    step happens.
+    """Where a checkpoint image lands — one protocol for every
+    destination, mirroring the paper's URIs (DESIGN §5 tabulates the
+    sinks).  The Agent drives it (write-to-memory first, the post-resume
+    flush, the node-to-node push) and charges :meth:`write_delay` where
+    its protocol step happens; what callers would otherwise re-derive
+    from the URI string is data here.
     """
 
     kind = "?"
+    #: on shared storage: restartable from any node.
+    shared = False
+    #: the message that follows ``done`` once the image is safe at its
+    #: destination — what the Manager waits for (None: nothing follows).
+    ack: Optional[str] = None
+    #: the node the image leaves this Agent for (direct migration): it
+    #: cannot be a delta or be encoded after the pod resumed, and it is
+    #: collected at its destination.
+    dest: Optional[str] = None
+    #: generations remember their op: publish and rollback are op-keyed
+    #: (else rollback is a blunt delete).
+    tracks_ops = False
+    #: the write-cost model reads ``PodImage.acct_dirty_bytes``.
+    wants_dirty = False
+    #: fault crossings before the bytes move (``write``), between stage
+    #: and publish (``commit``), before the abort path's rollback (``gc``).
+    crossings: Dict[str, str] = {}
+    #: namespace of the sink's own ``<ns>.flush`` / ``<ns>.gc`` spans.
+    span_ns: Optional[str] = None
 
     def write_delay(self, image: PodImage) -> float:
         return 0.0
@@ -697,9 +715,42 @@ class Sink:
         n = image.total_bytes
         return StageCost(f"write:{self.kind}", self.write_delay(image), n, n)
 
+    def stage(self, image: PodImage, op_id: int = 0,
+              truncate: Optional[float] = None) -> None:
+        """Make the image durable but not yet restartable.  ``truncate``
+        (a fraction in (0, 1)) simulates a write cut short by a fault,
+        which :meth:`load` must then reject."""
+
+    def publish(self, op_id: Optional[int] = None) -> bool:
+        """Swap the staged generation in; False when there is none, or
+        it belongs to another op and the sink can tell."""
+        return True
+
+    def rollback(self, op_id: int) -> bool:
+        """Undo what op ``op_id`` staged or published; True iff anything
+        was undone.  Idempotent."""
+        return False
+
+    def store(self, image: PodImage, op_id: int = 0,
+              truncate: Optional[float] = None) -> None:
+        """One-shot write: :meth:`stage` then :meth:`publish`."""
+        self.stage(image, op_id=op_id, truncate=truncate)
+        self.publish(op_id)
+
+    def load(self, pod_id: str) -> List[PodImage]:
+        """The epoch-ordered chain; :class:`RestartError` if partial."""
+        return []
+
+    def exists(self, op_id: Optional[int] = None) -> bool:
+        """Is a generation visible — published by ``op_id``, when one is
+        given and the sink can tell?"""
+        return False
+
 
 class MemorySink(Sink):
-    """The Agent's in-memory store (the paper's default target), chain-aware."""
+    """The Agent's in-memory store (the paper's default target),
+    chain-aware.  It holds every pod of the node, so its one-deep undo
+    is keyed by *pod*, as the Agent's ``gc`` is."""
 
     kind = "mem"
 
@@ -710,10 +761,8 @@ class MemorySink(Sink):
         self._undo: Dict[str, Tuple[Optional[PodImage],
                                     Optional[List[PodImage]]]] = {}
 
-    def write_delay(self, image: PodImage) -> float:
-        return 0.0  # covered by the serialize stage: the image is built in RAM
-
-    def store(self, image: PodImage) -> None:
+    def stage(self, image: PodImage, op_id: int = 0,
+              truncate: Optional[float] = None) -> None:
         pod_id = image.pod_id
         prev_chain = self.state.chains.get(pod_id)
         self._undo[pod_id] = (self.images.get(pod_id),
@@ -725,7 +774,7 @@ class MemorySink(Sink):
         self.images[pod_id] = image
 
     def rollback(self, pod_id: str) -> bool:
-        """Restore the pre-:meth:`store` image and chain for ``pod_id``.
+        """Restore the pre-:meth:`stage` image and chain for ``pod_id``.
 
         The abort garbage collector uses this so a failed coordinated
         operation cannot replace the last good in-memory checkpoint with
@@ -754,7 +803,9 @@ class MemorySink(Sink):
 
 
 class FileSink(Sink):
-    """Flush to shared storage (the SAN every blade mounts).
+    """Flush to shared storage (the SAN every blade mounts) — the
+    degenerate peer: staging writes the container in place, so publish
+    has nothing left to do and rollback is an unlink.
 
     Unfiltered images keep the historic single-image container format
     byte-for-byte; filtered images write a chain container that a delta
@@ -763,6 +814,9 @@ class FileSink(Sink):
     """
 
     kind = "file"
+    shared = True
+    ack = "flushed"
+    crossings = {"write": "agent.flush"}
 
     def __init__(self, san, vfs, path: str) -> None:
         self.san = san
@@ -776,11 +830,11 @@ class FileSink(Sink):
             return self.san.append_delay(image.total_bytes)
         return self.san.flush_delay(image.total_bytes)
 
-    def store(self, image: PodImage, truncate: Optional[float] = None) -> None:
-        """Write the image container; ``truncate`` (a fraction in (0, 1))
-        simulates a write cut short by a fault — only that prefix of the
-        container reaches the SAN, which the read-back validation in
-        :meth:`load` must then reject."""
+    def stage(self, image: PodImage, op_id: int = 0,
+              truncate: Optional[float] = None) -> None:
+        """Write the image container (truncated: only that prefix of it
+        reaches the SAN, which the read-back validation in :meth:`load`
+        must then reject)."""
         if not image.filters:
             container = codec.encode({
                 "data": image.data,
@@ -796,21 +850,22 @@ class FileSink(Sink):
                     entries = list(existing.get("chain", []))
                 except Exception:
                     entries = []
-            entries.append(_chain_entry(image))
+            entries.append(chain_entry(image))
             container = codec.encode({"chain": entries})
         if truncate is not None:
             container = container[:max(1, int(len(container) * float(truncate)))]
         handle = self.vfs.open(self.path, "w")
         handle.write(container)
 
-    def exists(self) -> bool:
+    def exists(self, op_id: Optional[int] = None) -> bool:
         fs, inner = self.vfs.resolve(self.path)
         return inner in fs.files
 
-    def unlink(self) -> None:
-        """Remove the container — abort-path garbage collection."""
+    def rollback(self, op_id: int) -> bool:
+        """Remove the container (it records no owner, so whoever calls
+        this decides it is theirs to remove)."""
         fs, inner = self.vfs.resolve(self.path)
-        fs.files.pop(inner, None)
+        return fs.files.pop(inner, None) is not None
 
     def load(self, pod_id: str) -> List[PodImage]:
         """Load and validate the image chain at this path.
@@ -825,26 +880,20 @@ class FileSink(Sink):
             raise RestartError(f"no image at {self.path!r}") from None
         try:
             container = codec.decode(bytes(handle.file.data))
-            if "chain" in container:
-                chain = [_image_from_entry(pod_id, entry)
-                         for entry in container["chain"]]
-                if not chain:
-                    raise CodecError("empty image chain")
-                return chain
-            return [PodImage(
-                pod_id=pod_id,
-                data=bytes(container["data"]),
-                encoded_bytes=len(container["data"]),
-                accounted_bytes=int(container["accounted"]),
-                netstate_bytes=int(container["netstate"]),
-            )]
-        except (CodecError, KeyError, TypeError, ValueError) as err:
+            # the historic single-image container is one bare entry
+            entries = container.get("chain", [container])
+            if not entries:
+                raise CodecError("empty image chain")
+            return [image_from_entry(pod_id, entry) for entry in entries]
+        except (CodecError, AttributeError, KeyError, TypeError,
+                ValueError) as err:
             raise RestartError(
                 f"partial or corrupt image at {self.path!r}: {err}") from None
 
 
 class StreamSink(Sink):
-    """Direct migration: the image crosses the fabric to a peer Agent.
+    """Direct migration: the image crosses the fabric to a peer Agent,
+    which keeps it in *its* memory sink — this end holds nothing.
 
     The encoded payload travels over the simulated network for real; the
     accounted (ballast) bytes are charged as streaming time at fabric
@@ -853,15 +902,17 @@ class StreamSink(Sink):
     """
 
     kind = "stream"
+    ack = "streamed"
 
-    def __init__(self, fabric_bandwidth: float) -> None:
+    def __init__(self, fabric_bandwidth: float, dest: str) -> None:
         self.fabric_bandwidth = fabric_bandwidth
+        self.dest = dest
 
     def write_delay(self, image: PodImage) -> float:
         return image.accounted_bytes / self.fabric_bandwidth
 
 
-def _chain_entry(image: PodImage) -> Dict[str, Any]:
+def chain_entry(image: PodImage) -> Dict[str, Any]:
     return {
         "data": image.data,
         "accounted": image.accounted_bytes,
@@ -873,7 +924,7 @@ def _chain_entry(image: PodImage) -> Dict[str, Any]:
     }
 
 
-def _image_from_entry(pod_id: str, entry: Dict[str, Any]) -> PodImage:
+def image_from_entry(pod_id: str, entry: Dict[str, Any]) -> PodImage:
     return PodImage(
         pod_id=pod_id,
         data=bytes(entry["data"]),

@@ -98,6 +98,7 @@ def run_cas_fleet_demo(n_nodes: int = 8, n_pods: int = 32, seed: int = 0,
     "cross_pod_dup_bytes", "dedup_ratio", "san_file_bytes",
     "restore_ok", "result"}``.
     """
+    from ..core.sinks import resolve_sink, restores_committed
     from ..storage.cas import CasStore
     from .drain import checkpoint_fleet_task
 
@@ -125,17 +126,9 @@ def run_cas_fleet_demo(n_nodes: int = 8, n_pods: int = 32, seed: int = 0,
         if agent is None or recipe is None:
             restore_ok = False
             continue
-        sink = agent._sink_for(f"cas:{recipe['path']}")
-        try:
-            loaded = sink.load(pod_id)
-        except Exception:
-            restore_ok = False
-            continue
-        truth = agent.mem_sink.load(pod_id)
-        restore_ok = restore_ok and len(loaded) == len(truth) and all(
-            a.data == b.data and a.accounted_bytes == b.accounted_bytes
-            and a.netstate_bytes == b.netstate_bytes and a.epoch == b.epoch
-            for a, b in zip(loaded, truth))
+        restore_ok = restore_ok and restores_committed(
+            resolve_sink(f"cas:{recipe['path']}", cluster, agent.kernel.vfs),
+            agent, pod_id)
     restore_ok = restore_ok and not store.audit()
     # cross-pod dedup: bytes some *other* pod's published recipe already
     # pinned (payload chunks and shared accounted blocks alike) — each

@@ -29,6 +29,7 @@ from .apps import btnas, cpi, petsc_bratu, povray
 from .baselines.vanilla import launch_master_worker_vanilla, launch_spmd_vanilla
 from .cluster.builder import Cluster
 from .core.manager import Manager, OpResult
+from .core.sinks import resolve_sink, restores_committed
 from .core.streaming import DEFAULT_DIRTY_THRESHOLD, migrate_task
 from .metrics import CasCell, Fig5Cell, Fig6Cell, IncCell, MigrationCell
 from .middleware.daemon import checkpoint_targets, launch_master_worker, launch_spmd
@@ -612,25 +613,9 @@ def run_cas_cell(mode: str, *, n_pods: int = 2, ballast: int = 64_000_000,
     # restore audit: the SAN chain must match the in-memory ground truth
     agent = manager.agents[host.name]
     for _node, pod_id, uri in targets:
-        sink = agent._sink_for(uri)
-        try:
-            loaded = sink.load(pod_id)
-        except Exception:
-            cell.restore_ok = False
-            continue
-        truth = agent.mem_sink.load(pod_id)
-        same = len(loaded) == len(truth) and all(
-            a.data == b.data and a.accounted_bytes == b.accounted_bytes
-            and a.netstate_bytes == b.netstate_bytes and a.epoch == b.epoch
-            and a.filters == b.filters
-            for a, b in zip(loaded, truth))
-        cell.restore_ok = cell.restore_ok and same
-        if filters is not None:
-            from .core.pipeline import ImagePipeline
-            base = agent.pipeline_state.bases.get(pod_id)
-            reassembled = ImagePipeline.reassemble(loaded)
-            cell.restore_ok = (cell.restore_ok and base is not None
-                               and reassembled.raw == base)
+        sink = resolve_sink(uri, cluster, host.kernel.vfs, agent.mem_sink)
+        cell.restore_ok = (cell.restore_ok
+                           and restores_committed(sink, agent, pod_id))
     if scheme == "cas" and store.audit():
         cell.restore_ok = False
     return cell

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..core.image import PodImage
-from ..core.pipeline import StageCost, Sink, _chain_entry, _image_from_entry, \
+from ..core.pipeline import StageCost, Sink, chain_entry, image_from_entry, \
     image_extends_chain
 from ..errors import RestartError
 
@@ -384,16 +384,22 @@ class CasStore:
 class CasSink(Sink):
     """Flush a checkpoint into the SAN's content-addressed store.
 
-    Drop-in peer of :class:`repro.core.pipeline.FileSink` for a
-    ``cas:<path>`` target URI, with the write split in two so the Agent
-    can place the commit point: :meth:`stage` uploads the chunks the
-    index is missing and parks the recipe, :meth:`publish` swaps it in
-    as the restartable generation.  :meth:`store` does both for callers
-    that need FileSink's one-shot semantics.  Only the *new* bytes cross
-    the FC link — dedup buys write time as well as SAN footprint.
+    Peer of :class:`repro.core.pipeline.FileSink` for a ``cas:<path>``
+    target URI, with the write genuinely split in two so the Agent can
+    place the commit point: :meth:`stage` uploads the chunks the index
+    is missing and parks the recipe, :meth:`publish` swaps it in as the
+    restartable generation, :meth:`rollback` restores the one before.
+    Only the *new* bytes cross the FC link — dedup buys write time as
+    well as SAN footprint.
     """
 
     kind = "cas"
+    shared = True
+    ack = "flushed"
+    tracks_ops = True
+    wants_dirty = True
+    crossings = {"write": "cas.write", "commit": "cas.commit", "gc": "cas.gc"}
+    span_ns = "cas"
 
     def __init__(self, san, vfs, path: str,
                  chunking: Tuple[int, int, int] = (CHUNK_MIN, CHUNK_AVG,
@@ -455,7 +461,7 @@ class CasSink(Sink):
         chunks, acct_state = self._entry_chunks(image)
         prev = store.recipes.get(self.path)
         extends = image_extends_chain(image) and prev is not None
-        meta = {k: v for k, v in _chain_entry(image).items() if k != "data"}
+        meta = {k: v for k, v in chain_entry(image).items() if k != "data"}
         entry = {
             "meta": meta,
             "payload": [cid for cid, _ln, blob in chunks if blob is not None],
@@ -532,30 +538,15 @@ class CasSink(Sink):
         store.carried_bytes += int(staged.pop("carried", 0))
         return True
 
-    def store(self, image: PodImage, truncate: Optional[float] = None,
-              op_id: int = 0) -> None:
-        """One-shot write: :meth:`stage` then :meth:`publish`."""
-        self.stage(image, op_id=op_id, truncate=truncate)
-        self.publish(op_id)
-
-    # -- FileSink-parallel surface --------------------------------------
-    def exists(self) -> bool:
-        return self.path in self.store_.recipes
-
     def rollback(self, op_id: int) -> bool:
         """Op-keyed GC of this path (see :meth:`CasStore.rollback_path`)."""
         return self.store_.rollback_path(self.path, int(op_id))
 
-    def unlink(self) -> None:
-        """Drop every generation at this path unconditionally — the
-        blunt FileSink-style delete; the abort paths prefer
-        :meth:`rollback`, which restores the retired generation."""
-        store = self.store_
-        for holder in (store.pending.pop(self.path, None),
-                       store.recipes.pop(self.path, None),
-                       store.retired.pop(self.path, None)):
-            if holder is not None:
-                store._release(holder)
+    # -- read side -------------------------------------------------------
+    def exists(self, op_id: Optional[int] = None) -> bool:
+        recipe = self.store_.recipes.get(self.path)
+        return recipe is not None and (
+            op_id is None or int(recipe.get("op_id", -1)) == int(op_id))
 
     def load(self, pod_id: str) -> List[PodImage]:
         """Reassemble and validate the published chain at this path.
@@ -586,7 +577,7 @@ class CasSink(Sink):
                         f"missing chunk {cid}")
             raw = dict(entry["meta"])
             raw["data"] = b"".join(parts)
-            chain.append(_image_from_entry(pod_id, raw))
+            chain.append(image_from_entry(pod_id, raw))
         if not chain:
             raise RestartError(f"empty image chain at {self.path!r}")
         return chain

@@ -8,12 +8,15 @@ the pipeline existed still restarts, and a small-scale version of the
 incremental size-drop acceptance criterion.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cluster import Cluster, FaultInjector, FaultPlan, FaultSpec
 from repro.core import Manager, codec, migrate
 from repro.core.pipeline import FileSink
 from repro.errors import RestartError
+from repro.storage.cas import CasSink
 
 from .testapps import expected_sums, final_sums, launch_pingpong
 
@@ -131,10 +134,14 @@ def test_golden_v1_file_image_still_restarts(world):
     assert final_sums(cluster) == expected_sums(ROUNDS)
 
 
-def test_partial_container_is_never_accepted_by_the_reader(world):
-    """Golden-format pin, negative direction: a container cut short at
-    *any* point must be rejected by the v1 reader — a partial flush can
-    never masquerade as a restartable image."""
+@pytest.mark.parametrize("make_sink", [FileSink, CasSink], ids=["file", "cas"])
+def test_partial_container_is_never_accepted_by_the_reader(world, make_sink):
+    """Sink conformance, through the protocol only.  A write cut short
+    at *any* point must be rejected by the reader — a partial flush can
+    never masquerade as a restartable image — and rolling it back leaves
+    the previous generation (a sink that tracks ownership) or nothing (a
+    sink whose rollback is a delete), idempotently.  For the file sink
+    this doubles as the golden-format pin, negative direction."""
     cluster, manager = world
     launch_pingpong(cluster, rounds=ROUNDS, ballast=BALLAST)
     holder = {}
@@ -148,13 +155,37 @@ def test_partial_container_is_never_accepted_by_the_reader(world):
     cluster.engine.run(until=300.0)
     assert holder["ckpt"].finished.result.ok
     image = manager.agents["blade0"].images["pp-srv"]
+    # a second generation with different bytes everywhere
+    other = replace(image, data=bytes(b ^ 0xFF for b in image.data))
     vfs = cluster.node(0).kernel.vfs
-    for fraction in (0.05, 0.25, 0.5, 0.9, 0.999):
-        sink = FileSink(cluster.san, vfs, "/san/pin-part.img")
-        sink.store(image, truncate=fraction)
+    sink = make_sink(cluster.san, vfs, "/san/pin-part.img")
+
+    # stage -> publish -> load round-trips
+    sink.stage(image, op_id=1)
+    assert sink.publish(1)
+    assert sink.exists()
+    assert [i.data for i in sink.load("pp-srv")] == [image.data]
+
+    for op_id, fraction in enumerate((0.05, 0.25, 0.5, 0.9, 0.999), start=2):
+        sink.stage(other, op_id=op_id, truncate=fraction)
+        assert sink.publish(op_id)
         with pytest.raises(RestartError):
             sink.load("pp-srv")
-        sink.unlink()
+        assert sink.rollback(op_id)
+        for _again in range(2):
+            if sink.tracks_ops:
+                assert [i.data for i in sink.load("pp-srv")] == [image.data]
+            else:
+                assert not sink.exists()
+            assert not sink.rollback(op_id)  # idempotent
+
+    if sink.tracks_ops:
+        # publish refuses a stage another op owns, leaving both alone
+        sink.stage(other, op_id=50)
+        assert not sink.publish(51)
+        assert [i.data for i in sink.load("pp-srv")] == [image.data]
+        assert sink.publish(50)
+        assert [i.data for i in sink.load("pp-srv")] == [other.data]
     # the intact container still loads (the truncation is what breaks it)
     FileSink(cluster.san, vfs, "/san/pin-srv.img").load("pp-srv")
 

@@ -20,6 +20,7 @@ exercise many chunks.
 import pytest
 
 from repro.core.image import PodImage
+from repro.core.pipeline import FileSink
 from repro.storage.cas import (
     CasSink,
     CasStore,
@@ -126,13 +127,26 @@ def test_prefix_edit_resyncs_within_bounded_window(data, insert):
 # ---------------------------------------------------------------------------
 
 
+#: both shared sinks, built through their common constructor shape.
+SINKS = {
+    "file": FileSink,
+    "cas": lambda san, vfs, path: CasSink(san, vfs, path,
+                                          chunking=(MIN, AVG, MAX)),
+}
+
+
+@pytest.mark.parametrize("make_sink", list(SINKS.values()), ids=list(SINKS))
 @settings(max_examples=100, deadline=None)
 @given(_blob, st.integers(0, 200_000))
-def test_sink_roundtrip_byte_identical(data, accounted):
+def test_sink_roundtrip_byte_identical(make_sink, data, accounted):
+    """Sink conformance: whatever is staged and published loads back
+    field-identical, through the protocol only."""
     san, vfs = _world()
     image = _image("pod-a", data, accounted=accounted)
-    sink = CasSink(san, vfs, "/san/a.img", chunking=(MIN, AVG, MAX))
-    sink.store(image, op_id=1)
+    sink = make_sink(san, vfs, "/san/a.img")
+    sink.stage(image, op_id=1)
+    assert sink.publish(1)
+    assert sink.exists()
     loaded = sink.load("pod-a")
     assert len(loaded) == 1
     assert loaded[0].data == image.data
@@ -148,7 +162,6 @@ def test_cas_restores_exactly_what_filesink_restores(data, accounted):
     """Same image through both sinks: restores are field-identical."""
     san, vfs = _world()
     image = _image("pod-a", data, accounted=accounted)
-    from repro.core.pipeline import FileSink
     FileSink(san, vfs, "/san/f.img").store(image)
     CasSink(san, vfs, "/san/c.img", chunking=(MIN, AVG, MAX)).store(
         image, op_id=1)
