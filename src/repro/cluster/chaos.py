@@ -296,11 +296,12 @@ def restore_error(sink, pod_id: str) -> Optional[str]:
     """Why a restart of ``pod_id`` from ``sink`` would fail; None when
     it would not.  "Nothing partial is visible" in the batteries' audits
     means exactly this, not merely that a container parses."""
+    from ..core.pipeline import ImagePipeline
+
     try:
-        if not sink.load(pod_id):
-            return "no image"
+        ImagePipeline.reassemble(sink.load(pod_id))
     except Exception as err:  # noqa: BLE001 - any failure is the finding
-        return str(err)
+        return str(err) or type(err).__name__
     return None
 
 
@@ -1312,8 +1313,8 @@ def run_cas_chaos(seed: int, n_nodes: int = 4, n_ops: int = 5,
         published recipe references data that never hit the SAN.
     """
     from ..core.manager import Manager, PhaseTimeouts
-    from ..core.pipeline import ImagePipeline
-    from ..storage.cas import CasSink, CasStore
+    from ..core.sinks import resolve_sink
+    from ..storage.cas import CasStore
 
     cluster = Cluster.build(n_nodes, seed=seed)
     tracer = None
@@ -1400,20 +1401,15 @@ def run_cas_chaos(seed: int, n_nodes: int = 4, n_ops: int = 5,
 
     # ---- C2 + C3: published generations load and match committed bytes
     for pod_id, path in sorted(cas_path.items()):
-        if store.recipes.get(path) is None:
+        sink = resolve_sink(f"cas:{path}", cluster, home.kernel.vfs)
+        if not sink.exists():
             continue
-        sink = CasSink(cluster.san, home.kernel.vfs, path)
-        try:
-            loaded = sink.load(pod_id)
-        except Exception as err:  # noqa: BLE001 - any load failure is the violation
+        err = restore_error(sink, pod_id)
+        if err:
             report.violations.append(
                 f"C2: partial generation visible at {path}: {err}")
             continue
-        try:
-            ImagePipeline.reassemble(list(loaded))
-        except Exception as err:  # noqa: BLE001
-            report.violations.append(
-                f"C2: generation at {path} does not reassemble: {err}")
+        loaded = sink.load(pod_id)
         node = surviving_node(pod_id)
         if node is None:
             continue

@@ -118,15 +118,18 @@ class _Checkpoint:
         filters, self.accepted, self.rejected = negotiate_filters(
             msg.get("filters"))
         self.pipeline = ImagePipeline(filters)
-        # a delta against a base the destination Agent does not hold is
-        # useless: images that leave this node must be self-contained
-        self.chain_local = self.sink.dest is None
-        # measured dirty tracking pays off for a chain-local delta filter
-        # — and for any sink whose cost model needs the dirty byte count
-        # to tell changed blocks from clean ones
-        self.track_dirty = self.chain_local and (self.sink.wants_dirty or any(
-            f.name == "delta" and getattr(f, "measured", True)
-            for f in filters))
+        # a delta the target cannot apply is useless: this epoch may be
+        # one only if the sink's newest image for the pod is the previous
+        # epoch (a sink the image leaves this node for holds none)
+        self.chain_local = bool(filters) and self.sink.tip_epoch(
+            self.pod_id) == agent.pipeline_state.epoch(self.pod_id) - 1
+        # measured dirty tracking pays off for a delta filter on a sink
+        # that keeps chains — and for any sink whose cost model needs the
+        # dirty byte count to tell changed blocks from clean ones
+        self.track_dirty = self.sink.dest is None and (
+            self.sink.wants_dirty or any(
+                f.name == "delta" and getattr(f, "measured", True)
+                for f in filters))
         #: where in the sequence the image is encoded.  Zero-stall
         #: capture-then-resume needs the pod to survive (snapshot
         #: context) and the image to stay on this node's sinks — direct

@@ -124,11 +124,10 @@ class FilterContext:
     pod_id: str
     epoch: int
     state: Optional["PipelineState"] = None
-    #: False when the image leaves this Agent (direct migration): a delta
-    #: against a base the destination does not hold would be useless, so
-    #: chain-dependent filters must emit self-contained output.
-    chain_local: bool = True
-    #: previous-epoch full payload (chain filters only; reads and restores).
+    #: previous-epoch full payload (chain filters only; reads and
+    #: restores).  None when the target holds no such epoch — a delta it
+    #: cannot apply would be useless, so chain filters then emit
+    #: self-contained output.
     base: Optional[bytes] = None
     #: per-process memory segment tables of the pod being packed,
     #: ``{vpid: {segment: bytes}}`` — drives the accounted dirty model.
@@ -348,7 +347,7 @@ class DeltaFilter(ImageFilter):
 
     # -- payload bytes --------------------------------------------------
     def encode(self, data: bytes, ctx: FilterContext) -> Tuple[bytes, Dict[str, Any]]:
-        base = ctx.base if ctx.chain_local else None
+        base = ctx.base
         if base is None:
             return data, {"kind": "full"}
         blocks: List[Tuple[int, bytes]] = []
@@ -396,7 +395,7 @@ class DeltaFilter(ImageFilter):
 
     # -- accounted memory ----------------------------------------------
     def model_accounted(self, accounted: int, ctx: FilterContext) -> int:
-        if ctx.base is None or not ctx.chain_local or ctx.proc_memory is None:
+        if ctx.base is None or ctx.proc_memory is None:
             return accounted
         raw_total = sum(sum(t.values()) for t in ctx.proc_memory.values())
         if raw_total <= 0:
@@ -557,8 +556,8 @@ class ImagePipeline:
             pod_id=pod_id,
             epoch=epoch,
             state=state,
-            chain_local=chain_local,
-            base=state.bases.get(pod_id) if state is not None else None,
+            base=(state.bases.get(pod_id)
+                  if state is not None and chain_local else None),
             proc_memory=proc_memory_tables(standalone),
             proc_dirty=proc_dirty,
         )
@@ -673,6 +672,21 @@ def image_extends_chain(image: PodImage) -> bool:
                for entry in image.filters)
 
 
+def restorable_chain(chain: List[PodImage], where: str) -> List[PodImage]:
+    """``chain`` if restart can apply it, else :class:`RestartError`: the
+    head must be self-contained and every later image the next epoch's
+    (a delta decodes against *any* base, so a gap would restore wrong
+    bytes silently)."""
+    if not chain or image_extends_chain(chain[0]):
+        raise RestartError(f"image chain at {where!r} is empty or starts "
+                           "with a delta whose base is missing")
+    for prev, image in zip(chain, chain[1:]):
+        if image.epoch != prev.epoch + 1:
+            raise RestartError(f"image chain at {where!r} skips from epoch "
+                               f"{prev.epoch} to {image.epoch}")
+    return chain
+
+
 # ---------------------------------------------------------------------------
 # sinks
 # ---------------------------------------------------------------------------
@@ -745,6 +759,15 @@ class Sink:
         """Is a generation visible — published by ``op_id``, when one is
         given and the sink can tell?"""
         return False
+
+    def tip_epoch(self, pod_id: str) -> Optional[int]:
+        """Epoch of the newest image held for the pod (None: nothing
+        restorable) — only the next epoch's delta can be applied here."""
+        try:
+            chain = self.load(pod_id)
+        except RestartError:
+            return None
+        return chain[-1].epoch if chain else None
 
 
 class MemorySink(Sink):
@@ -882,9 +905,9 @@ class FileSink(Sink):
             container = codec.decode(bytes(handle.file.data))
             # the historic single-image container is one bare entry
             entries = container.get("chain", [container])
-            if not entries:
-                raise CodecError("empty image chain")
-            return [image_from_entry(pod_id, entry) for entry in entries]
+            return restorable_chain(
+                [image_from_entry(pod_id, entry) for entry in entries],
+                self.path)
         except (CodecError, AttributeError, KeyError, TypeError,
                 ValueError) as err:
             raise RestartError(

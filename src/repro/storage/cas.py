@@ -47,7 +47,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..core.image import PodImage
 from ..core.pipeline import StageCost, Sink, chain_entry, image_from_entry, \
-    image_extends_chain
+    image_extends_chain, restorable_chain
 from ..errors import RestartError
 
 # ---------------------------------------------------------------------------
@@ -578,6 +578,4 @@ class CasSink(Sink):
             raw = dict(entry["meta"])
             raw["data"] = b"".join(parts)
             chain.append(image_from_entry(pod_id, raw))
-        if not chain:
-            raise RestartError(f"empty image chain at {self.path!r}")
-        return chain
+        return restorable_chain(chain, self.path)

@@ -212,6 +212,104 @@ def test_precopy_and_incremental_share_one_run():
 
 
 # ---------------------------------------------------------------------------
+# regression: a delta is only published where its base is
+# ---------------------------------------------------------------------------
+
+DELTA = [{"name": "delta"}]
+
+
+def _ckpt_sequence(uris_per_op):
+    """Delta checkpoints of the ping-pong pair, one per entry of
+    ``uris_per_op`` (each a ``{pod: uri}``), then the world."""
+    cluster = Cluster.build(4, seed=11)
+    manager = Manager.deploy(cluster)
+    launch_pingpong(cluster, rounds=4000, ballast=2_000_000,
+                    dirty_rate=4_000_000)
+    hosts = {"pp-srv": "blade0", "pp-cli": "blade1"}
+    results = []
+
+    def driver():
+        for uris in uris_per_op:
+            yield cluster.engine.sleep(0.3)
+            res = yield from manager.checkpoint_task(
+                [(hosts[pod], pod, uri) for pod, uri in uris.items()],
+                filters=DELTA)
+            assert res.ok, res.errors
+            results.append(res)
+
+    cluster.engine.spawn(driver(), name="seq")
+    cluster.engine.run(until=30.0)
+    assert len(results) == len(uris_per_op)
+    return cluster, manager, results
+
+
+def test_delta_to_a_fresh_path_is_restartable():
+    """Two delta checkpoints to *different* file paths: the second path
+    has no base to patch, so its image must be full — and restart from
+    it must work (it published a lone delta before)."""
+    first = {p: f"file:/san/g1-{p}.img" for p in ("pp-srv", "pp-cli")}
+    second = {p: f"file:/san/g2-{p}.img" for p in ("pp-srv", "pp-cli")}
+    cluster, manager, results = _ckpt_sequence([first, second])
+    targets = results[-1].targets
+    out = {}
+
+    def restart():
+        for _node, pod_id, _uri in targets:
+            cluster.find_pod(pod_id).destroy()
+        out["res"] = yield from manager.restart_task(targets)
+
+    cluster.engine.spawn(restart(), name="restart")
+    cluster.engine.run(until=300.0)
+    assert out["res"].ok, out["res"].errors
+    assert final_sums(cluster) == expected_sums(4000)
+
+
+@pytest.mark.parametrize("scheme", ["file", "cas"])
+def test_stable_path_with_a_generation_elsewhere_stays_contiguous(scheme):
+    """Path, memory, same path again: the third image cannot extend the
+    first (epoch 1 never reached that sink) — a chain with epochs [0, 2]
+    would patch the wrong base silently."""
+    from repro.core.sinks import resolve_sink
+
+    san = {p: f"{scheme}:/san/st-{p}.img" for p in ("pp-srv", "pp-cli")}
+    mem = {p: "mem" for p in san}
+    cluster, manager, _results = _ckpt_sequence([san, mem, san, san])
+    for pod, uri in san.items():
+        sink = resolve_sink(uri, cluster, cluster.node(0).kernel.vfs)
+        chain = sink.load(pod)
+        assert [img.epoch for img in chain] == [2, 3]
+        agent = manager.agents[cluster.node_of_pod(pod).name]
+        assert ImagePipeline.reassemble(chain).raw == \
+            agent.pipeline_state.bases[pod]
+
+
+def test_readers_reject_headless_and_gapped_chains():
+    """The read-back guard behind ``flushed``: a chain whose head is a
+    delta, or whose epochs skip, is not restartable — whichever sink
+    holds it."""
+    from repro.core.pipeline import FileSink
+    from repro.errors import RestartError
+    from repro.storage.cas import CasSink
+
+    cluster, manager, _results = _ckpt_sequence(
+        [{"pp-srv": "mem"}, {"pp-srv": "mem"}, {"pp-srv": "mem"}])
+    full, d1, d2 = manager.agents["blade0"].mem_sink.load("pp-srv")
+    vfs = cluster.node(0).kernel.vfs
+    for make_sink in (FileSink, CasSink):
+        headless = make_sink(cluster.san, vfs, "/san/bad-headless.img")
+        headless.store(d1, op_id=1)
+        with pytest.raises(RestartError, match="delta"):
+            headless.load("pp-srv")
+        gapped = make_sink(cluster.san, vfs, "/san/bad-gapped.img")
+        gapped.store(full, op_id=2)
+        gapped.store(d2, op_id=3)
+        with pytest.raises(RestartError, match="epoch"):
+            gapped.load("pp-srv")
+        for sink, op in ((headless, 1), (gapped, 3), (gapped, 2)):
+            sink.rollback(op)
+
+
+# ---------------------------------------------------------------------------
 # acceptance: generational shrink and the zero-stall suspend window
 # ---------------------------------------------------------------------------
 

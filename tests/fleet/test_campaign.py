@@ -58,6 +58,28 @@ def test_checkpoint_fleet_commits_and_resumes_pods():
     assert lc.waves_done == list(range(len(lc.waves)))
 
 
+def test_delta_policy_campaigns_stay_restorable():
+    """Every campaign writes fresh ``-c<cid>-`` paths; with a delta
+    policy the second campaign must still publish containers a restart
+    can use (it published eight lone deltas before)."""
+    from repro.core.pipeline import ImagePipeline
+    from repro.core.sinks import resolve_sink
+
+    cluster, manager, pods = build_fleet_world(4, 8, seed=1, first_node=1,
+                                               last_node=3)
+    policy = FleetPolicy(max_inflight=4, filters=[{"name": "delta"}])
+    home = cluster.node(0)
+    for _campaign in range(2):
+        res = _run(cluster, checkpoint_fleet_task(manager, policy=policy,
+                                                  timeouts=FLEET_TIMEOUTS),
+                   until=cluster.engine.now + 600.0)
+        assert res.counts() == {"ok": 8, "failed": 0, "skipped": 0}
+        for _node, pod_id in pods:
+            sink = resolve_sink(f"file:/san/fleet-c{res.cid}-{pod_id}.img",
+                                cluster, home.kernel.vfs)
+            ImagePipeline.reassemble(sink.load(pod_id))
+
+
 def test_wave_barrier_serializes_waves():
     cluster, manager, _pods = build_fleet_world(4, 8, seed=2, first_node=1,
                                                 last_node=3)

@@ -38,8 +38,8 @@ GOLDEN = {
     "failover-continue-3": "27cea4b83cf4d885418af5a04fb8c7a11f72ea387f9cbfd757bbb1089949f037",
     "migration-4": "82302a2648811f7d838da5af268721ea5bd0e4091b9d17b1d4a8ecac1b1a738a",
     "async-mem-5": "c61e46eab9ab89308012cef1e2bbaede8413027f9566bc12e279cdd84ca9a136",
-    "async-file-3": "814fd3c38ad69b32d7410a449db218b5e039794d5685c494b1a411892ba95be7",
-    "cas-11": "1054ba09830d47fe6b1fb2ecacbce46af74299947aa059fa1d519317294f2ae9",
+    "async-file-3": "78efcdc1f286168ebb42a277fafbd6ecbdb5ccb9ed450f5cd38d423a621cec63",
+    "cas-11": "0081fe5a41ceece4d93c7aa2aba2ef3cf2402cfe78c2d6d890e9d2db02177e24",
     "cas-12": "f1a00b109a286c113952e03dc4bc8c45efbe1c5b671b1bb3df2e69cb83eb49bd",
     "fleet-18": "55d91be7e029e0fa11d5a8307bf1f4eb8609f3b57c003748689d3a4a93f82b13",
 }
