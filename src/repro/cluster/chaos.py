@@ -293,11 +293,9 @@ def final_sums(cluster: Cluster) -> Tuple[Optional[int], Optional[int]]:
 
 
 def restore_error(sink, pod_id: str) -> Optional[str]:
-    """Why a restart of ``pod_id`` from ``sink`` would fail; None when
-    it would not.  "Nothing partial is visible" in the batteries' audits
-    means exactly this, not merely that a container parses."""
+    """Why a restart of ``pod_id`` from ``sink`` would fail (None: it
+    would not) — what the audits mean by "nothing partial is visible"."""
     from ..core.pipeline import ImagePipeline
-
     try:
         ImagePipeline.reassemble(sink.load(pod_id))
     except Exception as err:  # noqa: BLE001 - any failure is the finding

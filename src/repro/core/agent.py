@@ -29,6 +29,7 @@ from ..cluster.node import Node
 from ..errors import CheckpointError, CodecError, RestartError
 from ..pod.pod import Pod
 from ..sim.tasks import Future, all_of
+from ..storage.cas import CasStore
 from ..vos.syscalls import Errno
 from .devckpt import capture_pod_devices, restore_pod_devices
 from .image import PodImage
@@ -52,7 +53,7 @@ from .pipeline import (
     negotiate_filters,
     record_stage_metrics,
 )
-from .sinks import release_op, resolve_sink
+from .sinks import resolve_sink
 from .standalone import (
     activate_pod,
     capture_pod_standalone,
@@ -130,11 +131,9 @@ class _Checkpoint:
             self.sink.wants_dirty or any(
                 f.name == "delta" and getattr(f, "measured", True)
                 for f in filters))
-        #: where in the sequence the image is encoded.  Zero-stall
-        #: capture-then-resume needs the pod to survive (snapshot
-        #: context) and the image to stay on this node's sinks — direct
-        #: migration and the standalone-first ablation keep the pod
-        #: suspended across the encode.
+        #: where in the sequence the image is encoded; capture-then-resume
+        #: needs the pod to survive (snapshot context) and the image to
+        #: stay on this node's sinks.
         if self.order == "standalone-first":
             self.encode_at = "pre-meta"
         elif (msg.get("async_ckpt", False) and self.context == "snapshot"
@@ -142,11 +141,11 @@ class _Checkpoint:
             self.encode_at = "post-resume"
         else:
             self.encode_at = "overlap"
-        #: the key the Manager registered its operation span under (no
-        #: parent without a tracer): every per-pod span hangs off it and
-        #: inherits the key's ambient context (driving Manager span,
-        #: owner), so a trace assembly can attribute this Agent's work
-        #: to the incarnation that commanded it with no ids on the wire.
+        #: the key the Manager registered its operation span under: every
+        #: per-pod span hangs off it and inherits its ambient context
+        #: (driving Manager span, owner), so a trace assembly attributes
+        #: this Agent's work to the incarnation that commanded it with
+        #: no ids riding the wire.
         self.op_parent = ("op", self.op_id)
         self.t0 = agent.engine.now
         # left behind by the steps
@@ -282,7 +281,7 @@ class Agent:
                     # published fleet-wide (op-keyed, so this is
                     # idempotent under replayed broadcasts and never
                     # touches a later committed generation)
-                    release_op(self.cluster, op)
+                    CasStore.on(self.cluster.san).abort_op(op)
                 if not already:
                     for pid in msg.get("pods", []):
                         self._gc_pod(pid)
@@ -523,12 +522,10 @@ class Agent:
             waiter = engine.spawn(recv_msg(kernel, chan, fd),
                                   name=f"ckpt-wait@{self.node.name}")
             race = Future(f"ckpt-race-{op_id}:{pod_id}")
-            waiter.finished.add_done_callback(
-                lambda f: race.set_result(("conn", f.result))
-                if not race.done else None)
-            signal.add_done_callback(
-                lambda f: race.set_result(("side", f.result))
-                if not race.done else None)
+            for source, fut in (("conn", waiter.finished), ("side", signal)):
+                fut.add_done_callback(
+                    lambda f, source=source: race.done
+                    or race.set_result((source, f.result)))
             try:
                 in_time, arrived = yield engine.timeout(race, wait_timeout)
             except Exception:
@@ -578,11 +575,9 @@ class Agent:
                                          parent=ck.op_parent, category="post")
             yield from self._cross(ck, "agent.async_encode")
             yield from self._encode(ck, post_enc)
-            async_pod = kernel.pods.get(pod_id)
-            if async_pod is not None:
-                for p in async_pod.processes():
-                    ck.cow_bytes += p.memory.dirty_in(COW_CONSUMER)
-                    p.memory.reset_dirty(COW_CONSUMER)
+            for p in self._live_procs(pod_id):
+                ck.cow_bytes += p.memory.dirty_in(COW_CONSUMER)
+                p.memory.reset_dirty(COW_CONSUMER)
             if ck.cow_bytes:
                 yield engine.sleep(ck.cow_bytes / self.node.spec.memcpy_bandwidth)
             post_enc.end(nbytes=ck.image.total_bytes, cow_bytes=ck.cow_bytes)
@@ -595,12 +590,10 @@ class Agent:
             self.pipeline_state.commit(pod_id)
             self.mem_sink.store(ck.image)
             if ck.track_dirty:
-                commit_pod = kernel.pods.get(pod_id)
-                if commit_pod is not None:
-                    # the op is final on this node: the staged baseline
-                    # clear becomes the next generation's starting point
-                    for p in commit_pod.processes():
-                        p.memory.commit_clear(CKPT_CONSUMER)
+                # the op is final on this node: the staged baseline
+                # clear becomes the next generation's starting point
+                for p in self._live_procs(pod_id):
+                    p.memory.commit_clear(CKPT_CONSUMER)
             if ck.op_id:
                 self.committed_ops[pod_id] = ck.op_id
         elif ck.encode_at == "post-resume":
@@ -615,6 +608,12 @@ class Agent:
         if ck.msg.get("fs_snapshot"):
             self.cluster.snapshots.take(self.cluster.san, now=engine.now)
             ck.snapshot_id = len(self.cluster.snapshots) - 1
+
+    def _live_procs(self, pod_id: str):
+        """The pod's processes, if it is still here (it may have been
+        destroyed while the session slept)."""
+        pod = self.kernel.pods.get(pod_id)
+        return pod.processes() if pod is not None else []
 
     def _redirect_send_queues(self, ck: "_Checkpoint", redirect_out):
         """§5 optimization: redirect send-queue contents into the peers'
@@ -1016,13 +1015,11 @@ class Agent:
         self.committed_ops.pop(pod_id, None)
         # drop pre-copy accounting from an aborted live migration
         self.precopy_store.pop(pod_id, None)
-        pod = self.kernel.pods.get(pod_id)
-        if pod is not None:
-            for p in pod.processes():
-                # a rolled-back commit cannot restore its exact pre-clear
-                # counters: fall back to fully dirty — the next epoch
-                # over-charges rather than undercounts
-                p.memory.reset_dirty(CKPT_CONSUMER)
+        for p in self._live_procs(pod_id):
+            # a rolled-back commit cannot restore its exact pre-clear
+            # counters: fall back to fully dirty — the next epoch
+            # over-charges rather than undercounts
+            p.memory.reset_dirty(CKPT_CONSUMER)
 
     def _load_chain(self, pod_id: str, sink: Sink) -> List[PodImage]:
         """Load a checkpoint image chain (epoch order; length 1 unless

@@ -54,12 +54,13 @@ from ..cluster.builder import Cluster
 from ..cluster.node import Node
 from ..obs.tracer import NULL_SPAN
 from ..sim.tasks import Future, Task, all_of
+from ..storage.cas import CasStore
 from ..storage.ledger import OpLedger
 from ..vos.syscalls import Errno
 from . import codec
 from .agent import AGENT_PORT, Agent, deploy_agents
 from .meta import derive_restart_plan
-from .sinks import release_op, resolve_sink
+from .sinks import resolve_sink
 from .wire import recv_msg, send_msg
 
 #: «node, pod, URI» — the request tuple of Section 4.
@@ -1273,7 +1274,7 @@ class Manager:
         # (op-keyed, so live generations and other pods are untouched)
         for op_id, _phase, outcome in actions:
             if outcome == "aborted":
-                reclaimed = release_op(self.cluster, op_id)
+                reclaimed = CasStore.on(self.cluster.san).abort_op(op_id)
                 if reclaimed:
                     self.cluster.count("cas.sweep_orphans.bytes", reclaimed)
         return actions
@@ -1342,15 +1343,10 @@ class Manager:
         """Is this one image durable and attributable to op ``op``?"""
         sink = resolve_sink(uri, self.cluster, self.home.kernel.vfs)
         if sink.shared:
-            if not sink.exists(op.op_id):
-                # absent, or a different generation is published (the
-                # rollback of a failed flush restores the previous op's)
-                return False
-            try:
-                sink.load(pod_id)
-            except Exception:
-                return False
-            return True
+            # published by this op where the sink can tell (the rollback
+            # of a failed flush restores the previous op's), and loadable
+            return (sink.exists(op.op_id)
+                    and sink.tip_epoch(pod_id) is not None)
         dest = sink.dest or node_name
         if self.cluster.node_by_name(dest).crashed:
             return False

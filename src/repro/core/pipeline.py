@@ -673,17 +673,14 @@ def image_extends_chain(image: PodImage) -> bool:
 
 
 def restorable_chain(chain: List[PodImage], where: str) -> List[PodImage]:
-    """``chain`` if restart can apply it, else :class:`RestartError`: the
-    head must be self-contained and every later image the next epoch's
-    (a delta decodes against *any* base, so a gap would restore wrong
-    bytes silently)."""
-    if not chain or image_extends_chain(chain[0]):
-        raise RestartError(f"image chain at {where!r} is empty or starts "
-                           "with a delta whose base is missing")
-    for prev, image in zip(chain, chain[1:]):
-        if image.epoch != prev.epoch + 1:
-            raise RestartError(f"image chain at {where!r} skips from epoch "
-                               f"{prev.epoch} to {image.epoch}")
+    """``chain`` if a restart can apply it — a self-contained head, then
+    each next epoch's delta — else :class:`RestartError` (a delta decodes
+    against *any* base, so a gap would restore wrong bytes silently)."""
+    epochs = [image.epoch for image in chain]
+    if (not chain or image_extends_chain(chain[0])
+            or epochs != list(range(epochs[0], epochs[0] + len(epochs)))):
+        raise RestartError(f"image chain at {where!r} (epochs {epochs}) is "
+                           "not a full image plus consecutive deltas")
     return chain
 
 

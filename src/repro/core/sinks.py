@@ -1,25 +1,19 @@
-"""Target URI → sink: the one place a URI's scheme is read.
-
-``mem``, ``file:<path>``, ``cas:<path>`` and ``agent://<node>`` are the
-paper's memory / file / peer-Agent targets; everything downstream asks
-the :class:`~repro.core.pipeline.Sink` returned here.  The module sits
-above both :mod:`repro.core.pipeline` and :mod:`repro.storage.cas`
-(which builds on the pipeline): only here can both be imported.
+"""Target URI → sink: the one place a URI's scheme is read (``mem``,
+``file:<path>``, ``cas:<path>``, ``agent://<node>`` — the paper's memory /
+file / peer-Agent targets).  The module sits above :mod:`repro.core.pipeline`
+and :mod:`repro.storage.cas` (which builds on the pipeline): only from
+here can both be imported.
 """
 
 from __future__ import annotations
 
-from ..storage.cas import CasSink, CasStore
-from .pipeline import FileSink, ImagePipeline, Sink, StreamSink
+from ..storage.cas import CasSink
+from .pipeline import FileSink, ImagePipeline, Sink, StreamSink, chain_entry
 
-#: what a node-local URI is to a caller that holds no local store (the
-#: Manager, an audit): the protocol's data defaults, no image.
-_ELSEWHERE = Sink()
-
-
-def resolve_sink(uri: str, cluster, vfs, local: Sink = _ELSEWHERE) -> Sink:
+def resolve_sink(uri: str, cluster, vfs, local: Sink = Sink()) -> Sink:
     """The sink ``uri`` names; ``local`` is the caller's own in-memory
-    sink, where ``mem`` (or no scheme at all) lands."""
+    sink, where ``mem`` (or no scheme at all) lands — for a caller that
+    holds none (the Manager, an audit), the protocol's bare defaults."""
     if uri.startswith("agent://"):
         return StreamSink(cluster.fabric.bandwidth, uri[len("agent://"):])
     if uri.startswith("file:"):
@@ -27,12 +21,6 @@ def resolve_sink(uri: str, cluster, vfs, local: Sink = _ELSEWHERE) -> Sink:
     if uri.startswith("cas:"):
         return CasSink(cluster.san, vfs, uri[len("cas:"):])
     return local
-
-
-def release_op(cluster, op_id: int) -> int:
-    """Drop whatever op ``op_id`` staged or published in the op-keyed
-    shared stores (idempotent); returns the bytes reclaimed."""
-    return CasStore.on(cluster.san).abort_op(op_id)
 
 
 def restores_committed(sink: Sink, agent, pod_id: str) -> bool:
@@ -43,10 +31,6 @@ def restores_committed(sink: Sink, agent, pod_id: str) -> bool:
         raw = ImagePipeline.reassemble(loaded).raw
     except Exception:  # noqa: BLE001 - any failure to restore is a "no"
         return False
-    truth = agent.mem_sink.load(pod_id)
     return (raw == agent.pipeline_state.bases.get(pod_id)
-            and len(loaded) == len(truth)
-            and all((a.data, a.accounted_bytes, a.netstate_bytes, a.epoch,
-                     a.filters)
-                    == (b.data, b.accounted_bytes, b.netstate_bytes, b.epoch,
-                        b.filters) for a, b in zip(loaded, truth)))
+            and [chain_entry(image) for image in loaded]
+            == [chain_entry(image) for image in agent.mem_sink.load(pod_id)])

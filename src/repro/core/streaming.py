@@ -107,8 +107,8 @@ def migrate_task(manager: Manager, moves: List[Move], redirect: bool = False,
     ``filters`` requests an image-pipeline chain for the checkpoint half;
     a compress stage directly shortens the node-to-node stream.  A delta
     stage degrades to self-contained output here: the destination Agent
-    holds no base to patch, so the source emits full records (the
-    pipeline's ``chain_local`` rule).
+    holds no base to patch, so the source emits full records (a stream
+    sink's chain tip is never the previous epoch).
 
     ``live`` runs iterative pre-copy first: up to ``precopy_rounds``
     rounds ship memory while the pods stay running, ending early once
