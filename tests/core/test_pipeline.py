@@ -160,7 +160,8 @@ def test_delta_off_node_emits_self_contained_images(world):
     img0 = pipeline.pack(first, [], [], state=state)
     state.commit(pod.id)
     second = _recapture(cluster, pod, until=2.0)
-    # chain_local=False is what the Agent uses for agent:// URIs
+    # chain_local=False is what the Agent passes when the target sink does
+    # not hold the previous epoch (a fresh path, a peer Agent)
     img1 = pipeline.pack(second, [], [], state=state, chain_local=False)
     assert not image_extends_chain(img1)
     out = ImagePipeline.reassemble([img1])  # no chain needed
