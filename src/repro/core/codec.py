@@ -26,12 +26,18 @@ tag ``D``    dict, any keys: u32 count + (key, value) pairs
 tag ``a``    ndarray: dtype str, shape tuple, raw bytes
 tag ``E``    Errno: name str + detail str (syscall error held in a register)
 ===========  ===========================================
+
+Both directions are one pass over one dispatch table (DESIGN §5):
+:data:`_ENCODERS` is keyed by ``type(obj)`` and every handler appends
+*fragments* (tag + header as one ``bytes``, payloads by reference) to a
+parts list that :func:`encode` joins once and :func:`encoded_size` only
+measures; :data:`_DECODERS` is indexed by the tag byte.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Any, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -41,176 +47,391 @@ from ..vos.syscalls import Errno
 _I64_MIN = -(2**63)
 _I64_MAX = 2**63 - 1
 
+#: containers nested deeper than this are refused in both directions, so
+#: a hostile image fails with :class:`CodecError` long before the
+#: interpreter's recursion limit, and nothing encodes that cannot decode.
+MAX_DEPTH = 128
+
+_TAG_I64 = struct.Struct(">cq").pack
+_TAG_F64 = struct.Struct(">cd").pack
+_TAG_U32 = struct.Struct(">cI").pack
+_I64_AT = struct.Struct(">q").unpack_from
+_F64_AT = struct.Struct(">d").unpack_from
+_U32_AT = struct.Struct(">I").unpack_from
+
+#: str -> its complete ``s`` fragment.  Images repeat a small vocabulary
+#: (record keys, protocol and state names) thousands of times; only
+#: strings of at most ``_STR_MEMO_CHARS`` are remembered and insertion
+#: stops at ``_STR_MEMO_SIZE`` entries, so the memo never outgrows a few
+#: tens of KB and never holds a payload.
+_STR_MEMO: Dict[str, bytes] = {}
+_STR_MEMO_CHARS = 32
+_STR_MEMO_SIZE = 1024
+
+Parts = List[Any]   # bytes fragments plus by-reference bytes-like payloads
+
 
 def encode(obj: Any) -> bytes:
     """Serialize ``obj`` to the intermediate format."""
-    out = bytearray()
-    _enc(obj, out)
-    return bytes(out)
+    parts: Parts = []
+    _emit(obj, parts, 0)
+    return b"".join(parts)
+
+
+def encoded_size(obj: Any) -> int:
+    """Byte size of ``obj`` in the intermediate format (no buffer built:
+    the same fragments :func:`encode` would join, only measured — bytes
+    and array payloads appear in them by reference)."""
+    parts: Parts = []
+    _emit(obj, parts, 0)
+    return sum(map(len, parts))
 
 
 def decode(data: bytes) -> Any:
     """Deserialize a buffer produced by :func:`encode`."""
-    obj, pos = _dec(data, 0)
+    obj, pos = _read(data, 0, 0)
     if pos != len(data):
         raise CodecError(f"{len(data) - pos} trailing bytes after decode")
     return obj
 
 
-def _enc(obj: Any, out: bytearray) -> None:
-    if obj is None:
-        out += b"N"
-    elif obj is True:
-        out += b"T"
-    elif obj is False:
-        out += b"F"
-    elif isinstance(obj, int):
-        if _I64_MIN <= obj <= _I64_MAX:
-            out += b"i"
-            out += struct.pack(">q", obj)
-        else:
-            raw = obj.to_bytes((obj.bit_length() + 15) // 8, "big", signed=True)
-            out += b"I"
-            out += struct.pack(">I", len(raw))
-            out += raw
-    elif isinstance(obj, float):
-        out += b"f"
-        out += struct.pack(">d", obj)
-    elif isinstance(obj, str):
-        raw = obj.encode("utf-8")
-        out += b"s"
-        out += struct.pack(">I", len(raw))
-        out += raw
-    elif isinstance(obj, (bytes, bytearray, memoryview)):
-        raw = bytes(obj)
-        out += b"b"
-        out += struct.pack(">I", len(raw))
-        out += raw
-    elif isinstance(obj, list):
-        out += b"l"
-        out += struct.pack(">I", len(obj))
-        for item in obj:
-            _enc(item, out)
-    elif isinstance(obj, tuple):
-        out += b"t"
-        out += struct.pack(">I", len(obj))
-        for item in obj:
-            _enc(item, out)
-    elif isinstance(obj, dict):
-        all_str = all(isinstance(k, str) for k in obj)
-        out += b"d" if all_str else b"D"
-        out += struct.pack(">I", len(obj))
-        for key, value in obj.items():
-            _enc(key, out)
-            _enc(value, out)
-    elif isinstance(obj, np.ndarray):
-        out += b"a"
-        _enc(str(obj.dtype), out)
-        _enc(tuple(int(x) for x in obj.shape), out)
-        _enc(np.ascontiguousarray(obj).tobytes(), out)
-    elif isinstance(obj, Errno):
-        # a process may hold a syscall error in a register across a
-        # checkpoint (e.g. the result of a refused connect)
-        out += b"E"
-        _enc(obj.name, out)
-        _enc(obj.detail, out)
-    elif isinstance(obj, (np.integer,)):
-        _enc(int(obj), out)
-    elif isinstance(obj, (np.floating,)):
-        _enc(float(obj), out)
+# ---------------------------------------------------------------------------
+# encode: handlers keyed by type
+# ---------------------------------------------------------------------------
+
+
+def _emit(obj: Any, parts: Parts, depth: int) -> None:
+    tp = type(obj)
+    (_ENCODERS.get(tp) or _resolve(tp))(obj, parts, depth)
+
+
+def _enc_none(obj, parts, depth) -> None:
+    parts.append(b"N")
+
+
+def _enc_bool(obj, parts, depth) -> None:
+    parts.append(b"T" if obj else b"F")
+
+
+def _enc_int(obj, parts, depth) -> None:
+    if _I64_MIN <= obj <= _I64_MAX:
+        parts.append(_TAG_I64(b"i", obj))
     else:
-        raise CodecError(f"type {type(obj).__name__} is not representable in the image format")
+        raw = obj.to_bytes((obj.bit_length() + 15) // 8, "big", signed=True)
+        parts.append(_TAG_U32(b"I", len(raw)) + raw)
 
 
-def _need(data: bytes, pos: int, n: int) -> None:
-    if pos + n > len(data):
-        raise CodecError("truncated image")
+def _enc_float(obj, parts, depth) -> None:
+    parts.append(_TAG_F64(b"f", obj))
 
 
-def _dec(data: bytes, pos: int) -> Tuple[Any, int]:
-    _need(data, pos, 1)
-    tag = data[pos:pos + 1]
-    pos += 1
-    if tag == b"N":
-        return None, pos
-    if tag == b"T":
-        return True, pos
-    if tag == b"F":
-        return False, pos
-    if tag == b"i":
-        _need(data, pos, 8)
-        return struct.unpack(">q", data[pos:pos + 8])[0], pos + 8
-    if tag == b"I":
-        _need(data, pos, 4)
-        n = struct.unpack(">I", data[pos:pos + 4])[0]
-        pos += 4
-        _need(data, pos, n)
-        return int.from_bytes(data[pos:pos + n], "big", signed=True), pos + n
-    if tag == b"f":
-        _need(data, pos, 8)
-        return struct.unpack(">d", data[pos:pos + 8])[0], pos + 8
-    if tag in (b"s", b"b"):
-        _need(data, pos, 4)
-        n = struct.unpack(">I", data[pos:pos + 4])[0]
-        pos += 4
-        _need(data, pos, n)
-        raw = data[pos:pos + n]
-        return (raw.decode("utf-8") if tag == b"s" else raw), pos + n
-    if tag in (b"l", b"t"):
-        _need(data, pos, 4)
-        n = struct.unpack(">I", data[pos:pos + 4])[0]
-        pos += 4
-        items = []
+def _enc_str(obj, parts, depth) -> None:
+    raw = obj.encode("utf-8")
+    parts.append(_TAG_U32(b"s", len(raw)) + raw)
+
+
+def _enc_exact_str(obj, parts, depth) -> None:
+    # exact ``str`` only: a subclass may compare or hash differently
+    frag = _STR_MEMO.get(obj)
+    if frag is None:
+        raw = obj.encode("utf-8")
+        frag = _TAG_U32(b"s", len(raw)) + raw
+        if len(obj) <= _STR_MEMO_CHARS and len(_STR_MEMO) < _STR_MEMO_SIZE:
+            _STR_MEMO[obj] = frag
+    parts.append(frag)
+
+
+def _enc_bytes(obj, parts, depth) -> None:
+    parts.append(_TAG_U32(b"b", len(obj)))
+    parts.append(obj)
+
+
+def _byte_view(obj):
+    """``obj``'s buffer as a flat byte view when it exports one."""
+    try:
+        return memoryview(obj).cast("B")
+    except (TypeError, ValueError, BufferError):
+        # non-contiguous, zero-sized or buffer-less (datetime64) exports
+        return obj.tobytes()
+
+
+def _enc_memoryview(obj, parts, depth) -> None:
+    _enc_bytes(_byte_view(obj), parts, depth)
+
+
+def _nested(depth: int) -> int:
+    if depth >= MAX_DEPTH:
+        raise CodecError(f"containers nested deeper than {MAX_DEPTH}")
+    return depth + 1
+
+
+def _sequence_encoder(tag: bytes):
+    def enc(obj, parts, depth) -> None:
+        depth = _nested(depth)
+        parts.append(_TAG_U32(tag, len(obj)))
+        lookup = _ENCODERS.get
+        for item in obj:
+            tp = type(item)
+            (lookup(tp) or _resolve(tp))(item, parts, depth)
+    return enc
+
+
+_enc_list = _sequence_encoder(b"l")
+_enc_tuple = _sequence_encoder(b"t")
+
+
+def _enc_dict(obj, parts, depth) -> None:
+    depth = _nested(depth)
+    append = parts.append
+    header = len(parts)
+    append(None)  # the tag is known once every key has been seen
+    all_str = True
+    lookup = _ENCODERS.get
+    memo = _STR_MEMO.get
+    for key, value in obj.items():
+        tp = type(key)
+        frag = memo(key) if tp is str else None
+        if frag is not None:
+            append(frag)  # a remembered record key: the common case
+        else:
+            if all_str and not isinstance(key, str):
+                all_str = False
+            (lookup(tp) or _resolve(tp))(key, parts, depth)
+        tp = type(value)
+        (lookup(tp) or _resolve(tp))(value, parts, depth)
+    parts[header] = _TAG_U32(b"d" if all_str else b"D", len(obj))
+
+
+def _enc_ndarray(obj, parts, depth) -> None:
+    depth = _nested(depth)
+    parts.append(b"a")
+    _enc_exact_str(str(obj.dtype), parts, depth)
+    _enc_tuple(tuple(int(x) for x in obj.shape), parts, depth)
+    _enc_bytes(_byte_view(np.ascontiguousarray(obj)), parts, depth)
+
+
+def _enc_errno(obj, parts, depth) -> None:
+    # a process may hold a syscall error in a register across a
+    # checkpoint (e.g. the result of a refused connect)
+    depth = _nested(depth)
+    parts.append(b"E")
+    _emit(obj.name, parts, depth)
+    _emit(obj.detail, parts, depth)
+
+
+def _enc_np_integer(obj, parts, depth) -> None:
+    _enc_int(int(obj), parts, depth)
+
+
+def _enc_np_floating(obj, parts, depth) -> None:
+    _enc_float(float(obj), parts, depth)
+
+
+Encoder = Callable[[Any, Parts, int], None]
+
+#: the representable base types, in the precedence an ``isinstance``
+#: chain would test them — a subclass takes the first base it matches.
+_BASES: Tuple[Tuple[type, Encoder], ...] = (
+    (type(None), _enc_none),
+    (bool, _enc_bool),
+    (int, _enc_int),
+    (float, _enc_float),
+    (str, _enc_str),
+    (bytes, _enc_bytes),
+    (bytearray, _enc_bytes),
+    (memoryview, _enc_memoryview),
+    (list, _enc_list),
+    (tuple, _enc_tuple),
+    (dict, _enc_dict),
+    (np.ndarray, _enc_ndarray),
+    (Errno, _enc_errno),
+    (np.integer, _enc_np_integer),
+    (np.floating, _enc_np_floating),
+    (np.bool_, _enc_bool),
+)
+
+_ENCODERS: Dict[type, Encoder] = dict(_BASES)
+_ENCODERS[str] = _enc_exact_str
+#: subclasses (NamedTuples, IntEnums, numpy scalar types) are resolved
+#: once and remembered; past this many types they are resolved per call.
+_ENCODERS_SIZE = 256
+
+
+def _resolve(tp: type) -> Encoder:
+    for base, enc in _BASES:
+        if issubclass(tp, base):
+            if len(_ENCODERS) < _ENCODERS_SIZE:
+                _ENCODERS[tp] = enc
+            return enc
+    raise CodecError(f"type {tp.__name__} is not representable in the image format")
+
+
+# ---------------------------------------------------------------------------
+# decode: handlers indexed by tag byte
+# ---------------------------------------------------------------------------
+# Every handler takes ``(data, pos, depth)`` with ``pos`` just past its
+# tag and returns ``(value, next_pos)``.  Fixed-width reads are bounds-
+# checked by ``unpack_from`` itself (``struct.error``), length-prefixed
+# payloads by :func:`_span` (a slice would truncate silently), and a
+# missing tag by the ``IndexError`` of ``data[pos]``.
+
+
+def _truncated() -> CodecError:
+    return CodecError("truncated image")
+
+
+def _read(data, pos: int, depth: int) -> Tuple[Any, int]:
+    try:
+        dec = _DECODERS[data[pos]]
+    except IndexError:
+        raise _truncated() from None
+    return dec(data, pos + 1, depth)
+
+
+def _span(data, pos: int) -> Tuple[int, int]:
+    """Bounds of the u32-length-prefixed payload whose prefix is at ``pos``."""
+    try:
+        start = pos + 4
+        end = start + _U32_AT(data, pos)[0]
+    except struct.error:
+        raise _truncated() from None
+    if end > len(data):
+        raise _truncated()
+    return start, end
+
+
+def _count(data, pos: int) -> int:
+    try:
+        return _U32_AT(data, pos)[0]
+    except struct.error:
+        raise _truncated() from None
+
+
+def _constant(value):
+    def dec(data, pos, depth):
+        return value, pos
+    return dec
+
+
+def _dec_i64(data, pos, depth):
+    try:
+        return _I64_AT(data, pos)[0], pos + 8
+    except struct.error:
+        raise _truncated() from None
+
+
+def _dec_bigint(data, pos, depth):
+    start, end = _span(data, pos)
+    return int.from_bytes(data[start:end], "big", signed=True), end
+
+
+def _dec_f64(data, pos, depth):
+    try:
+        return _F64_AT(data, pos)[0], pos + 8
+    except struct.error:
+        raise _truncated() from None
+
+
+def _dec_str(data, pos, depth):
+    start, end = _span(data, pos)
+    try:
+        return str(data[start:end], "utf-8"), end
+    except UnicodeDecodeError as err:
+        raise CodecError(f"invalid utf-8 in a string at offset {start}: {err}") from None
+
+
+def _dec_bytes(data, pos, depth):
+    start, end = _span(data, pos)
+    return data[start:end], end
+
+
+def _dec_list(data, pos, depth):
+    n = _count(data, pos)
+    pos += 4
+    depth = _nested(depth)
+    items = []
+    append = items.append
+    decoders = _DECODERS
+    try:
         for _ in range(n):
-            item, pos = _dec(data, pos)
-            items.append(item)
-        return (items if tag == b"l" else tuple(items)), pos
-    if tag in (b"d", b"D"):
-        _need(data, pos, 4)
-        n = struct.unpack(">I", data[pos:pos + 4])[0]
-        pos += 4
-        out = {}
+            item, pos = decoders[data[pos]](data, pos + 1, depth)
+            append(item)
+    except IndexError:
+        raise _truncated() from None
+    return items, pos
+
+
+def _dec_tuple(data, pos, depth):
+    items, pos = _dec_list(data, pos, depth)
+    return tuple(items), pos
+
+
+def _dec_strmap(data, pos, depth):
+    n = _count(data, pos)
+    pos += 4
+    depth = _nested(depth)
+    out = {}
+    decoders = _DECODERS
+    try:
         for _ in range(n):
-            key, pos = _dec(data, pos)
-            if tag == b"d" and not isinstance(key, str):
+            key, pos = decoders[data[pos]](data, pos + 1, depth)
+            if type(key) is not str:
                 raise CodecError("non-string key in a string-keyed map")
-            value, pos = _dec(data, pos)
+            out[key], pos = decoders[data[pos]](data, pos + 1, depth)
+    except IndexError:
+        raise _truncated() from None
+    return out, pos
+
+
+def _dec_anymap(data, pos, depth):
+    n = _count(data, pos)
+    pos += 4
+    depth = _nested(depth)
+    out = {}
+    for _ in range(n):
+        key, pos = _read(data, pos, depth)
+        value, pos = _read(data, pos, depth)
+        try:
             out[key] = value
-        return out, pos
-    if tag == b"a":
-        dtype, pos = _dec(data, pos)
-        shape, pos = _dec(data, pos)
-        raw, pos = _dec(data, pos)
-        arr = np.frombuffer(raw, dtype=np.dtype(dtype)).reshape(shape).copy()
-        return arr, pos
-    if tag == b"E":
-        name, pos = _dec(data, pos)
-        detail, pos = _dec(data, pos)
-        return Errno(str(name), str(detail)), pos
-    raise CodecError(f"unknown tag {tag!r} at offset {pos - 1}")
+        except TypeError:
+            raise CodecError(f"unhashable {type(key).__name__} key in a map") from None
+    return out, pos
 
 
-class _CountingWriter:
-    """A write target that accumulates only lengths.
-
-    Duck-types the single operation :func:`_enc` performs on its output
-    (``out += bytes_like``), so sizes are computed without materializing
-    the encoded buffer — at MB-scale accounted memory that buffer is a
-    real allocation on every Figure 6(c) sample.
-    """
-
-    __slots__ = ("n",)
-
-    def __init__(self) -> None:
-        self.n = 0
-
-    def __iadd__(self, data) -> "_CountingWriter":
-        self.n += len(data)
-        return self
+def _dec_ndarray(data, pos, depth):
+    depth = _nested(depth)
+    dtype, pos = _read(data, pos, depth)
+    shape, pos = _read(data, pos, depth)
+    raw, pos = _read(data, pos, depth)
+    if not (isinstance(dtype, str) and isinstance(shape, tuple)
+            and isinstance(raw, (bytes, bytearray, memoryview))):
+        raise CodecError("malformed ndarray: expected dtype str, shape tuple, raw bytes")
+    try:
+        return np.frombuffer(raw, dtype=np.dtype(dtype)).reshape(shape).copy(), pos
+    except (TypeError, ValueError) as err:
+        # unknown dtype, shape that does not match the payload, ...
+        raise CodecError(f"malformed ndarray: {err}") from None
 
 
-def encoded_size(obj: Any) -> int:
-    """Byte size of ``obj`` in the intermediate format (no buffer built)."""
-    out = _CountingWriter()
-    _enc(obj, out)
-    return out.n
+def _dec_errno(data, pos, depth):
+    depth = _nested(depth)
+    name, pos = _read(data, pos, depth)
+    detail, pos = _read(data, pos, depth)
+    return Errno(str(name), str(detail)), pos
+
+
+def _dec_unknown(data, pos, depth):
+    raise CodecError(f"unknown tag {bytes(data[pos - 1:pos])!r} at offset {pos - 1}")
+
+
+_DECODERS: List[Callable[[Any, int, int], Tuple[Any, int]]] = [_dec_unknown] * 256
+for _tag, _dec in (
+    (b"N", _constant(None)), (b"T", _constant(True)), (b"F", _constant(False)),
+    (b"i", _dec_i64), (b"I", _dec_bigint), (b"f", _dec_f64),
+    (b"s", _dec_str), (b"b", _dec_bytes),
+    (b"l", _dec_list), (b"t", _dec_tuple),
+    (b"d", _dec_strmap), (b"D", _dec_anymap),
+    (b"a", _dec_ndarray), (b"E", _dec_errno),
+):
+    _DECODERS[_tag[0]] = _dec
+del _tag, _dec

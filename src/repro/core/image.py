@@ -27,6 +27,7 @@ from typing import Any, Dict, List, Optional
 
 from ..errors import CheckpointError
 from . import codec
+from .devckpt import device_state_nbytes
 from .netckpt import netstate_nbytes
 from .standalone import accounted_memory_bytes
 
@@ -111,16 +112,27 @@ def build_payload(
     ``devices`` optionally carries kernel-bypass device state (the GM
     extension): ``{"states": [...], "fd_rows": [...]}``.
     """
-    # codec requires plain containers: datagram endpoint tuples are fine,
-    # but socket records may carry Endpoint NamedTuples — normalize.
-    devices = devices or {"states": [], "fd_rows": []}
+    # records may carry Endpoint NamedTuples: the codec writes any tuple
+    # subclass as a plain ``t``, so nothing is normalized (or copied) here
     return {
         "format": FORMAT_VERSION,
         "standalone": standalone,
-        "sockets": _plain(socket_records),
+        "sockets": socket_records,
         "socket_fds": socket_fd_rows,
-        "devices": _plain(devices),
+        "devices": devices or {"states": [], "fd_rows": []},
     }
+
+
+def image_netstate_bytes(
+    socket_records: List[Dict[str, Any]],
+    devices: Optional[Dict[str, Any]],
+    net_control: Optional[int] = None,
+) -> int:
+    """An image's network-state share: sockets plus bypass devices.
+    ``net_control`` is the capture's already-measured control-block
+    total (:func:`repro.core.netckpt.control_nbytes`), when known."""
+    return (netstate_nbytes(socket_records, net_control)
+            + device_state_nbytes(devices["states"] if devices else []))
 
 
 def pack_pod_image(
@@ -128,28 +140,15 @@ def pack_pod_image(
     socket_records: List[Dict[str, Any]],
     socket_fd_rows: List[Dict[str, Any]],
     devices: Dict[str, Any] = None,
+    net_control: Optional[int] = None,
 ) -> PodImage:
     """Assemble and encode an *unfiltered* (v1) pod checkpoint image."""
-    devices = devices or {"states": [], "fd_rows": []}
     payload = build_payload(standalone, socket_records, socket_fd_rows, devices)
     data = codec.encode(payload)
-    from .devckpt import device_state_nbytes
-
     return PodImage(
         pod_id=standalone["pod_id"],
         data=data,
         encoded_bytes=len(data),
         accounted_bytes=accounted_memory_bytes(standalone),
-        netstate_bytes=netstate_nbytes(socket_records)
-        + device_state_nbytes(devices["states"]),
+        netstate_bytes=image_netstate_bytes(socket_records, devices, net_control),
     )
-
-
-def _plain(obj: Any) -> Any:
-    if isinstance(obj, tuple):
-        return tuple(_plain(x) for x in obj)
-    if isinstance(obj, list):
-        return [_plain(x) for x in obj]
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    return obj

@@ -23,7 +23,7 @@ half-duplex/closed shutdown state.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import CheckpointError
 from ..net.sockets import MSG_OOB, NetStack, Socket
@@ -161,18 +161,27 @@ def capture_pod_network(pod: Pod) -> Tuple[List[Dict[str, Any]], List[Dict[str, 
     return records, fd_table
 
 
-def netstate_nbytes(records: List[Dict[str, Any]]) -> int:
+def control_nbytes(records: List[Dict[str, Any]]) -> int:
+    """Socket parameters and protocol control blocks of one capture,
+    measured exactly in the intermediate format, plus the fixed endpoint
+    share per record.  Fixed at capture — nothing after it (the
+    send-queue redirect included) touches ``options`` or ``pcb`` — so
+    size them once and hand the sum to :func:`netstate_nbytes` wherever
+    the total is needed again."""
+    return sum(codec.encoded_size(rec["options"]) + codec.encoded_size(rec["pcb"])
+               + _ENDPOINT_OVERHEAD for rec in records)
+
+
+def netstate_nbytes(records: List[Dict[str, Any]],
+                    control: Optional[int] = None) -> int:
     """Bytes of captured network state (queues + options), the quantity
-    the paper reports as "only a few kilobytes"."""
-    total = 0
+    the paper reports as "only a few kilobytes".  ``control`` is this
+    capture's :func:`control_nbytes` when the caller already has it; the
+    queues are re-read because the send-queue redirect strips them."""
+    total = control_nbytes(records) if control is None else control
     for rec in records:
         total += len(rec["recv_data"]) + len(rec["oob_data"]) + len(rec["send_data"])
         total += sum(len(d) for d, _ in rec["datagrams"])
-        # socket parameters and protocol control block, measured exactly
-        # in the intermediate format (the counting writer never builds
-        # the buffer, so this stays cheap per sample)
-        total += codec.encoded_size(rec["options"]) + codec.encoded_size(rec["pcb"])
-        total += _ENDPOINT_OVERHEAD
     return total
 
 

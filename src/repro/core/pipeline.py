@@ -42,6 +42,7 @@ from .image import (
     PIPELINE_FORMAT_VERSION,
     PodImage,
     build_payload,
+    image_netstate_bytes,
     pack_pod_image,
 )
 from .standalone import accounted_memory_bytes, proc_memory_tables
@@ -533,8 +534,12 @@ class ImagePipeline:
         serialize_bandwidth: Optional[float] = None,
         chain_local: bool = True,
         proc_dirty: Optional[Dict[int, Dict[str, int]]] = None,
+        net_control: Optional[int] = None,
     ) -> PodImage:
         """Assemble, filter and cost-account one pod checkpoint image.
+
+        ``net_control`` is the capture's control-block total when the
+        caller measured it already (the Agent does, once per capture).
 
         When a chain filter (delta) is present, the new base is *staged*
         in ``state`` — call ``state.commit(pod_id)`` once the image is
@@ -542,7 +547,8 @@ class ImagePipeline:
         """
         pod_id = standalone["pod_id"]
         if not self.filters:
-            image = pack_pod_image(standalone, socket_records, socket_fd_rows, devices)
+            image = pack_pod_image(standalone, socket_records, socket_fd_rows,
+                                   devices, net_control)
             if state is not None:
                 state.stage_base(pod_id, image.data, proc_memory_tables(standalone))
             self._attach_serialize_cost(image, serialize_bandwidth)
@@ -592,7 +598,8 @@ class ImagePipeline:
             data=envelope,
             encoded_bytes=len(envelope),
             accounted_bytes=accounted,
-            netstate_bytes=_netstate_bytes(socket_records, devices),
+            netstate_bytes=image_netstate_bytes(socket_records, devices,
+                                                net_control),
             filters=applied,
             epoch=epoch,
             raw_encoded_bytes=len(raw),
@@ -655,15 +662,6 @@ class ImagePipeline:
         return ReassembledImage(payload=payload, raw=raw,
                                 full_total_bytes=full_total,
                                 decode_seconds=decode_seconds, stage_costs=costs)
-
-
-def _netstate_bytes(socket_records: List[Dict[str, Any]],
-                    devices: Optional[Dict[str, Any]]) -> int:
-    from .devckpt import device_state_nbytes
-    from .netckpt import netstate_nbytes
-
-    devices = devices or {"states": [], "fd_rows": []}
-    return netstate_nbytes(socket_records) + device_state_nbytes(devices["states"])
 
 
 def image_extends_chain(image: PodImage) -> bool:
