@@ -51,7 +51,6 @@ class Pod:
         self.time_virtualization = True
         self.pids: set = set()
         self.suspended = False
-        self._installed = False
         #: virtual timer-id namespace (same rationale as vpids: timer ids
         #: must stay constant across migration while kernel ids change).
         self._vtimer_to_real: Dict[int, int] = {}
@@ -71,9 +70,7 @@ class Pod:
         if pod_id in kernel.pods:
             raise PodError(f"pod {pod_id!r} already exists on {kernel.hostname}")
         pod = cls(kernel, pod_id, vip, vnet)
-        kernel.pods[pod_id] = pod
-        kernel.register_interposer(pod._interpose)
-        pod._installed = True
+        kernel.pods[pod_id] = pod  # also what routes members' syscalls to _interpose
         # home the virtual address on this node
         stack = getattr(kernel, "netstack", None)
         if stack is not None:
@@ -103,9 +100,6 @@ class Pod:
             stack.nic.drop_address(self.vip)
         if self.vnet.where(self.vip) is not None:
             self.vnet.remove(self.vip)
-        if self._installed:
-            self.kernel.unregister_interposer(self._interpose)
-            self._installed = False
         self.kernel.pods.pop(self.id, None)
 
     # ------------------------------------------------------------------
@@ -149,8 +143,9 @@ class Pod:
     # syscall interposition
     # ------------------------------------------------------------------
     def _interpose(self, proc: Any, req: SyscallRequest) -> Tuple[SyscallRequest, int]:
-        if getattr(proc, "pod_id", None) != self.id:
-            return req, 0
+        """Kernel callback on every syscall of a member process (the kernel
+        looks the pod up by ``proc.pod_id``): translate virtual identifiers
+        and return the request to run plus the cycles interposition costs."""
         if req.name in _PID_ARG_SYSCALLS and req.args:
             vpid = req.args[0]
             try:

@@ -31,19 +31,17 @@ def to_ticks(t: float) -> float:
 class Clock:
     """Monotonic simulated clock owned by an :class:`~repro.sim.engine.Engine`.
 
-    The clock starts at ``0.0``.  Only :meth:`advance_to` mutates it, and
-    it refuses to move backwards — a regression guard for the event loop.
+    The clock starts at ``0.0``.  Only :meth:`advance_to` may write
+    :attr:`now`, and it refuses to move backwards — a regression guard for
+    the event loop.  ``now`` is a plain attribute because it is read several
+    times per event.
     """
 
-    __slots__ = ("_now",)
+    __slots__ = ("now",)
 
     def __init__(self) -> None:
-        self._now = 0.0
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
+        #: current simulated time in seconds.
+        self.now = 0.0
 
     def advance_to(self, t: float) -> None:
         """Move the clock forward to time ``t``.
@@ -51,9 +49,9 @@ class Clock:
         Raises :class:`ValueError` if ``t`` is in the past; equal times
         are permitted (many events share a timestamp).
         """
-        if t < self._now:
-            raise ValueError(f"clock cannot run backwards: {t} < {self._now}")
-        self._now = t
+        if t < self.now:
+            raise ValueError(f"clock cannot run backwards: {t} < {self.now}")
+        self.now = t
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Clock(now={self._now:.9f})"
+        return f"Clock(now={self.now:.9f})"

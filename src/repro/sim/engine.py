@@ -8,8 +8,8 @@ run in scheduling order (FIFO), which keeps runs deterministic.
 
 from __future__ import annotations
 
-import heapq
 import itertools
+from heapq import heappop, heappush
 from typing import Any, Callable, List, Optional, Tuple
 
 from ..errors import DeadlockError, SimError
@@ -18,23 +18,23 @@ from .rng import RngHub
 from .tasks import Future, Task, TaskGen
 
 
+#: A time / count no run reaches: the value of an absent ``until`` / ``max_events``.
+_NEVER = float("inf")
+
+
 class EventHandle:
     """Cancellable reference to a scheduled event."""
 
-    __slots__ = ("time", "_cancelled")
+    __slots__ = ("time", "cancelled")
 
     def __init__(self, time: float) -> None:
         self.time = time
-        self._cancelled = False
+        #: whether :meth:`cancel` has been called (read by the run loop).
+        self.cancelled = False
 
     def cancel(self) -> None:
         """Prevent the event's callback from running (idempotent)."""
-        self._cancelled = True
-
-    @property
-    def cancelled(self) -> bool:
-        """Whether :meth:`cancel` has been called."""
-        return self._cancelled
+        self.cancelled = True
 
 
 class Engine:
@@ -80,21 +80,29 @@ class Engine:
 
     @property
     def events_executed(self) -> int:
-        """Total number of events executed so far (profiling aid)."""
+        """Total number of events executed (profiling aid).
+
+        Settled whenever :meth:`run` returns or raises; while a run is in
+        progress it does not yet include that run's events.
+        """
         return self._events_executed
 
     def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> EventHandle:
         """Run ``fn(*args)`` after ``delay`` seconds of simulated time."""
-        if delay < 0:
-            raise SimError(f"negative delay {delay}")
-        return self.schedule_at(self.now + delay, fn, *args)
+        if not delay >= 0:  # written so that NaN is rejected too
+            raise SimError(f"negative or NaN delay {delay}")
+        at = self.clock.now + delay
+        handle = EventHandle(at)
+        heappush(self._heap, (at, next(self._seq), handle, fn, args))
+        return handle
 
     def schedule_at(self, at: float, fn: Callable[..., None], *args: Any) -> EventHandle:
         """Run ``fn(*args)`` at absolute simulated time ``at``."""
-        if at < self.now:
-            raise SimError(f"cannot schedule in the past: {at} < {self.now}")
+        now = self.clock.now
+        if not at >= now:  # written so that NaN is rejected too
+            raise SimError(f"cannot schedule in the past: {at} < {now}")
         handle = EventHandle(at)
-        heapq.heappush(self._heap, (at, next(self._seq), handle, fn, args))
+        heappush(self._heap, (at, next(self._seq), handle, fn, args))
         return handle
 
     def sleep(self, delay: float) -> Future:
@@ -178,21 +186,31 @@ class Engine:
         Returns the simulated time at which the loop stopped.
         """
         self._stopped = False
+        heap = self._heap
+        clock = self.clock
+        advance = clock.advance_to
+        if until is not None and heap and until < clock.now:
+            raise SimError(f"cannot run until t={until}: the clock is already at {clock.now}")
+        # The limits become plain comparisons: an absent one never trips.
+        horizon = _NEVER if until is None else until
+        limit = _NEVER if max_events is None else max_events
         executed = 0
-        while self._heap and not self._stopped:
-            at, _seq, handle, fn, args = self._heap[0]
-            if until is not None and at > until:
-                self.clock.advance_to(until)
-                return self.now
-            heapq.heappop(self._heap)
-            if handle.cancelled:
-                continue
-            self.clock.advance_to(at)
-            fn(*args)
-            executed += 1
-            self._events_executed += 1
-            if max_events is not None and executed >= max_events:
-                raise SimError(f"exceeded max_events={max_events} at t={self.now}")
+        try:
+            while heap and not self._stopped:
+                if heap[0][0] > horizon:
+                    advance(until)
+                    return clock.now
+                at, _seq, handle, fn, args = heappop(heap)
+                if handle.cancelled:
+                    continue
+                advance(at)
+                fn(*args)
+                executed += 1
+                if executed >= limit:
+                    raise SimError(f"exceeded max_events={max_events} at t={clock.now}")
+        finally:
+            # one store per run, not per event; a nested run adds its own
+            self._events_executed += executed
         if check_deadlock and not self._stopped:
             stuck: List[str] = []
             for probe in self.blocked_probes:

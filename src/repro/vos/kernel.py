@@ -3,11 +3,11 @@
 One :class:`Kernel` models one cluster node's operating system instance.
 It owns the process table, the scheduler, the VFS, the timer table and
 the syscall dispatch table.  Subsystems extend it at node-build time:
-the network stack registers its socket syscalls, and pods register
-*interposers* — the paper's "thin virtualization layer based on system
-call interposition" — which may rewrite syscall arguments/results
-(namespace translation) and charge extra cycles (the virtualization
-overhead measured in Figure 5).
+the network stack registers its socket syscalls, and a pod created on
+the node *interposes* on the syscalls of its own processes — the paper's
+"thin virtualization layer based on system call interposition" — which
+may rewrite syscall arguments/results (namespace translation) and charges
+extra cycles (the virtualization overhead measured in Figure 5).
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ DEFAULT_QUANTUM_S = 1e-3
 DEFAULT_SYSCALL_CYCLES = 2000
 
 SyscallHandler = Callable[["Kernel", Any, Tuple[Any, ...], bool], Any]
-Interposer = Callable[[Any, SyscallRequest], Tuple[SyscallRequest, int]]
 
 
 class Kernel:
@@ -61,12 +60,11 @@ class Kernel:
         self.procs: Dict[int, Process] = {}
         self._next_pid = 100
         self._next_host_pid = 10_000
-        #: pod_id -> pod object (duck-typed; see repro.pod.pod.Pod).
+        #: pod_id -> pod object (duck-typed; see repro.pod.pod.Pod).  A
+        #: process's syscalls are interposed by ``pods[proc.pod_id]`` alone.
         self.pods: Dict[str, Any] = {}
         #: syscall name -> handler.
         self._handlers: Dict[str, SyscallHandler] = {}
-        #: per-proc interposition, consulted via proc.pod_id.
-        self._interposers: List[Interposer] = []
         #: subsystem hooks to purge a process from wait queues on kill.
         self.wait_cancellers: List[Callable[[Any], None]] = []
         #: pid -> futures/process-waiters for waitpid.
@@ -81,14 +79,6 @@ class Kernel:
     def register_syscall(self, name: str, handler: SyscallHandler) -> None:
         """Install (or override) the handler for syscall ``name``."""
         self._handlers[name] = handler
-
-    def register_interposer(self, fn: Interposer) -> None:
-        """Install a syscall interposer (pods use this)."""
-        self._interposers.append(fn)
-
-    def unregister_interposer(self, fn: Interposer) -> None:
-        """Remove a previously installed interposer."""
-        self._interposers.remove(fn)
 
     # ------------------------------------------------------------------
     # process lifecycle
@@ -191,7 +181,8 @@ class Kernel:
     # syscall dispatch
     # ------------------------------------------------------------------
     def do_syscall(self, proc: Any, req: SyscallRequest, restarted: bool = False) -> None:
-        """Charge overhead, run interposers, then execute the handler.
+        """Charge overhead, let the caller's pod interpose, then execute
+        the handler.  Host channels belong to no pod and are not interposed.
 
         ``blocked_on`` keeps the *pre-interposition* request: namespace
         translations (vpid→pid, virtual timer ids) are recomputed when a
@@ -200,9 +191,9 @@ class Kernel:
         """
         orig = req
         extra = 0
-        for interposer in self._interposers:
-            req, cycles = interposer(proc, req)
-            extra += cycles
+        pod = self.pods.get(proc.pod_id)
+        if pod is not None:
+            req, extra = pod._interpose(proc, req)
         overhead = (self.syscall_overhead_cycles + extra) / self.hz
         proc.state = BLOCKED
         proc.blocked_on = orig

@@ -20,13 +20,24 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import VosError
 from .memory import Memory
-from .program import Imm, INSTR_BASE_CYCLES, Program, build_program
+from .program import Imm, OPCODES, Program, build_program
 
 # Process lifecycle states.
 RUNNABLE = "runnable"
 RUNNING = "running"
 BLOCKED = "blocked"
 DEAD = "dead"
+
+# Opcodes the interpreter dispatches on.
+_OP = OPCODES["op"]
+_BRANCH = OPCODES["branch"]
+_SYSCALL = OPCODES["syscall"]
+_JUMP = OPCODES["jump"]
+_COMPUTE = OPCODES["compute"]
+_ALLOC = OPCODES["alloc"]
+_FREE = OPCODES["free"]
+_CALL = OPCODES["call"]
+_RET = OPCODES["ret"]
 
 # Reasons a scheduler slice can end.
 REASON_QUANTUM = "quantum"
@@ -106,94 +117,116 @@ class Process:
     # ------------------------------------------------------------------
     # interpreter
     # ------------------------------------------------------------------
-    def _resolve(self, operand: Any) -> Any:
-        if isinstance(operand, Imm):
-            return operand.value
-        if isinstance(operand, str):
-            try:
-                return self.regs[operand]
-            except KeyError:
-                raise VosError(
-                    f"pid {self.pid} ({self.program.name}) pc={self.pc}: unset register {operand!r}"
-                ) from None
-        raise VosError(f"bad operand {operand!r} (wrap literals with imm())")
-
     def step(self, budget_cycles: int) -> Tuple[int, str, Any]:
         """Run up to ``budget_cycles`` of instructions.
 
         Returns ``(cycles_used, reason, payload)`` where reason is one of
         ``quantum`` (budget exhausted), ``syscall`` (payload is the
         :class:`SyscallRequest`) or ``halt`` (payload is the exit code).
+
+        The loop keeps ``pc`` and the cycle count in locals and writes
+        ``self.pc`` back on every exit, exceptions included; instructions
+        arrive decoded (opcode, base cost, operands known to be ``str`` or
+        :class:`Imm` — see :class:`~repro.vos.program.Instr`).
         """
         if self.state == DEAD:
             raise VosError(f"stepping dead pid {self.pid}")
         used = 0
-        prog = self.program.instrs
-        while True:
+        if self.compute_remaining > 0:
+            used = min(self.compute_remaining, budget_cycles)
+            self.compute_remaining -= used
             if self.compute_remaining > 0:
-                take = min(self.compute_remaining, budget_cycles - used)
-                self.compute_remaining -= take
-                used += take
-                if self.compute_remaining > 0:
-                    return self._retire(used, REASON_QUANTUM, None)
-                continue
-            if used >= budget_cycles:
-                return self._retire(used, REASON_QUANTUM, None)
-            if self.pc >= len(prog):
-                # Falling off the end is an implicit clean exit.
-                return self._retire(used, REASON_HALT, 0)
-            instr = prog[self.pc]
-            base = INSTR_BASE_CYCLES[instr.kind]
-            # Never split a non-compute instruction across quanta, but always
-            # make progress: the first instruction of a slice runs regardless.
-            if used > 0 and used + base > budget_cycles:
-                return self._retire(used, REASON_QUANTUM, None)
-            used += base
-            kind = instr.kind
-            if kind == "op":
-                values = [self._resolve(s) for s in instr.srcs]
-                result = instr.fn(*values)
-                if instr.dst is not None:
-                    self.regs[instr.dst] = result
-                self.pc += 1
-            elif kind == "compute":
-                cycles = int(self._resolve(instr.srcs[0]))
-                if cycles < 0:
-                    raise VosError(f"pid {self.pid}: negative compute {cycles}")
-                self.compute_remaining += cycles
-                self.pc += 1
-            elif kind == "alloc":
-                self.memory.alloc(int(self._resolve(instr.srcs[0])), instr.name)
-                self.pc += 1
-            elif kind == "free":
-                self.memory.free(int(self._resolve(instr.srcs[0])), instr.name)
-                self.pc += 1
-            elif kind == "syscall":
-                args = tuple(self._resolve(s) for s in instr.srcs)
-                self.pc += 1
-                self.syscalls_made += 1
-                return self._retire(used, REASON_SYSCALL, SyscallRequest(instr.name, args, instr.dst))
-            elif kind == "jump":
-                self.pc = instr.target
-            elif kind == "branch":
-                value = self._resolve(instr.srcs[0])
-                self.pc = instr.target if bool(value) == instr.sense else self.pc + 1
-            elif kind == "call":
-                self.callstack.append(self.pc + 1)
-                self.pc = instr.target
-            elif kind == "ret":
-                if not self.callstack:
-                    raise VosError(f"pid {self.pid}: ret with empty call stack")
-                self.pc = self.callstack.pop()
-            elif kind == "halt":
-                code = int(self._resolve(instr.srcs[0]))
-                return self._retire(used, REASON_HALT, code)
-            else:  # pragma: no cover - builder cannot emit unknown kinds
-                raise VosError(f"unknown instruction kind {kind!r}")
-
-    def _retire(self, used: int, reason: str, payload: Any) -> Tuple[int, str, Any]:
+                self.cpu_cycles += used
+                return used, REASON_QUANTUM, None
+        instrs = self.program.instrs
+        end = len(instrs)
+        regs = self.regs
+        pc = self.pc
+        reason = REASON_QUANTUM
+        payload = None
+        try:
+            while used < budget_cycles:
+                if pc >= end:
+                    # Falling off the end is an implicit clean exit.
+                    reason, payload = REASON_HALT, 0
+                    break
+                instr = instrs[pc]
+                base = instr.base
+                # Never split a non-compute instruction across quanta, but always
+                # make progress: the first instruction of a slice runs regardless.
+                if used > 0 and used + base > budget_cycles:
+                    break
+                used += base
+                opcode = instr.opcode
+                if opcode == _OP or opcode == _SYSCALL:
+                    values = []
+                    try:
+                        for src in instr.srcs:
+                            values.append(src.value if src.__class__ is Imm else regs[src])
+                    except KeyError:
+                        raise self._unset_register(pc, src) from None
+                    if opcode == _SYSCALL:
+                        pc += 1
+                        self.syscalls_made += 1
+                        reason = REASON_SYSCALL
+                        payload = SyscallRequest(instr.name, tuple(values), instr.dst)
+                        break
+                    result = instr.fn(*values)  # a raising fn leaves pc on this instruction
+                    if instr.dst is not None:
+                        regs[instr.dst] = result
+                    pc += 1
+                elif opcode == _BRANCH:
+                    src = instr.srcs[0]
+                    try:
+                        value = src.value if src.__class__ is Imm else regs[src]
+                    except KeyError:
+                        raise self._unset_register(pc, src) from None
+                    pc = instr.target if bool(value) == instr.sense else pc + 1
+                elif opcode == _JUMP:
+                    pc = instr.target
+                elif opcode == _CALL:
+                    self.callstack.append(pc + 1)
+                    pc = instr.target
+                elif opcode == _RET:
+                    if not self.callstack:
+                        raise VosError(f"pid {self.pid}: ret with empty call stack")
+                    pc = self.callstack.pop()
+                else:  # compute, alloc, free, halt: one integer operand
+                    src = instr.srcs[0]
+                    try:
+                        value = int(src.value if src.__class__ is Imm else regs[src])
+                    except KeyError:
+                        raise self._unset_register(pc, src) from None
+                    if opcode == _COMPUTE:
+                        if value < 0:
+                            raise VosError(f"pid {self.pid}: negative compute {value}")
+                        pc += 1
+                        if value > 0:
+                            # Burn what the budget allows now.  ``used`` may
+                            # already exceed it (the first instruction of a slice
+                            # always runs); ``take`` is then negative and hands
+                            # the overshoot back to the pending burn.
+                            take = min(value, budget_cycles - used)
+                            used += take
+                            if value > take:
+                                self.compute_remaining = value - take
+                                break
+                    elif opcode == _ALLOC:
+                        self.memory.alloc(value, instr.name)
+                        pc += 1
+                    elif opcode == _FREE:
+                        self.memory.free(value, instr.name)
+                        pc += 1
+                    else:
+                        reason, payload = REASON_HALT, value
+                        break
+        finally:
+            self.pc = pc
         self.cpu_cycles += used
         return used, reason, payload
+
+    def _unset_register(self, pc: int, reg: str) -> VosError:
+        return VosError(f"pid {self.pid} ({self.program.name}) pc={pc}: unset register {reg!r}")
 
     # ------------------------------------------------------------------
     # checkpoint support

@@ -58,6 +58,16 @@ Operand = Any  # str (register) | Imm
 # instructions
 # ---------------------------------------------------------------------------
 
+#: Instruction kinds in opcode order (``OPCODES[kind]`` is the index).  The
+#: interpreter dispatches on the small-int opcode, so the order is the
+#: measured execution frequency on the Fig. 5 workloads (``op`` 64 %,
+#: ``branch`` 17 %, ``syscall`` 9 %, ``jump`` 9 %, ``compute`` 1 %).
+KINDS: Tuple[str, ...] = (
+    "op", "branch", "syscall", "jump", "compute",
+    "alloc", "free", "call", "ret", "halt",
+)
+OPCODES: Dict[str, int] = {kind: opcode for opcode, kind in enumerate(KINDS)}
+
 #: Base cycle cost charged per executed instruction, by kind.  COMPUTE adds
 #: its operand on top.  These are coarse but sufficient: fine-grained time
 #: comes from explicit ``compute`` instructions in the workloads.
@@ -75,17 +85,31 @@ INSTR_BASE_CYCLES: Dict[str, int] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instr:
-    """One decoded instruction.  ``fields`` vary by ``kind`` (see module doc)."""
+    """One decoded instruction; which fields are meaningful varies by kind.
 
-    kind: str
+    Everything the interpreter would otherwise work out per execution is
+    fixed when the builder emits the instruction: the small-int ``opcode``,
+    its ``base`` cycle cost, the resolved jump ``target`` and operands that
+    are known to be register names (``str``) or :class:`Imm`.  None of this
+    is ever serialised — an image stores ``program_name``/``params``/``pc``
+    and restart rebuilds the instructions from the registry.
+    """
+
+    opcode: int
+    base: int  # INSTR_BASE_CYCLES[kind]
     fn: Optional[Callable[..., Any]] = None
     dst: Optional[str] = None
     srcs: Tuple[Operand, ...] = ()
     name: Optional[str] = None  # syscall name / segment name
     target: int = -1  # resolved jump target pc
     sense: bool = True  # branch taken when truthiness == sense
+
+    @property
+    def kind(self) -> str:
+        """The instruction's kind by name (see module doc)."""
+        return KINDS[self.opcode]
 
 
 @dataclass(frozen=True)
@@ -120,8 +144,8 @@ def program(name: str) -> Callable[[Callable[..., None]], Callable[..., None]]:
 
         @program("demo.spin")
         def _build(b, *, loops):
-            b.for_range("i", 0, loops)
-            ...
+            with b.for_range("i", imm(0), imm(loops)):
+                ...
     """
 
     def deco(fn: Callable[..., None]) -> Callable[..., None]:
@@ -188,9 +212,11 @@ class ProgramBuilder:
     def __init__(self, name: str = "anonymous", params: Optional[Dict[str, Any]] = None) -> None:
         self.name = name
         self.params = dict(params or {})
-        self._instrs: List[Instr] = []
+        #: emitted instructions awaiting label resolution, as
+        #: ``(kind, fields, target label or None)``; :meth:`build` constructs
+        #: each :class:`Instr` exactly once.
+        self._pending: List[Tuple[str, Dict[str, Any], Optional[str]]] = []
         self._labels: Dict[str, int] = {}
-        self._fixups: List[Tuple[int, str]] = []  # (instr index, label)
         self._gensym = 0
         self._dirty_rate = 0.0
 
@@ -203,19 +229,24 @@ class ProgramBuilder:
         """Define label ``name`` at the current position."""
         if name in self._labels:
             raise VosError(f"duplicate label {name!r} in program {self.name!r}")
-        self._labels[name] = len(self._instrs)
+        self._labels[name] = len(self._pending)
         return self
 
-    def _emit(self, instr: Instr, target_label: Optional[str] = None) -> "ProgramBuilder":
-        if target_label is not None:
-            self._fixups.append((len(self._instrs), target_label))
-        self._instrs.append(instr)
+    def _emit(self, kind: str, target_label: Optional[str] = None, **fields: Any) -> "ProgramBuilder":
+        # Operands are checked here, not when the instruction first runs: the
+        # interpreter relies on every operand being a register name or an Imm.
+        for operand in fields.get("srcs", ()):
+            if operand.__class__ is not Imm and not isinstance(operand, str):
+                raise VosError(
+                    f"program {self.name!r} instruction {len(self._pending)} ({kind}): "
+                    f"bad operand {operand!r} (wrap literals with imm())")
+        self._pending.append((kind, fields, target_label))
         return self
 
     # -- data & compute ---------------------------------------------------
     def op(self, dst: Optional[str], fn: Callable[..., Any], *srcs: Operand) -> "ProgramBuilder":
         """``dst = fn(*operand values)``; ``dst=None`` discards the result."""
-        return self._emit(Instr("op", fn=fn, dst=dst, srcs=tuple(srcs)))
+        return self._emit("op", fn=fn, dst=dst, srcs=srcs)
 
     def mov(self, dst: str, src: Operand) -> "ProgramBuilder":
         """Copy an operand into a register."""
@@ -223,45 +254,45 @@ class ProgramBuilder:
 
     def compute(self, cycles: Operand) -> "ProgramBuilder":
         """Burn CPU cycles (an int operand; may span scheduler quanta)."""
-        return self._emit(Instr("compute", srcs=(cycles,)))
+        return self._emit("compute", srcs=(cycles,))
 
     def alloc(self, nbytes: Operand, segment: str = "heap") -> "ProgramBuilder":
         """Grow an accounted memory segment."""
-        return self._emit(Instr("alloc", srcs=(nbytes,), name=segment))
+        return self._emit("alloc", srcs=(nbytes,), name=segment)
 
     def free(self, nbytes: Operand, segment: str = "heap") -> "ProgramBuilder":
         """Shrink an accounted memory segment."""
-        return self._emit(Instr("free", srcs=(nbytes,), name=segment))
+        return self._emit("free", srcs=(nbytes,), name=segment)
 
     # -- kernel interface -------------------------------------------------
     def syscall(self, dst: Optional[str], name: str, *args: Operand) -> "ProgramBuilder":
         """Trap into the kernel; the result lands in ``dst`` (or is dropped)."""
-        return self._emit(Instr("syscall", dst=dst, srcs=tuple(args), name=name))
+        return self._emit("syscall", dst=dst, srcs=args, name=name)
 
     def halt(self, code: Operand = Imm(0)) -> "ProgramBuilder":
         """Terminate the process with an exit code."""
-        return self._emit(Instr("halt", srcs=(code,)))
+        return self._emit("halt", srcs=(code,))
 
     # -- raw control flow ---------------------------------------------------
     def jump(self, label: str) -> "ProgramBuilder":
         """Unconditional jump to ``label``."""
-        return self._emit(Instr("jump"), target_label=label)
+        return self._emit("jump", label)
 
     def branch_if(self, src: Operand, label: str) -> "ProgramBuilder":
         """Jump to ``label`` when operand is truthy."""
-        return self._emit(Instr("branch", srcs=(src,), sense=True), target_label=label)
+        return self._emit("branch", label, srcs=(src,), sense=True)
 
     def branch_ifnot(self, src: Operand, label: str) -> "ProgramBuilder":
         """Jump to ``label`` when operand is falsy."""
-        return self._emit(Instr("branch", srcs=(src,), sense=False), target_label=label)
+        return self._emit("branch", label, srcs=(src,), sense=False)
 
     def call(self, label: str) -> "ProgramBuilder":
         """Push return pc on the call stack and jump to ``label``."""
-        return self._emit(Instr("call"), target_label=label)
+        return self._emit("call", label)
 
     def ret(self) -> "ProgramBuilder":
         """Return to the pc on top of the call stack."""
-        return self._emit(Instr("ret"))
+        return self._emit("ret")
 
     # -- structured control flow -------------------------------------------
     def while_(self, src: Operand) -> _Block:
@@ -318,17 +349,15 @@ class ProgramBuilder:
 
     # -- finalize -----------------------------------------------------------
     def build(self) -> Program:
-        """Resolve labels and freeze the program."""
-        instrs = list(self._instrs)
-        for idx, label in self._fixups:
-            target = self._labels.get(label)
-            if target is None:
-                raise VosError(f"undefined label {label!r} in program {self.name!r}")
-            old = instrs[idx]
-            instrs[idx] = Instr(
-                kind=old.kind, fn=old.fn, dst=old.dst, srcs=old.srcs,
-                name=old.name, target=target, sense=old.sense,
-            )
+        """Resolve labels, decode every instruction once and freeze the program."""
+        instrs = []
+        for kind, fields, label in self._pending:
+            target = -1
+            if label is not None:
+                target = self._labels.get(label, -1)
+                if target < 0:
+                    raise VosError(f"undefined label {label!r} in program {self.name!r}")
+            instrs.append(Instr(OPCODES[kind], INSTR_BASE_CYCLES[kind], target=target, **fields))
         return Program(self.name, dict(self.params), tuple(instrs),
                        dict(self._labels), dirty_rate=self._dirty_rate)
 

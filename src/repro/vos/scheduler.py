@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, List, Optional, TYPE_CHECKING
 
+from ..errors import VosError
 from .process import Process, RUNNABLE, RUNNING
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -48,6 +49,10 @@ class Scheduler:
         self.kernel = kernel
         self.ncpus = ncpus
         self.quantum_cycles = int(quantum_cycles)
+        if self.quantum_cycles < 1:
+            # a zero-cycle slice executes nothing, so it would be re-dispatched
+            # at the same simulated instant forever
+            raise VosError(f"scheduler quantum must be at least one cycle, got {quantum_cycles}")
         self.runq: Deque[Process] = deque()
         self._queued: set = set()
         #: CPU slots; each holds the pid it is running or None when idle.

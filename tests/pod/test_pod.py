@@ -185,6 +185,41 @@ def test_interposition_charges_extra_cycles(cluster):
     assert p_plain.cpu_cycles == p_pod.cpu_cycles  # user-mode work identical
 
 
+def test_a_syscall_is_interposed_by_its_own_pod_only(cluster, monkeypatch):
+    """One ``_interpose`` per syscall however many pods share the node, and
+    none for a host channel (every pod on the node used to be asked)."""
+    from repro.pod import INTERPOSE_CYCLES, Pod
+
+    asked = []
+    real = Pod._interpose
+
+    def counting(pod, proc, req):
+        asked.append((pod.id, req.name))
+        return real(pod, proc, req)
+
+    monkeypatch.setattr(Pod, "_interpose", counting)
+    node = cluster.node(0)
+    for k in range(8):
+        cluster.create_pod(node, f"p{k}")
+    kernel = node.kernel
+    proc = kernel.spawn(_build_prog("test.pod-getpid"), pod_id="p5")
+    plain = kernel.spawn(_build_prog("test.pod-getpid"))  # on the node, in no pod
+    cluster.engine.run(until=10.0)
+    assert proc.syscalls_made == plain.syscalls_made == 2
+    assert asked == [("p5", "getpid"), ("p5", "sleep")]
+    # and that one pod's cycles are charged, exactly as before
+    assert proc.exit_time - plain.exit_time == pytest.approx(2 * INTERPOSE_CYCLES / kernel.hz, rel=1e-3)
+
+    del asked[:]
+    chan = kernel.host_channel("agent")
+    assert cluster.engine.run_task(_host_gettime(kernel, chan)) >= 0
+    assert asked == []
+
+
+def _host_gettime(kernel, chan):
+    return (yield kernel.host_call(chan, "gettime"))
+
+
 @program("test.pod-fs")
 def _pod_fs(b):
     b.syscall("fd", "open", imm("/scratch.txt"), imm("w"))

@@ -45,6 +45,28 @@ def test_schedule_in_past_rejected(engine):
         engine.schedule_at(1.0, lambda: None)
 
 
+def test_nan_times_rejected(engine):
+    """NaN passes ``delay < 0`` and ``at < now``; it used to enter the heap
+    (where nothing orders against it) and set the clock to NaN when it ran."""
+    nan = float("nan")
+    with pytest.raises(SimError):
+        engine.schedule(nan, lambda: None)
+    with pytest.raises(SimError):
+        engine.schedule_at(nan, lambda: None)
+    engine.run()
+    assert engine.now == 0.0 and engine.events_executed == 0
+
+
+def test_run_until_a_past_time_is_a_sim_error(engine):
+    engine.schedule(5.0, lambda: None)
+    engine.run()
+    engine.schedule(1.0, lambda: None)
+    with pytest.raises(SimError, match=r"2\.0.*5\.0"):  # names both times
+        engine.run(until=2.0)
+    assert engine.now == 5.0
+    assert engine.run() == 6.0  # the pending event is still there
+
+
 def test_run_until_pauses_clock(engine):
     fired = []
     engine.schedule(10.0, fired.append, 1)

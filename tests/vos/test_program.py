@@ -4,6 +4,8 @@ import pytest
 
 from repro.errors import VosError
 from repro.vos.program import (
+    INSTR_BASE_CYCLES,
+    OPCODES,
     Imm,
     ProgramBuilder,
     build_program,
@@ -45,6 +47,38 @@ def test_duplicate_label_rejected():
         b.label("a")
 
 
+@pytest.mark.parametrize("emit", [
+    lambda b: b.op("x", _add, "x", 5),
+    lambda b: b.compute(100),
+    lambda b: b.syscall(None, "sleep", 1.5),
+    lambda b: b.branch_if(None, "top"),
+    lambda b: b.for_range("i", 0, imm(3)),
+    lambda b: b.halt(0),
+])
+def test_bad_operand_rejected_when_emitted(emit):
+    """Not when the instruction first runs: a program with a bare literal
+    where an operand belongs never gets built."""
+    b = ProgramBuilder("t")
+    b.mov("x", imm(0))
+    with pytest.raises(VosError, match=r"'t' instruction 1 .*bad operand .* \(wrap literals with imm\(\)\)"):
+        emit(b)
+
+
+def test_instructions_are_decoded_once_at_build_time():
+    b = ProgramBuilder("t")
+    b.label("top")
+    b.op("x", _add, "x", imm(1))
+    b.branch_ifnot("x", "top")
+    op, branch = b.build().instrs
+    assert (op.kind, op.base, op.srcs) == ("op", INSTR_BASE_CYCLES["op"], ("x", imm(1)))
+    assert (branch.kind, branch.base, branch.target, branch.sense) == \
+        ("branch", INSTR_BASE_CYCLES["branch"], 0, False)
+    assert op.opcode == OPCODES["op"] != branch.opcode
+    assert not hasattr(op, "__dict__")  # slots: ~20 k instructions per run
+    with pytest.raises(AttributeError):
+        op.target = 3  # frozen
+
+
 def test_registry_build_and_params():
     @program("test.registry-demo")
     def _build(b, *, n):
@@ -76,7 +110,7 @@ def test_registry_unknown_program():
 def test_registry_rebuild_is_deterministic():
     @program("test.registry-det")
     def _build(b, *, loops):
-        with b.for_range("i", 0, imm(loops)):
+        with b.for_range("i", imm(0), imm(loops)):
             b.compute(imm(10))
         b.halt()
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import VosError
 from repro.vos import Kernel, SIGCONT, SIGKILL, SIGSTOP, imm
 from repro.vos.process import DEAD
 from repro.vos.program import ProgramBuilder
@@ -13,6 +14,17 @@ def _spin(seconds, hz):
     b.compute(imm(int(seconds * hz)))
     b.halt(imm(0))
     return b.build()
+
+
+def test_sub_cycle_quantum_rejected(engine):
+    """A quantum that rounds to zero cycles would dispatch ``step(0)``, which
+    executes nothing, at delay 0 forever (the run only ended at max_events)."""
+    with pytest.raises(VosError, match="quantum"):
+        Kernel(engine, "n", hz=1e6, quantum_s=1e-7)
+    kernel = Kernel(engine, "n", hz=1e6, quantum_s=1e-6)  # exactly one cycle is fine
+    proc = kernel.spawn(_spin(1e-4, kernel.hz))
+    engine.run(max_events=10_000)
+    assert proc.state == DEAD
 
 
 def test_burn_slices_keep_event_counts_low(engine):
