@@ -382,6 +382,8 @@ def run_failover_chaos(seed: int, crash_phase: str, n_nodes: int = 4,
     F5  The application finishes with correct checksums.
     F6  If the victim op was non-terminal at the crash, the takeover
         claimed it and resolved it (resumed / re-driven / aborted).
+    F7  Fail-stop: the record whose crossing killed the Manager is the
+        last one it owns — a dead Manager appends nothing.
 
     For ``crash_phase="manager.ledger.abort"`` the plan also hangs the
     server Agent at suspend past the meta deadline, forcing the victim
@@ -550,6 +552,26 @@ def run_failover_chaos(seed: int, crash_phase: str, n_nodes: int = 4,
     else:
         report.violations.append(
             f"F6: Manager never crashed (no {crash_phase} crossing?)")
+
+    # ---- F7: no ledger record owned by the Manager after it crashed ----
+    records = ledger.records()
+    for _t, kind, phase, _n, victim in report.fired:
+        if kind != "crash_manager":
+            continue
+        crossed = next(
+            (i for i, rec in enumerate(records)
+             if rec.get("owner") == manager.name
+             and f"op{rec.get('op')}" == victim
+             and f"manager.ledger.{rec.get('phase')}" == phase), None)
+        if crossed is None:
+            report.violations.append(
+                f"F7: no {phase} record of {victim} owned by {manager.name}")
+            continue
+        late = [rec for rec in records[crossed + 1:]
+                if rec.get("owner") == manager.name]
+        if late:
+            report.violations.append(
+                f"F7: {manager.name} appended after its crash: {late}")
 
     # ---- the last committed checkpoint stayed restorable (I3) ----
     mgr = active_manager()

@@ -6,8 +6,9 @@ and fires ``crash_manager`` exactly at one ``manager.ledger.*`` phase
 crossing — between "this phase's record is durable" and "the next
 phase's actions run".  A supervisor deploys a replica Manager that scans
 the ledger, claims the orphaned op, and resumes or aborts it; the
-episode audits F1–F6 (ledger terminal, no partial image, pods resumed,
-continuity op succeeds, checksums correct, orphan resolved).
+episode audits F1–F7 (ledger terminal, no partial image, pods resumed,
+continuity op succeeds, checksums correct, orphan resolved, nothing
+appended by the dead Manager).
 
 The matrix is every :data:`repro.cluster.faults.MANAGER_PHASES` crash
 point × ``N_SEEDS`` seeds.  ``CHAOS_SEED_BUCKET=k/n`` (CI matrix)

@@ -12,6 +12,7 @@ from repro.cluster.faults import crash_node
 from repro.core import Manager
 from repro.core.manager import PhaseTimeouts
 from repro.core.pipeline import FileSink
+from repro.obs import SpanTracer
 from repro.storage import OpLedger
 from repro.vos import DEAD
 
@@ -24,8 +25,10 @@ SRV_IMG = "/san/ha-srv.img"
 CLI_IMG = "/san/ha-cli.img"
 
 
-def _world(seed):
+def _world(seed, trace_spans=False):
     cluster = Cluster.build(4, seed=seed)
+    if trace_spans:
+        SpanTracer(cluster.engine).install(cluster)
     manager = Manager.deploy(cluster)
     return cluster, manager
 
@@ -118,14 +121,14 @@ def test_replica_aborts_checkpoint_crashed_before_continue():
     assert final_sums(cluster) == expected_sums(ROUNDS)
 
 
-def test_replica_redrives_orphaned_restart():
-    """Crash after the restart ``plan`` record: the replica re-drives
-    the restart from the durable plan — the pods come back and the app
-    completes, without replanning from scratch."""
-    cluster, manager = _world(13)
+def run_redrive_world(seed, trace_spans=False):
+    """Checkpoint, destroy both pods, restart, and crash the Manager at
+    the restart's ``plan`` crossing; a replica takes over.  Returns
+    ``(cluster, manager, state)`` after the run (the golden span-dump
+    digest ``redrive-13`` pins this same world)."""
+    cluster, manager = _world(seed, trace_spans=trace_spans)
     _crash_at(cluster, "manager.ledger.plan")  # only crossed by restarts
-    srv, cli = launch_pingpong(cluster, rounds=ROUNDS,
-                               server_node=1, client_node=2)
+    launch_pingpong(cluster, rounds=ROUNDS, server_node=1, client_node=2)
     engine = cluster.engine
     targets = _file_targets(cluster)
     state = {}
@@ -142,6 +145,14 @@ def test_replica_redrives_orphaned_restart():
 
     engine.spawn(driver(), name="drv")
     engine.run(until=240.0)
+    return cluster, manager, state
+
+
+def test_replica_redrives_orphaned_restart():
+    """Crash after the restart ``plan`` record: the replica re-drives
+    the restart from the durable plan — the pods come back and the app
+    completes, without replanning from scratch."""
+    cluster, manager, state = run_redrive_world(13)
     assert manager.crashed
     assert state["actions"] == [(2, "plan", "redriven")]
     ops = OpLedger(cluster.san).replay()

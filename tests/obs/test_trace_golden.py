@@ -3,27 +3,49 @@
 The determinism tests compare two runs *inside* one commit, so a
 refactor that moves every run the same way passes them all.  These
 digests pin the span dump of one small episode per flush shape — serial
-file flush (with a truncated write and a node crash), a Manager crash
-resumed by a replica, a live-migration stream, async to memory only and
-async to fresh SAN files, the content-addressed store (incl. the seed
-that stalls ``cas.write``), and a fleet campaign — so a change that
-shifts a span, a timestamp or a fault crossing has to say so here.
+file flush (with a truncated write and a node crash; a recover that
+fails), a Manager crash resumed by a replica, aborted by one (from the
+``meta`` record with GC, and re-aborted after dying mid-abort) or
+re-driven from a restart's durable plan, a live-migration stream, async
+to memory only and async to fresh SAN files, the content-addressed store
+(incl. the seed that stalls ``cas.write``), and a fleet campaign — so a
+change that shifts a span, a timestamp or a fault crossing has to say so
+here.
 
 Re-pin a digest only for a deliberate behaviour change, and name the
 case and the reason in the commit message.
 """
 
 import hashlib
+from types import SimpleNamespace
 
 import pytest
 
 from repro.cluster import chaos
+from repro.obs import to_jsonl
+
+from ..core.test_manager_failover import run_redrive_world
+
+
+def _redrive(seed):
+    cluster, _manager, state = run_redrive_world(seed, trace_spans=True)
+    wrong = [] if state["actions"] == [(2, "plan", "redriven")] else [
+        f"takeover did not re-drive the restart: {state['actions']}"]
+    return SimpleNamespace(violations=wrong,
+                           span_dump=to_jsonl(cluster.tracer))
+
 
 CASES = {
     "chaos-7": lambda: chaos.run_chaos(7, trace_spans=True),
+    "chaos-9": lambda: chaos.run_chaos(9, trace_spans=True),
     "chaos-17": lambda: chaos.run_chaos(17, trace_spans=True),
     "failover-continue-3": lambda: chaos.run_failover_chaos(
         3, "manager.ledger.continue", trace_spans=True),
+    "failover-abort-3": lambda: chaos.run_failover_chaos(
+        3, "manager.ledger.abort", trace_spans=True),
+    "failover-meta-3": lambda: chaos.run_failover_chaos(
+        3, "manager.ledger.meta", trace_spans=True),
+    "redrive-13": lambda: _redrive(13),
     "migration-4": lambda: chaos.run_migration_chaos(4, trace_spans=True),
     "async-mem-5": lambda: chaos.run_async_chaos(5, trace_spans=True),
     "async-file-3": lambda: chaos.run_async_chaos(3, trace_spans=True),
@@ -34,8 +56,12 @@ CASES = {
 
 GOLDEN = {
     "chaos-7": "a0cfe50f5d4d4122b700ad5cc76e08bc11b99d9cbddc5e1b0f7e09b8632b58af",
+    "chaos-9": "950c4836fe1ad922a140b3d8a8a167ca7941b9dac8d49805af8c1c8f5be80b61",
     "chaos-17": "7a43947f40f92ad32f2276a5b9a363d8f487b79e28622087dfa4e66a310c6c31",
     "failover-continue-3": "27cea4b83cf4d885418af5a04fb8c7a11f72ea387f9cbfd757bbb1089949f037",
+    "failover-abort-3": "bdd76f22a359891843cff22b3d07305106bc53e249ccb59cd77010db4a87c397",
+    "failover-meta-3": "56af15c37ae47746d68ff4976a72e27cf980e3ef9142a351a2e7e60f3be4f60f",
+    "redrive-13": "f5eef997ddc71753d7e590adc5101e8e836e66b03d9fd4609fff8690818250f2",
     "migration-4": "82302a2648811f7d838da5af268721ea5bd0e4091b9d17b1d4a8ecac1b1a738a",
     "async-mem-5": "c61e46eab9ab89308012cef1e2bbaede8413027f9566bc12e279cdd84ca9a136",
     "async-file-3": "78efcdc1f286168ebb42a277fafbd6ecbdb5ccb9ed450f5cd38d423a621cec63",
