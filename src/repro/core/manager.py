@@ -164,7 +164,8 @@ class OpResult:
 
 
 class OpMachine:
-    """The durable per-op state machine.
+    """One op as the Manager driving it sees it: the durable state
+    machine plus the in-flight state every phase of the op shares.
 
     Every transition appends a ledger record *first* and then crosses
     the matching ``manager.ledger.<phase>`` trace point, followed by an
@@ -174,18 +175,67 @@ class OpMachine:
     next phase's actions run" — the worst case a takeover replica must
     handle, and the case :data:`repro.cluster.faults.MANAGER_PHASES`
     enumerates.  Each record also renews the owner's lease.
+
+    Built only by :meth:`Manager._open_op` — for a fresh op and for an
+    orphan ``adopted`` from a dead Manager's ledger alike.
     """
 
     def __init__(self, manager: "Manager", result: OpResult,
-                 lease_s: Optional[float] = None, span=None) -> None:
+                 timeouts: PhaseTimeouts, lease_s: Optional[float],
+                 span, adopted: bool) -> None:
         self.manager = manager
         self.result = result
+        self.timeouts = timeouts
         self.lease_s = DEFAULT_LEASE_S if lease_s is None else float(lease_s)
         #: the driving incarnation's op span; its id rides every ledger
         #: record so the campaign-trace assembler can join durable facts
         #: back to the span dump that timed them.
         self.span = span
+        #: claimed from the ledger rather than begun here: there are no
+        #: live connections to tell and no tasks to reap on abort.
+        self.adopted = adopted
+        #: what every pod session waits on before the op's sync record
+        #: (all meta-data in); :meth:`fail` releases it with an exception.
+        self.barrier = Future(f"op{result.op_id}-barrier")
+        self.failed = Future(f"op{result.op_id}-failed")
+        #: pod -> (chan, fd) of the sessions that must hear ``abort``.
+        self.conns: Dict[str, Tuple[Any, int]] = {}
+        #: the per-pod session tasks (reaped on abort).
+        self.tasks: List[Task] = []
 
+    # -- the in-flight half ------------------------------------------------
+    def phase(self, name: str, node: Optional[str] = None,
+              pod: Optional[str] = None, ns: str = "phase"):
+        """Open ``manager.<ns>.<name>`` under the op span."""
+        return self.manager.cluster.span(f"manager.{ns}.{name}", node=node,
+                                         pod=pod, parent=self.span,
+                                         category=ns)
+
+    def fail(self, reason: str, phase=NULL_SPAN) -> None:
+        """Fail the op from a pod session (``return op.fail(...)``):
+        close ``phase`` as failed, record the reason, release the
+        barrier with an exception (so sibling sessions resume their pods
+        instead of waiting out the phase timeout), and trip the
+        op-failed race."""
+        phase.end(status="failed")
+        self.result.errors.append(reason)
+        if not self.barrier.done:
+            self.barrier.set_exception(RuntimeError(reason))
+        if not self.failed.done:
+            self.failed.set_result(reason)
+
+    def dead(self) -> bool:
+        """The one fail-stop check.  A Manager that crashed under this op
+        neither cleans up, nor commits, nor releases anything —
+        finishing the op is the takeover replica's job, driven by
+        whatever the ledger durably recorded before the crash."""
+        if not self.manager.crashed:
+            return False
+        self.result.status = "crashed"
+        self.span.end(status="crashed")
+        return True
+
+    # -- the durable half --------------------------------------------------
     def _append(self, phase: str, rec: str = "phase", **fields) -> None:
         mgr = self.manager
         now = mgr.cluster.engine.now
@@ -193,12 +243,12 @@ class OpMachine:
         record = dict({"rec": rec, "op": self.result.op_id,
                        "phase": phase, "owner": mgr.name,
                        "lease": now + self.lease_s, "t": now}, **fields)
-        sid = getattr(self.span, "span_id", None)
-        if sid is not None:
-            record.setdefault("span", sid)
+        if self.span.span_id is not None:
+            record.setdefault("span", self.span.span_id)
         mgr.ledger.append(record)
 
-    def _transition(self, phase: str, rec: str = "phase", **fields):
+    def advance(self, phase: str, rec: str = "phase", **fields):
+        """One phase boundary: durable record, crossing, boundary."""
         self._append(phase, rec=rec, **fields)
         yield from self.manager.cluster.trace(f"manager.ledger.{phase}",
                                               pod=f"op{self.result.op_id}")
@@ -207,24 +257,43 @@ class OpMachine:
     def begin(self, **fields):
         """Open the op: the full request, durable before any Agent hears
         about it."""
-        yield from self._transition(
+        yield from self.advance(
             "begin", rec="op", kind=self.result.kind,
             targets=[list(t) for t in self.result.targets], **fields)
-
-    def advance(self, phase: str, **fields):
-        """One phase boundary: durable record, crossing, boundary."""
-        yield from self._transition(phase, **fields)
 
     def commit(self, **fields):
         """Terminal success (also re-records the targets, so a replica
         can reconstruct ``last_checkpoint`` from the commit alone)."""
-        yield from self._transition(
+        yield from self.advance(
             "commit", targets=[list(t) for t in self.result.targets], **fields)
 
     def aborted(self, reason: str = "") -> None:
         """Terminal failure — synchronous: the abort path just finished
         and there is nothing after this record to crash before."""
         self._append("aborted", reason=reason)
+
+
+def _redirect_out(metas: Dict[str, List[dict]],
+                  redirect_moves: Optional[Dict[str, str]],
+                  pod_id: str) -> List[dict]:
+    """The §5 send-queue redirects riding ``pod_id``'s ``continue``: one
+    entry per connection whose peer pod is itself migrating."""
+    if not redirect_moves:
+        return []
+    plan = derive_restart_plan(metas)
+    out = []
+    for entry in plan.get(pod_id, {}).get("schedule", []):
+        peer_pod = entry.get("peer_pod")
+        if peer_pod is None or peer_pod not in redirect_moves:
+            continue
+        out.append({
+            "sock_id": entry["sock_id"],
+            "discard": entry["send_discard"],
+            "peer_pod": peer_pod,
+            "peer_sock_id": entry["peer_sock_id"],
+            "dst_node": redirect_moves[peer_pod],
+        })
+    return out
 
 
 class Manager:
@@ -381,6 +450,13 @@ class Manager:
             return None
         return chan, fd
 
+    def _backoff(self, counter: str, timeouts: PhaseTimeouts, attempt: int):
+        """The one retry pause: count it, record it, sleep it out."""
+        delay = timeouts.backoff(attempt)
+        self.cluster.count(counter)
+        self.cluster.observe("manager.backoff_s", delay)
+        yield self.cluster.engine.sleep(delay)
+
     def _open_retry(self, node_name: str, timeouts: PhaseTimeouts,
                     attempts: Optional[int] = None):
         """Connect with bounded retries + exponential backoff (connect
@@ -391,9 +467,8 @@ class Manager:
             if opened is not None:
                 return opened
             if attempt + 1 < n:
-                self.cluster.count("manager.connect_retries")
-                self.cluster.observe("manager.backoff_s", timeouts.backoff(attempt))
-                yield self.cluster.engine.sleep(timeouts.backoff(attempt))
+                yield from self._backoff("manager.connect_retries", timeouts,
+                                         attempt)
         return None
 
     def _recv_timed(self, chan, fd, timeout_s: float):
@@ -419,344 +494,155 @@ class Manager:
         except Exception:
             pass
 
-    def _probe_node(self, node_name: str, timeouts: PhaseTimeouts):
-        """Ping a node's Agent; yields True when it answers in time."""
+    def _send_simple(self, node_name: str, msg: Dict[str, Any],
+                     timeouts: PhaseTimeouts, reply_s: Optional[float] = None):
+        """One-shot request/reply to a node's Agent (best effort); the
+        reply is awaited for ``reply_s`` (default: the drain window)."""
         kernel = self.home.kernel
         opened = yield from self._open_retry(node_name, timeouts, attempts=1)
         if opened is None:
-            return False
+            return None
         chan, fd = opened
-        yield from send_msg(kernel, chan, fd, {"cmd": "ping"})
-        reply = yield from self._recv_timed(chan, fd, timeouts.connect)
+        yield from send_msg(kernel, chan, fd, msg)
+        reply = yield from self._recv_timed(
+            chan, fd, timeouts.drain if reply_s is None else reply_s)
         yield from self._close_conn(chan, fd)
-        return reply is not None and reply.get("type") == "pong"
+        return reply
 
     # ------------------------------------------------------------------
-    # checkpoint
+    # the op lifecycle: one open, one drive, one abort
     # ------------------------------------------------------------------
-    def checkpoint(self, targets: List[Target], **kw) -> Task:
-        """Spawn a coordinated checkpoint; returns the Task (its
-        ``finished`` future resolves to an :class:`OpResult`)."""
-        return self._spawn(self.checkpoint_task(targets, **kw),
-                           name="manager-checkpoint")
+    def _open_op(self, kind: str, targets, timeouts: Optional[PhaseTimeouts],
+                 lease_s: Optional[float] = None, orphan=None,
+                 verb: Optional[str] = None, **attrs) -> OpMachine:
+        """The one way an op comes under this Manager's control.
 
-    def checkpoint_task(self, targets: List[Target], context: str = "snapshot",
-                        deadline: float = 60.0, order: str = "net-first",
-                        redirect_moves: Optional[Dict[str, str]] = None,
-                        fs_snapshot: bool = False,
-                        filters: Optional[List[Dict[str, Any]]] = None,
-                        timeouts: Optional[PhaseTimeouts] = None,
-                        gc_on_failure: bool = True,
-                        verify_resume: bool = True,
-                        live: bool = False,
-                        async_ckpt: bool = False,
-                        lease_s: Optional[float] = None):
-        """The Manager side of Figure 1 (generator; run as a host task).
-
-        ``redirect_moves`` (pod → destination node) activates the §5
-        send-queue redirect during a migration: the Manager, which alone
-        knows where every pod is headed, attaches per-connection redirect
-        destinations to each Agent's ``continue`` message.
-
-        ``filters`` requests an image-pipeline chain (e.g.
-        ``[{"name": "delta"}, {"name": "compress", "level": 6}]``); each
-        Agent negotiates it down to the stages it supports and reports
-        the applied chain back with its meta-data (recorded per pod in
-        ``OpResult.filters`` / ``filters_rejected``).
-
-        ``timeouts`` bounds each protocol phase; ``deadline`` stays the
-        global cap.  On failure the abort path garbage-collects partial
-        images (``gc_on_failure``) and verifies pods resumed
-        (``verify_resume``).
-
-        ``live`` marks the final stop-and-copy pass of a live migration:
-        Agents then charge the stream for the pre-copy *residual* only
-        and report suspend-instant / residual stats for downtime
-        accounting (see :mod:`repro.core.streaming`).
-
-        ``async_ckpt`` requests the zero-stall pipelined path: each
-        Agent resumes its pod right after the continue barrier and runs
-        serialize/filter/write-out against the frozen capture tables
-        while the application runs on (snapshot context only; direct
-        migration falls back to serial).  Per-pod suspend windows come
-        back as ``t_suspend_window`` in the done stats.
-
-        ``lease_s`` bounds how long each ledger record keeps the op
-        owned by this Manager before a takeover replica may claim it.
+        A fresh op allocates its id and opens ``manager.<kind>``,
+        registered under ``("op", id)`` so Agent-side spans on other
+        nodes can attach themselves as children.  Adopting an ``orphan``
+        (a ledger op claimed from a dead Manager) keeps its id and opens
+        ``manager.<verb>`` parented on that same key instead.
         """
         engine = self.cluster.engine
-        kernel = self.home.kernel
-        timeouts = timeouts if timeouts is not None else PhaseTimeouts()
-        op_id = self.new_op_id()
-        result = OpResult("checkpoint", "ok", engine.now, engine.now,
-                          targets=list(targets), op_id=op_id)
-        # operation span, registered under ("op", op_id) so Agent-side
-        # spans on other nodes can attach themselves as children
-        op_span = self.cluster.span("manager.checkpoint", category="op",
-                                    key=("op", op_id), op=op_id,
-                                    pods=len(targets), context=context,
-                                    owner=self.name)
+        if orphan is None:
+            op_id, t_start = self.new_op_id(), engine.now
+            link = {"key": ("op", op_id)}
+        else:
+            op_id, t_start = orphan.op_id, orphan.t_last
+            link = {"parent": ("op", op_id)}
+        span = self.cluster.span(f"manager.{verb or kind}", category="op",
+                                 op=op_id, owner=self.name, **link, **attrs)
         # span context for the Agents: in a real deployment the span id
         # would ride the checkpoint command; here message bytes are
         # timing-bearing, so context propagates through the shared
         # tracer's key registry instead (same joinability, zero bytes)
-        self.cluster.span_context(("op", op_id), mspan=op_span.span_id,
+        self.cluster.span_context(("op", op_id), mspan=span.span_id,
                                   owner=self.name)
-        machine = OpMachine(self, result, lease_s, span=op_span)
-        conns: Dict[str, Tuple[Any, int]] = {}
-        meta_count = [0]
-        done_count = [0]
-        flush_count = [0]
-        all_meta = Future("all-meta")
-        op_failed = Future(f"ckpt-{op_id}-failed")
-        acks = {pod: resolve_sink(uri, self.cluster, kernel.vfs).ack
-                for (_n, pod, uri) in targets}
-        flush_needed = {pod for pod, ack in acks.items() if ack is not None}
-        fail = self._op_failer(result, all_meta, op_failed)
+        result = OpResult(kind, "ok", t_start, engine.now,
+                          targets=list(targets), op_id=op_id)
+        if timeouts is None:
+            timeouts = PhaseTimeouts()
+        return OpMachine(self, result, timeouts, lease_s, span,
+                         adopted=orphan is not None)
 
-        def redirect_out_for(pod_id: str) -> List[dict]:
-            if not redirect_moves:
-                return []
-            plan = derive_restart_plan(result.metas)
-            out = []
-            for entry in plan.get(pod_id, {}).get("schedule", []):
-                peer_pod = entry.get("peer_pod")
-                if peer_pod is None or peer_pod not in redirect_moves:
-                    continue
-                out.append({
-                    "sock_id": entry["sock_id"],
-                    "discard": entry["send_discard"],
-                    "peer_pod": peer_pod,
-                    "peer_sock_id": entry["peer_sock_id"],
-                    "dst_node": redirect_moves[peer_pod],
-                })
-            return out
+    def _drive(self, op: OpMachine, sessions, deadline: float, expired: str,
+               **begin):
+        """The one way an op is driven to its terminal record.
 
-        def pod_task(node_name: str, pod_id: str, uri: str):
-            phase = self.cluster.span("manager.phase.connect", node=node_name,
-                                      pod=pod_id, parent=op_span)
-            yield from self.cluster.trace("manager.connect", node=node_name, pod=pod_id)
-            opened = yield from self._open_retry(node_name, timeouts)
-            if opened is None:
-                phase.end(status="failed")
-                fail(f"{pod_id}: cannot reach agent on {node_name}")
-                return
-            chan, fd = opened
-            conns[pod_id] = (chan, fd)
-            # 1. broadcast checkpoint command
-            cmd_msg = {
-                "cmd": "checkpoint", "pod": pod_id, "uri": uri,
-                "context": context, "order": order,
-                "fs_snapshot": fs_snapshot,
-                "filters": list(filters or []),
-                "op_id": op_id,
-                # the Agent's own unilateral-abort deadline while it
-                # waits for 'continue' (covers a dead/partitioned
-                # Manager that can never deliver abort either)
-                "wait_timeout": timeouts.barrier + timeouts.done,
-            }
-            if live:
-                # key present only for live migration so the non-live
-                # wire traffic (and every existing schedule) is unchanged
-                cmd_msg["live"] = True
-            if async_ckpt:
-                # same conditional-key discipline for the zero-stall path
-                cmd_msg["async_ckpt"] = True
-            sent = yield from send_msg(kernel, chan, fd, cmd_msg)
-            if not sent:
-                phase.end(status="failed")
-                fail(f"{pod_id}: agent connection lost")
-                return
-            phase.end()
-            # 2. receive meta-data (plus the negotiated filter chain)
-            phase = self.cluster.span("manager.phase.meta", node=node_name,
-                                      pod=pod_id, parent=op_span)
-            msg = yield from self._recv_timed(chan, fd, timeouts.meta)
-            if msg is None or msg.get("type") != "meta":
-                detail = msg.get("error") if msg else "meta phase timed out or connection lost"
-                phase.end(status="failed")
-                fail(f"{pod_id}: {detail}")
-                return
-            result.metas[pod_id] = msg["meta"]
-            result.filters[pod_id] = list(msg.get("filters") or [])
-            if msg.get("filters_rejected"):
-                result.filters_rejected[pod_id] = list(msg["filters_rejected"])
-            yield from self.cluster.trace("manager.meta_recv", node=node_name, pod=pod_id)
-            phase.end()
-            meta_count[0] += 1
-            if meta_count[0] == len(targets) and not all_meta.done:
-                # the durable sync point: every pod froze and reported.
-                # Both records land *before* the barrier is released, so
-                # once "continue" is in the ledger the broadcast is
-                # inevitable — a Manager that dies after this instant
-                # leaves an op a replica can finish, not only abort.
-                yield from machine.advance("meta", pods=sorted(result.metas))
-                yield from machine.advance("continue")
-                if not all_meta.done:
-                    all_meta.set_result(True)
-            # 3. the single synchronization point (bounded per phase)
-            t_wait = engine.now
-            phase = self.cluster.span("manager.phase.barrier", node=node_name,
-                                      pod=pod_id, parent=op_span)
-            try:
-                barrier_ok, _ = yield engine.timeout(all_meta, timeouts.barrier)
-            except RuntimeError:
-                barrier_ok = False   # a sibling failed; op already marked
-            else:
-                if not barrier_ok:
-                    fail(f"{pod_id}: continue-barrier timed out")
-            self.cluster.observe("manager.barrier_wait_s", engine.now - t_wait)
-            if not barrier_ok:
-                phase.end(status="aborted")
-                yield from send_msg(kernel, chan, fd, {"cmd": "abort"})
-                yield from self._recv_timed(chan, fd, timeouts.drain)
-                return
-            yield from self.cluster.trace("manager.continue_sent", node=node_name, pod=pod_id)
-            yield from send_msg(kernel, chan, fd, {
-                "cmd": "continue",
-                "redirect_out": redirect_out_for(pod_id),
-            })
-            phase.end()
-            # 4. receive status
-            phase = self.cluster.span("manager.phase.commit", node=node_name,
-                                      pod=pod_id, parent=op_span)
-            done = yield from self._recv_timed(chan, fd, timeouts.done)
-            if done is None or done.get("status") != "ok":
-                phase.end(status="failed")
-                fail(f"{pod_id}: checkpoint failed")
-                return
-            result.pods[pod_id] = done["stats"]
-            # checkpoint time is measured to the last 'done' — the flush
-            # to storage (below) happens after the application resumed
-            result.t_end = max(result.t_end, engine.now)
-            phase.end()
-            yield from self.cluster.trace("manager.done_recv", node=node_name, pod=pod_id)
-            done_count[0] += 1
-            if done_count[0] == len(targets):
-                yield from machine.advance("done", pods=sorted(result.pods))
-            # the image's journey to its destination (direct-migration
-            # stream, shared-storage flush) is acknowledged separately
-            if acks[pod_id] is None:
-                return
-            kind, failure = _POST_ACKS[acks[pod_id]]
-            post = self.cluster.span(f"manager.post.{kind}", node=node_name,
-                                     pod=pod_id, parent=op_span,
-                                     category="post")
-            ack = yield from self._recv_timed(chan, fd, timeouts.flush)
-            if ack is None or ack.get("type") != acks[pod_id]:
-                post.end(status="failed")
-                fail(f"{pod_id}: {failure}")
-                return
-            post.end()
-            flush_count[0] += 1
-            if flush_count[0] == len(flush_needed):
-                yield from machine.advance("flush")
-
-        yield from self.cluster.trace("manager.op_start", pod=f"op{op_id}")
-        yield from machine.begin(context=context,
-                                 filters_requested=list(filters or []))
-        tasks = [self._spawn(pod_task(n, p, u), name=f"ckpt-{p}")
-                 for n, p, u in targets]
-        all_done = all_of([t.finished for t in tasks])
-        race = Future(f"ckpt-{op_id}-race")
+        Make the request durable, spawn the per-pod ``sessions``
+        (``(task name, generator)`` pairs), race *all done* / *op
+        failed* / ``deadline``, and then — unless this Manager died in
+        the meantime — drain, abort or commit, and close the op span.
+        Sessions stamp ``result.t_end`` when their pod is done; an op
+        that did not get every pod that far reports full elapsed time.
+        """
+        engine = self.cluster.engine
+        result = op.result
+        marker = f"op{result.op_id}"
+        yield from self.cluster.trace("manager.op_start", pod=marker)
+        yield from op.begin(**begin)
+        op.tasks = [self._spawn(gen, name=name) for name, gen in sessions]
+        all_done = all_of([t.finished for t in op.tasks])
+        race = Future(f"{marker}-race")
         all_done.add_done_callback(
             lambda _f: race.set_result("done") if not race.done else None)
-        op_failed.add_done_callback(
+        op.failed.add_done_callback(
             lambda _f: race.set_result("failed") if not race.done else None)
         ok, outcome = yield engine.timeout(race, deadline)
-        if self.crashed:
-            # fail-stop: a dead Manager neither cleans up nor commits —
-            # finishing this op is the takeover replica's job, driven by
-            # whatever the ledger durably recorded above
-            result.status = "crashed"
-            op_span.end(status=result.status)
+        if op.dead():
             return result
         if not ok:
             result.status = "timeout"
-            result.errors.append("deadline expired; aborted")
+            result.errors.append(expired)
         elif outcome == "failed":
             result.status = "failed"
-            # give in-flight pod tasks a bounded window to run their own
-            # graceful aborts before reaping them
-            yield engine.timeout(all_done, timeouts.drain)
+            # give in-flight pod sessions a bounded window to run their
+            # own graceful aborts before reaping them
+            yield engine.timeout(all_done, op.timeouts.drain)
         elif result.errors:
             result.status = "failed"
         if result.status != "ok":
-            yield from self._finish_failed_op(
-                result, tasks, timeouts, machine, conns=conns,
-                targets=targets, gc_on_failure=gc_on_failure,
-                verify_resume=verify_resume)
-        for chan, fd in conns.values():
+            yield from self._abort_op(op)
+        for chan, fd in op.conns.values():
             yield from self._close_conn(chan, fd)
-        if len(result.pods) != len(targets):
+        if len(result.pods) != len(result.targets):
             result.t_end = engine.now  # failed/partial ops report full elapsed time
         if result.ok:
-            yield from machine.commit(duration_s=result.duration)
-            self.last_checkpoint = result
-        yield from self.cluster.trace("manager.op_end", pod=f"op{op_id}")
+            yield from op.commit(duration_s=result.duration)
+        yield from self.cluster.trace("manager.op_end", pod=marker)
         # the span closes after cleanup; the protocol latency the paper
         # plots travels in ``duration_s`` (invocation → last pod done)
-        op_span.end(status=result.status, duration_s=result.duration)
+        op.span.end(status=result.status, duration_s=result.duration)
         return result
 
-    # ------------------------------------------------------------------
-    # abort path: reap, abort, garbage-collect, verify
-    # ------------------------------------------------------------------
-    def _op_failer(self, result: OpResult, barrier: Future, op_failed: Future):
-        """The one failure closure every coordinated op's pod tasks
-        share: record the reason, release the barrier with an exception
-        (so sibling tasks resume their pods instead of waiting out the
-        phase timeout), and trip the op-failed race."""
-        def fail(reason: str) -> None:
-            result.errors.append(reason)
-            if not barrier.done:
-                barrier.set_exception(RuntimeError(reason))
-            if not op_failed.done:
-                op_failed.set_result(reason)
-        return fail
-
-    def _finish_failed_op(self, result: OpResult, tasks: List[Task],
-                          timeouts: PhaseTimeouts, machine: OpMachine,
-                          conns: Optional[Dict[str, Tuple[Any, int]]] = None,
-                          targets: Optional[List[Target]] = None,
-                          gc_on_failure: bool = False,
-                          verify_resume: bool = False):
-        """The one abort path every failed op funnels through: reap,
+    def _abort_op(self, op: OpMachine):
+        """The one abort path every failed op — driven here or adopted
+        from a dead Manager — funnels through: reap, record the intent,
         abort, garbage-collect, verify, then the terminal record.
 
         The ``manager.ledger.abort`` crossing sits between the durable
         abort intent and the cleanup actions, so a Manager that crashes
         mid-abort leaves an op a takeover replica re-aborts through this
-        same (idempotent) path.
+        same path.  Aborting is idempotent: re-running it after a
+        half-done abort rolls nothing back twice (the Agents' gc guard)
+        and re-unlinking a gone SAN container is a no-op.
         """
         kernel = self.home.kernel
+        result, timeouts = op.result, op.timeouts
         reason = result.errors[-1] if result.errors else result.status
         # 1. no orphaned protocol tasks: reap whatever is still in flight
-        for task in tasks:
+        for task in op.tasks:
             if not task.done:
                 task.cancel()
-        yield from machine.advance("abort", reason=reason)
-        # 2. tell every connected-but-incomplete Agent to abort (resume
-        #    its pod); completed pods already resumed on 'continue'
-        if conns:
-            for pod_id, (chan, fd) in conns.items():
+        yield from op.advance("abort", reason=reason)
+        if result.kind == "checkpoint" and result.targets:
+            # 2. tell every connected-but-incomplete Agent to abort
+            #    (resume its pod); completed pods already resumed on
+            #    'continue'
+            for pod_id, (chan, fd) in op.conns.items():
                 if pod_id in result.pods:
                     continue
                 self._reset_chan(chan)
                 sent = yield from send_msg(kernel, chan, fd, {"cmd": "abort"})
                 if sent:
                     yield from self._recv_timed(chan, fd, timeouts.drain)
-        # 3. garbage-collect partial images: a failed coordinated
-        #    checkpoint must leave nothing restartable behind
-        if gc_on_failure and targets:
-            yield from self._gc_partial_images(targets, result, timeouts)
-        # 4. verify the pods the operation touched are running again
-        if verify_resume and targets:
-            yield from self._verify_resumed(targets, result, timeouts)
-        machine.aborted(reason)
+            # 3. garbage-collect partial images: a failed coordinated
+            #    checkpoint must leave nothing restartable behind.  The
+            #    gc broadcast doubles as the re-attach for sessions still
+            #    parked on a dead Manager's connection (the Agent signals
+            #    their barrier futures with an abort), and the tombstone
+            #    suppresses any late store.
+            yield from self._gc_partial_images(op)
+            if op.adopted:
+                # signalled sessions resume their pods within a few
+                # events; the drain window bounds the wait before the
+                # verify probe
+                yield self.cluster.engine.sleep(timeouts.drain)
+            # 4. verify the pods the operation touched are running again
+            yield from self._probe_resumed(op)
+        op.aborted(reason)
 
-    def _gc_partial_images(self, targets: List[Target], result: OpResult,
-                           timeouts: PhaseTimeouts):
+    def _gc_partial_images(self, op: OpMachine):
         """Remove every image this failed operation may have written.
 
         Even a *complete* per-pod image from a failed operation is one
@@ -765,11 +651,12 @@ class Manager:
         Agents are told to roll their stores back and to suppress any
         late store by a still-hung session (the op-id tombstone).
         """
+        result = op.result
         protected = set()
         if self.last_checkpoint is not None:
             protected = {uri for (_n, _p, uri) in self.last_checkpoint.targets}
         by_node: Dict[str, List[str]] = {}
-        for node_name, pod_id, uri in targets:
+        for node_name, pod_id, uri in result.targets:
             sink = resolve_sink(uri, self.cluster, self.home.kernel.vfs)
             # an op-keyed rollback restores the previous generation and
             # can never touch a committed one (it carries another op's
@@ -796,33 +683,197 @@ class Manager:
                 continue
             yield from self._send_simple(node_name, {
                 "cmd": "gc", "op_id": result.op_id, "pods": pods,
-            }, timeouts)
+            }, op.timeouts)
 
-    def _verify_resumed(self, targets: List[Target], result: OpResult,
-                        timeouts: PhaseTimeouts):
+    def _probe_resumed(self, op: OpMachine):
         """Ask each surviving Agent whether the pod is running again."""
-        for node_name, pod_id, _uri in targets:
+        for node_name, pod_id, _uri in op.result.targets:
             node = self.cluster.node_by_name(node_name)
             if node.crashed:
                 continue
             reply = yield from self._send_simple(node_name, {
                 "cmd": "query_pod", "pod": pod_id,
-            }, timeouts)
+            }, op.timeouts)
             if reply is not None and reply.get("type") == "pod_status":
-                result.resumed[pod_id] = bool(reply.get("running"))
+                op.result.resumed[pod_id] = bool(reply.get("running"))
 
-    def _send_simple(self, node_name: str, msg: Dict[str, Any],
-                     timeouts: PhaseTimeouts):
-        """One-shot request/reply to a node's Agent (best effort)."""
+    # ------------------------------------------------------------------
+    # checkpoint
+    # ------------------------------------------------------------------
+    def checkpoint(self, targets: List[Target], **kw) -> Task:
+        """Spawn a coordinated checkpoint; returns the Task (its
+        ``finished`` future resolves to an :class:`OpResult`)."""
+        return self._spawn(self.checkpoint_task(targets, **kw),
+                           name="manager-checkpoint")
+
+    def checkpoint_task(self, targets: List[Target], context: str = "snapshot",
+                        deadline: float = 60.0, order: str = "net-first",
+                        redirect_moves: Optional[Dict[str, str]] = None,
+                        fs_snapshot: bool = False,
+                        filters: Optional[List[Dict[str, Any]]] = None,
+                        timeouts: Optional[PhaseTimeouts] = None,
+                        live: bool = False,
+                        async_ckpt: bool = False,
+                        lease_s: Optional[float] = None):
+        """The Manager side of Figure 1 (generator; run as a host task).
+
+        ``redirect_moves`` (pod → destination node) activates the §5
+        send-queue redirect during a migration: the Manager, which alone
+        knows where every pod is headed, attaches per-connection redirect
+        destinations to each Agent's ``continue`` message.
+
+        ``filters`` requests an image-pipeline chain (e.g.
+        ``[{"name": "delta"}, {"name": "compress", "level": 6}]``); each
+        Agent negotiates it down to the stages it supports and reports
+        the applied chain back with its meta-data (recorded per pod in
+        ``OpResult.filters`` / ``filters_rejected``).
+
+        ``timeouts`` bounds each protocol phase; ``deadline`` stays the
+        global cap.  On failure the abort path garbage-collects partial
+        images and verifies pods resumed (:meth:`_abort_op`).
+
+        ``live`` marks the final stop-and-copy pass of a live migration:
+        Agents then charge the stream for the pre-copy *residual* only
+        and report suspend-instant / residual stats for downtime
+        accounting (see :mod:`repro.core.streaming`).
+
+        ``async_ckpt`` requests the zero-stall pipelined path: each
+        Agent resumes its pod right after the continue barrier and runs
+        serialize/filter/write-out against the frozen capture tables
+        while the application runs on (snapshot context only; direct
+        migration falls back to serial).  Per-pod suspend windows come
+        back as ``t_suspend_window`` in the done stats.
+
+        ``lease_s`` bounds how long each ledger record keeps the op
+        owned by this Manager before a takeover replica may claim it.
+        """
+        op = self._open_op("checkpoint", targets, timeouts, lease_s,
+                           pods=len(targets), context=context)
+        request = {
+            "context": context, "order": order,
+            "fs_snapshot": fs_snapshot,
+            "filters": list(filters or []),
+            "op_id": op.result.op_id,
+            # the Agent's own unilateral-abort deadline while it
+            # waits for 'continue' (covers a dead/partitioned
+            # Manager that can never deliver abort either)
+            "wait_timeout": op.timeouts.barrier + op.timeouts.done,
+        }
+        if live:
+            # key present only for live migration so the non-live
+            # wire traffic (and every existing schedule) is unchanged
+            request["live"] = True
+        if async_ckpt:
+            # same conditional-key discipline for the zero-stall path
+            request["async_ckpt"] = True
+        # pods whose image still has a journey to acknowledge after
+        # 'done' (direct-migration stream, shared-storage flush)
+        acks = {}
+        for _n, pod_id, uri in targets:
+            ack = resolve_sink(uri, self.cluster, self.home.kernel.vfs).ack
+            if ack is not None:
+                acks[pod_id] = ack
+        sessions = [(f"ckpt-{p}", self._checkpoint_pod(
+            op, n, p, u, request, acks, redirect_moves)) for n, p, u in targets]
+        result = yield from self._drive(
+            op, sessions, deadline, "deadline expired; aborted",
+            context=context, filters_requested=list(filters or []))
+        if result.ok:
+            self.last_checkpoint = result
+        return result
+
+    def _checkpoint_pod(self, op: OpMachine, node_name: str, pod_id: str,
+                        uri: str, request: Dict[str, Any],
+                        acks: Dict[str, str],
+                        redirect_moves: Optional[Dict[str, str]]):
+        """One pod's lane of a checkpoint: connect, command, meta-data,
+        the single synchronization point, done, and the image's ack."""
+        engine = self.cluster.engine
         kernel = self.home.kernel
-        opened = yield from self._open_retry(node_name, timeouts, attempts=1)
+        result, timeouts = op.result, op.timeouts
+        phase = op.phase("connect", node_name, pod_id)
+        yield from self.cluster.trace("manager.connect", node=node_name, pod=pod_id)
+        opened = yield from self._open_retry(node_name, timeouts)
         if opened is None:
-            return None
+            return op.fail(f"{pod_id}: cannot reach agent on {node_name}", phase)
         chan, fd = opened
-        yield from send_msg(kernel, chan, fd, msg)
-        reply = yield from self._recv_timed(chan, fd, timeouts.drain)
-        yield from self._close_conn(chan, fd)
-        return reply
+        op.conns[pod_id] = (chan, fd)
+        # 1. broadcast checkpoint command
+        sent = yield from send_msg(kernel, chan, fd, {
+            "cmd": "checkpoint", "pod": pod_id, "uri": uri, **request})
+        if not sent:
+            return op.fail(f"{pod_id}: agent connection lost", phase)
+        phase.end()
+        # 2. receive meta-data (plus the negotiated filter chain)
+        phase = op.phase("meta", node_name, pod_id)
+        msg = yield from self._recv_timed(chan, fd, timeouts.meta)
+        if msg is None or msg.get("type") != "meta":
+            detail = msg.get("error") if msg else "meta phase timed out or connection lost"
+            return op.fail(f"{pod_id}: {detail}", phase)
+        result.metas[pod_id] = msg["meta"]
+        result.filters[pod_id] = list(msg.get("filters") or [])
+        if msg.get("filters_rejected"):
+            result.filters_rejected[pod_id] = list(msg["filters_rejected"])
+        yield from self.cluster.trace("manager.meta_recv", node=node_name, pod=pod_id)
+        phase.end()
+        if len(result.metas) == len(result.targets) and not op.barrier.done:
+            # the durable sync point: every pod froze and reported.
+            # Both records land *before* the barrier is released, so
+            # once "continue" is in the ledger the broadcast is
+            # inevitable — a Manager that dies after this instant
+            # leaves an op a replica can finish, not only abort.
+            yield from op.advance("meta", pods=sorted(result.metas))
+            yield from op.advance("continue")
+            if not op.barrier.done:
+                op.barrier.set_result(True)
+        # 3. the single synchronization point (bounded per phase)
+        t_wait = engine.now
+        phase = op.phase("barrier", node_name, pod_id)
+        try:
+            barrier_ok, _ = yield engine.timeout(op.barrier, timeouts.barrier)
+        except RuntimeError:
+            barrier_ok = False   # a sibling failed; op already marked
+        else:
+            if not barrier_ok:
+                op.fail(f"{pod_id}: continue-barrier timed out")
+        self.cluster.observe("manager.barrier_wait_s", engine.now - t_wait)
+        if not barrier_ok:
+            phase.end(status="aborted")
+            yield from send_msg(kernel, chan, fd, {"cmd": "abort"})
+            yield from self._recv_timed(chan, fd, timeouts.drain)
+            return
+        yield from self.cluster.trace("manager.continue_sent", node=node_name, pod=pod_id)
+        yield from send_msg(kernel, chan, fd, {
+            "cmd": "continue",
+            "redirect_out": _redirect_out(result.metas, redirect_moves, pod_id),
+        })
+        phase.end()
+        # 4. receive status
+        phase = op.phase("commit", node_name, pod_id)
+        done = yield from self._recv_timed(chan, fd, timeouts.done)
+        if done is None or done.get("status") != "ok":
+            return op.fail(f"{pod_id}: checkpoint failed", phase)
+        result.pods[pod_id] = done["stats"]
+        # checkpoint time is measured to the last 'done' — the flush
+        # to storage (below) happens after the application resumed
+        result.t_end = max(result.t_end, engine.now)
+        phase.end()
+        yield from self.cluster.trace("manager.done_recv", node=node_name, pod=pod_id)
+        if len(result.pods) == len(result.targets):
+            yield from op.advance("done", pods=sorted(result.pods))
+        # the image's journey to its destination is acknowledged
+        # separately, after the application resumed
+        if pod_id not in acks:
+            return
+        kind, failure = _POST_ACKS[acks[pod_id]]
+        post = op.phase(kind, node_name, pod_id, ns="post")
+        ack = yield from self._recv_timed(chan, fd, timeouts.flush)
+        if ack is None or ack.get("type") != acks[pod_id]:
+            return op.fail(f"{pod_id}: {failure}", post)
+        post.end()
+        del acks[pod_id]
+        if not acks:
+            yield from op.advance("flush")
 
     # ------------------------------------------------------------------
     # pre-copy live migration
@@ -902,171 +953,127 @@ class Manager:
         a takeover replica can re-drive exactly the pods the restart
         commands never reached (see :meth:`_redrive_restart`).
         """
-        engine = self.cluster.engine
-        kernel = self.home.kernel
-        timeouts = timeouts if timeouts is not None else PhaseTimeouts()
-        op_id = self.new_op_id()
-        result = OpResult("restart", "ok", engine.now, engine.now,
-                          targets=list(targets), op_id=op_id)
-        op_span = self.cluster.span("manager.restart", category="op",
-                                    key=("op", op_id), op=op_id,
-                                    pods=len(targets), owner=self.name)
-        self.cluster.span_context(("op", op_id), mspan=op_span.span_id,
-                                  owner=self.name)
-        machine = OpMachine(self, result, lease_s, span=op_span)
-        metas: Dict[str, List[dict]] = {}
+        op = self._open_op("restart", targets, timeouts, lease_s,
+                           pods=len(targets))
+        result = op.result
+        how = {"time_virtualization": time_virtualization,
+               "recovery_mode": recovery_mode}
         vips: Dict[str, str] = {}
-        meta_count = [0]
-        all_meta = Future("all-restart-meta")
         plan_ready = Future("restart-plan")
-        op_failed = Future(f"restart-{op_id}-failed")
-        fail = self._op_failer(result, all_meta, op_failed)
-
-        def load_meta_phase(node_name: str, pod_id: str, uri: str):
-            """Connect + image load: idempotent, retried with backoff."""
-            for attempt in range(timeouts.load_retries + 1):
-                opened = yield from self._open_attempt(node_name, timeouts.connect)
-                if opened is None:
-                    if attempt < timeouts.load_retries:
-                        self.cluster.count("manager.load_retries")
-                        self.cluster.observe("manager.backoff_s",
-                                             timeouts.backoff(attempt))
-                        yield engine.sleep(timeouts.backoff(attempt))
-                    continue
-                chan, fd = opened
-                yield from send_msg(kernel, chan, fd,
-                                    {"cmd": "load_meta", "pod": pod_id,
-                                     "uri": uri, "op_id": op_id})
-                msg = yield from self._recv_timed(chan, fd, timeouts.load)
-                if msg is None:
-                    # transient (timeout / connection lost): retry
-                    yield from self._close_conn(chan, fd)
-                    if attempt < timeouts.load_retries:
-                        self.cluster.count("manager.load_retries")
-                        self.cluster.observe("manager.backoff_s",
-                                             timeouts.backoff(attempt))
-                        yield engine.sleep(timeouts.backoff(attempt))
-                    continue
-                return chan, fd, msg
-            return None
-
-        def pod_task(node_name: str, pod_id: str, uri: str):
-            # phase 0: have the agent load the image and report meta-data
-            phase = self.cluster.span("manager.phase.load_meta", node=node_name,
-                                      pod=pod_id, parent=op_span)
-            yield from self.cluster.trace("manager.load_meta", node=node_name, pod=pod_id)
-            loaded = yield from load_meta_phase(node_name, pod_id, uri)
-            if loaded is None:
-                phase.end(status="failed")
-                fail(f"{pod_id}: cannot load image meta from {node_name}")
-                return
-            chan, fd, msg = loaded
-            if msg.get("type") != "meta":
-                phase.end(status="failed")
-                fail(f"{pod_id}: {msg.get('error', 'image load failed')}")
-                return
-            metas[pod_id] = msg["meta"]
-            vips[pod_id] = msg["vip"]
-            result.filters[pod_id] = list(msg.get("filters") or [])
-            phase.end()
-            meta_count[0] += 1
-            if meta_count[0] == len(targets) and not all_meta.done:
-                all_meta.set_result(True)
-            phase = self.cluster.span("manager.phase.plan", node=node_name,
-                                      pod=pod_id, parent=op_span)
-            try:
-                plan_ok, plan = yield engine.timeout(plan_ready, timeouts.barrier)
-            except RuntimeError:
-                phase.end(status="aborted")
-                return
-            if not plan_ok:
-                phase.end(status="failed")
-                fail(f"{pod_id}: restart plan timed out")
-                return
-            pod_plan = plan[pod_id]
-            phase.end()
-            # 1. send restart command + (modified) meta-data
-            phase = self.cluster.span("manager.phase.commit", node=node_name,
-                                      pod=pod_id, parent=op_span)
-            yield from self.cluster.trace("manager.restart_sent", node=node_name, pod=pod_id)
-            yield from send_msg(kernel, chan, fd, {
-                "cmd": "restart",
-                "pod": pod_id,
-                "vip": vips[pod_id],
-                "uri": uri,
-                "op_id": op_id,
-                "listeners": pod_plan["listeners"],
-                "schedule": pod_plan["schedule"],
-                "time_virtualization": time_virtualization,
-                "recovery_mode": recovery_mode,
-            })
-            # 2. receive status
-            done = yield from self._recv_timed(chan, fd, timeouts.restart_done)
-            if done is None or done.get("status") != "ok":
-                detail = done.get("error", "restart failed") if done else \
-                    "restart timed out or agent connection lost"
-                phase.end(status="failed")
-                fail(f"{pod_id}: {detail}")
-                return
-            result.pods[pod_id] = done["stats"]
-            phase.end()
-            yield from self._close_conn(chan, fd)
 
         def planner():
             try:
-                yield all_meta
+                yield op.barrier
             except RuntimeError as err:
                 if not plan_ready.done:
                     plan_ready.set_exception(err)
                 return
-            plan = derive_restart_plan(metas)
+            plan = derive_restart_plan(result.metas)
             # the plan may carry bytes (send-queue data), so it rides
             # the ledger codec-encoded rather than as raw JSON
-            yield from machine.advance(
+            yield from op.advance(
                 "plan",
                 plan_hex=codec.encode({"plan": plan, "vips": dict(vips)}).hex(),
-                time_virtualization=time_virtualization,
-                recovery_mode=recovery_mode)
+                **how)
             if not plan_ready.done:
                 plan_ready.set_result(plan)
 
-        yield from self.cluster.trace("manager.op_start", pod=f"op{op_id}")
-        yield from machine.begin()
+        # parked on the barrier until the last pod's meta-data is in
         self._spawn(planner(), name="restart-planner")
-        tasks = [self._spawn(pod_task(n, p, u), name=f"restart-{p}")
-                 for n, p, u in targets]
-        all_done = all_of([t.finished for t in tasks])
-        race = Future(f"restart-{op_id}-race")
-        all_done.add_done_callback(
-            lambda _f: race.set_result("done") if not race.done else None)
-        op_failed.add_done_callback(
-            lambda _f: race.set_result("failed") if not race.done else None)
-        ok, outcome = yield engine.timeout(race, deadline)
-        if self.crashed:
-            result.status = "crashed"
-            op_span.end(status=result.status)
-            return result
-        if not ok:
-            result.status = "timeout"
-            result.errors.append("deadline expired")
-        elif outcome == "failed":
-            result.status = "failed"
-            yield engine.timeout(all_done, timeouts.drain)
-        elif result.errors:
-            result.status = "failed"
-        if result.status != "ok":
-            yield from self._finish_failed_op(result, tasks, timeouts, machine)
-        else:
-            for task in tasks:
-                if not task.done:
-                    task.cancel()
-        result.t_end = engine.now
-        result.metas = metas
-        if result.ok:
-            yield from machine.commit(duration_s=result.duration)
-        yield from self.cluster.trace("manager.op_end", pod=f"op{op_id}")
-        op_span.end(status=result.status, duration_s=result.duration)
-        return result
+        sessions = [(f"restart-{p}", self._restart_pod(
+            op, n, p, u, vips, plan_ready, how)) for n, p, u in targets]
+        return (yield from self._drive(op, sessions, deadline,
+                                       "deadline expired"))
+
+    def _restart_pod(self, op: OpMachine, node_name: str, pod_id: str,
+                     uri: str, vips: Dict[str, str], plan_ready: Future,
+                     how: Dict[str, Any]):
+        """One pod's lane of a restart: image load + meta-data, the
+        merged plan, the restart command, done.  No barrier: each Agent
+        proceeds as soon as it has the plan."""
+        engine = self.cluster.engine
+        result, timeouts = op.result, op.timeouts
+        # phase 0: have the agent load the image and report meta-data
+        phase = op.phase("load_meta", node_name, pod_id)
+        yield from self.cluster.trace("manager.load_meta", node=node_name, pod=pod_id)
+        loaded = yield from self._load_meta(op, node_name, pod_id, uri)
+        if loaded is None:
+            return op.fail(f"{pod_id}: cannot load image meta from {node_name}", phase)
+        chan, fd, msg = loaded
+        if msg.get("type") != "meta":
+            return op.fail(f"{pod_id}: {msg.get('error', 'image load failed')}", phase)
+        result.metas[pod_id] = msg["meta"]
+        vips[pod_id] = msg["vip"]
+        result.filters[pod_id] = list(msg.get("filters") or [])
+        phase.end()
+        if len(result.metas) == len(result.targets) and not op.barrier.done:
+            op.barrier.set_result(True)
+        phase = op.phase("plan", node_name, pod_id)
+        try:
+            plan_ok, plan = yield engine.timeout(plan_ready, timeouts.barrier)
+        except RuntimeError:
+            phase.end(status="aborted")
+            return
+        if not plan_ok:
+            return op.fail(f"{pod_id}: restart plan timed out", phase)
+        pod_plan = plan[pod_id]
+        phase.end()
+        # 1. send restart command + (modified) meta-data, 2. receive status
+        phase = op.phase("commit", node_name, pod_id)
+        yield from self.cluster.trace("manager.restart_sent", node=node_name, pod=pod_id)
+        done = yield from self._restart_cmd(op, chan, fd, pod_id, uri,
+                                            vips[pod_id], pod_plan, how)
+        if done is None or done.get("status") != "ok":
+            detail = done.get("error", "restart failed") if done else \
+                "restart timed out or agent connection lost"
+            return op.fail(f"{pod_id}: {detail}", phase)
+        result.pods[pod_id] = done["stats"]
+        phase.end()
+        yield from self._close_conn(chan, fd)
+        # restart time is measured to the last pod restored and released
+        result.t_end = max(result.t_end, engine.now)
+
+    def _load_meta(self, op: OpMachine, node_name: str, pod_id: str, uri: str):
+        """Connect + image load: idempotent, retried with backoff.
+        Yields ``(chan, fd, reply)`` or None when every attempt failed."""
+        timeouts = op.timeouts
+        for attempt in range(timeouts.load_retries + 1):
+            opened = yield from self._open_attempt(node_name, timeouts.connect)
+            if opened is not None:
+                chan, fd = opened
+                msg = yield from self._load_meta_cmd(op, chan, fd, pod_id, uri)
+                if msg is not None:
+                    return chan, fd, msg
+                # transient (timeout / connection lost): retry
+                yield from self._close_conn(chan, fd)
+            if attempt < timeouts.load_retries:
+                yield from self._backoff("manager.load_retries", timeouts, attempt)
+        return None
+
+    def _load_meta_cmd(self, op: OpMachine, chan, fd, pod_id: str, uri: str):
+        """First half of a restart session: have the Agent load the
+        image chain; yields its reply (None on timeout/EOF)."""
+        yield from send_msg(self.home.kernel, chan, fd, {
+            "cmd": "load_meta", "pod": pod_id, "uri": uri,
+            "op_id": op.result.op_id})
+        return (yield from self._recv_timed(chan, fd, op.timeouts.load))
+
+    def _restart_cmd(self, op: OpMachine, chan, fd, pod_id: str, uri: str,
+                     vip: str, pod_plan: Dict[str, Any], how: Dict[str, Any]):
+        """Second half, on the same connection: the restart command with
+        the pod's share of the plan; yields the ``done`` reply (None on
+        timeout/EOF)."""
+        yield from send_msg(self.home.kernel, chan, fd, {
+            "cmd": "restart",
+            "pod": pod_id,
+            "vip": vip,
+            "uri": uri,
+            "op_id": op.result.op_id,
+            "listeners": pod_plan.get("listeners", []),
+            "schedule": pod_plan.get("schedule", []),
+            **how,
+        })
+        return (yield from self._recv_timed(chan, fd, op.timeouts.restart_done))
 
     # ------------------------------------------------------------------
     # recovery: the paper's motivating use case
@@ -1092,76 +1099,101 @@ class Manager:
         operation then fails *before* touching any surviving pod.
         """
         engine = self.cluster.engine
-        timeouts = timeouts if timeouts is not None else PhaseTimeouts()
-        op_id = self.new_op_id()
-        result = OpResult("recover", "ok", engine.now, engine.now, op_id=op_id)
-        op_span = self.cluster.span("manager.recover", category="op",
-                                    key=("op", op_id), op=op_id,
-                                    owner=self.name)
-        self.cluster.span_context(("op", op_id), mspan=op_span.span_id,
-                                  owner=self.name)
-        machine = OpMachine(self, result, span=op_span)
         last = self.last_checkpoint
-        if last is None or not last.ok or not last.targets:
-            result.status = "failed"
-            result.errors.append("no usable checkpoint to recover from")
-            result.t_end = engine.now
-            op_span.end(status=result.status, duration_s=result.duration)
-            return result
-        result.targets = list(last.targets)
+        usable = bool(last is not None and last.ok and last.targets)
+        op = self._open_op("recover", last.targets if usable else [], timeouts)
+        result = op.result
         # per-node op exclusion: a recover destroys surviving instances
         # of every involved pod, so it must own the involved nodes — a
         # concurrent drain/evacuation campaign holding any of them makes
         # this recover fail fast instead of racing it pod by pod
-        claim_label = f"recover:op{op_id}"
-        involved_nodes = sorted({n for (n, _p, _u) in last.targets})
-        if not self.claim_nodes(involved_nodes, claim_label):
-            held = {n: self.node_claim_holder(n) for n in involved_nodes
-                    if self.node_claim_holder(n) not in (None, claim_label)}
+        label = f"recover:op{result.op_id}"
+        involved = sorted({n for (n, _p, _u) in result.targets})
+        refused = None
+        if not usable:
+            refused = "no usable checkpoint to recover from"
+        elif not self.claim_nodes(involved, label):
+            held = {n: self.node_claim_holder(n) for n in involved
+                    if self.node_claim_holder(n) not in (None, label)}
+            refused = f"node exclusion refused: {sorted(held.items())}"
+        if refused is not None:
+            # nothing was begun, claimed or touched: no ledger record,
+            # so no claimable orphan is left behind
             result.status = "failed"
-            result.errors.append(
-                f"node exclusion refused: {sorted(held.items())}")
+            result.errors.append(refused)
             result.t_end = engine.now
-            op_span.end(status=result.status, duration_s=result.duration)
+            op.span.end(status=result.status, duration_s=result.duration)
             return result
-        # the begin record lands only once the early-out checks passed,
-        # so a recover that never started driving anything leaves no
-        # claimable orphan behind; every later return path below writes
-        # a terminal record for the same reason
-        yield from machine.begin()
+        # the begin record lands only once the early-out checks passed;
+        # from here on the one exit below writes a terminal record
+        yield from op.begin()
+        crashed = yield from self._detect_crashed(op, involved)
+        survivors = [n for n in self.cluster.nodes if n.name not in crashed]
+        new_targets = self._place(op, crashed, survivors, label, placement)
+        if not result.errors:
+            # roll the survivors back: the restart restores the whole
+            # application to the consistent cut
+            for _node_name, pod_id, _uri in result.targets:
+                for node in survivors:
+                    pod = node.kernel.pods.get(pod_id)
+                    if pod is not None:
+                        pod.destroy()
+            restart = yield from self.restart_task(
+                new_targets, time_virtualization=time_virtualization,
+                deadline=deadline, recovery_mode=recovery_mode,
+                timeouts=op.timeouts)
+            result.status = restart.status
+            result.errors.extend(restart.errors)
+            result.pods = restart.pods
+            result.metas = restart.metas
+            result.filters = restart.filters
+            result.targets = new_targets
+        if op.dead():
+            return result
+        if result.errors and result.ok:
+            result.status = "failed"
+        result.t_end = engine.now
+        if result.ok:
+            yield from op.commit(duration_s=result.duration)
+        else:
+            op.aborted(result.errors[-1] if result.errors else result.status)
+        self.release_nodes(involved, label)
+        op.span.end(status=result.status, duration_s=result.duration)
+        return result
 
-        # 1. failure detection: fail-stop flags plus a liveness probe of
-        #    every node the checkpoint involves
-        phase = self.cluster.span("manager.phase.detect", parent=op_span)
+    def _detect_crashed(self, op: OpMachine, involved: List[str]):
+        """Failure detection: fail-stop flags plus a liveness probe of
+        every node the checkpoint involves; yields the crashed names."""
+        phase = op.phase("detect")
         crashed = {node.name for node in self.cluster.nodes if node.crashed}
-        involved = {n for (n, _p, _u) in last.targets}
-        for name in sorted(involved - crashed):
-            alive = yield from self._probe_node(name, timeouts)
-            if not alive:
-                crashed.add(name)
+        for name in involved:
+            if name not in crashed:
+                pong = yield from self._send_simple(
+                    name, {"cmd": "ping"}, op.timeouts, op.timeouts.connect)
+                if pong is None or pong.get("type") != "pong":
+                    crashed.add(name)
         yield from self.cluster.trace("manager.recover_detect",
                                       pod=",".join(sorted(crashed)) or None)
         phase.end(crashed=",".join(sorted(crashed)))
-        yield from machine.advance("detect", crashed=sorted(crashed))
-        survivors = [n for n in self.cluster.nodes if n.name not in crashed]
-        if not survivors:
-            result.status = "failed"
-            result.errors.append("no surviving nodes to recover onto")
-            result.t_end = engine.now
-            machine.aborted(result.errors[-1])
-            self.release_nodes(involved_nodes, claim_label)
-            op_span.end(status=result.status, duration_s=result.duration)
-            return result
+        yield from op.advance("detect", crashed=sorted(crashed))
+        return crashed
 
-        # 2. placement — checked for feasibility before any destruction.
-        #    Nodes another op holds (a drain emptying a blade) are not
-        #    placement targets unless nothing else survives.
+    def _place(self, op: OpMachine, crashed, survivors: List[Node], label: str,
+               placement: Optional[Dict[str, str]]) -> List[Target]:
+        """Where each pod of the checkpoint restarts — checked for
+        feasibility before any destruction (failures land in
+        ``result.errors``).  Nodes another op holds (a drain emptying a
+        blade) are not placement targets unless nothing else survives."""
+        result = op.result
+        if not survivors:
+            result.errors.append("no surviving nodes to recover onto")
+            return []
         unclaimed = [n for n in survivors
-                     if self.node_claim_holder(n.name) in (None, claim_label)]
+                     if self.node_claim_holder(n.name) in (None, label)]
         candidates = unclaimed if unclaimed else survivors
         load = {n.name: len(n.kernel.pods) for n in survivors}
         new_targets: List[Target] = []
-        for node_name, pod_id, uri in last.targets:
+        for node_name, pod_id, uri in result.targets:
             sink = resolve_sink(uri, self.cluster, self.home.kernel.vfs)
             if sink.dest is not None:
                 # migration image: it lives in the destination Agent's
@@ -1186,40 +1218,7 @@ class Manager:
                 dest = node_name
             load[dest] = load.get(dest, 0) + 1
             new_targets.append((dest, pod_id, uri))
-        if result.errors:
-            result.status = "failed"
-            result.t_end = engine.now
-            machine.aborted(result.errors[-1])
-            self.release_nodes(involved_nodes, claim_label)
-            op_span.end(status=result.status, duration_s=result.duration)
-            return result
-
-        # 3. roll the survivors back: the restart restores the whole
-        #    application to the consistent cut
-        for _node_name, pod_id, _uri in last.targets:
-            for node in survivors:
-                pod = node.kernel.pods.get(pod_id)
-                if pod is not None:
-                    pod.destroy()
-
-        # 4. restart everywhere
-        restart = yield from self.restart_task(
-            new_targets, time_virtualization=time_virtualization,
-            deadline=deadline, recovery_mode=recovery_mode, timeouts=timeouts)
-        result.status = restart.status
-        result.errors.extend(restart.errors)
-        result.pods = restart.pods
-        result.metas = restart.metas
-        result.filters = restart.filters
-        result.targets = new_targets
-        result.t_end = engine.now
-        if result.ok:
-            yield from machine.commit(duration_s=result.duration)
-        else:
-            machine.aborted(result.errors[-1] if result.errors else restart.status)
-        self.release_nodes(involved_nodes, claim_label)
-        op_span.end(status=result.status, duration_s=result.duration)
-        return result
+        return new_targets
 
     # ------------------------------------------------------------------
     # replica takeover: claim, then resume / re-drive / abort orphans
@@ -1279,43 +1278,33 @@ class Manager:
                     self.cluster.count("cas.sweep_orphans.bytes", reclaimed)
         return actions
 
-    def _resume_orphan(self, op, timeouts: PhaseTimeouts):
+    def _resume_orphan(self, orphan, timeouts: PhaseTimeouts):
         """Finish a checkpoint whose continue broadcast was durable."""
-        engine = self.cluster.engine
-        span = self.cluster.span("manager.resume", parent=("op", op.op_id),
-                                 category="op", op=op.op_id, at_phase=op.phase,
-                                 owner=self.name)
-        self.cluster.span_context(("op", op.op_id), mspan=span.span_id,
-                                  owner=self.name)
+        op = self._open_op(orphan.kind, orphan.targets, timeouts,
+                           orphan=orphan, verb="resume", at_phase=orphan.phase)
         # re-attach: complete the barrier of any session still parked on
         # the dead Manager's connection (idempotent for the rest)
-        for node_name in sorted({n for (n, _p, _u) in op.targets}):
+        for node_name in sorted({n for (n, _p, _u) in orphan.targets}):
             if self.cluster.node_by_name(node_name).crashed:
                 continue
             yield from self._send_simple(node_name, {
-                "cmd": "continue_op", "op_id": op.op_id}, timeouts)
-        verified = yield from self._verify_op_images(op, timeouts)
+                "cmd": "continue_op", "op_id": orphan.op_id}, timeouts)
+        verified = yield from self._verify_op_images(orphan, timeouts)
         resumed = True
-        if verified and op.context == "snapshot":
-            probe = OpResult(op.kind, "ok", engine.now, engine.now,
-                             targets=[tuple(t) for t in op.targets],
-                             op_id=op.op_id)
-            yield from self._verify_resumed(op.targets, probe, timeouts)
-            for node_name, pod_id, _uri in op.targets:
+        if verified and orphan.context == "snapshot":
+            yield from self._probe_resumed(op)
+            for node_name, pod_id, _uri in orphan.targets:
                 if self.cluster.node_by_name(node_name).crashed:
                     continue
-                if not probe.resumed.get(pod_id, False):
+                if not op.result.resumed.get(pod_id, False):
                     resumed = False
         if not (verified and resumed):
-            span.end(status="unverified")
-            return (yield from self._abort_orphan(op, timeouts))
-        result = OpResult("checkpoint", "ok", op.t_last, engine.now,
-                          targets=[tuple(t) for t in op.targets],
-                          op_id=op.op_id)
-        machine = OpMachine(self, result, span=span)
-        yield from machine.commit(resumed_by=self.name)
-        self.last_checkpoint = result
-        span.end(status="resumed")
+            op.span.end(status="unverified")
+            return (yield from self._abort_orphan(orphan, timeouts))
+        op.result.t_end = self.cluster.engine.now
+        yield from op.commit(resumed_by=self.name)
+        self.last_checkpoint = op.result
+        op.span.end(status="resumed")
         return "resumed"
 
     def _verify_op_images(self, op, timeouts: PhaseTimeouts):
@@ -1354,39 +1343,20 @@ class Manager:
             "cmd": "query_image", "pod": pod_id, "op_id": op.op_id}, timeouts)
         return bool(reply and reply.get("exists") and reply.get("op_ok"))
 
-    def _abort_orphan(self, op, timeouts: PhaseTimeouts):
-        """Abort an orphan through the normal tombstone-GC path.
 
-        The gc broadcast doubles as the re-attach for parked sessions
-        (the Agent signals their barrier futures with an abort), and the
-        tombstone suppresses any late store.  Aborting is idempotent —
-        re-running it after a half-done abort by the dead Manager rolls
-        nothing back twice (the Agents' gc guard) and re-unlinking a
-        gone SAN container is a no-op.
-        """
-        engine = self.cluster.engine
-        span = self.cluster.span("manager.abort", parent=("op", op.op_id),
-                                 category="op", op=op.op_id, at_phase=op.phase,
-                                 owner=self.name)
-        self.cluster.span_context(("op", op.op_id), mspan=span.span_id,
-                                  owner=self.name)
-        reason = f"orphaned at {op.phase}; aborted by {self.name}"
-        result = OpResult(op.kind, "failed", engine.now, engine.now,
-                          targets=[tuple(t) for t in op.targets],
-                          op_id=op.op_id, errors=[reason])
-        machine = OpMachine(self, result, span=span)
-        yield from machine.advance("abort", reason=reason)
-        if op.kind == "checkpoint" and op.targets:
-            yield from self._gc_partial_images(op.targets, result, timeouts)
-            # signalled sessions resume their pods within a few events;
-            # the drain window bounds the wait before the verify probe
-            yield engine.sleep(timeouts.drain)
-            yield from self._verify_resumed(op.targets, result, timeouts)
-        machine.aborted(reason)
-        span.end(status="aborted", gc_paths=len(result.gc_paths))
+    def _abort_orphan(self, orphan, timeouts: PhaseTimeouts):
+        """Abort an orphan through the normal tombstone-GC path
+        (:meth:`_abort_op`, keyed on the op like every other abort)."""
+        op = self._open_op(orphan.kind, orphan.targets, timeouts,
+                           orphan=orphan, verb="abort", at_phase=orphan.phase)
+        op.result.status = "failed"
+        op.result.errors.append(
+            f"orphaned at {orphan.phase}; aborted by {self.name}")
+        yield from self._abort_op(op)
+        op.span.end(status="aborted", gc_paths=len(op.result.gc_paths))
         return "aborted"
 
-    def _redrive_restart(self, op, timeouts: PhaseTimeouts):
+    def _redrive_restart(self, orphan, timeouts: PhaseTimeouts):
         """Finish an orphaned restart from its durable plan.
 
         Pods whose restart command never went out are re-driven on
@@ -1396,17 +1366,15 @@ class Manager:
         are left to finish on their own.
         """
         engine = self.cluster.engine
-        kernel = self.home.kernel
-        span = self.cluster.span("manager.redrive", parent=("op", op.op_id),
-                                 category="op", op=op.op_id, owner=self.name)
-        self.cluster.span_context(("op", op.op_id), mspan=span.span_id,
-                                  owner=self.name)
-        decoded = codec.decode(bytes.fromhex(op.fields["plan_hex"]))
+        op = self._open_op(orphan.kind, orphan.targets, timeouts,
+                           orphan=orphan, verb="redrive")
+        result = op.result
+        decoded = codec.decode(bytes.fromhex(orphan.fields["plan_hex"]))
         plan, vips = decoded["plan"], decoded["vips"]
-        tv = bool(op.fields.get("time_virtualization", True))
-        mode = op.fields.get("recovery_mode", "two-thread")
-        failures: List[str] = []
-        redriven = [0]
+        how = {"time_virtualization":
+               bool(orphan.fields.get("time_virtualization", True)),
+               "recovery_mode": orphan.fields.get("recovery_mode", "two-thread")}
+        failures = result.errors
 
         def redrive_pod(node_name: str, pod_id: str, uri: str):
             reply = yield from self._send_simple(node_name, {
@@ -1418,51 +1386,37 @@ class Manager:
                 failures.append(f"{pod_id}: cannot reach agent on {node_name}")
                 return
             chan, fd = opened
-            yield from send_msg(kernel, chan, fd, {
-                "cmd": "load_meta", "pod": pod_id, "uri": uri,
-                "op_id": op.op_id})
-            msg = yield from self._recv_timed(chan, fd, timeouts.load)
+            msg = yield from self._load_meta_cmd(op, chan, fd, pod_id, uri)
             if msg is None or msg.get("type") != "meta":
                 failures.append(f"{pod_id}: image reload failed")
                 yield from self._close_conn(chan, fd)
                 return
-            pod_plan = plan.get(pod_id, {})
-            yield from send_msg(kernel, chan, fd, {
-                "cmd": "restart", "pod": pod_id,
-                "vip": vips.get(pod_id, msg.get("vip")),
-                "uri": uri, "op_id": op.op_id,
-                "listeners": pod_plan.get("listeners", []),
-                "schedule": pod_plan.get("schedule", []),
-                "time_virtualization": tv,
-                "recovery_mode": mode,
-            })
-            done = yield from self._recv_timed(chan, fd, timeouts.restart_done)
+            done = yield from self._restart_cmd(
+                op, chan, fd, pod_id, uri, vips.get(pod_id, msg.get("vip")),
+                plan.get(pod_id, {}), how)
             yield from self._close_conn(chan, fd)
             if done is None or done.get("status") != "ok":
                 failures.append(f"{pod_id}: re-driven restart failed")
                 return
-            redriven[0] += 1
+            result.pods[pod_id] = done["stats"]
 
-        tasks = [self._spawn(redrive_pod(n, p, u), name=f"redrive-{p}")
-                 for n, p, u in op.targets]
-        if tasks:
+        op.tasks = [self._spawn(redrive_pod(n, p, u), name=f"redrive-{p}")
+                    for n, p, u in orphan.targets]
+        if op.tasks:
             ok, _ = yield engine.timeout(
-                all_of([t.finished for t in tasks]),
+                all_of([t.finished for t in op.tasks]),
                 timeouts.connect + timeouts.load + timeouts.restart_done)
             if not ok:
-                for task in tasks:
+                for task in op.tasks:
                     if not task.done:
                         task.cancel()
                 failures.append("redrive deadline expired")
-        result = OpResult("restart", "failed" if failures else "ok",
-                          op.t_last, engine.now,
-                          targets=[tuple(t) for t in op.targets],
-                          op_id=op.op_id, errors=list(failures))
-        machine = OpMachine(self, result, span=span)
+        result.t_end = engine.now
         if failures:
-            machine.aborted("; ".join(failures))
-            span.end(status="failed")
+            result.status = "failed"
+            op.aborted("; ".join(failures))
+            op.span.end(status="failed")
             return "aborted"
-        yield from machine.commit(resumed_by=self.name, redriven=redriven[0])
-        span.end(status="redriven", redriven=redriven[0])
+        yield from op.commit(resumed_by=self.name, redriven=len(result.pods))
+        op.span.end(status="redriven", redriven=len(result.pods))
         return "redriven"

@@ -10,10 +10,11 @@ bisect against.
 from repro.cluster import Cluster, FaultInjector, FaultPlan, FaultSpec
 from repro.cluster.faults import crash_node
 from repro.core import Manager
-from repro.core.manager import PhaseTimeouts
+from repro.core.manager import DEFAULT_LEASE_S, PhaseTimeouts
 from repro.core.pipeline import FileSink
 from repro.obs import SpanTracer
 from repro.storage import OpLedger
+from repro.storage.ledger import fold_ops
 from repro.vos import DEAD
 
 from .testapps import expected_sums, final_sums, launch_pingpong
@@ -227,6 +228,46 @@ def test_double_abort_gc_is_idempotent():
     assert agent.mem_sink.load("pp-srv") == state["chain"], \
         "replayed gc for op 2 rolled back op 3's committed image"
     assert agent.committed_ops.get("pp-srv") == state["op3"]
+
+
+def test_crash_inside_recover_leaves_both_ops_to_the_replica():
+    """Fail-stop inside ``recover_task`` driven by ``yield from`` from an
+    untracked task (as ``run_chaos`` and the fleet layer drive it): the
+    Manager dies at the nested restart's ``plan`` crossing.  A dead
+    Manager writes nothing — the recover op stays non-terminal for the
+    replica to claim, and its child restart is re-driven to commit."""
+    cluster, manager = _world(18)
+    _crash_at(cluster, "manager.ledger.plan")
+    launch_pingpong(cluster, rounds=ROUNDS, server_node=1, client_node=2)
+    engine = cluster.engine
+    state = {}
+
+    def driver():
+        yield engine.sleep(0.2)
+        task = manager.checkpoint(_file_targets(cluster), timeouts=TIGHT)
+        ok, res = yield engine.timeout(task.finished, 60.0)
+        assert ok and res.ok, res and res.errors
+        crash_node(cluster, cluster.node(1))
+        state["recover"] = yield from manager.recover_task(timeouts=TIGHT)
+        state["records"] = OpLedger(cluster.san).records()
+        # recover ops carry the default lease: wait it out before takeover
+        yield from _await_crash_then_takeover(
+            cluster, manager, state, settle=DEFAULT_LEASE_S + 1.0)
+
+    engine.spawn(driver(), name="drv")
+    engine.run(until=240.0)
+    assert manager.crashed
+    assert state["recover"].status == "crashed"
+    owned = [(r["op"], r["phase"]) for r in state["records"]
+             if r.get("owner") == "mgr0"]
+    assert owned[-1] == (3, "plan"), f"mgr0 wrote after its crash: {owned}"
+    assert not fold_ops(state["records"])[2].terminal
+    assert state["actions"] == [(2, "detect", "aborted"),
+                                (3, "plan", "redriven")]
+    ops = OpLedger(cluster.san).replay()
+    assert ops[2].phase == "aborted" and ops[2].owner == "mgr1"
+    assert ops[3].phase == "commit"
+    assert final_sums(cluster) == expected_sums(ROUNDS)
 
 
 def test_recover_deadline_expiry_leaves_terminal_ledger():
