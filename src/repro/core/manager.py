@@ -924,7 +924,7 @@ class Manager:
             phase.end(shipped_bytes=reply["stats"]["shipped_bytes"],
                       dirty_bytes=reply["stats"]["dirty_bytes"])
 
-        tasks = [engine.spawn(pod_round(s, p, d), name=f"precopy-{p}")
+        tasks = [self._spawn(pod_round(s, p, d), name=f"precopy-{p}")
                  for s, p, d in moves]
         ok, _ = yield engine.timeout(all_of([t.finished for t in tasks]), deadline)
         if not ok:

@@ -15,7 +15,7 @@ only the residual.  The battery checks the paper-style claims:
 
 import pytest
 
-from repro.cluster import Cluster
+from repro.cluster import Cluster, FaultInjector, FaultPlan, FaultSpec
 from repro.core import Manager, migrate
 from repro.vos import DEAD
 
@@ -162,3 +162,27 @@ def test_live_n_to_m_consolidation(world):
     assert final_sums(cluster) == expected_sums(ROUNDS)
     for proc in (srv, cli):
         assert proc.state == DEAD
+
+
+def test_manager_crash_reaps_the_precopy_round(world):
+    """Fail-stop covers pre-copy: a Manager that dies at a round's
+    crossing takes its per-pod round tasks with it, so no further
+    ``precopy`` command reaches any Agent."""
+    cluster, manager = world
+    launch_pingpong(cluster, rounds=ROUNDS, ballast=BALLAST,
+                    dirty_rate=DIRTY_RATE)
+    # two pods: crossings 1-2 are round 1, the third opens round 2
+    injector = FaultInjector(cluster, FaultPlan(seed=0, faults=[FaultSpec(
+        kind="crash_manager", phase="manager.precopy_round", after=2)])).install()
+    holder = {}
+    _kick_migrate(cluster, manager, holder, live=True)
+    cluster.engine.run(until=60.0)
+    assert manager.crashed
+    crossings = [ev[1] for ev in injector.trace]
+    crash = next(i for i, ev in enumerate(injector.trace)
+                 if "crash_manager" in ev[4])
+    assert crossings[:crash].count("agent.precopy") == 2   # round 1 ran
+    assert "agent.precopy" not in crossings[crash:], \
+        "a dead Manager kept driving pre-copy rounds"
+    assert [t.name for t in cluster.engine.live_tasks()
+            if t.name.startswith("precopy-")] == []
