@@ -239,9 +239,6 @@ class Agent:
                 elif cmd == "load_meta":
                     yield from self._do_load_meta(chan, fd, msg)
                     return
-                elif cmd == "restart":
-                    yield from self._do_restart(chan, fd, msg)
-                    return
                 elif cmd == "precopy":
                     yield from self._do_precopy(chan, fd, msg)
                     return
@@ -1085,27 +1082,23 @@ class Agent:
         msg2 = yield from recv_msg(kernel, chan, fd)
         if msg2 is None or msg2.get("cmd") != "restart":
             return
-        yield from self._do_restart(chan, fd, msg2, chain=chain, reassembled=reassembled)
+        yield from self._do_restart(chan, fd, msg2, chain, reassembled)
 
-    def _do_restart(self, chan, fd, msg, chain: Optional[List[PodImage]] = None,
-                    reassembled: Optional[ReassembledImage] = None):
+    def _do_restart(self, chan, fd, msg, chain: List[PodImage],
+                    reassembled: ReassembledImage):
+        """Second half of the restart session ``_do_load_meta`` opened
+        (the only entry): rebuild the pod from the chain it loaded."""
         kernel = self.kernel
         engine = self.engine
         pod_id = msg["pod"]
         t0 = engine.now
         op_parent = ("op", int(msg.get("op_id", 0)))
-        if chain is None:
-            chain = self._load_chain(pod_id, resolve_sink(
-                msg.get("uri", "mem"), self.cluster, kernel.vfs, self.mem_sink))
-        if reassembled is None:
-            reassembled = ImagePipeline.reassemble(chain, state=self.pipeline_state)
         payload = reassembled.payload
         standalone = payload["standalone"]
         records: List[Dict[str, Any]] = payload["sockets"]
         rec_by_id = {int(r["sock_id"]): r for r in records}
         listeners = msg.get("listeners", [])
         schedule = msg.get("schedule", [])
-        redirects: Dict[str, bytes] = msg.get("redirects", {})
         timevirt_on = bool(msg.get("time_virtualization", True))
 
         # 1. create a new (empty) pod
@@ -1169,10 +1162,9 @@ class Agent:
                 continue
             entry = next((e for e in schedule if int(e["sock_id"]) == sid), None)
             discard = int(entry["send_discard"]) if entry else 0
-            # redirected peer send-queue data, delivered either directly
-            # by the migrating peer's agent or (legacy path) via the
-            # Manager's restart command
-            extra = self.redirect_store.pop((pod_id, sid), b"") or bytes(redirects.get(str(sid), b""))
+            # redirected peer send-queue data, delivered directly by the
+            # migrating peer's agent (``push_redirect``)
+            extra = self.redirect_store.pop((pod_id, sid), b"")
             rec = dict(rec)
             rec.setdefault("send_redirected", False)
             if entry is not None and entry["role"] == "orphan":

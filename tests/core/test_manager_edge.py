@@ -45,7 +45,8 @@ def test_agents_answer_ping(world):
     assert reply == {"type": "pong", "node": "blade2"}
 
 
-def test_unknown_command_reports_error(world):
+def _first_message(world, msg):
+    """Open a fresh Agent session on blade1 with ``msg``; its reply."""
     cluster, manager = world
     kernel = manager.home.kernel
 
@@ -53,13 +54,24 @@ def test_unknown_command_reports_error(world):
         chan = kernel.host_channel("x")
         fd = yield kernel.host_call(chan, "socket", "tcp")
         yield kernel.host_call(chan, "connect", fd, (cluster.node(1).ip, AGENT_PORT))
-        yield from send_msg(kernel, chan, fd, {"cmd": "frobnicate"})
+        yield from send_msg(kernel, chan, fd, msg)
         reply = yield from recv_msg(kernel, chan, fd)
         return reply
 
-    reply = cluster.engine.run_task(speaker())
+    return cluster.engine.run_task(speaker())
+
+
+def test_unknown_command_reports_error(world):
+    reply = _first_message(world, {"cmd": "frobnicate"})
     assert reply["type"] == "error"
     assert "frobnicate" in reply["error"]
+
+
+def test_bare_restart_is_an_unknown_command(world):
+    """``restart`` only exists as the second message of a ``load_meta``
+    session; as a first message it is no command at all."""
+    reply = _first_message(world, {"cmd": "restart", "pod": "pp-srv"})
+    assert reply == {"type": "error", "error": "unknown cmd 'restart'"}
 
 
 def test_sequential_recovery_is_fine_on_acyclic_topology(world):
