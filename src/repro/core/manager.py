@@ -1290,15 +1290,13 @@ class Manager:
             yield from self._send_simple(node_name, {
                 "cmd": "continue_op", "op_id": orphan.op_id}, timeouts)
         verified = yield from self._verify_op_images(orphan, timeouts)
-        resumed = True
         if verified and orphan.context == "snapshot":
             yield from self._probe_resumed(op)
-            for node_name, pod_id, _uri in orphan.targets:
-                if self.cluster.node_by_name(node_name).crashed:
-                    continue
-                if not op.result.resumed.get(pod_id, False):
-                    resumed = False
-        if not (verified and resumed):
+            verified = all(
+                op.result.resumed.get(pod_id, False)
+                for node_name, pod_id, _uri in orphan.targets
+                if not self.cluster.node_by_name(node_name).crashed)
+        if not verified:
             op.span.end(status="unverified")
             return (yield from self._abort_orphan(orphan, timeouts))
         op.result.t_end = self.cluster.engine.now
