@@ -1,33 +1,32 @@
-"""Seeded chaos harness: randomized fault schedules against invariants.
+"""Seeded chaos harness: one world, one fault plan, one audit.
 
-One :func:`run_chaos` call builds a cluster, runs a checksummed
-ping-pong application, drives a sequence of coordinated checkpoints (and
-a crash recovery when a blade dies) while a seeded
-:class:`~repro.cluster.faults.FaultPlan` fires faults at protocol phase
-boundaries — then audits the world against the protocol's safety
-invariants:
+One :func:`run` call builds a cluster, starts an application under test
+(a checksummed ping-pong pair, or a fleet of idle pods), drives one
+*scenario*'s operations — coordinated checkpoints, a crash recovery when
+a blade dies, a live migration, a Manager failover, a fleet campaign —
+while a seeded :class:`~repro.cluster.faults.FaultPlan` fires faults at
+protocol phase boundaries, then audits the world against the protocol's
+safety guarantees.
 
-I1  Every operation either succeeds or leaves all surviving pods
-    running (resumed, network unblocked) — "the operation will be
-    gracefully aborted, and the application will resume its execution".
-I2  No partial checkpoint image is ever visible as restartable: every
-    container on the SAN either loads completely or does not exist.
-I3  ``last_checkpoint`` is never corrupted: every image it points at
-    (on surviving hardware) remains loadable.
-I4  The single synchronization point is preserved: within each
-    successful checkpoint, every Agent's meta-data arrives before any
-    Agent is sent ``continue``.
+The guarantees are stated once, as *named invariants*
+(:data:`INVARIANTS`): each is a plain function ``(world) -> [detail,
+...]`` with an ``applies(world)`` predicate, and :func:`run` checks every
+invariant whose predicate holds — whatever the scenario.  The scenarios
+(:data:`SCENARIOS`) are plain data: what really differs between the
+batteries (fault domain, driver, port, dirty rate, URIs, RNG salt,
+whether a takeover supervisor runs) and nothing else.
 
 Everything is derived from the one ``seed`` — the cluster RNG, the
 fault plan, and the driver's choices — so a failing seed re-runs to the
-*identical* event trace (compare :attr:`ChaosReport.trace`).
+*identical* event trace (compare :attr:`ChaosReport.trace`, and
+``span_dump`` when tracing): determinism is the caller's oracle.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..vos import build_program, imm, program
 from .builder import Cluster
@@ -35,7 +34,8 @@ from .faults import (
     ASYNC_CKPT_PHASES,
     CAS_PHASES,
     CHECKPOINT_PHASES,
-    MANAGER_PHASES,
+    FAULT_KINDS,
+    FLEET_PHASES,
     PRECOPY_PHASES,
     FaultInjector,
     FaultPlan,
@@ -46,6 +46,11 @@ MOD = (1 << 61) - 1
 
 SRV_POD = "chaos-srv"
 CLI_POD = "chaos-cli"
+
+#: how long a ledger record keeps an op owned before a replica may claim it.
+LEASE_S = 3.0
+
+DELTA = {"name": "delta"}
 
 
 def _roll(acc: int, msg: bytes) -> int:
@@ -107,179 +112,6 @@ def _pp_client(b, *, server, port, rounds, compute=150_000, dirty_rate=0):
     b.halt(imm(0))
 
 
-@dataclass
-class ChaosReport:
-    """Everything a failing seed needs to be diagnosed and replayed."""
-
-    seed: int
-    plan: List[Dict[str, Any]]
-    #: injector event trace: (time, phase, node, pod, fired_kinds).
-    trace: List[Tuple[float, str, Optional[str], Optional[str], Tuple[str, ...]]]
-    #: faults that actually fired: (time, kind, phase, node, pod).
-    fired: List[Tuple[float, str, str, Optional[str], Optional[str]]]
-    #: (op kind, op_id, status) per driver operation, in order.
-    ops: List[Tuple[str, int, str]] = field(default_factory=list)
-    violations: List[str] = field(default_factory=list)
-    crashed_nodes: List[str] = field(default_factory=list)
-    app_finished: bool = False
-    #: deterministic JSONL span dump when ``run_chaos(trace_spans=True)``
-    #: — byte-identical across runs of the same seed (the determinism
-    #: oracle the chaos tests diff).
-    span_dump: Optional[str] = None
-
-
-def run_chaos(seed: int, n_nodes: int = 4, n_ops: int = 4, rounds: int = 300,
-              until: float = 300.0, trace_spans: bool = False) -> ChaosReport:
-    """One chaos episode; returns the audited :class:`ChaosReport`."""
-    from ..core.manager import Manager, PhaseTimeouts
-    from ..core.sinks import resolve_sink
-
-    cluster = Cluster.build(n_nodes, seed=seed)
-    tracer = None
-    if trace_spans:
-        from ..obs import SpanTracer
-
-        tracer = SpanTracer(cluster.engine).install(cluster)
-    manager = Manager.deploy(cluster)
-    injector = FaultInjector(
-        cluster, FaultPlan.random(seed, [n.name for n in cluster.nodes])).install()
-    engine = cluster.engine
-    drv_rng = random.Random(seed ^ 0x5DEECE66D)
-    # tight per-phase deadlines: faults inject multi-second stalls, and
-    # the episode has to detect and clean them up well inside `until`
-    timeouts = PhaseTimeouts(connect=2.0, meta=5.0, barrier=5.0, done=8.0,
-                             flush=20.0, load=5.0, restart_done=15.0, drain=3.0)
-    grace = timeouts.barrier + timeouts.done + 2.0  # agents' unilateral abort window
-
-    # the application under test (kept off blade0, where the Manager lives)
-    srv_node, cli_node = cluster.node(1), cluster.node(2 % n_nodes)
-    pod_srv = cluster.create_pod(srv_node, SRV_POD)
-    pod_cli = cluster.create_pod(cli_node, CLI_POD)
-    srv = srv_node.kernel.spawn(
-        build_program("chaos.pp-server", port=9300, rounds=rounds), pod_id=SRV_POD)
-    cli = cli_node.kernel.spawn(
-        build_program("chaos.pp-client", server=pod_srv.vip, port=9300, rounds=rounds),
-        pod_id=CLI_POD)
-
-    report = ChaosReport(seed=seed, plan=injector.plan.describe(),
-                         trace=injector.trace, fired=injector.fired)
-    san_paths: List[Tuple[str, str]] = []   # (path, pod) every op wrote to
-
-    def surviving_targets(pod_id: str):
-        for node in cluster.nodes:
-            if not node.crashed and pod_id in node.kernel.pods:
-                return node
-        return None
-
-    def check_resumed(label: str):
-        """I1: surviving pods are running — not suspended, not blocked."""
-        for pod_id in (SRV_POD, CLI_POD):
-            node = surviving_targets(pod_id)
-            if node is None:
-                continue
-            pod = node.kernel.pods[pod_id]
-            if pod.suspended:
-                report.violations.append(
-                    f"I1 {label}: {pod_id} left suspended on {node.name}")
-            if pod.vip in node.kernel.netstack.netfilter._blocked_ips:
-                report.violations.append(
-                    f"I1 {label}: {pod_id} vip still firewalled on {node.name}")
-
-    def driver():
-        for i in range(n_ops):
-            use_files = drv_rng.random() < 0.7
-            targets = []
-            for pod_id in (SRV_POD, CLI_POD):
-                node = surviving_targets(pod_id)
-                if node is None:
-                    continue
-                if use_files:
-                    uri = f"file:/san/chaos-{pod_id}-{i}.img"
-                    san_paths.append((f"/san/chaos-{pod_id}-{i}.img", pod_id))
-                else:
-                    uri = "mem"
-                targets.append((node.name, pod_id, uri))
-            if len(targets) < 2:
-                # a blade died and took a pod with it: recover from the
-                # last good checkpoint (the motivating use case)
-                if manager.last_checkpoint is not None and manager.last_checkpoint.ok:
-                    res = yield from manager.recover_task(timeouts=timeouts)
-                    report.ops.append(("recover", res.op_id, res.status))
-                    if not res.ok:
-                        return
-                    yield engine.sleep(1.0)
-                    continue
-                return
-            res = yield from manager.checkpoint_task(
-                targets, deadline=30.0, timeouts=timeouts)
-            report.ops.append(("checkpoint", res.op_id, res.status))
-            if not res.ok:
-                # give partitioned Agents their unilateral-abort window,
-                # then audit that the application is running again
-                yield engine.sleep(grace)
-                check_resumed(f"op{res.op_id}")
-            yield engine.sleep(drv_rng.uniform(0.5, 2.0))
-
-    engine.spawn(driver(), name="chaos-driver")
-    engine.run(until=until)
-
-    report.crashed_nodes = [n.name for n in cluster.nodes if n.crashed]
-
-    # ---- I2: nothing partial is visible as restartable on the SAN ----
-    home = cluster.node(0)
-    for path, pod_id in san_paths:
-        sink = resolve_sink(f"file:{path}", cluster, home.kernel.vfs)
-        err = restore_error(sink, pod_id) if sink.exists() else None
-        if err:
-            report.violations.append(f"I2: partial image visible at {path}: {err}")
-
-    # ---- I3: the last good checkpoint stayed restorable ----
-    last = manager.last_checkpoint
-    if last is not None and last.ok:
-        for node_name, pod_id, uri in last.targets:
-            sink = resolve_sink(uri, cluster, home.kernel.vfs,
-                                manager.agents[node_name].mem_sink)
-            if not sink.shared and cluster.node_by_name(node_name).crashed:
-                continue  # lost with the blade, not corrupted
-            err = restore_error(sink, pod_id)
-            if err:
-                report.violations.append(
-                    f"I3: last_checkpoint {uri} of {pod_id} on {node_name} "
-                    f"unrestorable: {err}")
-
-    # ---- I4: meta-all-received before any continue, per successful op ----
-    for kind, op_id, status in report.ops:
-        if kind != "checkpoint" or status != "ok":
-            continue
-        marker = f"op{op_id}"
-        idx = [i for i, ev in enumerate(report.trace)
-               if ev[1] in ("manager.op_start", "manager.op_end") and ev[3] == marker]
-        if len(idx) != 2:
-            continue
-        window = report.trace[idx[0]:idx[1] + 1]
-        meta_ts = [ev[0] for ev in window if ev[1] == "manager.meta_recv"]
-        cont_ts = [ev[0] for ev in window if ev[1] == "manager.continue_sent"]
-        if meta_ts and cont_ts and max(meta_ts) > min(cont_ts):
-            report.violations.append(
-                f"I4: op{op_id} sent continue before all meta-data arrived")
-
-    # ---- end-to-end correctness when the run could complete ----
-    if srv is not None and cli is not None:
-        sums = final_sums(cluster)
-        report.app_finished = None not in sums
-        if report.app_finished and sums != expected_sums(rounds):
-            report.violations.append(
-                f"checksum mismatch: {sums} != {expected_sums(rounds)}")
-        if not report.crashed_nodes and not report.app_finished:
-            report.violations.append(
-                "application did not finish despite no node crash")
-    if tracer is not None:
-        from ..obs import to_jsonl
-
-        report.span_dump = to_jsonl(tracer)
-    return report
-
-
 def final_sums(cluster: Cluster) -> Tuple[Optional[int], Optional[int]]:
     """(client sum, server sum) from wherever the processes ended up."""
     csum = ssum = None
@@ -304,1142 +136,419 @@ def restore_error(sink, pod_id: str) -> Optional[str]:
 
 
 # ---------------------------------------------------------------------------
-# live-migration chaos
-# ---------------------------------------------------------------------------
-
-#: fault kinds that make sense inside pre-copy rounds (no SAN traffic
-#: happens there, so the storage faults are excluded).
-MIGRATION_FAULT_KINDS = ("crash_node", "link_drop", "link_delay", "hang")
-
-
-@dataclass
-class MigrationChaosReport:
-    """One audited live-migration chaos episode (see
-    :func:`run_migration_chaos`)."""
-
-    seed: int
-    plan: List[Dict[str, Any]]
-    trace: List[Tuple[float, str, Optional[str], Optional[str], Tuple[str, ...]]]
-    fired: List[Tuple[float, str, str, Optional[str], Optional[str]]]
-    #: (checkpoint status, restart status, bailout, pre-copy rounds run),
-    #: or None when the driver never got a result back.
-    migration: Optional[Tuple[str, str, Optional[str], int]] = None
-    migrated_ok: bool = False
-    violations: List[str] = field(default_factory=list)
-    crashed_nodes: List[str] = field(default_factory=list)
-    app_finished: bool = False
-    span_dump: Optional[str] = None
-
-
-# ---------------------------------------------------------------------------
-# Manager-failover chaos
+# the one report, the one world
 # ---------------------------------------------------------------------------
 
 @dataclass
-class FailoverChaosReport:
-    """One audited Manager-failover chaos episode (see
-    :func:`run_failover_chaos`)."""
+class ChaosReport:
+    """Everything a failing seed needs to be diagnosed and replayed."""
 
+    scenario: str
     seed: int
-    #: the ``manager.ledger.*`` crossing the Manager was killed at.
-    crash_phase: str
     plan: List[Dict[str, Any]]
+    #: injector event trace: (time, phase, node, pod, fired_kinds).
     trace: List[Tuple[float, str, Optional[str], Optional[str], Tuple[str, ...]]]
+    #: faults that actually fired: (time, kind, phase, node, pod).
     fired: List[Tuple[float, str, str, Optional[str], Optional[str]]]
     #: (op kind, op_id, status) per driver operation, in order.
     ops: List[Tuple[str, int, str]] = field(default_factory=list)
-    #: what the takeover replica did: (op_id, phase_at_claim, outcome).
-    takeover: Optional[List[Tuple[int, str, str]]] = None
-    manager_crashed: bool = False
+    #: ``"<invariant-name> <label>: <detail>"`` per broken guarantee.
     violations: List[str] = field(default_factory=list)
+    crashed_nodes: List[str] = field(default_factory=list)
+    manager_crashed: bool = False
     app_finished: bool = False
+    #: deterministic JSONL span dump when ``run(..., trace_spans=True)``
+    #: — byte-identical across runs of the same seed (the determinism
+    #: oracle the chaos tests diff).
     span_dump: Optional[str] = None
+    #: what only some scenarios produce: ``takeover`` / ``resume`` (what
+    #: the replica's op-level takeover and campaign resume did, as
+    #: ``(id, phase_at_claim, outcome)`` lists; absent: no failover),
+    #: ``migration`` ((checkpoint status, restart status, bailout,
+    #: pre-copy rounds run)) and ``migrated_ok``, the fleet's ``kind``
+    #: (drain | evacuate | checkpoint), ``targets``, ``max_inflight``,
+    #: ``campaign`` ((status, ok, failed, skipped, threshold_tripped) of
+    #: the *final* run — the resumed one when the Manager was crashed)
+    #: and per-run gate ``peaks``, the final ``store_stats``
+    #: (:meth:`~repro.storage.cas.CasStore.stats`), and — only when
+    #: ``trace_spans`` and the ledger holds a campaign — the ``assembled``
+    #: campaign trace (JSONL), ``assembled_chrome`` and its ``slo`` audit.
+    outcome: Dict[str, Any] = field(default_factory=dict)
 
 
-def run_failover_chaos(seed: int, crash_phase: str, n_nodes: int = 4,
-                       rounds: int = 220, until: float = 120.0,
-                       trace_spans: bool = False) -> FailoverChaosReport:
-    """One Manager-failover chaos episode; returns the audited report.
+@dataclass
+class World:
+    """One episode: what the drivers mutate and the invariants read."""
 
-    The checksummed ping-pong pair runs while ``mgr0`` drives a
-    file-target coordinated checkpoint and a ``crash_manager`` fault
-    kills it exactly at the ``crash_phase`` ledger crossing — between
-    "this phase's record is durable" and "the next phase's actions run",
-    the worst case for the op left in flight.  A supervisor detects the
-    dead Manager, waits out its lease, deploys ``mgr1`` with
-    :meth:`~repro.core.manager.Manager.deploy_replica`, and runs
-    :meth:`~repro.core.manager.Manager.takeover_task`; the driver then
-    pushes a *continuity* checkpoint through whichever Manager is alive.
-    Audited invariants:
+    scenario: "Scenario"
+    seed: int
+    params: Dict[str, Any]
+    #: the driver's RNG (``seed ^ scenario.salt``).
+    rng: random.Random
+    cluster: Cluster
+    #: ``mgr0``; :attr:`replica` is ``mgr1`` once the supervisor took over.
+    manager: Any
+    timeouts: Any
+    tracer: Any
+    #: pod id -> the blade it was created on.
+    home: Dict[str, str]
+    #: pod id -> every blade it plausibly lived on.  ``crash_node``
+    #: destroys its pods, so a lost pod is *explained* when any of these
+    #: (its home, a migration destination some attempt reached) crashed.
+    plausible: Dict[str, set]
+    #: filled in once the injector exists (it owns ``trace``/``fired``).
+    report: ChaosReport = None
+    #: pod id -> (src, dst, ok) of the live migration that last carried it.
+    moved: Dict[str, Tuple[str, str, bool]] = field(default_factory=dict)
+    replica: Any = None
+    #: fleet world: the seeded (kind, target nodes, policy), and every
+    #: campaign run — the original first, then the replica's resumed ones.
+    campaign: Optional[Tuple[str, List[str], Any]] = None
+    runs: List[Any] = field(default_factory=list)
+    #: the checkpoint pushed through the surviving Manager after a failover.
+    continuity: Any = None
+    #: campaign traces stitched from ledger + span dump (tracing only).
+    assembled: Optional[List[Any]] = None
 
-    F1  Every ledger op ends terminal (``commit`` or ``aborted``) — the
-        takeover leaves nothing in flight.
-    F2  No partial image is visible as restartable on the SAN (I2).
-    F3  Both pods end resumed — running, not suspended, not firewalled —
-        on exactly one node each (I1 across the takeover).
-    F4  The continuity checkpoint through the replacement Manager
-        succeeds (no blade ever crashed in this matrix).
-    F5  The application finishes with correct checksums.
-    F6  If the victim op was non-terminal at the crash, the takeover
-        claimed it and resolved it (resumed / re-driven / aborted).
-    F7  Fail-stop: the record whose crossing killed the Manager is the
-        last one it owns — a dead Manager appends nothing.
+    @property
+    def engine(self):
+        return self.cluster.engine
 
-    For ``crash_phase="manager.ledger.abort"`` the plan also hangs the
-    server Agent at suspend past the meta deadline, forcing the victim
-    op onto the abort path (the crossing cannot fire otherwise).
+    @property
+    def active(self):
+        """Whichever Manager is (or was last) in charge."""
+        return self.replica if self.replica is not None else self.manager
 
-    Determinism is the caller's oracle: two runs of the same
-    ``(seed, crash_phase)`` must produce identical ``trace``/``fired``
-    sequences (and ``span_dump`` when tracing).
-    """
-    from ..core.manager import Manager, PhaseTimeouts
-    from ..core.sinks import resolve_sink
-    from ..storage.ledger import OpLedger
+    @property
+    def grace(self) -> float:
+        """The Agents' unilateral-abort window."""
+        return self.timeouts.barrier + self.timeouts.done + 2.0
 
-    cluster = Cluster.build(n_nodes, seed=seed)
-    tracer = None
-    if trace_spans:
-        from ..obs import SpanTracer
+    def hosts(self, pod_id: str):
+        """Surviving nodes on which ``pod_id`` is active."""
+        return [n for n in self.cluster.nodes
+                if not n.crashed and pod_id in n.kernel.pods]
 
-        tracer = SpanTracer(cluster.engine).install(cluster)
-    manager = Manager.deploy(cluster)
-    engine = cluster.engine
-    drv_rng = random.Random(seed ^ 0x9E3779B9)
-    timeouts = PhaseTimeouts(connect=2.0, meta=5.0, barrier=5.0, done=8.0,
-                             flush=20.0, load=5.0, restart_done=15.0, drain=3.0)
-    grace = timeouts.barrier + timeouts.done + 2.0
-    lease_s = 3.0
+    def crashed(self) -> set:
+        return {n.name for n in self.cluster.nodes if n.crashed}
 
-    srv_node, cli_node = cluster.node(1), cluster.node(2 % n_nodes)
-    faults = [FaultSpec(kind="crash_manager", phase=crash_phase)]
-    if crash_phase == "manager.ledger.abort":
-        # the abort crossing only exists on a failed op: stall the server
-        # Agent at suspend past the Manager's meta deadline
-        faults.insert(0, FaultSpec(kind="hang", phase="agent.suspend",
-                                   node=srv_node.name, seconds=9.0))
-    injector = FaultInjector(cluster, FaultPlan(seed=seed, faults=faults)).install()
+    def ledger(self):
+        from ..storage.ledger import OpLedger
+        return OpLedger(self.cluster.san)
 
-    pod_srv = cluster.create_pod(srv_node, SRV_POD)
-    cluster.create_pod(cli_node, CLI_POD)
-    srv = srv_node.kernel.spawn(
-        build_program("chaos.pp-server", port=9300, rounds=rounds), pod_id=SRV_POD)
-    cli = cli_node.kernel.spawn(
-        build_program("chaos.pp-client", server=pod_srv.vip, port=9300, rounds=rounds),
-        pod_id=CLI_POD)
+    def sink(self, uri: str, node_name: Optional[str] = None):
+        """``uri``'s sink as an auditor on blade 0 sees it (``mem`` being
+        the in-memory store of ``node_name``'s Agent)."""
+        from ..core.sinks import resolve_sink
+        vfs = self.cluster.node(0).kernel.vfs
+        if node_name is None:
+            return resolve_sink(uri, self.cluster, vfs)
+        return resolve_sink(uri, self.cluster, vfs,
+                            self.manager.agents[node_name].mem_sink)
 
-    report = FailoverChaosReport(seed=seed, crash_phase=crash_phase,
-                                 plan=injector.plan.describe(),
-                                 trace=injector.trace, fired=injector.fired)
-    san_paths = [(f"/san/fo-{SRV_POD}.img", SRV_POD),
-                 (f"/san/fo-{CLI_POD}.img", CLI_POD)]
-    state: Dict[str, Any] = {"replica": None, "takeover": None}
 
-    def active_manager():
-        return state["replica"] if state["replica"] is not None else manager
+# ---------------------------------------------------------------------------
+# the invariants: each guarantee stated once, applied by predicate
+# ---------------------------------------------------------------------------
 
-    def check_resumed(label: str):
-        for pod_id in (SRV_POD, CLI_POD):
-            hosts = [n for n in cluster.nodes
-                     if not n.crashed and pod_id in n.kernel.pods]
-            if len(hosts) != 1:
-                report.violations.append(
-                    f"F3 {label}: {pod_id} active on "
-                    f"{[n.name for n in hosts] or 'no node'}")
-                continue
-            node = hosts[0]
+#: name -> check.  ``check(world)`` returns one detail string per breach;
+#: ``check.applies(world)`` says whether the guarantee is meaningful in
+#: this world.  Order matters only where noted (``cas-audit-clean``
+#: sweeps the store, so it follows the audits that read it).
+INVARIANTS: Dict[str, Callable[[World], List[str]]] = {}
+
+
+def invariant(name: str, applies: Callable[[World], bool] = lambda w: True):
+    def register(check):
+        check.applies = applies
+        INVARIANTS[name] = check
+        return check
+    return register
+
+
+def audit(w: World, name: str, label: str = "final") -> None:
+    """Check one invariant now (if it applies) and record its breaches."""
+    check = INVARIANTS[name]
+    if check.applies(w):
+        w.report.violations += [f"{name} {label}: {d}" for d in check(w)]
+
+
+def _fleet(w: World) -> bool:
+    return w.campaign is not None
+
+
+@invariant("resumed")
+def _resumed(w: World) -> List[str]:
+    """(I1, A1, C1, F3; the resumed half of M1 and FC5.)  Every operation
+    either succeeds or leaves all surviving pods running — not
+    suspended, network unblocked: "the operation will be gracefully
+    aborted, and the application will resume its execution".  Holds
+    across the CAS write path, when the zero-stall encoder ran past the
+    resume, across a Manager takeover and after an aborted migration.
+    Drivers check it after every failed op (once partitioned Agents had
+    their unilateral-abort window); :func:`run` checks the end state."""
+    out = []
+    for pod_id in w.home:
+        for node in w.hosts(pod_id):
             pod = node.kernel.pods[pod_id]
             if pod.suspended:
-                report.violations.append(
-                    f"F3 {label}: {pod_id} left suspended on {node.name}")
+                out.append(f"{pod_id} left suspended on {node.name}")
             if pod.vip in node.kernel.netstack.netfilter._blocked_ips:
-                report.violations.append(
-                    f"F3 {label}: {pod_id} vip still firewalled on {node.name}")
+                out.append(f"{pod_id} vip still firewalled on {node.name}")
+    return out
 
-    def supervisor():
-        # the Manager's own failure detector: poll the process, wait out
-        # its lease, then take over against the shared ledger
-        while not manager.crashed:
-            if engine.now >= until - 45.0:
-                return
-            yield engine.sleep(0.25)
-        yield engine.sleep(lease_s + 1.0)
-        replica = Manager.deploy_replica(cluster, manager.agents, name="mgr1")
-        state["replica"] = replica
-        actions = yield from replica.takeover_task(timeouts=timeouts,
-                                                   lease_s=lease_s)
-        state["takeover"] = [tuple(a) for a in actions]
-        report.takeover = state["takeover"]
 
-    def driver():
-        yield engine.sleep(round(drv_rng.uniform(0.05, 0.3), 4))
-        # the victim op: always file targets so every MANAGER_PHASES
-        # crossing (including flush) exists on the success path
-        targets = [(srv_node.name, SRV_POD, f"file:{san_paths[0][0]}"),
-                   (cli_node.name, CLI_POD, f"file:{san_paths[1][0]}")]
-        task = manager.checkpoint(targets, deadline=30.0, timeouts=timeouts,
-                                  lease_s=lease_s)
-        ok, res = yield engine.timeout(task.finished, 60.0)
-        if res is not None:
-            report.ops.append(("checkpoint", res.op_id, res.status))
-        else:
-            report.ops.append(("checkpoint", 0, "crashed"))
-        # wait out the takeover when the Manager died
-        while manager.crashed and state["takeover"] is None:
-            yield engine.sleep(0.25)
-        yield engine.sleep(grace)  # parked sessions settle (abort/flush)
-        check_resumed("post-takeover")
-        # continuity: the surviving Manager must drive new ops
-        mgr = active_manager()
-        use_files = drv_rng.random() < 0.5
-        targets2 = []
-        for node, pod_id in ((srv_node, SRV_POD), (cli_node, CLI_POD)):
-            if use_files:
-                path = f"/san/fo-cont-{pod_id}.img"
-                san_paths.append((path, pod_id))
-                targets2.append((node.name, pod_id, f"file:{path}"))
-            else:
-                targets2.append((node.name, pod_id, "mem"))
-        res2 = yield from mgr.checkpoint_task(targets2, deadline=30.0,
-                                              timeouts=timeouts,
-                                              lease_s=lease_s)
-        report.ops.append(("checkpoint", res2.op_id, res2.status))
-        if not res2.ok:
-            report.violations.append(
-                f"F4: continuity checkpoint via {mgr.name} ended "
-                f"{res2.status}: {res2.errors}")
+@invariant("exactly-one-copy")
+def _exactly_one_copy(w: World) -> List[str]:
+    """(M1; "on exactly one node" of F3; the duplicate half of FC1.)  At
+    no surviving node pair does a pod end up active twice.  After a
+    migration: on success the destination runs it and the source copy is
+    destroyed; on abort the source resumes (unless its blade crashed);
+    never both."""
+    out, crashed = [], w.crashed()
+    for pod_id in w.home:
+        names = [n.name for n in w.hosts(pod_id)]
+        if len(names) > 1:
+            out.append(f"{pod_id} active on multiple nodes: {names}")
+        elif pod_id in w.moved:
+            src, dst, ok = w.moved[pod_id]
+            # a pod on a crashed blade is lost with it, not misplaced
+            want = dst if ok else src
+            if want not in crashed and names != [want]:
+                out.append(
+                    f"migration {'succeeded' if ok else 'aborted'} but "
+                    f"{pod_id} lives on {names or 'no node'}, not {want}")
+    return out
 
-    engine.spawn(supervisor(), name="failover-supervisor")
-    engine.spawn(driver(), name="failover-driver")
-    engine.run(until=until)
 
-    report.manager_crashed = manager.crashed
+@invariant("no-pod-lost")
+def _no_pod_lost(w: World) -> List[str]:
+    """(FC1; "no node" of F3; "ok pod vanished" of FC5.)  Every pod is
+    active on surviving hardware; a missing pod is explained only by a
+    crashed blade that plausibly still held it — its home, or a
+    migration destination some attempt reached."""
+    where = {pod_id: set(nodes) for pod_id, nodes in w.plausible.items()}
+    for r in w.runs:
+        for pod_id, res in r.pods.items():
+            where[pod_id] |= {res.node, res.dest}
+    crashed = w.crashed()
+    return [f"{pod_id} lost with no crashed blade to explain it"
+            for pod_id in w.home
+            if not w.hosts(pod_id) and not where[pod_id] & crashed]
 
-    # ---- F1: the ledger holds no non-terminal op ----
-    ledger = OpLedger(cluster.san)
+
+def _shared_images(w: World) -> List[Tuple[str, str]]:
+    """``(uri, pod)`` of every shared-storage image the episode could
+    have written: a checkpoint's ``begin`` record is durable before any
+    Agent hears of the op, so the ledger knows every target."""
+    return sorted({(uri, pod_id) for op in w.ledger().replay().values()
+                   if op.kind == "checkpoint"
+                   for _node, pod_id, uri in op.targets if w.sink(uri).shared})
+
+
+@invariant("no-partial-image")
+def _no_partial_image(w: World) -> List[str]:
+    """(I2, F2, A2, C2.)  No partial checkpoint image is ever visible as
+    restartable: every container on the SAN — plain file, delta-chain
+    container or published CAS recipe — either loads completely and its
+    chain reassembles, or does not exist."""
+    out = []
+    for uri, pod_id in _shared_images(w):
+        sink = w.sink(uri)
+        err = restore_error(sink, pod_id) if sink.exists() else None
+        if err:
+            out.append(f"partial image visible at {uri}: {err}")
+    return out
+
+
+@invariant("last-checkpoint-restorable")
+def _last_checkpoint_restorable(w: World) -> List[str]:
+    """(I3.)  ``last_checkpoint`` is never corrupted: every image it
+    points at (on surviving hardware) remains loadable."""
+    out = []
+    last = w.active.last_checkpoint
+    if last is None or not last.ok:
+        return out
+    for node_name, pod_id, uri in last.targets:
+        sink = w.sink(uri, node_name)
+        if sink.dest is not None:
+            # a migration stream lands in the destination Agent's memory
+            # and the restart that follows consumes it: nothing to restore
+            continue
+        if not sink.shared and w.cluster.node_by_name(node_name).crashed:
+            continue  # lost with the blade, not corrupted
+        err = restore_error(sink, pod_id)
+        if err:
+            out.append(f"last_checkpoint {uri} of {pod_id} on {node_name} "
+                       f"unrestorable: {err}")
+    return out
+
+
+@invariant("sync-point")
+def _sync_point(w: World) -> List[str]:
+    """(I4.)  The single synchronization point is preserved: within each
+    checkpoint, every Agent's meta-data arrives before any Agent is sent
+    ``continue``.  Audited per op the ledger knows, over the op's own
+    pods (fleet units overlap in time), in every window the driving
+    Manager lived to close."""
+    out, trace = [], w.report.trace
+    for op_id, op in sorted(w.ledger().replay().items()):
+        if op.kind != "checkpoint":
+            continue
+        idx = [i for i, ev in enumerate(trace)
+               if ev[1] in ("manager.op_start", "manager.op_end")
+               and ev[3] == f"op{op_id}"]
+        if len(idx) != 2:
+            continue
+        pods = {pod_id for _node, pod_id, _uri in op.targets}
+        reported = set()
+        for _t, phase, _node, pod_id, _fired in trace[idx[0]:idx[1] + 1]:
+            if pod_id not in pods:
+                continue
+            if phase == "manager.meta_recv":
+                reported.add(pod_id)
+            elif phase == "manager.continue_sent" and reported != pods:
+                out.append(f"op{op_id} sent continue before all meta-data "
+                           f"arrived (missing {sorted(pods - reported)})")
+                break
+    return out
+
+
+@invariant("checksums", applies=lambda w: not _fleet(w))
+def _checksums(w: World) -> List[str]:
+    """(F5, M2, A4, C4; the serial battery's end-to-end check.)  The
+    application's rolling checksums are exact whenever it finished, and
+    it does finish unless a blade crashed."""
+    sums, want = final_sums(w.cluster), expected_sums(w.params["rounds"])
+    if None not in sums:
+        return [f"checksum mismatch: {sums} != {want}"] if sums != want else []
+    if not w.crashed():
+        return ["application did not finish despite no node crash"]
+    return []
+
+
+@invariant("ledger-terminal", applies=lambda w: (
+    not w.manager.crashed or "resume" in w.report.outcome))
+def _ledger_terminal(w: World) -> List[str]:
+    """(F1; the ledger clause of FC5.)  With a Manager alive at the end
+    — ``mgr0`` never crashed, or the replica finished its op takeover
+    and its campaign resume — every ledger op ends terminal (``commit``
+    or ``aborted``) and every ledger campaign too: a takeover leaves
+    nothing in flight."""
+    ledger = w.ledger()
+    out = []
     orphans = {op_id: op.phase for op_id, op in ledger.replay().items()
                if not op.terminal}
     if orphans:
-        report.violations.append(f"F1: non-terminal ledger ops: {orphans}")
+        out.append(f"non-terminal ledger ops: {orphans}")
+    open_camps = {cid: lc.phase for cid, lc in ledger.replay_campaigns().items()
+                  if not lc.terminal}
+    if open_camps:
+        out.append(f"non-terminal ledger campaigns: {open_camps}")
+    return out
 
-    # ---- F2: nothing partial is visible as restartable on the SAN ----
-    home = cluster.node(0)
-    for path, pod_id in san_paths:
-        sink = resolve_sink(f"file:{path}", cluster, home.kernel.vfs)
-        err = restore_error(sink, pod_id) if sink.exists() else None
-        if err:
-            report.violations.append(f"F2: partial image visible at {path}: {err}")
 
-    # ---- F3 at end state ----
-    check_resumed("final")
+@invariant("takeover-resolved",
+           applies=lambda w: w.scenario.supervise is not None)
+def _takeover_resolved(w: World) -> List[str]:
+    """(F4, F6, FC0.)  If the Manager crashed, the replica claimed every
+    non-terminal op and resolved it (resumed / re-driven / aborted), ran
+    the campaign resume, and drives new ops: the continuity checkpoint
+    through it succeeds.  A requested crash point must really fire."""
+    got, want, res = w.report.outcome, w.params.get("crash_phase"), w.continuity
+    out = [f"op{op_id} takeover outcome {outcome!r}"
+           for op_id, _phase, outcome in got.get("takeover", [])
+           if outcome not in ("resumed", "redriven", "aborted")]
+    if w.manager.crashed and "resume" not in got:
+        out.append("Manager crashed but " + (
+            "no replica deployed" if w.replica is None else
+            "no campaign resume ran" if "takeover" in got else
+            "takeover never completed"))
+    if want and not any(kind == "crash_manager" and phase == want
+                        for _t, kind, phase, _n, _p in w.report.fired):
+        out.append(f"crash_manager did not fire at {want}" if w.manager.crashed
+                   else f"Manager never crashed (no {want} crossing?)")
+    if res is not None and not res.ok:
+        out.append(f"continuity checkpoint via {w.active.name} ended "
+                   f"{res.status}: {res.errors}")
+    return out
 
-    # ---- F6: a non-terminal victim op was claimed and resolved ----
-    if report.manager_crashed:
-        if state["replica"] is None:
-            report.violations.append("F6: Manager crashed but no replica deployed")
-        elif report.takeover is None:
-            report.violations.append("F6: takeover never completed")
-        else:
-            for op_id, _phase, outcome in report.takeover:
-                if outcome not in ("resumed", "redriven", "aborted"):
-                    report.violations.append(
-                        f"F6: op{op_id} takeover outcome {outcome!r}")
-        # the crash must actually have fired at the requested crossing
-        if not any(kind == "crash_manager" and phase == crash_phase
-                   for (_t, kind, phase, _n, _p) in report.fired):
-            report.violations.append(
-                f"F6: crash_manager did not fire at {crash_phase}")
-    else:
-        report.violations.append(
-            f"F6: Manager never crashed (no {crash_phase} crossing?)")
 
-    # ---- F7: no ledger record owned by the Manager after it crashed ----
-    records = ledger.records()
-    for _t, kind, phase, _n, victim in report.fired:
+@invariant("fail-stop")
+def _fail_stop(w: World) -> List[str]:
+    """(F7, generalised.)  A dead Manager appends nothing: no ledger
+    record it owns is newer than its crash instant — and when a ledger
+    crossing killed it, the record behind that crossing is the last one
+    it owns, same instant included."""
+    out, dead = [], w.manager.name
+    mine = [rec for rec in w.ledger().records() if rec.get("owner") == dead]
+    for t_crash, kind, phase, _node, victim in w.report.fired:
         if kind != "crash_manager":
             continue
-        crossed = next(
-            (i for i, rec in enumerate(records)
-             if rec.get("owner") == manager.name
-             and f"op{rec.get('op')}" == victim
-             and f"manager.ledger.{rec.get('phase')}" == phase), None)
-        if crossed is None:
-            report.violations.append(
-                f"F7: no {phase} record of {victim} owned by {manager.name}")
-            continue
-        late = [rec for rec in records[crossed + 1:]
-                if rec.get("owner") == manager.name]
+        late = [rec for rec in mine if rec.get("t", 0.0) > t_crash]
+        if phase.startswith("manager.ledger."):
+            crossed = [i for i, rec in enumerate(mine)
+                       if (f"op{rec.get('op')}", "manager.ledger."
+                           f"{rec.get('phase')}") == (victim, phase)]
+            if not crossed:
+                out.append(f"no {phase} record of {victim} owned by {dead}")
+            late = mine[crossed[0] + 1:] if crossed else late
         if late:
-            report.violations.append(
-                f"F7: {manager.name} appended after its crash: {late}")
-
-    # ---- the last committed checkpoint stayed restorable (I3) ----
-    mgr = active_manager()
-    last = mgr.last_checkpoint
-    if last is not None and last.ok:
-        for node_name, pod_id, uri in last.targets:
-            err = restore_error(resolve_sink(
-                uri, cluster, home.kernel.vfs, mgr.agents[node_name].mem_sink),
-                pod_id)
-            if err:
-                report.violations.append(
-                    f"I3: last_checkpoint {uri} of {pod_id} on {node_name} "
-                    f"unrestorable: {err}")
-
-    # ---- I4: meta-all-received before any continue, per successful op ----
-    for kind, op_id, status in report.ops:
-        if kind != "checkpoint" or status != "ok":
-            continue
-        marker = f"op{op_id}"
-        idx = [i for i, ev in enumerate(report.trace)
-               if ev[1] in ("manager.op_start", "manager.op_end") and ev[3] == marker]
-        if len(idx) != 2:
-            continue
-        window = report.trace[idx[0]:idx[1] + 1]
-        meta_ts = [ev[0] for ev in window if ev[1] == "manager.meta_recv"]
-        cont_ts = [ev[0] for ev in window if ev[1] == "manager.continue_sent"]
-        if meta_ts and cont_ts and max(meta_ts) > min(cont_ts):
-            report.violations.append(
-                f"I4: op{op_id} sent continue before all meta-data arrived")
-
-    # ---- F5: end-to-end correctness (no blade ever crashes here) ----
-    if srv is not None and cli is not None:
-        sums = final_sums(cluster)
-        report.app_finished = None not in sums
-        if report.app_finished and sums != expected_sums(rounds):
-            report.violations.append(
-                f"F5: checksum mismatch: {sums} != {expected_sums(rounds)}")
-        if not report.app_finished:
-            report.violations.append("F5: application did not finish")
-    if tracer is not None:
-        from ..obs import to_jsonl
-
-        report.span_dump = to_jsonl(tracer)
-    return report
+            out.append(f"{dead} appended after its crash: {late}")
+    return out
 
 
-def run_migration_chaos(seed: int, n_nodes: int = 5, rounds: int = 2500,
-                        until: float = 300.0,
-                        trace_spans: bool = False) -> MigrationChaosReport:
-    """One live-migration chaos episode; returns the audited report.
-
-    A checksummed ping-pong pair (with a nonzero dirty rate, so pre-copy
-    has a moving working set to chase) runs on two blades while a seeded
-    fault plan fires at the *pre-copy* phase boundaries.  The driver live-
-    migrates both pods onto spare blades mid-run, then the world is
-    audited against the migration's safety invariant:
-
-    M1  **Exactly one copy.**  At no surviving node pair does a pod end
-        up active twice: on success the destination runs it and the
-        source copy is destroyed; on abort the source resumes (unless
-        its blade crashed); never both.
-    M2  End-to-end checksums match whenever the application finished.
-
-    Determinism is the caller's oracle: two runs of the same seed must
-    produce identical ``trace``/``fired`` sequences (and ``span_dump``
-    when tracing).
-    """
-    from ..core.manager import Manager, PhaseTimeouts
-    from ..core.streaming import migrate_task
-
-    cluster = Cluster.build(n_nodes, seed=seed)
-    tracer = None
-    if trace_spans:
-        from ..obs import SpanTracer
-
-        tracer = SpanTracer(cluster.engine).install(cluster)
-    manager = Manager.deploy(cluster)
-    plan = FaultPlan.random(seed, [n.name for n in cluster.nodes],
-                            phases=PRECOPY_PHASES, kinds=MIGRATION_FAULT_KINDS)
-    injector = FaultInjector(cluster, plan).install()
-    engine = cluster.engine
-    drv_rng = random.Random(seed ^ 0x3C6EF372)
-    timeouts = PhaseTimeouts(connect=2.0, meta=5.0, barrier=5.0, done=8.0,
-                             flush=20.0, load=5.0, restart_done=15.0, drain=3.0)
-    grace = timeouts.barrier + timeouts.done + 2.0
-
-    src_srv, src_cli = cluster.node(1), cluster.node(2 % n_nodes)
-    dst_srv = cluster.node(3 % n_nodes).name
-    dst_cli = cluster.node(4 % n_nodes).name
-    pod_srv = cluster.create_pod(src_srv, SRV_POD)
-    cluster.create_pod(src_cli, CLI_POD)
-    srv = src_srv.kernel.spawn(
-        build_program("chaos.pp-server", port=9300, rounds=rounds,
-                      dirty_rate=64_000_000), pod_id=SRV_POD)
-    cli = src_cli.kernel.spawn(
-        build_program("chaos.pp-client", server=pod_srv.vip, port=9300,
-                      rounds=rounds, dirty_rate=64_000_000), pod_id=CLI_POD)
-
-    report = MigrationChaosReport(seed=seed, plan=injector.plan.describe(),
-                                  trace=injector.trace, fired=injector.fired)
-    moves = [(src_srv.name, SRV_POD, dst_srv), (src_cli.name, CLI_POD, dst_cli)]
-    state: Dict[str, Any] = {}
-
-    def driver():
-        yield engine.sleep(round(drv_rng.uniform(0.05, 0.35), 4))
-        mig = yield from migrate_task(manager, moves, live=True,
-                                      precopy_rounds=4, dirty_threshold=4096,
-                                      deadline=30.0, timeouts=timeouts)
-        state["mig"] = mig
-        if not mig.ok:
-            # partitioned agents get their unilateral-abort window before
-            # the end-state audit expects the source resumed
-            yield engine.sleep(grace)
-
-    engine.spawn(driver(), name="migration-chaos-driver")
-    engine.run(until=until)
-
-    report.crashed_nodes = [n.name for n in cluster.nodes if n.crashed]
-    mig = state.get("mig")
-    if mig is not None:
-        report.migration = (mig.checkpoint.status, mig.restart.status,
-                            mig.bailout, len(mig.rounds))
-        report.migrated_ok = mig.ok
-
-    # ---- M1: exactly one active copy of each pod ----
-    dst_of = {pod_id: dst for _src, pod_id, dst in moves}
-    src_of = {pod_id: src for src, pod_id, _dst in moves}
-    for pod_id in (SRV_POD, CLI_POD):
-        hosts = [n.name for n in cluster.nodes
-                 if not n.crashed and pod_id in n.kernel.pods]
-        if len(hosts) > 1:
-            report.violations.append(
-                f"M1: {pod_id} active on multiple nodes: {hosts}")
-            continue
-        if mig is None:
-            continue
-        if mig.ok:
-            if hosts != [dst_of[pod_id]]:
-                report.violations.append(
-                    f"M1: migration succeeded but {pod_id} lives on "
-                    f"{hosts or 'no node'}, not {dst_of[pod_id]}")
-        else:
-            src = src_of[pod_id]
-            if src in report.crashed_nodes:
-                continue  # lost with the blade, not a protocol violation
-            if hosts != [src]:
-                report.violations.append(
-                    f"M1: migration aborted but {pod_id} lives on "
-                    f"{hosts or 'no node'}, not back on {src}")
-                continue
-            node = cluster.node_by_name(src)
-            pod = node.kernel.pods[pod_id]
-            if pod.suspended:
-                report.violations.append(
-                    f"M1: {pod_id} left suspended on {src} after abort")
-            if pod.vip in node.kernel.netstack.netfilter._blocked_ips:
-                report.violations.append(
-                    f"M1: {pod_id} vip still firewalled on {src} after abort")
-
-    # ---- M2: checksums whenever the application could finish ----
-    if srv is not None and cli is not None:
-        sums = final_sums(cluster)
-        report.app_finished = None not in sums
-        if report.app_finished and sums != expected_sums(rounds):
-            report.violations.append(
-                f"M2: checksum mismatch: {sums} != {expected_sums(rounds)}")
-        if not report.crashed_nodes and not report.app_finished:
-            report.violations.append(
-                "M2: application did not finish despite no node crash")
-    if tracer is not None:
-        from ..obs import to_jsonl
-
-        report.span_dump = to_jsonl(tracer)
-    return report
-
-
-# ---------------------------------------------------------------------------
-# fleet-campaign chaos
-# ---------------------------------------------------------------------------
-
-#: fault kinds that make sense at fleet wave boundaries (SAN faults are
-#: covered by the per-op batteries; here the interesting failures are
-#: blades dying and links misbehaving *between* units).
-FLEET_FAULT_KINDS = ("crash_node", "link_drop", "link_delay", "hang")
-
-
-@dataclass
-class FleetChaosReport:
-    """One audited fleet-campaign chaos episode (see
-    :func:`run_fleet_chaos`)."""
-
-    seed: int
-    #: drain | evacuate | checkpoint — drawn from the seed.
-    scenario: str
-    #: nodes being drained/evacuated ([] for the checkpoint scenario).
-    targets: List[str]
-    plan: List[Dict[str, Any]]
-    trace: List[Tuple[float, str, Optional[str], Optional[str], Tuple[str, ...]]]
-    fired: List[Tuple[float, str, str, Optional[str], Optional[str]]]
-    max_inflight: int = 0
-    #: (status, ok, failed, skipped, threshold_tripped) of the *final*
-    #: campaign run (the resumed one when the Manager was crashed).
-    campaign: Optional[Tuple[str, int, int, int, bool]] = None
-    #: per-run gate high-water marks, in run order.
-    peaks: List[int] = field(default_factory=list)
-    #: what the replica's op-level takeover did (None: no failover).
-    takeover: Optional[List[Tuple[int, str, str]]] = None
-    #: what the replica's campaign resume did (None: no failover).
-    resume: Optional[List[Tuple[int, str, str]]] = None
-    manager_crashed: bool = False
-    crashed_nodes: List[str] = field(default_factory=list)
-    violations: List[str] = field(default_factory=list)
-    span_dump: Optional[str] = None
-    #: assembled campaign trace (JSONL / Chrome form) and its SLO audit —
-    #: only when ``trace_spans`` and a Manager survived to own the ledger.
-    assembled: Optional[str] = None
-    assembled_chrome: Optional[str] = None
-    slo: Optional[Dict[str, Any]] = None
-
-
-def run_fleet_chaos(seed: int, n_nodes: int = 8, n_pods: int = 24,
-                    until: float = 900.0,
-                    trace_spans: bool = False) -> FleetChaosReport:
-    """One fleet-campaign chaos episode; returns the audited report.
-
-    A cluster of idle pods (blades 1..5 populated, the rest spare) runs
-    one seeded scenario — drain a blade, evacuate two, or checkpoint the
-    whole fleet — while a seeded fault plan fires at the ``fleet.*``
-    wave boundaries (blade crashes, link drops/delays, hangs), possibly
-    plus a ``crash_manager`` mid-campaign.  On a Manager crash a
-    supervisor waits out the lease, deploys a replica, resolves orphaned
-    *ops* with :meth:`~repro.core.manager.Manager.takeover_task`, then
-    finishes the orphaned *campaign* with
-    :func:`~repro.fleet.campaign.resume_campaigns_task`.  Audited
-    invariants:
-
-    FC1  **No pod lost or duplicated.**  Every fleet pod is active on
-         exactly one surviving node; a missing pod is explained only by
-         a crashed blade that still holds it.
-    FC2  **Threshold respected.**  Once the failed fraction trips the
-         threshold, no retry attempt starts, at most ``max_inflight``
-         already-admitted units run their first attempt, and the halted
-         campaign really does exceed its threshold.
-    FC3  **Bounded concurrency.**  Across all runs (original and
-         resumed), overlapping unit attempts never exceed
-         ``max_inflight``; each run's gate high-water mark agrees.
-    FC4  (caller's oracle) Same seed → byte-identical ``trace`` /
-         ``fired`` / ``span_dump``.
-    FC5  **Clean end state.**  Every ok pod runs unsuspended and
-         unfirewalled, off the evacuated set; every failed/skipped
-         migration leaves its pod on the source blade (unless that
-         blade crashed); a fully-ok drain leaves the node empty; and
-         with a live Manager at the end every ledger campaign is
-         terminal.
-    FC6  **Complete assembled trace** (``trace_spans`` only).  The
-         ledger + span dump stitch into exactly one campaign tree whose
-         coverage accounts for every pod-unit the ledger knows about —
-         including ops adopted after takeover — and the tree passes the
-         SLO audit implied by the campaign's own journaled policy.
-    """
-    from ..core.manager import Manager
-    from ..fleet import (
-        FLEET_TIMEOUTS,
-        FleetPolicy,
-        build_fleet_world,
-        checkpoint_fleet_task,
-        drain_campaign,
-        evacuate_campaign,
-        resume_campaigns_task,
-    )
-    from ..fleet.campaign import CampaignResult
-    from ..storage.ledger import OpLedger
-    from .faults import FLEET_PHASES
-
-    drv_rng = random.Random(seed ^ 0x51EE7F1E)
-    scenario = drv_rng.choice(("drain", "evacuate", "checkpoint"))
-    populated = [f"blade{i}" for i in range(1, 6)]
-    if scenario == "drain":
-        targets = [drv_rng.choice(populated)]
-    elif scenario == "evacuate":
-        targets = sorted(drv_rng.sample(populated, 2))
-    else:
-        targets = []
-    policy = FleetPolicy(max_inflight=drv_rng.choice((2, 3, 4)),
-                         wave_barrier=drv_rng.random() < 0.5,
-                         failure_threshold=0.5, retries=1,
-                         deadline=30.0, lease_s=3.0)
-
-    cluster, manager, pods = build_fleet_world(
-        n_nodes, n_pods, seed=seed, first_node=1, last_node=5)
-    engine = cluster.engine
-    tracer = None
-    if trace_spans:
-        from ..obs import SpanTracer
-
-        tracer = SpanTracer(engine).install(cluster)
-    plan = FaultPlan.random(seed, [n.name for n in cluster.nodes],
-                            phases=FLEET_PHASES, kinds=FLEET_FAULT_KINDS)
-    if drv_rng.random() < 0.4:
-        plan.faults.append(FaultSpec(
-            kind="crash_manager",
-            phase=drv_rng.choice(("fleet.pod_start", "fleet.pod_done",
-                                  "fleet.wave_done")),
-            after=drv_rng.randint(1, 8)))
-    injector = FaultInjector(cluster, plan).install()
-
-    report = FleetChaosReport(seed=seed, scenario=scenario, targets=targets,
-                              plan=injector.plan.describe(),
-                              trace=injector.trace, fired=injector.fired,
-                              max_inflight=policy.max_inflight)
-    lease_s = 3.0
-    state: Dict[str, Any] = {"orig": None, "resumed": [], "resume": None,
-                             "takeover": None, "replica": None}
-
-    def supervisor():
-        while not manager.crashed:
-            if engine.now >= until - 90.0:
-                return
-            yield engine.sleep(0.25)
-        yield engine.sleep(lease_s + 1.0)
-        replica = Manager.deploy_replica(cluster, manager.agents, name="mgr1")
-        state["replica"] = replica
-        # op-level first: resolve any orphaned checkpoint/migration op
-        # (resume suspended pods, abort torn streams) before re-driving
-        # the campaign's unfinished units on clean pods
-        took = yield from replica.takeover_task(timeouts=FLEET_TIMEOUTS,
-                                                lease_s=lease_s)
-        state["takeover"] = [tuple(a) for a in took]
-        acts = yield from resume_campaigns_task(replica,
-                                                timeouts=FLEET_TIMEOUTS,
-                                                lease_s=lease_s,
-                                                collect=state["resumed"])
-        state["resume"] = [tuple(a) for a in acts]
-
-    def driver():
-        yield engine.sleep(round(drv_rng.uniform(0.05, 0.3), 4))
-        if scenario == "drain":
-            task = drain_campaign(manager, targets[0], policy=policy,
-                                  timeouts=FLEET_TIMEOUTS).run()
-        elif scenario == "evacuate":
-            task = evacuate_campaign(manager, targets, policy=policy,
-                                     timeouts=FLEET_TIMEOUTS).run()
-        else:
-            task = manager._spawn(
-                checkpoint_fleet_task(manager, policy=policy,
-                                      timeouts=FLEET_TIMEOUTS),
-                name="fleet-chaos-ckpt")
-        _ok, res = yield engine.timeout(task.finished, until - 120.0)
-        state["orig"] = res
-
-    engine.spawn(supervisor(), name="fleet-chaos-supervisor")
-    engine.spawn(driver(), name="fleet-chaos-driver")
-    engine.run(until=until)
-
-    report.manager_crashed = manager.crashed
-    report.crashed_nodes = [n.name for n in cluster.nodes if n.crashed]
-    report.takeover = state["takeover"]
-    report.resume = state["resume"]
-    runs: List[CampaignResult] = [r for r in [state["orig"]] if r is not None]
-    runs += state["resumed"]
-    report.peaks = [r.peak_inflight for r in runs]
-    if runs:
-        final = runs[-1]
-        c = final.counts()
-        report.campaign = (final.status, c["ok"], c["failed"], c["skipped"],
-                           final.threshold_tripped)
-
-    # the authoritative per-pod end state: later runs override earlier
-    outcomes: Dict[str, Any] = {}
-    for r in runs:
-        outcomes.update(r.pods)
-
-    if report.manager_crashed and state["resume"] is None:
-        report.violations.append("FC0: Manager crashed but no resume ran")
-    if not runs:
-        report.violations.append("FC0: no campaign result from any run")
-
-    # ---- FC1: every fleet pod exactly once on surviving hardware ----
-    # crash_node destroys its pods, so a lost pod is *explained* when
-    # any blade it plausibly lived on (its source, or a migration
-    # destination some attempt reached) crashed
-    plausible: Dict[str, set] = {pod_id: {src} for src, pod_id in pods}
-    for r in runs:
-        for pod_id, out in r.pods.items():
-            plausible.setdefault(pod_id, set()).add(out.node)
-            if out.dest:
-                plausible[pod_id].add(out.dest)
-    crashed_set = set(report.crashed_nodes)
-
-    def _crash_explained(pod_id: str) -> bool:
-        return bool(plausible.get(pod_id, set()) & crashed_set)
-
-    for _src, pod_id in pods:
-        hosts = [n.name for n in cluster.nodes
-                 if not n.crashed and pod_id in n.kernel.pods]
-        if len(hosts) > 1:
-            report.violations.append(
-                f"FC1: {pod_id} active on multiple nodes: {hosts}")
-        elif not hosts and not _crash_explained(pod_id):
-            report.violations.append(
-                f"FC1: {pod_id} lost with no crashed blade to explain it")
-
-    # ---- FC2: the threshold really halts the campaign ----
-    for run_idx, r in enumerate(runs):
-        if not r.threshold_tripped:
-            continue
-        total = max(1, len(r.pods))
-        # failures counted at each unit's *final* attempt
-        last_attempt = {}
-        for pod, wave, attempt, t0, t1, status in r.events:
-            last_attempt[pod] = (attempt, t1, status)
-        fail_times = sorted(t1 for (_a, t1, status) in last_attempt.values()
-                            if status == "failed")
-        trip_t = None
-        for k, t1 in enumerate(fail_times, start=1):
-            if k / total > policy.failure_threshold:
-                trip_t = t1
-                break
-        if trip_t is None:
-            report.violations.append(
-                f"FC2: run{run_idx} halted but failures never exceeded "
-                f"threshold ({len(fail_times)}/{total})")
-            continue
-        late_first = set()
-        for pod, wave, attempt, t0, t1, status in r.events:
-            if t0 <= trip_t:
-                continue
-            if attempt > 1:
-                report.violations.append(
-                    f"FC2: run{run_idx} retry of {pod} (attempt {attempt}) "
-                    f"started after the threshold tripped")
-            else:
-                late_first.add(pod)
-        if len(late_first) > policy.max_inflight:
-            report.violations.append(
-                f"FC2: run{run_idx} admitted {len(late_first)} first "
-                f"attempts after the trip (> max_inflight "
-                f"{policy.max_inflight})")
-
-    # ---- FC3: overlapping attempts never exceed max_inflight ----
-    deltas: List[Tuple[float, int]] = []
-    for r in runs:
-        for _pod, _wave, _attempt, t0, t1, _status in r.events:
-            deltas.append((t0, +1))
-            deltas.append((t1, -1))
-        if r.peak_inflight > policy.max_inflight:
-            report.violations.append(
-                f"FC3: gate peak {r.peak_inflight} > max_inflight "
-                f"{policy.max_inflight}")
-    deltas.sort(key=lambda d: (d[0], d[1]))  # releases before acquires
-    live = peak = 0
-    for _t, d in deltas:
-        live += d
-        peak = max(peak, live)
-    if peak > policy.max_inflight:
-        report.violations.append(
-            f"FC3: {peak} overlapping unit attempts > max_inflight "
-            f"{policy.max_inflight}")
-
-    # ---- FC5: clean end state ----
-    evac = set(targets)
-    for pod_id, out in sorted(outcomes.items()):
-        hosts = [n for n in cluster.nodes
-                 if not n.crashed and pod_id in n.kernel.pods]
-        if out.status == "ok":
-            if not hosts:
-                if not _crash_explained(pod_id):
-                    report.violations.append(f"FC5: ok pod {pod_id} vanished")
-                continue
-            node = hosts[0]
-            if scenario != "checkpoint" and node.name in evac:
-                report.violations.append(
-                    f"FC5: ok pod {pod_id} still on evacuated {node.name}")
-            pod = node.kernel.pods[pod_id]
-            if pod.suspended:
-                report.violations.append(
-                    f"FC5: ok pod {pod_id} left suspended on {node.name}")
-            if pod.vip in node.kernel.netstack.netfilter._blocked_ips:
-                report.violations.append(
-                    f"FC5: ok pod {pod_id} still firewalled on {node.name}")
-        elif scenario != "checkpoint":
-            # failed/skipped moves leave the pod home (M1), unless home died
-            if out.node in report.crashed_nodes:
-                continue
-            if [n.name for n in hosts] != [out.node]:
-                report.violations.append(
-                    f"FC5: {out.status} pod {pod_id} not on its source "
-                    f"{out.node}: {[n.name for n in hosts] or 'gone'}")
-    if scenario in ("drain", "evacuate") and runs and runs[-1].status == "ok":
-        for name in targets:
-            node = cluster.node_by_name(name)
-            if not node.crashed and node.kernel.pods:
-                report.violations.append(
-                    f"FC5: campaign ok but {name} still hosts "
-                    f"{sorted(node.kernel.pods)}")
-
-    # ---- ledger: campaigns terminal whenever a Manager survived ----
-    alive = (not manager.crashed) or state["replica"] is not None
-    if alive and state["resume"] is not None or not manager.crashed:
-        ledger = OpLedger(cluster.san)
-        open_camps = {cid: lc.phase
-                      for cid, lc in ledger.replay_campaigns().items()
-                      if not lc.terminal}
-        if open_camps:
-            report.violations.append(
-                f"FC5: non-terminal ledger campaigns: {open_camps}")
-
-    if tracer is not None:
-        from ..obs import assemble_campaigns, audit_campaign, to_jsonl
-
-        report.span_dump = to_jsonl(tracer)
-        # ---- FC6: the assembled trace accounts for every pod-unit ----
-        # one tracer spans all Manager incarnations of the episode, so
-        # the ledger + one dump must stitch into one complete tree
-        traces = assemble_campaigns(OpLedger(cluster.san),
-                                    dumps=(report.span_dump,))
-        if len(traces) != 1:
-            report.violations.append(
-                f"FC6: expected one assembled campaign, got {len(traces)}")
-        if traces:
-            assembled = traces[-1]
-            cov = assembled.coverage()
-            if not cov["complete"]:
-                report.violations.append(
-                    "FC6: assembled trace missing pod-units: "
-                    + ",".join(cov["missing"]))
-            audit = audit_campaign(assembled)
-            for v in audit.violations():
-                report.violations.append(f"FC6: SLO {v.rule}: {v.detail}")
-            report.assembled = assembled.to_jsonl()
-            report.assembled_chrome = assembled.dumps_chrome()
-            report.slo = audit.to_dict()
-    return report
-
-
-# ---------------------------------------------------------------------------
-# zero-stall (async) incremental-checkpoint chaos
-# ---------------------------------------------------------------------------
-
-@dataclass
-class AsyncChaosReport:
-    """One audited async-incremental-checkpoint chaos episode (see
-    :func:`run_async_chaos`)."""
-
-    seed: int
-    plan: List[Dict[str, Any]]
-    trace: List[Tuple[float, str, Optional[str], Optional[str], Tuple[str, ...]]]
-    fired: List[Tuple[float, str, str, Optional[str], Optional[str]]]
-    #: (op kind, op_id, status) per driver operation, in order.
-    ops: List[Tuple[str, int, str]] = field(default_factory=list)
-    violations: List[str] = field(default_factory=list)
-    crashed_nodes: List[str] = field(default_factory=list)
-    app_finished: bool = False
-    span_dump: Optional[str] = None
-
-
-def run_async_chaos(seed: int, n_nodes: int = 4, n_ops: int = 5,
-                    rounds: int = 300, until: float = 300.0,
-                    trace_spans: bool = False) -> AsyncChaosReport:
-    """One async-checkpoint chaos episode; returns the audited report.
-
-    The checksummed ping-pong pair (with a nonzero dirty rate, so the
-    copy-on-write window has writes to catch) runs while the driver takes
-    zero-stall *incremental* checkpoints (``async_ckpt=True`` with a
-    delta filter) and a seeded fault plan fires at the checkpoint
-    boundaries plus the new async crossings (capture end, post-resume
-    encode, overlapped write-out).  Audited invariants:
-
-    A1  A failed op leaves every surviving pod running (the serial
-        invariant I1 holds even when the encoder ran past the resume).
-    A2  No partial chain container is ever visible as restartable.
-    A3  **Chain integrity.**  Every committed in-memory delta chain
-        reassembles, and the reassembled payload is byte-identical to
-        the full base the Agent's pipeline state holds — an aborted or
-        faulted epoch can never leave a chain that restores to
-        different bytes.
-    A4  End-to-end checksums match whenever the application finished.
-    """
-    from ..core.manager import Manager, PhaseTimeouts
+@invariant("chain-reassembles")
+def _chain_reassembles(w: World) -> List[str]:
+    """(A3.)  Chain integrity: every committed in-memory delta chain
+    reassembles, and the reassembled payload is byte-identical to the
+    full base the Agent's pipeline state holds — an aborted or faulted
+    epoch can never leave a chain that restores to different bytes."""
     from ..core.pipeline import ImagePipeline
-    from ..core.sinks import resolve_sink
-
-    cluster = Cluster.build(n_nodes, seed=seed)
-    tracer = None
-    if trace_spans:
-        from ..obs import SpanTracer
-
-        tracer = SpanTracer(cluster.engine).install(cluster)
-    manager = Manager.deploy(cluster)
-    plan = FaultPlan.random(seed, [n.name for n in cluster.nodes],
-                            phases=CHECKPOINT_PHASES + ASYNC_CKPT_PHASES)
-    injector = FaultInjector(cluster, plan).install()
-    engine = cluster.engine
-    drv_rng = random.Random(seed ^ 0x1F123BB5)
-    timeouts = PhaseTimeouts(connect=2.0, meta=5.0, barrier=5.0, done=8.0,
-                             flush=20.0, load=5.0, restart_done=15.0, drain=3.0)
-    grace = timeouts.barrier + timeouts.done + 2.0
-
-    srv_node, cli_node = cluster.node(1), cluster.node(2 % n_nodes)
-    pod_srv = cluster.create_pod(srv_node, SRV_POD)
-    pod_cli = cluster.create_pod(cli_node, CLI_POD)
-    srv = srv_node.kernel.spawn(
-        build_program("chaos.pp-server", port=9310, rounds=rounds,
-                      dirty_rate=25_000_000), pod_id=SRV_POD)
-    cli = cli_node.kernel.spawn(
-        build_program("chaos.pp-client", server=pod_srv.vip, port=9310,
-                      rounds=rounds, dirty_rate=25_000_000), pod_id=CLI_POD)
-
-    report = AsyncChaosReport(seed=seed, plan=injector.plan.describe(),
-                              trace=injector.trace, fired=injector.fired)
-    san_paths: List[Tuple[str, str]] = []
-
-    def surviving_node(pod_id: str):
-        for node in cluster.nodes:
-            if not node.crashed and pod_id in node.kernel.pods:
-                return node
-        return None
-
-    def check_resumed(label: str):
-        for pod_id in (SRV_POD, CLI_POD):
-            node = surviving_node(pod_id)
-            if node is None:
-                continue
-            pod = node.kernel.pods[pod_id]
-            if pod.suspended:
-                report.violations.append(
-                    f"A1 {label}: {pod_id} left suspended on {node.name}")
-            if pod.vip in node.kernel.netstack.netfilter._blocked_ips:
-                report.violations.append(
-                    f"A1 {label}: {pod_id} vip still firewalled on {node.name}")
-
-    def driver():
-        for i in range(n_ops):
-            use_files = drv_rng.random() < 0.5
-            targets = []
-            for pod_id in (SRV_POD, CLI_POD):
-                node = surviving_node(pod_id)
-                if node is None:
-                    continue
-                if use_files:
-                    uri = f"file:/san/async-{pod_id}-{i}.img"
-                    san_paths.append((f"/san/async-{pod_id}-{i}.img", pod_id))
-                else:
-                    uri = "mem"
-                targets.append((node.name, pod_id, uri))
-            if len(targets) < 2:
-                return
-            res = yield from manager.checkpoint_task(
-                targets, deadline=30.0, timeouts=timeouts,
-                filters=[{"name": "delta"}], async_ckpt=True)
-            report.ops.append(("checkpoint", res.op_id, res.status))
-            if not res.ok:
-                yield engine.sleep(grace)
-                check_resumed(f"op{res.op_id}")
-            yield engine.sleep(drv_rng.uniform(0.5, 2.0))
-
-    engine.spawn(driver(), name="async-chaos-driver")
-    engine.run(until=until)
-
-    report.crashed_nodes = [n.name for n in cluster.nodes if n.crashed]
-
-    # ---- A2: nothing partial is visible as restartable on the SAN ----
-    home = cluster.node(0)
-    for path, pod_id in san_paths:
-        sink = resolve_sink(f"file:{path}", cluster, home.kernel.vfs)
-        err = restore_error(sink, pod_id) if sink.exists() else None
-        if err:
-            report.violations.append(f"A2: partial image visible at {path}: {err}")
-
-    # ---- A3: every committed delta chain restores byte-identically ----
-    for node in cluster.nodes:
+    out = []
+    for node in w.cluster.nodes:
         if node.crashed:
             continue
-        agent = manager.agents[node.name]
-        for pod_id, chain in sorted(agent.pipeline_state.chains.items()):
+        state = w.manager.agents[node.name].pipeline_state
+        for pod_id, chain in sorted(state.chains.items()):
             if not chain:
                 continue
             try:
                 reassembled = ImagePipeline.reassemble(list(chain))
-            except Exception as err:  # noqa: BLE001
-                report.violations.append(
-                    f"A3: chain for {pod_id} on {node.name} unrestorable: {err}")
+            except Exception as err:  # noqa: BLE001 - the finding
+                out.append(f"chain for {pod_id} on {node.name} unrestorable: {err}")
                 continue
-            base = agent.pipeline_state.bases.get(pod_id)
+            base = state.bases.get(pod_id)
             if base is not None and reassembled.raw != base:
-                report.violations.append(
-                    f"A3: chain for {pod_id} on {node.name} reassembles to "
-                    "different bytes than the committed base")
-
-    # ---- A4: end-to-end correctness when the run could complete ----
-    if srv is not None and cli is not None:
-        sums = final_sums(cluster)
-        report.app_finished = None not in sums
-        if report.app_finished and sums != expected_sums(rounds):
-            report.violations.append(
-                f"A4: checksum mismatch: {sums} != {expected_sums(rounds)}")
-        if not report.crashed_nodes and not report.app_finished:
-            report.violations.append(
-                "A4: application did not finish despite no node crash")
-    if tracer is not None:
-        from ..obs import to_jsonl
-
-        report.span_dump = to_jsonl(tracer)
-    return report
+                out.append(f"chain for {pod_id} on {node.name} reassembles to "
+                           "different bytes than the committed base")
+    return out
 
 
-# ---------------------------------------------------------------------------
-# content-addressed store chaos
-# ---------------------------------------------------------------------------
-
-@dataclass
-class CasChaosReport:
-    """One audited content-addressed-store chaos episode (see
-    :func:`run_cas_chaos`)."""
-
-    seed: int
-    plan: List[Dict[str, Any]]
-    trace: List[Tuple[float, str, Optional[str], Optional[str], Tuple[str, ...]]]
-    fired: List[Tuple[float, str, str, Optional[str], Optional[str]]]
-    #: (op kind, op_id, status) per driver operation, in order.
-    ops: List[Tuple[str, int, str]] = field(default_factory=list)
-    violations: List[str] = field(default_factory=list)
-    crashed_nodes: List[str] = field(default_factory=list)
-    app_finished: bool = False
-    #: final store counters (:meth:`~repro.storage.cas.CasStore.stats`).
-    store_stats: Dict[str, Any] = field(default_factory=dict)
-    span_dump: Optional[str] = None
-
-
-def run_cas_chaos(seed: int, n_nodes: int = 4, n_ops: int = 5,
-                  rounds: int = 300, until: float = 300.0,
-                  trace_spans: bool = False) -> CasChaosReport:
-    """One content-addressed-store chaos episode; returns the audited
-    report.
-
-    The checksummed ping-pong pair (nonzero dirty rate, so generations
-    differ) runs while the driver checkpoints both pods into the CAS at
-    *fixed* per-pod paths — every op extends or replaces the same
-    generation chain, exercising stage/publish/retire/release — with the
-    delta filter and the zero-stall path mixed in at random, and a
-    seeded fault plan firing at the checkpoint boundaries plus the CAS
-    crossings (chunk write, index commit, tombstone GC).  Audited
-    invariants:
-
-    C1  A failed op leaves every surviving pod running (serial
-        invariant I1 across the CAS write path).
-    C2  A published recipe is never partial: whatever generation the
-        store holds for a pod loads completely, and its chain
-        reassembles.
-    C3  **Generation integrity.**  The chain loaded back from the store
-        is byte-identical to a committed prefix of the Agent's
-        in-memory ground truth — an aborted op or replayed tombstone
-        can never publish bytes nobody committed.
-    C4  End-to-end checksums match whenever the application finished.
-    C5  **No leaks, no dangles.**  After a final orphan sweep against
-        the ledger's live ops, the store has no staged leftovers and
-        :meth:`~repro.storage.cas.CasStore.audit` is clean: refcounts
-        equal recipe occurrences, every chunk is referenced, and no
-        published recipe references data that never hit the SAN.
-    """
-    from ..core.manager import Manager, PhaseTimeouts
-    from ..core.sinks import resolve_sink
-    from ..storage.cas import CasStore
-
-    cluster = Cluster.build(n_nodes, seed=seed)
-    tracer = None
-    if trace_spans:
-        from ..obs import SpanTracer
-
-        tracer = SpanTracer(cluster.engine).install(cluster)
-    manager = Manager.deploy(cluster)
-    plan = FaultPlan.random(seed, [n.name for n in cluster.nodes],
-                            phases=CHECKPOINT_PHASES + CAS_PHASES)
-    injector = FaultInjector(cluster, plan).install()
-    engine = cluster.engine
-    drv_rng = random.Random(seed ^ 0x0CA5CA50)
-    timeouts = PhaseTimeouts(connect=2.0, meta=5.0, barrier=5.0, done=8.0,
-                             flush=20.0, load=5.0, restart_done=15.0, drain=3.0)
-    grace = timeouts.barrier + timeouts.done + 2.0
-
-    srv_node, cli_node = cluster.node(1), cluster.node(2 % n_nodes)
-    pod_srv = cluster.create_pod(srv_node, SRV_POD)
-    pod_cli = cluster.create_pod(cli_node, CLI_POD)
-    srv = srv_node.kernel.spawn(
-        build_program("chaos.pp-server", port=9320, rounds=rounds,
-                      dirty_rate=25_000_000), pod_id=SRV_POD)
-    cli = cli_node.kernel.spawn(
-        build_program("chaos.pp-client", server=pod_srv.vip, port=9320,
-                      rounds=rounds, dirty_rate=25_000_000), pod_id=CLI_POD)
-
-    report = CasChaosReport(seed=seed, plan=injector.plan.describe(),
-                            trace=injector.trace, fired=injector.fired)
-    store = CasStore.on(cluster.san)
-    cas_path = {pod_id: f"/san/cas-{pod_id}.img"
-                for pod_id in (SRV_POD, CLI_POD)}
-    # original placement: a pod only ever leaves its home host through a
-    # crash-triggered restart, so "still on its home host" certifies the
-    # local agent witnessed the pod's entire checkpoint history
-    origin = {SRV_POD: srv_node.name, CLI_POD: cli_node.name}
-
-    def surviving_node(pod_id: str):
-        for node in cluster.nodes:
-            if not node.crashed and pod_id in node.kernel.pods:
-                return node
-        return None
-
-    def check_resumed(label: str):
-        for pod_id in (SRV_POD, CLI_POD):
-            node = surviving_node(pod_id)
-            if node is None:
-                continue
-            pod = node.kernel.pods[pod_id]
-            if pod.suspended:
-                report.violations.append(
-                    f"C1 {label}: {pod_id} left suspended on {node.name}")
-            if pod.vip in node.kernel.netstack.netfilter._blocked_ips:
-                report.violations.append(
-                    f"C1 {label}: {pod_id} vip still firewalled on {node.name}")
-
-    def driver():
-        for _ in range(n_ops):
-            use_delta = drv_rng.random() < 0.5
-            use_async = drv_rng.random() < 0.3
-            targets = []
-            for pod_id in (SRV_POD, CLI_POD):
-                node = surviving_node(pod_id)
-                if node is None:
-                    continue
-                targets.append((node.name, pod_id, f"cas:{cas_path[pod_id]}"))
-            if len(targets) < 2:
-                return
-            res = yield from manager.checkpoint_task(
-                targets, deadline=30.0, timeouts=timeouts,
-                filters=[{"name": "delta"}] if use_delta else None,
-                async_ckpt=use_async)
-            report.ops.append(("checkpoint", res.op_id, res.status))
-            if not res.ok:
-                yield engine.sleep(grace)
-                check_resumed(f"op{res.op_id}")
-            yield engine.sleep(drv_rng.uniform(0.5, 2.0))
-
-    engine.spawn(driver(), name="cas-chaos-driver")
-    engine.run(until=until)
-
-    report.crashed_nodes = [n.name for n in cluster.nodes if n.crashed]
-    home = cluster.node(0)
-
-    # ---- C2 + C3: published generations load and match committed bytes
-    for pod_id, path in sorted(cas_path.items()):
-        sink = resolve_sink(f"cas:{path}", cluster, home.kernel.vfs)
-        if not sink.exists():
-            continue
-        err = restore_error(sink, pod_id)
-        if err:
-            report.violations.append(
-                f"C2: partial generation visible at {path}: {err}")
-            continue
+@invariant("generation-integrity")
+def _generation_integrity(w: World) -> List[str]:
+    """(C3.)  The chain loaded back from the content-addressed store is
+    byte-identical to a committed prefix of the Agent's in-memory
+    ground truth — an aborted op or replayed tombstone can never publish
+    bytes nobody committed."""
+    out = []
+    for uri, pod_id in _shared_images(w):
+        sink = w.sink(uri)
+        hosts = w.hosts(pod_id)
+        if (not uri.startswith("cas:") or not sink.exists() or not hosts
+                or restore_error(sink, pod_id)):
+            continue  # not a generation; or no-partial-image's finding
         loaded = sink.load(pod_id)
-        node = surviving_node(pod_id)
-        if node is None:
-            continue
-        truth = manager.agents[node.name].mem_sink.load(pod_id)
+        truth = w.manager.agents[hosts[0].name].mem_sink.load(pod_id)
         if not truth:
             # this agent holds no committed history for the pod at all —
             # no ground truth to diff against
             continue
         if len(truth) < len(loaded):
-            if node.name != origin[pod_id]:
+            # a pod only ever leaves its home host through a restart or
+            # a migration, so "still on its home host" certifies the
+            # local agent witnessed the pod's entire checkpoint history
+            if hosts[0].name != w.home[pod_id]:
                 # the pod verifiably restarted here mid-run: this
                 # agent's chain starts at the restore point, not at
                 # generation zero — no full ground truth to diff against
@@ -1448,43 +557,566 @@ def run_cas_chaos(seed: int, n_nodes: int = 4, n_ops: int = 5,
             # BEFORE the CAS flush, so a published chain longer than the
             # committed one is exactly the C3 shape: the store holds
             # generation entries nobody committed
-            report.violations.append(
-                f"C3: published chain at {path} has {len(loaded)} entries "
-                f"but the home host committed only {len(truth)}")
+            out.append(f"published chain at {uri} has {len(loaded)} entries "
+                       f"but the home host committed only {len(truth)}")
             continue
         for i, (img, ref) in enumerate(zip(loaded, truth)):
             if (img.data != ref.data
                     or img.accounted_bytes != ref.accounted_bytes
                     or img.netstate_bytes != ref.netstate_bytes
                     or img.epoch != ref.epoch):
-                report.violations.append(
-                    f"C3: generation entry {i} at {path} differs from "
-                    "the committed in-memory chain")
+                out.append(f"generation entry {i} at {uri} differs from "
+                           "the committed in-memory chain")
                 break
+    return out
 
-    # ---- C4: end-to-end correctness when the run could complete ----
-    if srv is not None and cli is not None:
-        sums = final_sums(cluster)
-        report.app_finished = None not in sums
-        if report.app_finished and sums != expected_sums(rounds):
-            report.violations.append(
-                f"C4: checksum mismatch: {sums} != {expected_sums(rounds)}")
-        if not report.crashed_nodes and not report.app_finished:
-            report.violations.append(
-                "C4: application did not finish despite no node crash")
 
-    # ---- C5: orphan sweep, then the index must balance exactly ----
-    from ..storage.ledger import TERMINAL_PHASES
-    live = [op_id for op_id, op in manager.ledger.replay().items()
-            if op.phase not in TERMINAL_PHASES]
-    store.sweep_orphans(live)
-    for path in sorted(store.pending):
-        report.violations.append(f"C5: staged recipe leaked at {path}")
-    for problem in store.audit():
-        report.violations.append(f"C5: {problem}")
-    report.store_stats = store.stats()
-    if tracer is not None:
-        from ..obs import to_jsonl
+@invariant("cas-audit-clean")
+def _cas_audit_clean(w: World) -> List[str]:
+    """(C5.)  No leaks, no dangles.  After a final orphan sweep against
+    the ledger's live ops, the store has no staged leftovers and
+    :meth:`~repro.storage.cas.CasStore.audit` is clean: refcounts equal
+    recipe occurrences, every chunk is referenced, and no published
+    recipe references data that never hit the SAN."""
+    from ..storage.cas import CasStore
+    store = CasStore.on(w.cluster.san)
+    store.sweep_orphans([op_id for op_id, op in w.ledger().replay().items()
+                         if not op.terminal])
+    return ([f"staged recipe leaked at {path}" for path in sorted(store.pending)]
+            + list(store.audit()))
 
-        report.span_dump = to_jsonl(tracer)
+
+@invariant("threshold-respected", applies=_fleet)
+def _threshold_respected(w: World) -> List[str]:
+    """(FC2.)  Once the failed fraction trips the threshold, no retry
+    attempt starts, at most ``max_inflight`` already-admitted units run
+    their first attempt, and the halted campaign really does exceed its
+    threshold."""
+    out, policy = [], w.campaign[2]
+    for run_idx, r in enumerate(w.runs):
+        if not r.threshold_tripped:
+            continue
+        total = max(1, len(r.pods))
+        # failures counted at each unit's *final* attempt
+        last_attempt = {pod: (t1, status)
+                        for pod, _wave, _attempt, _t0, t1, status in r.events}
+        fail_times = sorted(t1 for t1, status in last_attempt.values()
+                            if status == "failed")
+        trip_t = next((t1 for k, t1 in enumerate(fail_times, start=1)
+                       if k / total > policy.failure_threshold), None)
+        if trip_t is None:
+            out.append(f"run{run_idx} halted but failures never exceeded "
+                       f"threshold ({len(fail_times)}/{total})")
+            continue
+        late_first = set()
+        for pod, _wave, attempt, t0, _t1, _status in r.events:
+            if t0 <= trip_t:
+                continue
+            if attempt > 1:
+                out.append(f"run{run_idx} retry of {pod} (attempt {attempt}) "
+                           "started after the threshold tripped")
+            else:
+                late_first.add(pod)
+        if len(late_first) > policy.max_inflight:
+            out.append(f"run{run_idx} admitted {len(late_first)} first attempts "
+                       f"after the trip (> max_inflight {policy.max_inflight})")
+    return out
+
+
+@invariant("bounded-concurrency", applies=_fleet)
+def _bounded_concurrency(w: World) -> List[str]:
+    """(FC3.)  Across all runs (original and resumed), overlapping unit
+    attempts never exceed ``max_inflight``; each run's gate high-water
+    mark agrees."""
+    cap = w.campaign[2].max_inflight
+    out = [f"gate peak {r.peak_inflight} > max_inflight {cap}"
+           for r in w.runs if r.peak_inflight > cap]
+    deltas = [d for r in w.runs for _p, _w, _a, t0, t1, _s in r.events
+              for d in ((t0, +1), (t1, -1))]
+    deltas.sort()  # releases before acquires
+    live = peak = 0
+    for _t, d in deltas:
+        live += d
+        peak = max(peak, live)
+    if peak > cap:
+        out.append(f"{peak} overlapping unit attempts > max_inflight {cap}")
+    return out
+
+
+@invariant("clean-end-state", applies=_fleet)
+def _clean_end_state(w: World) -> List[str]:
+    """(FC5.)  Every ok pod runs off the evacuated set; every
+    failed/skipped migration leaves its pod on the source blade (unless
+    that blade crashed); a fully-ok drain leaves the node empty.  (Pods
+    unsuspended and unfirewalled: ``resumed``; none vanished:
+    ``no-pod-lost``; campaigns terminal: ``ledger-terminal``.)"""
+    kind, targets, _policy = w.campaign
+    if not w.runs:
+        return ["no campaign result from any run"]
+    if kind == "checkpoint":
+        return []  # nothing moves
+    out, crashed = [], w.crashed()
+    # the authoritative per-pod end state: later runs override earlier
+    outcomes: Dict[str, Any] = {}
+    for r in w.runs:
+        outcomes.update(r.pods)
+    for pod_id, res in sorted(outcomes.items()):
+        names = [n.name for n in w.hosts(pod_id)]
+        if res.status == "ok":
+            if names and names[0] in targets:
+                out.append(f"ok pod {pod_id} still on evacuated {names[0]}")
+        # failed/skipped moves leave the pod home (M1), unless home died
+        elif res.node not in crashed and names != [res.node]:
+            out.append(f"{res.status} pod {pod_id} not on its source "
+                       f"{res.node}: {names or 'gone'}")
+    if w.runs[-1].status == "ok":
+        for name in targets:
+            node = w.cluster.node_by_name(name)
+            if not node.crashed and node.kernel.pods:
+                out.append(f"campaign ok but {name} still hosts "
+                           f"{sorted(node.kernel.pods)}")
+    return out
+
+
+@invariant("assembled-complete",
+           applies=lambda w: _fleet(w) and w.assembled is not None)
+def _assembled_complete(w: World) -> List[str]:
+    """(FC6, ``trace_spans`` only.)  The ledger + span dump stitch into
+    exactly one campaign tree whose coverage accounts for every pod-unit
+    the ledger knows about — including ops adopted after takeover — and
+    the tree passes the SLO audit implied by the campaign's own
+    journaled policy."""
+    out = []
+    if len(w.assembled) != 1:
+        out.append(f"expected one assembled campaign, got {len(w.assembled)}")
+    if w.assembled:
+        cov = w.assembled[-1].coverage()
+        if not cov["complete"]:
+            out.append("assembled trace missing pod-units: "
+                       + ",".join(cov["missing"]))
+        out += [f"SLO {v['rule']}: {v['detail']}"
+                for v in w.report.outcome["slo"]["verdicts"] if not v["ok"]]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# driver pieces
+# ---------------------------------------------------------------------------
+
+def _chance(rng: random.Random, p: float) -> bool:
+    """Draws only when the outcome is open, so a feature a scenario
+    fixes on or off costs no RNG state."""
+    return rng.random() < p if 0.0 < p < 1.0 else p >= 1.0
+
+
+def _targets(w: World, uri: str, i: int = 0) -> List[Tuple[str, str, str]]:
+    """``(node, pod, uri)`` for every application pod that survives."""
+    return [(hosts[0].name, pod_id, uri.format(pod=pod_id, i=i))
+            for pod_id in w.home for hosts in [w.hosts(pod_id)] if hosts]
+
+
+def _checkpoint(w: World, targets, **kw):
+    """The one place a driver takes a coordinated checkpoint."""
+    res = yield from w.active.checkpoint_task(
+        targets, deadline=30.0, timeouts=w.timeouts, **kw)
+    w.report.ops.append(("checkpoint", res.op_id, res.status))
+    if not res.ok:
+        # give partitioned Agents their unilateral-abort window (past the
+        # takeover, when the op failed because its Manager died), then
+        # audit that the application is running again
+        yield from _await_takeover(w)
+        yield w.engine.sleep(w.grace)
+        audit(w, "resumed", f"op{res.op_id}")
+    return res
+
+
+def _recover(w: World):
+    """A blade died and took a pod with it: recover from the last good
+    checkpoint (the motivating use case).  Returns whether the episode
+    can go on."""
+    mgr = w.active
+    if mgr.last_checkpoint is None or not mgr.last_checkpoint.ok:
+        return False
+    res = yield from mgr.recover_task(timeouts=w.timeouts)
+    w.report.ops.append(("recover", res.op_id, res.status))
+    # the whole application rolled back: a recover that fails half-way
+    # loses every pod to the blade crash that triggered it, and pods
+    # restart wherever placement put them
+    for pod_id in w.home:
+        w.plausible[pod_id] |= w.crashed()
+    w.moved.clear()
+    if res.ok:
+        yield w.engine.sleep(1.0)
+    return res.ok
+
+
+def _await_takeover(w: World):
+    """Wait out the supervisor's takeover when the Manager died."""
+    while w.manager.crashed and "resume" not in w.report.outcome:
+        yield w.engine.sleep(0.25)
+
+
+def _migrate(w: World):
+    """Live-migrate every application pod onto a spare blade (not the
+    Manager's, not one already hosting the application)."""
+    from ..core.streaming import migrate_task
+    spare = [n.name for n in w.cluster.nodes[1:]
+             if not n.crashed and not set(n.kernel.pods) & set(w.home)]
+    moves = [(src, pod_id, dst) for (src, pod_id, _uri), dst
+             in zip(_targets(w, "mem"), spare)]
+    if len(moves) < len(w.home):
+        return
+    mig = yield from migrate_task(w.active, moves, live=True,
+                                  precopy_rounds=4, dirty_threshold=4096,
+                                  deadline=30.0, timeouts=w.timeouts)
+    w.report.outcome.update(
+        migration=(mig.checkpoint.status, mig.restart.status, mig.bailout,
+                   len(mig.rounds)), migrated_ok=mig.ok)
+    for src, pod_id, dst in moves:
+        w.moved[pod_id] = (src, dst, mig.ok)
+        w.plausible[pod_id].add(dst)
+    if not mig.ok:
+        # partitioned agents get their unilateral-abort window before
+        # the end-state audit expects the source resumed
+        yield w.engine.sleep(w.grace)
+
+
+def _supervisor(w: World):
+    """The Manager's own failure detector: poll the process, wait out
+    its lease, then take over against the shared ledger."""
+    from ..core.manager import Manager
+    from ..fleet import resume_campaigns_task
+    engine, got = w.engine, w.report.outcome
+    while not w.manager.crashed:
+        if engine.now >= w.params["until"] - w.scenario.supervise:
+            return
+        yield engine.sleep(0.25)
+    yield engine.sleep(LEASE_S + 1.0)
+    w.replica = Manager.deploy_replica(w.cluster, w.manager.agents, name="mgr1")
+    # op-level first: resolve any orphaned checkpoint/migration op
+    # (resume suspended pods, abort torn streams) before re-driving
+    # a campaign's unfinished units on clean pods
+    took = yield from w.replica.takeover_task(timeouts=w.timeouts,
+                                              lease_s=LEASE_S)
+    got["takeover"] = [tuple(a) for a in took]
+    acts = yield from resume_campaigns_task(w.replica, timeouts=w.timeouts,
+                                            lease_s=LEASE_S, collect=w.runs)
+    got["resume"] = [tuple(a) for a in acts]
+
+
+# ---------------------------------------------------------------------------
+# the drivers
+# ---------------------------------------------------------------------------
+
+def _checkpoint_loop(w: World):
+    """``n_ops`` coordinated checkpoints of the pair (serial / async /
+    cas): per op, the scenario's features are drawn — SAN container or
+    Agent memory, delta filter, zero-stall path — in that order, before
+    the targets are built."""
+    sc, rng = w.scenario, w.rng
+    for i in range(w.params["n_ops"]):
+        uri = sc.uri if _chance(rng, sc.san_p) else "mem"
+        delta, zero_stall = _chance(rng, sc.delta_p), _chance(rng, sc.async_p)
+        targets = _targets(w, uri, i)
+        if len(targets) < 2:
+            if sc.recovers and (yield from _recover(w)):
+                continue
+            return
+        yield from _checkpoint(w, targets, filters=[DELTA] if delta else None,
+                               async_ckpt=zero_stall)
+        yield w.engine.sleep(rng.uniform(0.5, 2.0))
+
+
+def _failover_driver(w: World):
+    """The victim checkpoint ``mgr0`` dies under, then — once the
+    supervisor's takeover settled — a *continuity* checkpoint through
+    whichever Manager is alive."""
+    engine, rng = w.engine, w.rng
+    yield engine.sleep(round(rng.uniform(0.05, 0.3), 4))
+    # the victim op: always file targets so every MANAGER_PHASES
+    # crossing (including flush) exists on the success path
+    targets = _targets(w, "file:/san/fo-{pod}.img")
+    task = w.manager.checkpoint(targets, deadline=30.0, timeouts=w.timeouts,
+                                lease_s=LEASE_S)
+    _ok, res = yield engine.timeout(task.finished, 60.0)
+    w.report.ops.append(("checkpoint", res.op_id, res.status) if res is not None
+                        else ("checkpoint", 0, "crashed"))
+    yield from _await_takeover(w)
+    yield engine.sleep(w.grace)  # parked sessions settle (abort/flush)
+    for name in ("resumed", "exactly-one-copy", "no-pod-lost"):
+        audit(w, name, "post-takeover")
+    # continuity: the surviving Manager must drive new ops
+    uri = "file:/san/fo-cont-{pod}.img" if rng.random() < 0.5 else "mem"
+    w.continuity = yield from _checkpoint(w, _targets(w, uri), lease_s=LEASE_S)
+
+
+def _migration_driver(w: World):
+    """Live-migrate both pods onto spare blades mid-run."""
+    yield w.engine.sleep(round(w.rng.uniform(0.05, 0.35), 4))
+    yield from _migrate(w)
+
+
+def _draw_campaign(rng: random.Random):
+    """The fleet world's seeded (kind, target nodes, policy)."""
+    from ..fleet import FleetPolicy
+    kind = rng.choice(("drain", "evacuate", "checkpoint"))
+    populated = [f"blade{i}" for i in range(1, 6)]
+    if kind == "drain":
+        targets = [rng.choice(populated)]
+    elif kind == "evacuate":
+        targets = sorted(rng.sample(populated, 2))
+    else:
+        targets = []
+    return kind, targets, FleetPolicy(
+        max_inflight=rng.choice((2, 3, 4)), wave_barrier=rng.random() < 0.5,
+        failure_threshold=0.5, retries=1, deadline=30.0, lease_s=LEASE_S)
+
+
+def _fleet_driver(w: World):
+    """Run the seeded campaign: drain a blade, evacuate two, or
+    checkpoint the whole fleet."""
+    from ..fleet import checkpoint_fleet_task, drain_campaign, evacuate_campaign
+    kind, targets, policy = w.campaign
+    yield w.engine.sleep(round(w.rng.uniform(0.05, 0.3), 4))
+    if kind == "drain":
+        task = drain_campaign(w.manager, targets[0], policy=policy,
+                              timeouts=w.timeouts).run()
+    elif kind == "evacuate":
+        task = evacuate_campaign(w.manager, targets, policy=policy,
+                                 timeouts=w.timeouts).run()
+    else:
+        task = w.manager._spawn(
+            checkpoint_fleet_task(w.manager, policy=policy,
+                                  timeouts=w.timeouts),
+            name="fleet-chaos-ckpt")
+    _ok, res = yield w.engine.timeout(task.finished, w.params["until"] - 120.0)
+    if res is not None:
+        w.runs.insert(0, res)
+
+
+# ---------------------------------------------------------------------------
+# the scenarios
+# ---------------------------------------------------------------------------
+
+#: fault kinds that make sense where no SAN traffic happens — inside
+#: pre-copy rounds, and at fleet wave boundaries (SAN faults are covered
+#: by the per-op batteries; there the interesting failures are blades
+#: dying and links misbehaving *between* units).
+NO_SAN_FAULT_KINDS = ("crash_node", "link_drop", "link_delay", "hang")
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """What really differs between two chaos batteries."""
+
+    #: XORed into the seed for the driver's RNG (kept per battery so
+    #: every seeded schedule replays as it always did).
+    salt: int
+    driver: Callable[[World], Any]
+    #: :func:`run`'s settable parameters and their defaults.
+    defaults: Mapping[str, Any]
+    #: the random fault plan's phase and kind domains.
+    phases: Tuple[str, ...] = CHECKPOINT_PHASES
+    kinds: Tuple[str, ...] = FAULT_KINDS
+    #: phases a drawn ``crash_manager`` may land on (empty: none drawn).
+    manager_crash_at: Tuple[str, ...] = ()
+    #: seconds before ``until`` at which the takeover supervisor stops
+    #: watching (None: no supervisor — nothing kills this Manager).
+    supervise: Optional[float] = None
+    #: the ping-pong pair's port and dirty rate (a nonzero rate gives
+    #: pre-copy a moving working set, the copy-on-write window writes to
+    #: catch, and successive generations different bytes).
+    port: int = 9300
+    dirty_rate: int = 0
+    #: checkpoint loop: shared-storage URI template, the chance an op
+    #: uses it rather than Agent memory, the chance of the delta filter
+    #: and of the zero-stall path, and whether a lost pod is recovered.
+    uri: str = "mem"
+    san_p: float = 0.0
+    delta_p: float = 0.0
+    async_p: float = 0.0
+    recovers: bool = False
+
+
+_PAIR = {"n_nodes": 4, "rounds": 300, "until": 300.0}
+
+SCENARIOS: Dict[str, Scenario] = {
+    # coordinated checkpoints, plain images, crash recovery
+    "serial": Scenario(
+        salt=0x5DEECE66D, driver=_checkpoint_loop,
+        defaults={**_PAIR, "n_ops": 4},
+        uri="file:/san/chaos-{pod}-{i}.img", san_p=0.7, recovers=True),
+    # mgr0 killed exactly at the ``crash_phase`` ledger crossing —
+    # between "this phase's record is durable" and "the next phase's
+    # actions run", the worst case for the op left in flight
+    "failover": Scenario(
+        salt=0x9E3779B9, driver=_failover_driver, supervise=45.0,
+        defaults={"n_nodes": 4, "rounds": 220, "until": 120.0,
+                  "crash_phase": None}),
+    # faults inside live-migration pre-copy rounds
+    "migration": Scenario(
+        salt=0x3C6EF372, driver=_migration_driver,
+        defaults={"n_nodes": 5, "rounds": 2500, "until": 300.0},
+        phases=PRECOPY_PHASES, kinds=NO_SAN_FAULT_KINDS,
+        dirty_rate=64_000_000),
+    # a campaign over idle pods (blades 1..5 populated, the rest spare),
+    # faults at the wave boundaries, possibly a Manager crash mid-campaign
+    "fleet": Scenario(
+        salt=0x51EE7F1E, driver=_fleet_driver, supervise=90.0,
+        defaults={"n_nodes": 8, "n_pods": 24, "until": 900.0},
+        phases=FLEET_PHASES, kinds=NO_SAN_FAULT_KINDS,
+        manager_crash_at=("fleet.pod_start", "fleet.pod_done",
+                          "fleet.wave_done")),
+    # zero-stall incremental checkpoints; faults also at the async
+    # crossings (capture end, post-resume encode, overlapped write-out)
+    "async": Scenario(
+        salt=0x1F123BB5, driver=_checkpoint_loop,
+        defaults={**_PAIR, "n_ops": 5},
+        phases=CHECKPOINT_PHASES + ASYNC_CKPT_PHASES,
+        port=9310, dirty_rate=25_000_000,
+        uri="file:/san/async-{pod}-{i}.img", san_p=0.5,
+        delta_p=1.0, async_p=1.0),
+    # the content-addressed store at *fixed* per-pod paths — every op
+    # extends or replaces the same generation chain, exercising
+    # stage/publish/retire/release — delta and zero-stall mixed in;
+    # faults also at the CAS crossings (chunk write, index commit,
+    # tombstone GC)
+    "cas": Scenario(
+        salt=0x0CA5CA50, driver=_checkpoint_loop,
+        defaults={**_PAIR, "n_ops": 5},
+        phases=CHECKPOINT_PHASES + CAS_PHASES,
+        port=9320, dirty_rate=25_000_000,
+        uri="cas:/san/cas-{pod}.img", san_p=1.0, delta_p=0.5, async_p=0.3),
+}
+
+
+# ---------------------------------------------------------------------------
+# the one runner
+# ---------------------------------------------------------------------------
+
+def _plan(w: World) -> FaultPlan:
+    """The episode's fault plan: a Manager crash at the requested ledger
+    crossing, or a seeded random draw over the scenario's domain —
+    possibly plus a ``crash_manager`` drawn from the driver's RNG."""
+    sc, rng = w.scenario, w.rng
+    if "crash_phase" in w.params:
+        crash_phase = w.params["crash_phase"]
+        if crash_phase is None:
+            raise TypeError("this scenario needs crash_phase=<manager.ledger.*>")
+        faults = [FaultSpec(kind="crash_manager", phase=crash_phase)]
+        if crash_phase == "manager.ledger.abort":
+            # the abort crossing only exists on a failed op: stall the
+            # server Agent at suspend past the Manager's meta deadline
+            faults.insert(0, FaultSpec(kind="hang", phase="agent.suspend",
+                                       node=w.home[SRV_POD], seconds=9.0))
+        return FaultPlan(seed=w.seed, faults=faults)
+    plan = FaultPlan.random(w.seed, [n.name for n in w.cluster.nodes],
+                            phases=sc.phases, kinds=sc.kinds)
+    if sc.manager_crash_at and rng.random() < 0.4:
+        plan.faults.append(FaultSpec(
+            kind="crash_manager", phase=rng.choice(sc.manager_crash_at),
+            after=rng.randint(1, 8)))
+    return plan
+
+
+def _build_world(name: str, seed: int, trace_spans: bool,
+                 params: Dict[str, Any]) -> World:
+    """Cluster → tracer → Manager → fault plan + injector → driver RNG →
+    the one set of phase deadlines → the application under test."""
+    from ..core.manager import Manager, PhaseTimeouts
+    sc = SCENARIOS[name]
+    rng = random.Random(seed ^ sc.salt)
+    manager = campaign = None
+    if "n_pods" in params:
+        from ..fleet import FLEET_TIMEOUTS as timeouts, build_fleet_world
+        campaign = _draw_campaign(rng)
+        cluster, manager, placed = build_fleet_world(
+            params["n_nodes"], params["n_pods"], seed=seed,
+            first_node=1, last_node=5)
+        home = {pod_id: node for node, pod_id in placed}
+    else:
+        cluster = Cluster.build(params["n_nodes"], seed=seed)
+        # tight per-phase deadlines: faults inject multi-second stalls,
+        # and the episode has to detect and clean them up well inside
+        # `until`
+        timeouts = PhaseTimeouts(connect=2.0, meta=5.0, barrier=5.0, done=8.0,
+                                 flush=20.0, load=5.0, restart_done=15.0,
+                                 drain=3.0)
+        # the application under test (kept off blade0, where the Manager
+        # lives)
+        home = {SRV_POD: cluster.node(1).name,
+                CLI_POD: cluster.node(2 % params["n_nodes"]).name}
+    tracer = None
+    if trace_spans:
+        from ..obs import SpanTracer
+        tracer = SpanTracer(cluster.engine).install(cluster)
+    if manager is None:
+        manager = Manager.deploy(cluster)
+    w = World(scenario=sc, seed=seed, params=params, rng=rng, cluster=cluster,
+              manager=manager, timeouts=timeouts, tracer=tracer, home=home,
+              plausible={p: {n} for p, n in home.items()},
+              campaign=campaign)
+    injector = FaultInjector(cluster, _plan(w)).install()
+    w.report = ChaosReport(scenario=name, seed=seed,
+                           plan=injector.plan.describe(),
+                           trace=injector.trace, fired=injector.fired)
+    if campaign is None:
+        rate = {"dirty_rate": sc.dirty_rate} if sc.dirty_rate else {}
+        srv_node, cli_node = (cluster.node_by_name(home[p])
+                              for p in (SRV_POD, CLI_POD))
+        pod_srv = cluster.create_pod(srv_node, SRV_POD)
+        cluster.create_pod(cli_node, CLI_POD)
+        srv_node.kernel.spawn(
+            build_program("chaos.pp-server", port=sc.port,
+                          rounds=params["rounds"], **rate), pod_id=SRV_POD)
+        cli_node.kernel.spawn(
+            build_program("chaos.pp-client", server=pod_srv.vip, port=sc.port,
+                          rounds=params["rounds"], **rate), pod_id=CLI_POD)
+    return w
+
+
+def run(scenario: str, seed: int, *, trace_spans: bool = False,
+        **params) -> ChaosReport:
+    """One chaos episode of ``SCENARIOS[scenario]``; returns the audited
+    :class:`ChaosReport`.  ``params`` override the scenario's
+    ``defaults`` (``n_nodes``, ``rounds``, ``until``, and per scenario
+    ``n_ops``, ``n_pods``, ``crash_phase``)."""
+    from ..storage.cas import CasStore
+    sc = SCENARIOS[scenario]
+    unknown = set(params) - set(sc.defaults)
+    if unknown:
+        raise TypeError(f"{scenario} takes no {sorted(unknown)} "
+                        f"(settable: {sorted(sc.defaults)})")
+    w = _build_world(scenario, seed, trace_spans, {**sc.defaults, **params})
+    if sc.supervise is not None:
+        w.engine.spawn(_supervisor(w), name=f"chaos-{scenario}-supervisor")
+    w.engine.spawn(sc.driver(w), name=f"chaos-{scenario}-driver")
+    w.engine.run(until=w.params["until"])
+
+    report, got = w.report, w.report.outcome
+    report.crashed_nodes = sorted(w.crashed())
+    report.manager_crashed = w.manager.crashed
+    report.app_finished = not _fleet(w) and None not in final_sums(w.cluster)
+    if _fleet(w):
+        kind, targets, policy = w.campaign
+        got.update(kind=kind, targets=targets, max_inflight=policy.max_inflight,
+                   peaks=[r.peak_inflight for r in w.runs])
+        if w.runs:
+            c = w.runs[-1].counts()
+            got["campaign"] = (w.runs[-1].status, c["ok"], c["failed"],
+                               c["skipped"], w.runs[-1].threshold_tripped)
+    if w.tracer is not None:
+        from ..obs import assemble_campaigns, audit_campaign, to_jsonl
+        report.span_dump = to_jsonl(w.tracer)
+        # one tracer spans all Manager incarnations of the episode, so
+        # the ledger + one dump must stitch into one complete tree
+        w.assembled = assemble_campaigns(w.ledger(), dumps=(report.span_dump,))
+        if w.assembled:
+            tree = w.assembled[-1]
+            got.update(assembled=tree.to_jsonl(),
+                       assembled_chrome=tree.dumps_chrome(),
+                       slo=audit_campaign(tree).to_dict())
+    for name in INVARIANTS:
+        audit(w, name)
+    got["store_stats"] = CasStore.on(w.cluster.san).stats()
     return report

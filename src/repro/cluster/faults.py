@@ -42,7 +42,7 @@ Fault kinds:
     as its own engine event, like ``crash_node``).  Not part of
     :data:`FAULT_KINDS` — the random-draw domain is frozen so existing
     seeded plans replay identically — it is used by explicit failover
-    plans (see :func:`repro.cluster.chaos.run_failover_chaos`), which
+    plans (the ``failover`` scenario of :mod:`repro.cluster.chaos`), which
     fire it at the :data:`MANAGER_PHASES` ledger crossings.
 """
 

@@ -171,12 +171,12 @@ def figfailover(apps: List[str], scale: float, filters: Filters = None) -> None:
     (not a paper figure — the Manager is the paper's lone unreplicated
     component; this table shows a standby replica resolving the orphan
     left at every phase boundary)."""
-    from .cluster.chaos import run_failover_chaos
+    from .cluster import chaos
     from .cluster.faults import MANAGER_PHASES
     rows = []
     for crash_phase in MANAGER_PHASES:
-        rep = run_failover_chaos(0, crash_phase)
-        claimed = rep.takeover or []
+        rep = chaos.run("failover", 0, crash_phase=crash_phase)
+        claimed = rep.outcome.get("takeover", [])
         rows.append((crash_phase.split("manager.ledger.")[-1],
                      ", ".join(f"op{o}@{p}" for o, p, _w in claimed) or "-",
                      ", ".join(w for _o, _p, w in claimed) or "none orphaned",

@@ -261,27 +261,28 @@ def run_campaign_trace(seed: int, out_path: str) -> bool:
     """
     import json
 
-    from .cluster.chaos import run_fleet_chaos
+    from .cluster import chaos
     from .obs import WallProfiler
     wall = WallProfiler()
     with wall.phase("simulate+assemble"):
-        report = run_fleet_chaos(seed, trace_spans=True)
-    print(f"fleet-chaos seed {seed}: scenario {report.scenario}"
-          + (f" targeting {','.join(report.targets)}" if report.targets else "")
+        report = chaos.run("fleet", seed, trace_spans=True)
+    got = report.outcome
+    print(f"fleet-chaos seed {seed}: scenario {got['kind']}"
+          + (f" targeting {','.join(got['targets'])}" if got["targets"] else "")
           + ("; Manager crashed mid-campaign and a replica finished the "
              "campaign" if report.manager_crashed else ""))
-    if report.assembled is None:
+    if "assembled" not in got:
         print("no campaign was assembled (no campaign records in the ledger)")
         return False
-    header = json.loads(report.assembled.splitlines()[0])
+    header = json.loads(got["assembled"].splitlines()[0])
     cov = header["coverage"]
     with wall.phase("write"):
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(report.assembled)
+            fh.write(got["assembled"])
         with open(out_path + ".chrome.json", "w", encoding="utf-8") as fh:
-            fh.write(report.assembled_chrome)
+            fh.write(got["assembled_chrome"])
         with open(out_path + ".slo.json", "w", encoding="utf-8") as fh:
-            json.dump(report.slo, fh, sort_keys=True, indent=2)
+            json.dump(got["slo"], fh, sort_keys=True, indent=2)
             fh.write("\n")
     print(f"assembled campaign {header['cid']} ({header['kind']}, "
           f"{header['status']}): {header['nodes']} nodes, "

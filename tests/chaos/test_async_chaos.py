@@ -1,51 +1,37 @@
 """Seeded chaos against the zero-stall (async) incremental checkpoint path.
 
-Each seed drives one episode (see repro.cluster.chaos.run_async_chaos):
-a checksummed ping-pong pair with a writing working set, a sequence of
+Each seed drives one ``async`` episode (see repro.cluster.chaos): a
+checksummed ping-pong pair with a writing working set, a sequence of
 ``async_ckpt=True`` incremental (delta-filter) checkpoints, and a seeded
 fault schedule that fires both at the classic checkpoint phase
-boundaries and at the new async crossings (capture end, post-resume
-encode, overlapped write-out).  The episode audits:
-
-A1  a failed op leaves every surviving pod running,
-A2  no partial image container is ever visible as restartable,
-A3  every committed in-memory delta chain reassembles byte-identically
-    to the Agent's committed full base,
-A4  rolling checksums are exact whenever the application finishes.
-
-``CHAOS_SEED_BUCKET=incremental`` (CI matrix) selects this battery.
+boundaries and at the async crossings (capture end, post-resume encode,
+overlapped write-out).  The episode is audited against every applicable
+invariant: a failed op leaves every surviving pod running, no partial
+image container is ever visible as restartable, every committed
+in-memory delta chain reassembles byte-identically to the Agent's
+committed full base, the sync point holds, and rolling checksums are
+exact whenever the application finishes.
 """
-
-import os
 
 import pytest
 
-from repro.cluster.chaos import run_async_chaos
+from repro.cluster import chaos
 from repro.cluster.faults import ASYNC_CKPT_PHASES, CHECKPOINT_PHASES, FaultPlan
 
+from .battery import clean_episode, needs_full_seed_set, seeds
+
 N_SEEDS = 16
-SEEDS = list(range(N_SEEDS))
-_bucket = os.environ.get("CHAOS_SEED_BUCKET")
-if _bucket and "/" in _bucket:
-    _k, _n = (int(x) for x in _bucket.split("/"))
-    SEEDS = [s for s in SEEDS if s % _n == _k]
+SEEDS = seeds(N_SEEDS)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_async_invariants_hold(seed):
-    report = run_async_chaos(seed)
-    assert report.ops, f"seed {seed}: no checkpoint ran"
-    assert report.violations == [], (
-        f"seed {seed} violated invariants "
-        f"(replay with run_async_chaos({seed})):\n"
-        + "\n".join(report.violations)
-        + f"\nplan: {report.plan}\nops: {report.ops}"
-        + f"\nfired: {report.fired}")
+    clean_episode("async", seed)
 
 
 def test_same_seed_identical_episode():
-    a = run_async_chaos(5, trace_spans=True)
-    b = run_async_chaos(5, trace_spans=True)
+    a = chaos.run("async", 5, trace_spans=True)
+    b = chaos.run("async", 5, trace_spans=True)
     assert a.trace == b.trace
     assert a.fired == b.fired
     assert a.ops == b.ops
@@ -54,21 +40,22 @@ def test_same_seed_identical_episode():
 
 
 def test_async_plans_draw_from_async_phases():
-    plan = FaultPlan.random(13, ["blade0", "blade1"],
-                            phases=CHECKPOINT_PHASES + ASYNC_CKPT_PHASES)
+    phases = chaos.SCENARIOS["async"].phases
+    assert phases == CHECKPOINT_PHASES + ASYNC_CKPT_PHASES
+    plan = FaultPlan.random(13, ["blade0", "blade1"], phases=phases)
     assert plan.faults, "empty fault plan"
     for spec in plan.faults:
-        assert spec.phase in CHECKPOINT_PHASES + ASYNC_CKPT_PHASES
+        assert spec.phase in phases
 
 
-@pytest.mark.skipif(bool(_bucket), reason="coverage audit needs the full seed set")
+@needs_full_seed_set
 def test_seed_set_exercises_async_crossings():
     """The fixed seed matrix lands at least one fault on an async-only
     phase, commits at least one op, and fails at least one op — so the
     battery covers both halves of the async failure semantics."""
     async_hits = commits = failures = 0
     for seed in SEEDS:
-        report = run_async_chaos(seed)
+        report = chaos.run("async", seed)
         if any(f[2] in ASYNC_CKPT_PHASES for f in report.fired):
             async_hits += 1
         commits += sum(1 for op in report.ops if op[2] == "ok")

@@ -1,70 +1,57 @@
 """Seeded chaos against the content-addressed checkpoint store.
 
-Each seed drives one episode (see repro.cluster.chaos.run_cas_chaos): a
+Each seed drives one ``cas`` episode (see repro.cluster.chaos): a
 checksummed ping-pong pair checkpointed repeatedly into the CAS at fixed
 per-pod paths — every op extends or replaces the same generation chain —
 with the delta filter and the zero-stall path mixed in, while a seeded
 fault plan fires at the checkpoint boundaries plus the CAS crossings
-(chunk write, index commit, tombstone GC).  The episode audits:
-
-C1  a failed op leaves every surviving pod running,
-C2  a published recipe is never partial: it loads and reassembles,
-C3  the restored chain is byte-identical to a committed prefix of the
-    Agent's in-memory ground truth,
-C4  rolling checksums are exact whenever the application finishes,
-C5  after a final orphan sweep the index balances exactly: no staged
-    leftovers, no leaked chunk, no dangling ref.
-
-``CHAOS_SEED_BUCKET=cas`` (CI matrix) selects this battery.
+(chunk write, index commit, tombstone GC).  The episode is audited
+against every applicable invariant: a failed op leaves every surviving
+pod running, a published recipe is never partial (it loads and
+reassembles), the restored chain is byte-identical to a committed prefix
+of the Agent's in-memory ground truth, the sync point holds, rolling
+checksums are exact whenever the application finishes, and after a final
+orphan sweep the index balances exactly — no staged leftovers, no leaked
+chunk, no dangling ref.
 """
-
-import os
 
 import pytest
 
-from repro.cluster.chaos import run_cas_chaos
+from repro.cluster import chaos
 from repro.cluster.faults import CAS_PHASES, CHECKPOINT_PHASES, FaultPlan
 
+from .battery import clean_episode, needs_full_seed_set, seeds
+
 N_SEEDS = 16
-SEEDS = list(range(N_SEEDS))
-_bucket = os.environ.get("CHAOS_SEED_BUCKET")
-if _bucket and "/" in _bucket:
-    _k, _n = (int(x) for x in _bucket.split("/"))
-    SEEDS = [s for s in SEEDS if s % _n == _k]
+SEEDS = seeds(N_SEEDS)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_cas_invariants_hold(seed):
-    report = run_cas_chaos(seed)
-    assert report.ops, f"seed {seed}: no checkpoint ran"
-    assert report.violations == [], (
-        f"seed {seed} violated invariants "
-        f"(replay with run_cas_chaos({seed})):\n"
-        + "\n".join(report.violations)
-        + f"\nplan: {report.plan}\nops: {report.ops}"
-        + f"\nfired: {report.fired}")
+    clean_episode("cas", seed)
 
 
 def test_same_seed_identical_episode():
-    a = run_cas_chaos(3, trace_spans=True)
-    b = run_cas_chaos(3, trace_spans=True)
+    a = chaos.run("cas", 3, trace_spans=True)
+    b = chaos.run("cas", 3, trace_spans=True)
     assert a.trace == b.trace
     assert a.fired == b.fired
     assert a.ops == b.ops
     assert a.span_dump == b.span_dump
-    assert a.store_stats == b.store_stats
+    assert a.outcome["store_stats"] == b.outcome["store_stats"]
     assert a.violations == b.violations == []
 
 
 def test_cas_plans_draw_from_cas_phases():
-    plan = FaultPlan.random(11, ["blade0", "blade1"],
-                            phases=CHECKPOINT_PHASES + CAS_PHASES)
+    phases = chaos.SCENARIOS["cas"].phases
+    assert phases == CHECKPOINT_PHASES + CAS_PHASES
+    plan = FaultPlan.random(11, ["blade0", "blade1"], phases=phases)
     assert plan.faults, "empty fault plan"
     for spec in plan.faults:
-        assert spec.phase in CHECKPOINT_PHASES + CAS_PHASES
+        assert spec.phase in phases
 
 
-@pytest.mark.skipif(bool(_bucket), reason="coverage audit needs the full seed set")
+@needs_full_seed_set
 def test_seed_set_exercises_cas_crossings():
     """The fixed seed matrix lands at least one fault on a CAS-only
     crossing, commits at least one op, fails at least one op, and sees
@@ -72,12 +59,12 @@ def test_seed_set_exercises_cas_crossings():
     rollback, and the GC protocol."""
     cas_hits = commits = failures = reclaims = 0
     for seed in SEEDS:
-        report = run_cas_chaos(seed)
+        report = chaos.run("cas", seed)
         if any(f[2] in CAS_PHASES for f in report.fired):
             cas_hits += 1
         commits += sum(1 for op in report.ops if op[2] == "ok")
         failures += sum(1 for op in report.ops if op[2] != "ok")
-        if report.store_stats.get("gc_reclaimed_bytes", 0) > 0:
+        if report.outcome["store_stats"].get("gc_reclaimed_bytes", 0) > 0:
             reclaims += 1
     assert cas_hits >= 1, "no seed faulted a CAS crossing"
     assert commits >= 1, "no seed committed a checkpoint"

@@ -5,8 +5,12 @@ failing seed replays to the identical fault schedule and the identical
 sequence of phase crossings, timestamps included.
 """
 
-from repro.cluster.chaos import run_chaos
+import pytest
+
+from repro.cluster import chaos
 from repro.cluster.faults import CHECKPOINT_PHASES, FaultPlan
+
+pytestmark = pytest.mark.serial
 
 
 def test_same_seed_same_plan():
@@ -20,8 +24,8 @@ def test_same_seed_same_plan():
 def test_same_seed_identical_trace():
     # seed 7 fires several faults (see the invariants suite); two runs
     # must agree event for event, timestamps included
-    a = run_chaos(7)
-    b = run_chaos(7)
+    a = chaos.run("serial", 7)
+    b = chaos.run("serial", 7)
     assert a.trace == b.trace
     assert a.fired == b.fired
     assert a.ops == b.ops
@@ -29,6 +33,6 @@ def test_same_seed_identical_trace():
 
 
 def test_different_seeds_diverge():
-    a = run_chaos(5)
-    b = run_chaos(6)
+    a = chaos.run("serial", 5)
+    b = chaos.run("serial", 6)
     assert (a.plan, a.trace) != (b.plan, b.trace)

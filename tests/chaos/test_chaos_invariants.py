@@ -1,45 +1,34 @@
 """Seeded chaos schedules hold the protocol's safety invariants.
 
-Each seed drives one full episode (see repro.cluster.chaos): a
+Each seed drives one full ``serial`` episode (see repro.cluster.chaos): a
 checksummed distributed application, a sequence of coordinated
 checkpoints, a seeded random fault schedule fired at protocol phase
 boundaries, and — when a blade crashes — a recovery from the last good
-checkpoint.  The episode audits:
-
-I1  a failed operation leaves every surviving pod running,
-I2  no partial image is ever visible as restartable,
-I3  the last good checkpoint is never corrupted,
-I4  the single synchronization point is preserved.
-
-``CHAOS_SEED_BUCKET=k/n`` (CI matrix) restricts a worker to the seeds
-with ``seed % n == k``.
+checkpoint.  The episode is audited against every applicable invariant
+of ``chaos.INVARIANTS`` — a failed operation leaves every surviving pod
+running, no partial image is ever visible as restartable, the last good
+checkpoint is never corrupted, the single synchronization point is
+preserved.
 """
-
-import os
 
 import pytest
 
-from repro.cluster.chaos import run_chaos
+from repro.cluster import chaos
+
+from .battery import clean_episode, needs_full_seed_set, seeds
+
+pytestmark = pytest.mark.serial
 
 N_SEEDS = 30
-SEEDS = list(range(N_SEEDS))
-_bucket = os.environ.get("CHAOS_SEED_BUCKET")
-if _bucket:
-    _k, _n = (int(x) for x in _bucket.split("/"))
-    SEEDS = [s for s in SEEDS if s % _n == _k]
+SEEDS = seeds(N_SEEDS)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_invariants_hold(seed):
-    report = run_chaos(seed)
-    assert report.ops, f"seed {seed}: driver issued no operations"
-    assert report.violations == [], (
-        f"seed {seed} violated invariants (replay with run_chaos({seed})):\n"
-        + "\n".join(report.violations)
-        + f"\nplan: {report.plan}\nops: {report.ops}\nfired: {report.fired}")
+    clean_episode("serial", seed)
 
 
-@pytest.mark.skipif(bool(_bucket), reason="coverage audit needs the full seed set")
+@needs_full_seed_set
 def test_seed_set_covers_fault_space():
     """The fixed seed matrix exercises every fault kind and at least one
     crash-recovery episode — otherwise green runs prove too little."""
@@ -47,7 +36,7 @@ def test_seed_set_covers_fault_space():
     recoveries = 0
     clean_finishes = 0
     for seed in SEEDS:
-        report = run_chaos(seed)
+        report = chaos.run("serial", seed)
         kinds.update(f[1] for f in report.fired)
         recoveries += sum(1 for kind, _id, _st in report.ops if kind == "recover")
         clean_finishes += int(report.app_finished)

@@ -1,66 +1,53 @@
 """Seeded chaos inside live-migration pre-copy rounds.
 
-Each seed drives one episode (see repro.cluster.chaos.run_migration_chaos):
-a checksummed ping-pong pair with a writing working set, a live migration
+Each seed drives one ``migration`` episode (see repro.cluster.chaos): a
+checksummed ping-pong pair with a writing working set, a live migration
 of both pods to fresh blades, and a seeded fault schedule fired at
-pre-copy phase boundaries.  The episode audits:
-
-M1  exactly one copy of each pod exists afterwards — on the destination
-    when the migration committed, still running on the source when it
-    aborted (never both, never zero on surviving blades),
-M2  the application's rolling checksums are exact whenever it finishes.
-
-``CHAOS_SEED_BUCKET=k/n`` (CI matrix) restricts a worker to the seeds
-with ``seed % n == k``.
+pre-copy phase boundaries.  The episode is audited against every
+applicable invariant — above all ``exactly-one-copy``: each pod lives on
+the destination when the migration committed, still runs on the source
+when it aborted (never both, never zero on surviving blades) — and the
+application's rolling checksums are exact whenever it finishes.
 """
-
-import os
 
 import pytest
 
-from repro.cluster.chaos import MIGRATION_FAULT_KINDS, run_migration_chaos
+from repro.cluster import chaos
 from repro.cluster.faults import PRECOPY_PHASES, FaultPlan
 
+from .battery import clean_episode, needs_full_seed_set, seeds
+
 N_SEEDS = 24
-SEEDS = list(range(N_SEEDS))
-_bucket = os.environ.get("CHAOS_SEED_BUCKET")
-if _bucket:
-    _k, _n = (int(x) for x in _bucket.split("/"))
-    SEEDS = [s for s in SEEDS if s % _n == _k]
+SEEDS = seeds(N_SEEDS)
+KINDS = chaos.SCENARIOS["migration"].kinds
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_migration_invariants_hold(seed):
-    report = run_migration_chaos(seed)
-    assert report.migration is not None, f"seed {seed}: no migration ran"
-    assert report.violations == [], (
-        f"seed {seed} violated invariants "
-        f"(replay with run_migration_chaos({seed})):\n"
-        + "\n".join(report.violations)
-        + f"\nplan: {report.plan}\nmigration: {report.migration}"
-        + f"\nfired: {report.fired}")
+    clean_episode("migration", seed)
 
 
 def test_same_seed_identical_episode():
-    a = run_migration_chaos(3, trace_spans=True)
-    b = run_migration_chaos(3, trace_spans=True)
+    a = chaos.run("migration", 3, trace_spans=True)
+    b = chaos.run("migration", 3, trace_spans=True)
     assert a.trace == b.trace
     assert a.fired == b.fired
-    assert a.migration == b.migration
+    assert a.outcome == b.outcome
     assert a.span_dump == b.span_dump
     assert a.violations == b.violations == []
 
 
 def test_precopy_plans_draw_from_precopy_phases():
+    assert chaos.SCENARIOS["migration"].phases == PRECOPY_PHASES
     plan = FaultPlan.random(11, ["blade0", "blade1"], phases=PRECOPY_PHASES,
-                            kinds=MIGRATION_FAULT_KINDS)
+                            kinds=KINDS)
     assert plan.faults, "empty fault plan"
     for spec in plan.faults:
         assert spec.phase in PRECOPY_PHASES
-        assert spec.kind in MIGRATION_FAULT_KINDS
+        assert spec.kind in KINDS
 
 
-@pytest.mark.skipif(bool(_bucket), reason="coverage audit needs the full seed set")
+@needs_full_seed_set
 def test_seed_set_covers_migration_fault_space():
     """The fixed seed matrix exercises every migration fault kind, at
     least one aborted migration (source kept), at least one committed
@@ -68,15 +55,15 @@ def test_seed_set_covers_migration_fault_space():
     kinds = set()
     commits = aborts = multi_round = 0
     for seed in SEEDS:
-        report = run_migration_chaos(seed)
+        report = chaos.run("migration", seed)
         kinds.update(f[1] for f in report.fired)
-        if report.migrated_ok:
+        if report.outcome["migrated_ok"]:
             commits += 1
         else:
             aborts += 1
-        if report.migration and report.migration[3] >= 2:
+        if report.outcome["migration"][3] >= 2:
             multi_round += 1
-    assert kinds == set(MIGRATION_FAULT_KINDS), f"unexercised kinds: {kinds}"
+    assert kinds == set(KINDS), f"unexercised kinds: {kinds}"
     assert commits >= 1, "no seed committed a live migration"
     assert aborts >= 1, "no seed exercised an aborted live migration"
     assert multi_round >= 1, "no seed ran more than one pre-copy round"

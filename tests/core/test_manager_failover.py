@@ -232,7 +232,7 @@ def test_double_abort_gc_is_idempotent():
 
 def test_crash_inside_recover_leaves_both_ops_to_the_replica():
     """Fail-stop inside ``recover_task`` driven by ``yield from`` from an
-    untracked task (as ``run_chaos`` and the fleet layer drive it): the
+    untracked task (as the chaos drivers and the fleet layer drive it): the
     Manager dies at the nested restart's ``plan`` crossing.  A dead
     Manager writes nothing — the recover op stays non-terminal for the
     replica to claim, and its child restart is re-driven to commit."""

@@ -17,7 +17,7 @@ import json
 import pytest
 
 from repro.cluster import Cluster
-from repro.cluster.chaos import run_chaos
+from repro.cluster import chaos
 from repro.core import Manager, migrate
 from repro.obs import (
     SpanTracer,
@@ -190,8 +190,8 @@ def test_different_schedules_diverge():
 
 def test_chaos_span_dump_identical_under_faults():
     """Determinism holds with an active FaultPlan injecting failures."""
-    a = run_chaos(11, rounds=120, until=120.0, trace_spans=True)
-    b = run_chaos(11, rounds=120, until=120.0, trace_spans=True)
+    a = chaos.run("serial", 11, rounds=120, until=120.0, trace_spans=True)
+    b = chaos.run("serial", 11, rounds=120, until=120.0, trace_spans=True)
     assert a.span_dump is not None and a.span_dump == b.span_dump
     assert a.fired == b.fired
     # fault activations show up as spans when any fault fired
@@ -247,8 +247,8 @@ def test_tracer_does_not_perturb_simulated_latency():
 
 def test_chaos_episode_identical_with_and_without_tracer():
     """Tracing changes nothing even under an active fault schedule."""
-    traced = run_chaos(11, rounds=120, until=120.0, trace_spans=True)
-    bare = run_chaos(11, rounds=120, until=120.0, trace_spans=False)
+    traced = chaos.run("serial", 11, rounds=120, until=120.0, trace_spans=True)
+    bare = chaos.run("serial", 11, rounds=120, until=120.0, trace_spans=False)
     assert bare.span_dump is None
     assert traced.ops == bare.ops
     assert traced.fired == bare.fired

@@ -35,23 +35,25 @@ def _redrive(seed):
                            span_dump=to_jsonl(cluster.tracer))
 
 
+def _chaos(scenario, seed, **params):
+    return lambda: chaos.run(scenario, seed, trace_spans=True, **params)
+
+
 CASES = {
-    "chaos-7": lambda: chaos.run_chaos(7, trace_spans=True),
-    "chaos-9": lambda: chaos.run_chaos(9, trace_spans=True),
-    "chaos-17": lambda: chaos.run_chaos(17, trace_spans=True),
-    "failover-continue-3": lambda: chaos.run_failover_chaos(
-        3, "manager.ledger.continue", trace_spans=True),
-    "failover-abort-3": lambda: chaos.run_failover_chaos(
-        3, "manager.ledger.abort", trace_spans=True),
-    "failover-meta-3": lambda: chaos.run_failover_chaos(
-        3, "manager.ledger.meta", trace_spans=True),
+    "chaos-7": _chaos("serial", 7),
+    "chaos-9": _chaos("serial", 9),
+    "chaos-17": _chaos("serial", 17),
+    "failover-continue-3": _chaos("failover", 3,
+                                  crash_phase="manager.ledger.continue"),
+    "failover-abort-3": _chaos("failover", 3, crash_phase="manager.ledger.abort"),
+    "failover-meta-3": _chaos("failover", 3, crash_phase="manager.ledger.meta"),
     "redrive-13": lambda: _redrive(13),
-    "migration-4": lambda: chaos.run_migration_chaos(4, trace_spans=True),
-    "async-mem-5": lambda: chaos.run_async_chaos(5, trace_spans=True),
-    "async-file-3": lambda: chaos.run_async_chaos(3, trace_spans=True),
-    "cas-11": lambda: chaos.run_cas_chaos(11, trace_spans=True),
-    "cas-12": lambda: chaos.run_cas_chaos(12, trace_spans=True),
-    "fleet-18": lambda: chaos.run_fleet_chaos(18, trace_spans=True),
+    "migration-4": _chaos("migration", 4),
+    "async-mem-5": _chaos("async", 5),
+    "async-file-3": _chaos("async", 3),
+    "cas-11": _chaos("cas", 11),
+    "cas-12": _chaos("cas", 12),
+    "fleet-18": _chaos("fleet", 18),
 }
 
 GOLDEN = {
