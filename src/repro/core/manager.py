@@ -558,6 +558,10 @@ class Manager:
         """
         engine = self.cluster.engine
         result = op.result
+        if op.dead():
+            # opened on an already-dead Manager (an untracked driver kept
+            # calling it): no record, no message, no task
+            return result
         marker = f"op{result.op_id}"
         yield from self.cluster.trace("manager.op_start", pod=marker)
         yield from op.begin(**begin)
@@ -895,6 +899,8 @@ class Manager:
         timeouts = timeouts if timeouts is not None else PhaseTimeouts()
         stats: Dict[str, Dict[str, Any]] = {}
         errors: List[str] = []
+        if self.crashed:
+            return stats, [f"precopy round {round_no}: manager crashed"]
 
         def pod_round(src: str, pod_id: str, dst: str):
             phase = self.cluster.span("manager.phase.precopy-round", node=src,
@@ -978,10 +984,11 @@ class Manager:
             if not plan_ready.done:
                 plan_ready.set_result(plan)
 
-        # parked on the barrier until the last pod's meta-data is in
-        self._spawn(planner(), name="restart-planner")
-        sessions = [(f"restart-{p}", self._restart_pod(
-            op, n, p, u, vips, plan_ready, how)) for n, p, u in targets]
+        # the planner rides along as a session of its own, parked on the
+        # barrier until the last pod's meta-data is in
+        sessions = [("restart-planner", planner())] + [
+            (f"restart-{p}", self._restart_pod(
+                op, n, p, u, vips, plan_ready, how)) for n, p, u in targets]
         return (yield from self._drive(op, sessions, deadline,
                                        "deadline expired"))
 
@@ -1103,6 +1110,8 @@ class Manager:
         usable = bool(last is not None and last.ok and last.targets)
         op = self._open_op("recover", last.targets if usable else [], timeouts)
         result = op.result
+        if op.dead():
+            return result
         # per-node op exclusion: a recover destroys surviving instances
         # of every involved pod, so it must own the involved nodes — a
         # concurrent drain/evacuation campaign holding any of them makes
@@ -1249,6 +1258,8 @@ class Manager:
         timeouts = timeouts if timeouts is not None else PhaseTimeouts()
         lease = DEFAULT_LEASE_S if lease_s is None else float(lease_s)
         actions: List[Tuple[int, str, str]] = []
+        if self.crashed:
+            return actions
         for op in self.ledger.orphaned(engine.now):
             span = self.cluster.span("manager.claim", parent=("op", op.op_id),
                                      category="op", op=op.op_id,

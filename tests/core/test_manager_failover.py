@@ -270,6 +270,44 @@ def test_crash_inside_recover_leaves_both_ops_to_the_replica():
     assert final_sums(cluster) == expected_sums(ROUNDS)
 
 
+def test_dead_manager_drives_nothing():
+    """Fail-stop at the op's entry: an untracked task that keeps calling
+    a Manager after it died gets ``crashed`` back at once — no ledger
+    record, no Agent crossing, no pod touched — whichever op it asks for
+    (the parent ran the whole checkpoint: four ``mgr0`` records)."""
+    cluster, manager = _world(0)
+    injector = FaultInjector(cluster, FaultPlan()).install()
+    launch_pingpong(cluster, rounds=ROUNDS, server_node=1, client_node=2)
+    engine = cluster.engine
+    state = {}
+
+    def driver():
+        yield engine.sleep(0.2)
+        res = yield from manager.checkpoint_task(_file_targets(cluster),
+                                                 timeouts=TIGHT)
+        assert res.ok, res.errors
+        state["before"] = (OpLedger(cluster.san).records(), list(injector.trace))
+        manager.crash()
+        t0 = engine.now
+        targets = [(cluster.node(1).name, "pp-srv", "mem")]
+        state["statuses"] = [
+            (yield from manager.checkpoint_task(targets, deadline=10)).status,
+            (yield from manager.restart_task(targets, deadline=10)).status,
+            (yield from manager.recover_task(timeouts=TIGHT)).status]
+        state["precopy"] = yield from manager.precopy_round(
+            [(cluster.node(1).name, "pp-srv", cluster.node(3).name)], 1)
+        state["takeover"] = yield from manager.takeover_task(timeouts=TIGHT)
+        state["took_s"] = engine.now - t0
+
+    engine.spawn(driver(), name="drv")
+    engine.run(until=120.0)
+    assert state["statuses"] == ["crashed"] * 3
+    assert state["precopy"] == ({}, ["precopy round 1: manager crashed"])
+    assert state["takeover"] == [] and state["took_s"] == 0.0
+    assert (OpLedger(cluster.san).records(), injector.trace) == state["before"]
+    assert final_sums(cluster) == expected_sums(ROUNDS)
+
+
 def test_recover_deadline_expiry_leaves_terminal_ledger():
     """A recover whose deadline expires mid-restart fails — and still
     writes a terminal record, so a later takeover finds no orphan."""
