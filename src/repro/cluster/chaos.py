@@ -36,6 +36,7 @@ from .faults import (
     CHECKPOINT_PHASES,
     FAULT_KINDS,
     FLEET_PHASES,
+    MANAGER_PHASES,
     PRECOPY_PHASES,
     FaultInjector,
     FaultPlan,
@@ -161,18 +162,18 @@ class ChaosReport:
     #: — byte-identical across runs of the same seed (the determinism
     #: oracle the chaos tests diff).
     span_dump: Optional[str] = None
-    #: what only some scenarios produce: ``takeover`` / ``resume`` (what
-    #: the replica's op-level takeover and campaign resume did, as
-    #: ``(id, phase_at_claim, outcome)`` lists; absent: no failover),
-    #: ``migration`` ((checkpoint status, restart status, bailout,
-    #: pre-copy rounds run)) and ``migrated_ok``, the fleet's ``kind``
+    #: what only some scenarios produce.  ``takeover`` / ``resume``: what
+    #: the replica's op takeover and campaign resume did, as ``(id,
+    #: phase_at_claim, outcome)`` lists (absent: no failover);
+    #: ``migration``: (checkpoint status, restart status, bailout,
+    #: pre-copy rounds run), with ``migrated_ok``; the fleet's ``kind``
     #: (drain | evacuate | checkpoint), ``targets``, ``max_inflight``,
-    #: ``campaign`` ((status, ok, failed, skipped, threshold_tripped) of
-    #: the *final* run — the resumed one when the Manager was crashed)
-    #: and per-run gate ``peaks``, the final ``store_stats``
-    #: (:meth:`~repro.storage.cas.CasStore.stats`), and — only when
-    #: ``trace_spans`` and the ledger holds a campaign — the ``assembled``
-    #: campaign trace (JSONL), ``assembled_chrome`` and its ``slo`` audit.
+    #: per-run gate ``peaks`` and ``campaign``: (status, ok, failed,
+    #: skipped, threshold_tripped) of the *final* run (the resumed one
+    #: when the Manager was crashed); compose's drawn ``features``; the
+    #: final ``store_stats``; and, with ``trace_spans`` and a campaign in
+    #: the ledger, its ``assembled`` trace (JSONL), ``assembled_chrome``
+    #: form and ``slo`` audit.
     outcome: Dict[str, Any] = field(default_factory=dict)
 
 
@@ -504,14 +505,20 @@ def _chain_reassembles(w: World) -> List[str]:
     reassembles, and the reassembled payload is byte-identical to the
     full base the Agent's pipeline state holds — an aborted or faulted
     epoch can never leave a chain that restores to different bytes."""
-    from ..core.pipeline import ImagePipeline
+    from ..core.pipeline import ImagePipeline, image_extends_chain
     out = []
+    restored = any(kind == "recover" and status == "ok"
+                   for kind, _op_id, status in w.report.ops)
     for node in w.cluster.nodes:
         if node.crashed:
             continue
         state = w.manager.agents[node.name].pipeline_state
         for pod_id, chain in sorted(state.chains.items()):
-            if not chain:
+            if not chain or restored and image_extends_chain(chain[0]):
+                # a recover restarted the pod from shared storage: this
+                # Agent's mirror of the deltas it took since starts at
+                # the restore point, and the base they patch lives in
+                # the sink the restart loaded (no-partial-image's beat)
                 continue
             try:
                 reassembled = ImagePipeline.reassemble(list(chain))
@@ -776,8 +783,10 @@ def _migrate(w: World):
         w.moved[pod_id] = (src, dst, mig.ok)
         w.plausible[pod_id].add(dst)
     if not mig.ok:
-        # partitioned agents get their unilateral-abort window before
+        # partitioned agents get their unilateral-abort window (past the
+        # takeover, when the Manager died under the migration) before
         # the end-state audit expects the source resumed
+        yield from _await_takeover(w)
         yield w.engine.sleep(w.grace)
 
 
@@ -791,7 +800,13 @@ def _supervisor(w: World):
         if engine.now >= w.params["until"] - w.scenario.supervise:
             return
         yield engine.sleep(0.25)
-    yield engine.sleep(LEASE_S + 1.0)
+    # the drivers lease their ops for LEASE_S; an op that carries a longer
+    # lease (a migration's, the Manager default) is waited out too —
+    # takeover only claims what has expired
+    leases = [op.lease_until for op in w.ledger().replay().values()
+              if not op.terminal]
+    yield engine.sleep(LEASE_S + 1.0
+                       + max(0.0, max(leases, default=0.0) - engine.now - LEASE_S))
     w.replica = Manager.deploy_replica(w.cluster, w.manager.agents, name="mgr1")
     # op-level first: resolve any orphaned checkpoint/migration op
     # (resume suspended pods, abort torn streams) before re-driving
@@ -854,6 +869,31 @@ def _migration_driver(w: World):
     """Live-migrate both pods onto spare blades mid-run."""
     yield w.engine.sleep(round(w.rng.uniform(0.05, 0.35), 4))
     yield from _migrate(w)
+
+
+def _compose_driver(w: World):
+    """One seed draws *features* as well as faults: the sink (SAN file,
+    Agent memory or the content-addressed store), the delta filter and
+    the zero-stall path hold for the episode, one live migration lands
+    between two checkpoints, a lost pod is recovered, and every op goes
+    through whichever Manager is alive."""
+    rng, n_ops = w.rng, w.params["n_ops"]
+    uri = rng.choice(("file:/san/compose-{pod}-{i}.img", "mem",
+                      "cas:/san/compose-{pod}.img"))
+    delta, zero_stall = rng.random() < 0.5, rng.random() < 0.5
+    migrate_at = rng.randrange(1, n_ops)
+    w.report.outcome["features"] = (uri.split(":")[0], delta, zero_stall)
+    for i in range(n_ops):
+        if i == migrate_at:
+            yield from _migrate(w)
+        targets = _targets(w, uri, i)
+        if len(targets) < 2:
+            if (yield from _recover(w)):
+                continue
+            return
+        yield from _checkpoint(w, targets, filters=[DELTA] if delta else None,
+                               async_ckpt=zero_stall, lease_s=LEASE_S)
+        yield w.engine.sleep(rng.uniform(0.5, 2.0))
 
 
 def _draw_campaign(rng: random.Random):
@@ -987,6 +1027,15 @@ SCENARIOS: Dict[str, Scenario] = {
         phases=CHECKPOINT_PHASES + CAS_PHASES,
         port=9320, dirty_rate=25_000_000,
         uri="cas:/san/cas-{pod}.img", san_p=1.0, delta_p=0.5, async_p=0.3),
+    # all of it in one episode: the union fault domain, features drawn
+    # per seed, a live migration mid-run, possibly a Manager crash at a
+    # ledger crossing
+    "compose": Scenario(
+        salt=0x2C0390E5, driver=_compose_driver, supervise=45.0,
+        defaults={"n_nodes": 6, "rounds": 600, "until": 300.0, "n_ops": 5},
+        phases=(CHECKPOINT_PHASES + ASYNC_CKPT_PHASES + CAS_PHASES
+                + PRECOPY_PHASES),
+        manager_crash_at=MANAGER_PHASES, port=9330, dirty_rate=25_000_000),
 }
 
 

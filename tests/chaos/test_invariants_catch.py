@@ -1,0 +1,150 @@
+"""Each invariant, caught doing its job.
+
+A green chaos battery proves the invariants hold only if the invariants
+can fail.  Every test here breaks the product one way (``monkeypatch``
+only — there is no product switch for any of this), runs a battery on a
+seed that reaches the broken path, and asserts that the *named*
+invariant of ``chaos.INVARIANTS`` reports it.  Deleting an invariant
+from the registry fails its test.
+"""
+
+from repro.cluster import chaos
+from repro.core import pipeline
+from repro.core.agent import Agent
+from repro.core.manager import Manager, OpMachine, OpResult
+from repro.core.pipeline import MemorySink, Sink
+from repro.core.wire import send_msg
+from repro.fleet.scheduler import InflightGate
+from repro.pod.pod import Pod
+
+
+def caught(report):
+    """Names of the invariants an episode broke."""
+    assert all(v.split(" ", 1)[0] in chaos.INVARIANTS for v in report.violations)
+    return {v.split(" ", 1)[0] for v in report.violations}
+
+
+def test_unmutated_seeds_are_clean():
+    # the seeds below break only because of the mutation
+    for scenario, seed, params in (
+            ("serial", 5, {}), ("serial", 21, {}), ("cas", 8, {"n_ops": 2}),
+            ("async", 4, {}), ("async", 12, {}), ("serial", 0, {}),
+            ("compose", 18, {}), ("migration", 3, {}), ("fleet", 0, {})):
+        assert chaos.run(scenario, seed, **params).violations == []
+
+
+def test_resumed_catches_an_abort_that_keeps_the_pod(monkeypatch):
+    def abort_without_resume(self, ck, phase, status="aborted", notify=True):
+        phase.end(status=status)
+        if notify:
+            yield from send_msg(self.kernel, ck.chan, ck.fd,
+                                {"type": "aborted", "pod": ck.pod_id})
+
+    monkeypatch.setattr(Agent, "_abort", abort_without_resume)
+    assert "resumed" in caught(chaos.run("serial", 5))
+
+
+def _publish_without_read_back(monkeypatch):
+    """``_flush`` reports whatever got staged — complete or cut short by
+    a ``truncate_image`` fault — as flushed."""
+    flush = Agent._flush
+
+    def blind_flush(self, image, sink, op_id=0, overlap_s=0.0):
+        sink.load = lambda pod_id: []
+        return (yield from flush(self, image, sink, op_id, overlap_s))
+
+    monkeypatch.setattr(Agent, "_flush", blind_flush)
+
+
+def test_no_partial_image_catches_a_published_truncated_file(monkeypatch):
+    _publish_without_read_back(monkeypatch)
+    # seed 21 truncates the write of what stays the last checkpoint
+    assert {"no-partial-image", "last-checkpoint-restorable"} <= caught(
+        chaos.run("serial", 21))
+
+
+def test_cas_audit_catches_a_published_truncated_generation(monkeypatch):
+    _publish_without_read_back(monkeypatch)
+    # seed 8 cuts op 2's chunk upload short; with two ops nothing
+    # republishes the path afterwards
+    assert {"cas-audit-clean", "no-partial-image"} <= caught(
+        chaos.run("cas", 8, n_ops=2))
+
+
+class _EqualsAnything:
+    def __eq__(self, other):
+        return True
+
+
+def test_no_partial_image_catches_a_lone_delta(monkeypatch):
+    # PR 12's bug, both halves: a delta written where its base is not
+    # (the ``tip_epoch`` rule off) and a load that accepts a chain whose
+    # head is a delta.  With only the rule off the flush's read-back
+    # fails the op instead — safe, and invisible to every invariant.
+    monkeypatch.setattr(Sink, "tip_epoch",
+                        lambda self, pod_id: _EqualsAnything())
+    monkeypatch.setattr(pipeline, "restorable_chain",
+                        lambda chain, where: chain)
+    assert {"no-partial-image", "last-checkpoint-restorable"} <= caught(
+        chaos.run("async", 4))
+
+
+def test_chain_reassembles_catches_an_aborted_epoch_left_in_the_chain(
+        monkeypatch):
+    # the abort GC forgets to roll the in-memory chain back: the aborted
+    # epoch stays in it while the delta base is rolled back
+    monkeypatch.setattr(MemorySink, "rollback", lambda self, pod_id: False)
+    assert "chain-reassembles" in caught(chaos.run("async", 12))
+
+
+def test_sync_point_catches_continue_before_the_last_meta(monkeypatch):
+    init = OpMachine.__init__
+
+    def barrier_already_open(self, *args, **kw):
+        init(self, *args, **kw)
+        self.barrier.set_result(True)
+
+    monkeypatch.setattr(OpMachine, "__init__", barrier_already_open)
+    assert "sync-point" in caught(chaos.run("serial", 0))
+
+
+def test_fail_stop_catches_a_post_mortem_record(monkeypatch):
+    # PR 15's bug: the fail-stop check gone, an untracked driver's op
+    # runs on into the abort path after its Manager died (compose 18
+    # kills the Manager under the migration's checkpoint)
+    monkeypatch.setattr(OpMachine, "dead", lambda self: False)
+    assert "fail-stop" in caught(chaos.run("compose", 18))
+
+
+def test_exactly_one_copy_catches_a_kept_source(monkeypatch):
+    # the source Agent never destroys the pod it streamed away
+    monkeypatch.setattr(Pod, "destroy", lambda self: None)
+    assert "exactly-one-copy" in caught(chaos.run("migration", 3))
+
+
+def test_ledger_terminal_catches_a_dropped_commit_record(monkeypatch):
+    def no_commit(self, **fields):
+        return
+        yield
+
+    monkeypatch.setattr(OpMachine, "commit", no_commit)
+    assert "ledger-terminal" in caught(chaos.run("serial", 0))
+
+
+def test_no_pod_lost_catches_a_migration_that_never_restarts(monkeypatch):
+    # the source copy is destroyed at commit; the restart that should
+    # bring the pod up on the destination does nothing
+    def no_restart(self, targets, **kw):
+        now = self.cluster.engine.now
+        return OpResult("restart", "failed", now, now, targets=list(targets))
+        yield
+
+    monkeypatch.setattr(Manager, "restart_task", no_restart)
+    assert {"no-pod-lost", "checksums"} <= caught(chaos.run("migration", 3))
+
+
+def test_bounded_concurrency_catches_a_gate_that_lets_everyone_in(monkeypatch):
+    init = InflightGate.__init__
+    monkeypatch.setattr(InflightGate, "__init__",
+                        lambda self, limit: init(self, limit + 8))
+    assert "bounded-concurrency" in caught(chaos.run("fleet", 0))

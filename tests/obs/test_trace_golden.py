@@ -8,7 +8,8 @@ fails), a Manager crash resumed by a replica, aborted by one (from the
 ``meta`` record with GC, and re-aborted after dying mid-abort) or
 re-driven from a restart's durable plan, a live-migration stream, async
 to memory only and async to fresh SAN files, the content-addressed store
-(incl. the seed that stalls ``cas.write``), and a fleet campaign — so a
+(incl. the seed that stalls ``cas.write``), a fleet campaign, and the
+composition episode whose Manager dies under a live migration — so a
 change that shifts a span, a timestamp or a fault crossing has to say so
 here.
 
@@ -54,6 +55,7 @@ CASES = {
     "cas-11": _chaos("cas", 11),
     "cas-12": _chaos("cas", 12),
     "fleet-18": _chaos("fleet", 18),
+    "compose-18": _chaos("compose", 18),
 }
 
 GOLDEN = {
@@ -70,6 +72,7 @@ GOLDEN = {
     "cas-11": "0081fe5a41ceece4d93c7aa2aba2ef3cf2402cfe78c2d6d890e9d2db02177e24",
     "cas-12": "f1a00b109a286c113952e03dc4bc8c45efbe1c5b671b1bb3df2e69cb83eb49bd",
     "fleet-18": "55d91be7e029e0fa11d5a8307bf1f4eb8609f3b57c003748689d3a4a93f82b13",
+    "compose-18": "9be3c0ff385a845007ad2e6a2847e2c8669b24aa37b4d5234bfeb6f9ef3e9493",
 }
 
 
