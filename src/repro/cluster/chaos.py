@@ -462,9 +462,9 @@ def _takeover_resolved(w: World) -> List[str]:
            if outcome not in ("resumed", "redriven", "aborted")]
     if w.manager.crashed and "resume" not in got:
         out.append("Manager crashed but " + (
-            "no replica deployed" if w.replica is None else
-            "no campaign resume ran" if "takeover" in got else
-            "takeover never completed"))
+            "no replica deployed" if w.replica is None
+            else "takeover never completed" if "takeover" not in got
+            else "no campaign resume ran"))
     if want and not any(kind == "crash_manager" and phase == want
                         for _t, kind, phase, _n, _p in w.report.fired):
         out.append(f"crash_manager did not fire at {want}" if w.manager.crashed
@@ -489,8 +489,8 @@ def _fail_stop(w: World) -> List[str]:
         late = [rec for rec in mine if rec.get("t", 0.0) > t_crash]
         if phase.startswith("manager.ledger."):
             crossed = [i for i, rec in enumerate(mine)
-                       if (f"op{rec.get('op')}", "manager.ledger."
-                           f"{rec.get('phase')}") == (victim, phase)]
+                       if f"op{rec.get('op')}" == victim
+                       and f"manager.ledger.{rec.get('phase')}" == phase]
             if not crossed:
                 out.append(f"no {phase} record of {victim} owned by {dead}")
             late = mine[crossed[0] + 1:] if crossed else late
@@ -538,6 +538,7 @@ def _generation_integrity(w: World) -> List[str]:
     byte-identical to a committed prefix of the Agent's in-memory
     ground truth — an aborted op or replayed tombstone can never publish
     bytes nobody committed."""
+    from ..core.pipeline import chain_entry
     out = []
     for uri, pod_id in _shared_images(w):
         sink = w.sink(uri)
@@ -568,10 +569,7 @@ def _generation_integrity(w: World) -> List[str]:
                        f"but the home host committed only {len(truth)}")
             continue
         for i, (img, ref) in enumerate(zip(loaded, truth)):
-            if (img.data != ref.data
-                    or img.accounted_bytes != ref.accounted_bytes
-                    or img.netstate_bytes != ref.netstate_bytes
-                    or img.epoch != ref.epoch):
+            if chain_entry(img) != chain_entry(ref):
                 out.append(f"generation entry {i} at {uri} differs from "
                            "the committed in-memory chain")
                 break
@@ -1076,7 +1074,7 @@ def _build_world(name: str, seed: int, trace_spans: bool,
     sc = SCENARIOS[name]
     rng = random.Random(seed ^ sc.salt)
     manager = campaign = None
-    if "n_pods" in params:
+    if "n_pods" in params:  # only the fleet scenario takes (and needs) it
         from ..fleet import FLEET_TIMEOUTS as timeouts, build_fleet_world
         campaign = _draw_campaign(rng)
         cluster, manager, placed = build_fleet_world(
