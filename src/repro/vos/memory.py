@@ -53,7 +53,7 @@ class Memory:
     never acknowledged stay dirty.
     """
 
-    __slots__ = ("_segments", "_dirty", "_staged")
+    __slots__ = ("_segments", "_dirty", "_staged", "_largest")
 
     def __init__(self, text: int = 0, data: int = 0, stack: int = 0, heap: int = 0) -> None:
         self._segments: Dict[str, int] = {
@@ -67,6 +67,9 @@ class Memory:
         self._dirty: Dict[str, Dict[str, int]] = {}
         #: staged (uncommitted) clears: consumer -> dirty table at stage time.
         self._staged: Dict[str, Dict[str, int]] = {}
+        #: the largest segment, remembered between size changes
+        #: (None: not known — recomputed by the next anonymous touch).
+        self._largest: Optional[str] = None
 
     @property
     def rss(self) -> int:
@@ -153,9 +156,12 @@ class Memory:
         if nbytes <= 0:
             return
         if segment is None:
-            if not self._segments:
-                return
-            segment = max(self._segments, key=lambda k: (self._segments[k], k))
+            segment = self._largest
+            if segment is None:
+                if not self._segments:
+                    return
+                segment = self._largest = max(
+                    self._segments, key=lambda k: (self._segments[k], k))
         size = self._segments.get(segment, 0)
         if size <= 0:
             return
@@ -168,6 +174,7 @@ class Memory:
             raise VosError(f"alloc of negative size {nbytes}")
         size = self._segments.get(segment, 0) + int(nbytes)
         self._segments[segment] = size
+        self._largest = None
         # new pages are dirty for every consumer: they exist only here
         for table in self._dirty.values():
             table[segment] = min(size, table.get(segment, 0) + int(nbytes))
@@ -179,6 +186,7 @@ class Memory:
             raise VosError(f"free({nbytes}) from segment {segment!r} holding {current}")
         size = current - int(nbytes)
         self._segments[segment] = size
+        self._largest = None
         # released pages need no copy; keep the invariant dirty <= size
         for table in self._dirty.values():
             table[segment] = min(size, table.get(segment, 0))
@@ -190,6 +198,7 @@ class Memory:
         old = self._segments.get(segment, 0)
         size = int(nbytes)
         self._segments[segment] = size
+        self._largest = None
         # a resize rewrites the delta in place (grow maps new pages,
         # shrink is covered by the clamp)
         delta = abs(size - old)
@@ -206,6 +215,7 @@ class Memory:
         """Rebuild a Memory from :meth:`to_image` output."""
         mem = cls()
         mem._segments = {str(k): int(v) for k, v in image.items()}
+        mem._largest = None
         # a restored address space is fully dirty relative to every
         # consumer — no round has copied it anywhere yet (the empty
         # consumer map *is* the implicit fully-dirty baseline)

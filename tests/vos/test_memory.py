@@ -180,3 +180,42 @@ def test_rss_matches_image_accounting(ops):
     image = m.to_image()
     assert m.rss == sum(image.values())
     assert image == reference.to_image()
+
+
+def _largest(m):
+    """The segment an anonymous touch must land on, from scratch: the
+    largest, ties broken by name."""
+    sizes = m.to_image()
+    return max(sizes, key=lambda k: (sizes[k], k)) if sizes else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(_op, st.just(("restore", "", 0))), max_size=40))
+def test_remembered_largest_segment_equals_the_recomputed_one(ops):
+    """``touch(n)`` remembers the largest segment between size changes;
+    whatever the stream, what it remembers is what a fresh ``max`` over
+    the segment table gives, and the writes land there."""
+    m = Memory(heap=4096)
+    for op in ops:
+        if op[0] == "restore":
+            m = Memory.from_image(m.to_image())
+        else:
+            _apply(m, op)
+        assert m._largest in (None, _largest(m)), ops
+        if op[0] == "touch_any" and op[2] > 0:
+            assert m._largest == _largest(m), ops
+    # observable form: an anonymous touch dirties exactly that segment
+    target = _largest(m)
+    m.clear_dirty()
+    m.touch(1)
+    expected = {seg: 0 for seg in m.to_image()}
+    if target is not None and m.segment(target) > 0:
+        expected[target] = 1
+    assert m.dirty_table() == expected
+
+
+def test_anonymous_touch_on_no_segments_is_a_noop():
+    m = Memory.from_image({})
+    m.clear_dirty()
+    m.touch(100)
+    assert m.dirty_table() == {} and m._largest is None
