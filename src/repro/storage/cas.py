@@ -42,8 +42,13 @@ from __future__ import annotations
 
 import hashlib
 import random
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from ..core.image import PodImage
 from ..core.pipeline import StageCost, Sink, chain_entry, image_from_entry, \
@@ -64,15 +69,59 @@ CHUNK_MAX = 65536
 #: blocks of this size — the dirty-table granularity of the dedup model.
 ACCT_BLOCK = 65536
 
-_MASK64 = (1 << 64) - 1
-
 
 def _gear_table() -> Tuple[int, ...]:
     rng = random.Random(0x5EEDCA5)
     return tuple(rng.getrandbits(64) for _ in range(256))
 
 
-_GEAR = _gear_table()
+_GEAR = np.array(_gear_table(), dtype=np.uint64)
+
+#: bytes hashed per numpy pass of :func:`chunk_bounds` — bounds the
+#: scan's temporaries whatever the payload size.
+_SCAN_BLOCK = 1 << 16
+
+
+def _check_chunking(min_size: int, avg_size: int, max_size: int) -> int:
+    """Validate chunking parameters; returns ``log2(avg_size)``."""
+    bits = int(avg_size).bit_length() - 1
+    if not 1 <= bits <= 64 or avg_size != 1 << bits:
+        raise ValueError(
+            f"avg_size must be a power of two in [2, 2**64], not {avg_size}")
+    if not 0 < min_size <= max_size:
+        raise ValueError(f"chunk sizes must satisfy 0 < min_size <= max_size, "
+                         f"not min_size={min_size}, max_size={max_size}")
+    if min_size < bits:
+        raise ValueError(f"min_size must be at least log2(avg_size) = {bits}, "
+                         f"not {min_size}")
+    return bits
+
+
+def _gear_cuts(data: bytes, bits: int) -> List[int]:
+    """Every offset ``i`` at which the gear hash of the ``bits`` bytes
+    ending at ``data[i - 1]`` has its low ``bits`` bits clear, ascending."""
+    width = next(w for w in (8, 16, 32, 64) if w >= bits)
+    dtype = np.dtype(f"uint{width}")
+    gear = _GEAR.astype(dtype)            # keeps the low ``width`` bits
+    mask = dtype.type((1 << bits) - 1)
+    buf = np.frombuffer(data, dtype=np.uint8)
+    window = 1
+    while window < bits:
+        window *= 2
+    cuts: List[int] = []
+    for lo in range(0, len(buf), _SCAN_BLOCK):
+        # a block starts ``window - 1`` bytes early, so its first hash
+        # already covers a full window
+        first = max(0, lo - (window - 1))
+        h = gear[buf[first:lo + _SCAN_BLOCK]]
+        k = 1
+        while k < window:
+            # h[i] covers k bytes; adding h[i - k] << k makes it 2k
+            h[k:] += h[:-k] << dtype.type(k)
+            k *= 2
+        h &= mask
+        cuts.extend((np.flatnonzero(h[lo - first:] == 0) + (lo + 1)).tolist())
+    return cuts
 
 
 def chunk_bounds(data: bytes, min_size: int = CHUNK_MIN,
@@ -80,28 +129,37 @@ def chunk_bounds(data: bytes, min_size: int = CHUNK_MIN,
                  max_size: int = CHUNK_MAX) -> List[Tuple[int, int]]:
     """Content-defined ``(offset, length)`` chunk bounds of ``data``.
 
-    The gear hash restarts at every cut, so a chunk's boundary depends
-    only on its own bytes: every bound except a final one forced by
-    end-of-data is stable under appends, and boundaries resynchronize a
-    bounded distance after an edit.
+    A chunk ends at the first offset, ``min_size`` to ``max_size`` bytes
+    in, where the gear hash ``h = (h << 1) + GEAR[byte]`` of its bytes
+    has its low ``log2(avg_size)`` bits clear (at ``max_size`` or
+    end-of-data otherwise).  The hash restarts at every cut, so a chunk's
+    boundary depends only on its own bytes: every bound except a final
+    one forced by end-of-data is stable under appends, and boundaries
+    resynchronize a bounded distance after an edit.
+
+    Those low bits depend only on the last ``log2(avg_size)`` bytes — each
+    older byte has been shifted out of them — so as long as no cut is
+    tested fewer than that many bytes into a chunk the restart is
+    invisible, and the candidate cuts of the whole buffer are found in
+    one vectorized scan (:func:`_gear_cuts`).  That is the condition
+    ``min_size >= log2(avg_size)``; parameters that break it are
+    rejected with :class:`ValueError`, as are ``avg_size`` not a power
+    of two and sizes outside ``0 < min_size <= max_size``.  A remainder
+    of at most ``min_size`` bytes is one chunk whatever it hashes to.
     """
-    mask = avg_size - 1
-    bounds: List[Tuple[int, int]] = []
+    bits = _check_chunking(min_size, avg_size, max_size)
     n = len(data)
-    start = 0
-    while start < n:
+    cuts = _gear_cuts(data, bits) if n > min_size else []
+    bounds: List[Tuple[int, int]] = []
+    start = j = 0
+    while n - start > min_size:
         end = min(start + max_size, n)
-        i = start
-        h = 0
-        cut = end
-        while i < end:
-            h = ((h << 1) + _GEAR[data[i]]) & _MASK64
-            i += 1
-            if i - start >= min_size and (h & mask) == 0:
-                cut = i
-                break
+        j = bisect_left(cuts, start + min_size, j)
+        cut = cuts[j] if j < len(cuts) and cuts[j] < end else end
         bounds.append((start, cut - start))
         start = cut
+    if start < n:
+        bounds.append((start, n - start))
     return bounds
 
 
@@ -133,11 +191,23 @@ class _Object:
 
 
 def _recipe_cids(recipe: Dict[str, Any]) -> Iterable[str]:
+    """Every chunk occurrence of ``recipe``, entry by entry."""
+    return chain.from_iterable(
+        ids for entry in recipe["entries"]
+        for ids in (entry["payload"], entry["acct"]))
+
+
+def _holds(recipe: Dict[str, Any], cid: str) -> bool:
+    """Does any entry of ``recipe`` reference ``cid``?  An entry's id set
+    is built the first time it is asked and kept on the entry, which
+    every later generation of the chain shares."""
     for entry in recipe["entries"]:
-        for cid in entry["payload"]:
-            yield cid
-        for cid in entry["acct"]:
-            yield cid
+        ids = entry.get("ids")
+        if ids is None:
+            ids = entry["ids"] = frozenset(entry["payload"]).union(entry["acct"])
+        if cid in ids:
+            return True
+    return False
 
 
 class CasStore:
@@ -151,7 +221,7 @@ class CasStore:
         #: chunk id -> stored object.
         self.objects: Dict[str, _Object] = {}
         #: chunk id -> reference count (one per recipe occurrence).
-        self.refs: Dict[str, int] = {}
+        self.refs: Counter = Counter()
         #: path -> published recipe (the restartable generation).
         self.recipes: Dict[str, Dict[str, Any]] = {}
         #: path -> staged-but-unpublished recipe, keyed by the op that
@@ -181,23 +251,6 @@ class CasStore:
         return store
 
     # -- refcounting ----------------------------------------------------
-    def _ref(self, cid: str) -> None:
-        self.refs[cid] = self.refs.get(cid, 0) + 1
-
-    def _unref(self, cid: str) -> int:
-        n = self.refs.get(cid, 0) - 1
-        if n > 0:
-            self.refs[cid] = n
-            return 0
-        self.refs.pop(cid, None)
-        obj = self.objects.pop(cid, None)
-        if obj is None:
-            return 0
-        self.gc_reclaimed_bytes += obj.size
-        self.gc_reclaimed_chunks += 1
-        self.footprint_bytes -= obj.size
-        return obj.size
-
     def _put(self, cid: str, size: int, blob: Optional[bytes]) -> None:
         if cid in self.objects:
             return
@@ -206,10 +259,28 @@ class CasStore:
         self.stored_chunks += 1
         self.footprint_bytes += size
 
+    def _take(self, recipe: Dict[str, Any]) -> None:
+        """One reference per chunk occurrence of ``recipe``."""
+        self.refs.update(_recipe_cids(recipe))
+
     def _release(self, recipe: Dict[str, Any]) -> int:
-        reclaimed = 0
+        """Drop ``recipe``'s references; a chunk dies with its last one.
+        Returns the bytes reclaimed."""
+        refs, objects = self.refs, self.objects
+        reclaimed = chunks = 0
         for cid in _recipe_cids(recipe):
-            reclaimed += self._unref(cid)
+            n = refs[cid] - 1
+            if n > 0:
+                refs[cid] = n
+                continue
+            refs.pop(cid, None)
+            obj = objects.pop(cid, None)
+            if obj is not None:
+                reclaimed += obj.size
+                chunks += 1
+        self.gc_reclaimed_bytes += reclaimed
+        self.gc_reclaimed_chunks += chunks
+        self.footprint_bytes -= reclaimed
         return reclaimed
 
     # -- accounted-memory dedup model -----------------------------------
@@ -404,48 +475,65 @@ class CasSink(Sink):
     def __init__(self, san, vfs, path: str,
                  chunking: Tuple[int, int, int] = (CHUNK_MIN, CHUNK_AVG,
                                                    CHUNK_MAX)) -> None:
+        _check_chunking(*chunking)
         self.san = san
         self.vfs = vfs  # unused; constructor parity with FileSink
         self.path = path
         self.chunking = chunking
         self.store_ = CasStore.on(san)
+        #: the payload bytes last chunked, and their chunk list.
+        self._chunked: Tuple[Optional[bytes], List[Tuple[str, int, bytes]]] \
+            = (None, [])
 
     # -- cost model ------------------------------------------------------
+    def _payload_chunks(self, image: PodImage) -> List[Tuple[str, int, bytes]]:
+        """``(chunk_id, length, bytes)`` of the payload — a function of
+        the image bytes and ``self.chunking`` alone, so it is computed
+        once per image: a flush prices the write, charges its delay and
+        stages from one chunk-and-hash pass.  A sink lives for one
+        checkpoint, so nothing is remembered beyond the op."""
+        # bytes pass through uncopied; a mutable buffer is snapshotted
+        # into a fresh object that can never match the remembered one
+        blob = bytes(image.data)
+        if blob is not self._chunked[0]:
+            self._chunked = (blob, [(chunk_id(b), len(b), b) for b in
+                                    split_chunks(blob, *self.chunking)])
+        return self._chunked[1]
+
     def _entry_chunks(self, image: PodImage
                       ) -> Tuple[List[Tuple[str, int, Optional[bytes]]],
                                  Dict[str, Any]]:
         """The chunk references of the entry ``image`` would add, plus
-        the accounted-block state to embed.  Pure."""
+        the accounted-block state to embed.  Pure.  The accounted-block
+        ids are derived from the generation published *now* — between a
+        cost estimate and the stage another op may have republished or
+        rolled back the path."""
         store = self.store_
-        pay = [(chunk_id(b), len(b), b)
-               for b in split_chunks(bytes(image.data), *self.chunking)]
         prev_state = store.acct_prev_state(self.path, image.pod_id)
         acct, acct_state = store.acct_entry_ids(image.pod_id, image, prev_state)
-        chunks = pay + [(cid, ln, None) for cid, ln in acct]
+        chunks = self._payload_chunks(image) \
+            + [(cid, ln, None) for cid, ln in acct]
         return chunks, acct_state
 
     def _new_bytes(self, chunks: List[Tuple[str, int, Optional[bytes]]]) -> int:
-        store = self.store_
-        seen = set()
-        total = 0
-        for cid, ln, _blob in chunks:
-            if cid in store.objects or cid in seen:
-                continue
-            seen.add(cid)
-            total += ln
-        return total
+        """Bytes of the distinct chunks the index is missing *now*: other
+        pods publish between two calls, and each must see them."""
+        objects = self.store_.objects
+        return sum({cid: ln for cid, ln, _blob in chunks
+                    if cid not in objects}.values())
+
+    def _delay(self, image: PodImage, new_bytes: int) -> float:
+        if image_extends_chain(image) and self.path in self.store_.recipes:
+            return self.san.append_delay(new_bytes)
+        return self.san.flush_delay(new_bytes)
 
     def write_delay(self, image: PodImage) -> float:
-        chunks, _state = self._entry_chunks(image)
-        new = self._new_bytes(chunks)
-        if image_extends_chain(image) and self.path in self.store_.recipes:
-            return self.san.append_delay(new)
-        return self.san.flush_delay(new)
+        return self._delay(image, self._new_bytes(self._entry_chunks(image)[0]))
 
     def write_cost(self, image: PodImage) -> StageCost:
-        chunks, _state = self._entry_chunks(image)
-        return StageCost(f"write:{self.kind}", self.write_delay(image),
-                         image.total_bytes, self._new_bytes(chunks))
+        new = self._new_bytes(self._entry_chunks(image)[0])
+        return StageCost(f"write:{self.kind}", self._delay(image, new),
+                         image.total_bytes, new)
 
     # -- the two-step write ---------------------------------------------
     def stage(self, image: PodImage, op_id: int = 0,
@@ -476,15 +564,18 @@ class CasSink(Sink):
         # published recipe — referenced without re-chunking or re-hashing.
         # The byte count is parked on the recipe (de-duplicated by cid)
         # and folded into the store stats only when this stage publishes,
-        # so a retried flush never inflates the carry-over stat.
+        # so a retried flush never inflates the carry-over stat.  It is
+        # read off what ``prev`` recorded when *it* was staged — the
+        # bytes of its distinct chunks and which of them never reached
+        # the SAN — instead of walking every carried id again: a recipe
+        # pins its chunks, so one that was there still is, and a missing
+        # one can only have been uploaded since (by another pod).
+        distinct, absent = 0, {}
         if extends:
-            carried_cids = set()
-            for carried in prev["entries"]:
-                carried_cids.update(carried["payload"])
-                carried_cids.update(carried["acct"])
-            recipe["carried"] = sum(
-                store.objects[cid].size for cid in carried_cids
-                if cid in store.objects)
+            distinct = prev["distinct"]
+            absent = {cid: ln for cid, ln in prev["absent"].items()
+                      if cid not in store.objects}
+            recipe["carried"] = distinct - sum(absent.values())
         new_chunks: List[Tuple[str, int, Optional[bytes]]] = []
         seen = set()
         for cid, ln, blob in chunks:
@@ -494,19 +585,29 @@ class CasSink(Sink):
             else:
                 seen.add(cid)
                 new_chunks.append((cid, ln, blob))
+        # add this entry's distinct chunks, less those ``prev`` holds
+        # already: one the index lacked is prev's only if prev is still
+        # missing it too
+        for cid, ln in {cid: ln for cid, ln, _blob in chunks}.items():
+            if extends and (cid in absent if cid in seen
+                            else _holds(prev, cid)):
+                continue
+            distinct += ln
         n_up = len(new_chunks) if truncate is None \
             else int(len(new_chunks) * float(truncate))
         for cid, ln, blob in new_chunks[:n_up]:
             store._put(cid, ln, blob)
+        absent.update((cid, ln) for cid, ln, _blob in new_chunks[n_up:])
+        recipe["distinct"] = distinct
+        recipe["absent"] = {cid: ln for cid, ln in absent.items()
+                            if cid not in store.objects}
         store.logical_bytes += image.total_bytes
         # take this recipe's references BEFORE releasing any stale stage
         # parked at the path (an op that crashed between stage and
         # publish): releasing first would drop chunks shared with the
         # stale recipe to refcount 0 and delete them from the store,
         # leaving the recipe about to be parked with dangling refs
-        for entry_ in entries:
-            for cid in list(entry_["payload"]) + list(entry_["acct"]):
-                store._ref(cid)
+        store._take(recipe)
         stale = store.pending.pop(self.path, None)
         if stale is not None:
             store._release(stale)
