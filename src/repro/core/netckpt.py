@@ -265,7 +265,9 @@ def restore_socket_state(
     if redirect_extra_consumed(rec):
         send_data = b""  # travelled inside the peer's checkpoint stream
     elif send_discard:
-        if send_discard > len(send_data):
+        # a FIN the peer had received but whose ACK had not come back is
+        # in the overlap (it occupies a sequence slot) yet not in the queue
+        if send_discard > len(send_data) + (1 if rec["fin_sent"] else 0):
             raise CheckpointError(
                 f"overlap {send_discard} exceeds send queue {len(send_data)}"
             )

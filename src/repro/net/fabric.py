@@ -134,29 +134,45 @@ class Fabric:
 
     # ------------------------------------------------------------------
     def transmit(self, src_nic: Nic, packet: Packet) -> None:
-        """Serialize a packet onto the sender's egress link."""
-        if not packet.real_dst:
+        """Serialize a packet onto the sender's egress link.
+
+        Delays, partitions, the loss rate and the destination's owner are
+        all read when the packet passes them, never earlier: fault
+        injection and migration change them between any two packets.
+        """
+        real_dst = packet.real_dst
+        if not real_dst:
             raise NetError(f"packet without routing address: {packet!r}")
-        now = self.engine.now
-        start = max(now, src_nic._egress_free_at)
-        tx_time = packet.size / self.bandwidth
+        size = packet.size
+        start = self.engine.now
+        if src_nic._egress_free_at > start:
+            start = src_nic._egress_free_at
+        tx_time = size / self.bandwidth
         src_nic._egress_free_at = start + tx_time
         src_nic.tx_packets += 1
-        src_nic.tx_bytes += packet.size
-        extra = (self.global_extra_latency
-                 + self._extra_latency.get((packet.real_src, packet.real_dst), 0.0))
+        src_nic.tx_bytes += size
+        extra = self.global_extra_latency
+        if self._extra_latency:
+            extra += self._extra_latency.get((packet.real_src, real_dst), 0.0)
         arrival = start + tx_time + self.latency + extra
         self.engine.schedule_at(arrival, self._arrive, src_nic, packet)
 
     def _arrive(self, src_nic: Nic, packet: Packet) -> None:
-        if (packet.real_src, packet.real_dst) in self._partitions:
+        real_dst = packet.real_dst
+        if self._partitions and (packet.real_src, real_dst) in self._partitions:
             self.dropped_packets += 1
             return
         if self.loss_rate > 0 and self._rng.random() < self.loss_rate:
             self.dropped_packets += 1
             return
-        dst_nic = self.nic_for(packet.real_dst)
+        dst_nic = self._nics.get(real_dst)  # a primary address; aliases need the scan
         if dst_nic is None:
-            self.dropped_packets += 1  # address currently unowned (mid-migration)
-            return
-        dst_nic.deliver(packet)
+            dst_nic = self.nic_for(real_dst)
+            if dst_nic is None:
+                self.dropped_packets += 1  # address currently unowned (mid-migration)
+                return
+        # Nic.deliver, in line
+        dst_nic.rx_packets += 1
+        ingress = dst_nic.ingress
+        if ingress is not None:
+            ingress(packet)

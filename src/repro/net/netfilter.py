@@ -60,11 +60,12 @@ class Netfilter:
     # ------------------------------------------------------------------
     def permits(self, packet: Packet) -> bool:
         """True when ``packet`` passes the rule table."""
+        blocked_ips = self._blocked_ips
+        blocked_endpoints = self._blocked_endpoints
+        if not blocked_ips and not blocked_endpoints:
+            return True  # no rule installed: the state outside a checkpoint
         for ep in (packet.src, packet.dst):
-            if ep.ip in self._blocked_ips:
-                self.dropped += 1
-                return False
-            if (ep.ip, ep.port) in self._blocked_endpoints:
+            if ep.ip in blocked_ips or (ep.ip, ep.port) in blocked_endpoints:
                 self.dropped += 1
                 return False
         return True

@@ -29,7 +29,7 @@ from ..vos.syscalls import BLOCK, Complete, Errno
 from .addr import ANY_IP, Endpoint
 from .fabric import Fabric
 from .netfilter import Netfilter
-from .packet import Packet, Segment
+from .packet import RST_ACK, Packet, Segment
 from .sockopt import default_options, validate_option
 from .tcp import CLOSED, ESTABLISHED, LISTEN, SYN_RCVD, TcpConn
 from .udp import DatagramConn
@@ -86,7 +86,8 @@ class Socket:
         self.rd_closed = False
         # waiters
         self.recv_waiters: List[Tuple[Any, int, int]] = []
-        self.send_waiters: List[Tuple[Any, bytes, int]] = []
+        #: (proc, bytes still to accept, flags, bytes accepted so far)
+        self.send_waiters: List[Tuple[Any, bytes, int, int]] = []
         self.accept_waiters: List[Any] = []
         self.connect_waiter: Optional[Any] = None
         self.poll_waiters: List[PollWait] = []
@@ -194,7 +195,7 @@ class Socket:
         for proc, _n, _f in self.recv_waiters:
             kernel.complete_syscall(proc, Errno("ECONNRESET"))
         self.recv_waiters.clear()
-        for proc, _d, _f in self.send_waiters:
+        for proc, _d, _f, _acc in self.send_waiters:
             kernel.complete_syscall(proc, Errno("ECONNRESET"))
         self.send_waiters.clear()
         self._poll_wake()
@@ -236,7 +237,8 @@ def default_recvmsg(stack: "NetStack", sock: Socket, n: int, flags: int) -> Any:
     """
     if sock.proto == "tcp":
         conn: TcpConn = sock.conn
-        conn.process_backlog()
+        if conn.backlog or conn._backlog_kick is not None:
+            conn.process_backlog()
         if flags & MSG_OOB:
             if conn.oob:
                 take = bytes(conn.oob[:n])
@@ -305,7 +307,8 @@ def default_poll(stack: "NetStack", sock: Socket) -> Set[str]:
     events: Set[str] = set()
     if sock.proto == "tcp":
         conn: TcpConn = sock.conn
-        conn.process_backlog()
+        if conn.backlog or conn._backlog_kick is not None:
+            conn.process_backlog()
         if conn.recv_q or conn.oob or conn.fin_rcvd or sock.was_reset or sock.rd_closed:
             events.add("r")
         if sock.accept_q:
@@ -496,51 +499,60 @@ class NetStack:
     # ------------------------------------------------------------------
     def transmit(self, sock: Socket, segment: Optional[Segment] = None,
                  payload: bytes = b"", dst: Optional[Endpoint] = None) -> None:
-        """Send one packet from ``sock`` (netfilter checked at egress)."""
+        """Send one packet from ``sock`` (netfilter checked at egress).
+
+        The rule table and the address translation are consulted per
+        packet — a checkpoint raises the filter and a migration re-homes
+        an address between any two of them — and the packet goes straight
+        onto this node's egress link.
+        """
+        local = sock.local
         target = dst if dst is not None else sock.remote
-        if target is None or sock.local is None:
+        if target is None or local is None:
             raise SyscallError("ENOTCONN", "unaddressed transmit")
-        pkt = Packet(proto=sock.proto, src=sock.local, dst=target,
-                     payload=payload, segment=segment)
+        pkt = Packet(sock.proto, local, target, payload, segment)
         if not self.netfilter.permits(pkt):
             return  # egress blocked (checkpoint freeze)
-        pkt.real_src = self.vnet.resolve(sock.local.ip)
-        pkt.real_dst = self.vnet.resolve(target.ip)
-        self.nic.send(pkt)
+        resolve = self.vnet.resolve
+        pkt.real_src = resolve(local.ip)
+        pkt.real_dst = resolve(target.ip)
+        self.fabric.transmit(self.nic, pkt)
 
     def _ingress(self, pkt: Packet) -> None:
         if not self.netfilter.permits(pkt):
             return  # ingress blocked (checkpoint freeze)
-        if pkt.proto == "tcp":
-            self._ingress_tcp(pkt)
-        elif pkt.proto in self.extra_protocols:
-            self.extra_protocols[pkt.proto](pkt)
+        proto = pkt.proto
+        if proto == "tcp":
+            sock = self.established.get((proto, pkt.dst, pkt.src))
+            if sock is not None:
+                sock.conn.deliver(pkt.segment)
+            else:
+                self._ingress_unconnected(pkt)
+        elif proto in self.extra_protocols:
+            self.extra_protocols[proto](pkt)
         else:
             self._ingress_datagram(pkt)
 
-    def _ingress_tcp(self, pkt: Packet) -> None:
-        seg = pkt.segment
-        key = (pkt.proto, pkt.dst, pkt.src)
-        sock = self.established.get(key)
-        if sock is not None:
-            sock.conn.deliver(seg)
-            return
-        if seg.has("SYN") and not seg.has("ACK"):
+    def _ingress_unconnected(self, pkt: Packet) -> None:
+        """A TCP segment no connection claims: a SYN for a listener, or
+        something to refuse."""
+        flags = pkt.segment.flags
+        if "SYN" in flags and "ACK" not in flags:
             listener = self.bound.get(("tcp", pkt.dst.ip, pkt.dst.port))
             if listener is None:
                 listener = self.bound.get(("tcp", ANY_IP, pkt.dst.port))
             if listener is not None and listener.listening and not listener.closed:
                 self._spawn_child(listener, pkt)
                 return
-        if seg.has("RST"):
+        if "RST" in flags:
             return
         # No home for this segment: refuse actively opened connections.
-        if seg.has("SYN"):
-            rst = Packet(proto="tcp", src=pkt.dst, dst=pkt.src,
-                         segment=Segment(seq=0, ack=seg.seq + 1, flags=frozenset({"RST", "ACK"})))
+        if "SYN" in flags:
+            rst = Packet("tcp", pkt.dst, pkt.src,
+                         segment=Segment(seq=0, ack=pkt.segment.seq + 1, flags=RST_ACK))
             rst.real_src = self.vnet.resolve(pkt.dst.ip)
             rst.real_dst = self.vnet.resolve(pkt.src.ip)
-            self.nic.send(rst)
+            self.fabric.transmit(self.nic, rst)
 
     def _spawn_child(self, listener: Socket, pkt: Packet) -> None:
         child = self.create_socket("tcp")

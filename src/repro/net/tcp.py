@@ -32,10 +32,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, TYPE_CHECKING
 
-from .packet import Segment
+from .packet import ACK, FIN_ACK, SYN, SYN_ACK, URG_ACK, Segment
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .sockets import NetStack, Socket
+    from .sockets import Socket
 
 # Connection states.
 CLOSED = "closed"
@@ -113,10 +113,8 @@ class TcpConn:
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-    @property
-    def stack(self) -> "NetStack":
-        return self.sock.stack
-
+    # The option table is read at every use: ``setsockopt``, restore and
+    # tests write ``sock.options`` directly, so nothing here remembers it.
     def mss(self) -> int:
         return int(self.sock.options.get("TCP_MAXSEG", 16384))
 
@@ -127,16 +125,18 @@ class TcpConn:
         return int(self.sock.options.get("SO_SNDBUF", 262144))
 
     def adv_wnd(self) -> int:
-        pending = len(self.recv_q) + sum(len(s.data) for s in self.backlog)
-        return max(0, self.rcvbuf() - pending)
+        pending = len(self.recv_q)
+        if self.backlog:  # delivered but unprocessed bytes occupy the buffer too
+            pending += sum(len(s.data) for s in self.backlog)
+        wnd = self.rcvbuf() - pending
+        return wnd if wnd > 0 else 0
 
-    def _emit(self, seg: Segment) -> None:
-        """Hand a segment to the stack for transmission."""
-        self.last_adv_wnd = seg.wnd
-        self.stack.transmit(self.sock, segment=seg)
-
-    def _seg(self, flags: frozenset, seq: int = 0, data: bytes = b"") -> Segment:
-        return Segment(seq=seq, ack=self.pcb.rcv_nxt, flags=flags, data=data, wnd=self.adv_wnd())
+    def _send(self, flags: frozenset, seq: int, data: bytes = b"") -> None:
+        """Build one segment carrying the current ``recv`` and window and
+        hand it to the stack."""
+        wnd = self.last_adv_wnd = self.adv_wnd()
+        sock = self.sock
+        sock.stack.transmit(sock, Segment(seq, self.pcb.rcv_nxt, flags, data, wnd))
 
     # ------------------------------------------------------------------
     # connection establishment
@@ -144,7 +144,7 @@ class TcpConn:
     def start_connect(self) -> None:
         """Active open: send SYN (which consumes one sequence slot)."""
         self.state = SYN_SENT
-        self._emit(self._seg(frozenset({"SYN"}), seq=self.pcb.snd_nxt))
+        self._send(SYN, self.pcb.snd_nxt)
         self.pcb.snd_nxt += 1
         self._arm_rto()
 
@@ -155,7 +155,7 @@ class TcpConn:
         first data pushed by an accepted socket is mis-offset.
         """
         self.state = SYN_RCVD
-        self._emit(self._seg(frozenset({"SYN", "ACK"}), seq=self.pcb.snd_nxt))
+        self._send(SYN_ACK, self.pcb.snd_nxt)
         self.pcb.snd_nxt += 1
         self._arm_rto()
 
@@ -166,7 +166,8 @@ class TcpConn:
         """NIC-side entry: enqueue on the backlog; a bottom half drains it."""
         self.backlog.append(seg)
         if self._backlog_kick is None:
-            self._backlog_kick = self.stack.engine.schedule(BACKLOG_DELAY, self._drain_backlog)
+            self._backlog_kick = self.sock.stack.engine.schedule(
+                BACKLOG_DELAY, self._drain_backlog)
 
     def _drain_backlog(self) -> None:
         self._backlog_kick = None
@@ -182,66 +183,76 @@ class TcpConn:
         if self._backlog_kick is not None:
             self._backlog_kick.cancel()
             self._backlog_kick = None
-        while self.backlog:
-            seg = self.backlog.pop(0)
-            self._process(seg)
+        backlog = self.backlog
+        while backlog:
+            self._process(backlog.pop(0))
 
     # ------------------------------------------------------------------
     def _process(self, seg: Segment) -> None:
-        if seg.has("RST"):
-            self._on_rst()
+        flags = seg.flags
+        # The established, no-RST case is nearly every segment: test it
+        # first and leave resets and the handshake to one slow branch.
+        if (self.state != ESTABLISHED or "RST" in flags) and not self._open(seg, flags):
             return
+        if "SYN" in flags:
+            # duplicate SYN+ACK retransmission: our ACK was lost; re-ACK it.
+            self._send(ACK, self.pcb.snd_nxt)
+            return
+
+        if "ACK" in flags:
+            self._on_ack(seg.ack, seg.wnd)
+
+        data = seg.data
+        if data:
+            if "URG" in flags:
+                self._on_urgent(data)
+            else:
+                self._on_data(seg.seq, data)
+
+        if "FIN" in flags:
+            self._on_fin(seg.seq)
+
+    def _open(self, seg: Segment, flags: frozenset) -> bool:
+        """Resets and the handshake states; True when ``seg`` goes on to
+        established processing."""
+        if "RST" in flags:
+            self._on_rst()
+            return False
         if self.state == SYN_SENT:
-            if seg.has("SYN") and seg.has("ACK"):
+            if "SYN" in flags and "ACK" in flags:
                 self.pcb.rcv_nxt = seg.seq + 1
                 self.pcb.snd_una = seg.ack if seg.ack else self.pcb.snd_una
                 self.pcb.snd_nxt = max(self.pcb.snd_nxt, self.pcb.snd_una)
                 self.state = ESTABLISHED
                 self._cancel_rto()
-                self._emit(self._seg(frozenset({"ACK"}), seq=self.pcb.snd_nxt))
+                self._send(ACK, self.pcb.snd_nxt)
                 self.sock.on_connected()
-            return
+            return False
         if self.state == SYN_RCVD:
-            if seg.has("ACK") and not seg.data:
+            if "ACK" in flags and not seg.data:
                 self.pcb.snd_una = max(self.pcb.snd_una, seg.ack)
                 self.state = ESTABLISHED
                 self._cancel_rto()
                 self.sock.on_accept_ready()
-                return
+                return False
             # data may arrive piggybacked right after the final ACK is lost;
             # fall through to normal processing which implies establishment.
-            if seg.data or seg.has("FIN"):
+            if seg.data or "FIN" in flags:
                 self.state = ESTABLISHED
                 self._cancel_rto()
                 self.sock.on_accept_ready()
-        if self.state != ESTABLISHED:
-            return
-        if seg.has("SYN"):
-            # duplicate SYN+ACK retransmission: our ACK was lost; re-ACK it.
-            self._emit(self._seg(frozenset({"ACK"}), seq=self.pcb.snd_nxt))
-            return
-
-        if seg.has("ACK"):
-            self._on_ack(seg.ack, seg.wnd)
-
-        if seg.has("URG") and seg.data:
-            self._on_urgent(seg.data)
-        elif seg.data:
-            self._on_data(seg.seq, seg.data)
-
-        if seg.has("FIN"):
-            self._on_fin(seg.seq)
+        return self.state == ESTABLISHED
 
     # -- receiving ------------------------------------------------------
     def _on_data(self, seq: int, data: bytes) -> None:
         pcb = self.pcb
         if seq + len(data) <= pcb.rcv_nxt:
             # pure duplicate — re-ACK so the sender advances
-            self._emit(self._seg(frozenset({"ACK"}), seq=pcb.snd_nxt))
+            self._send(ACK, pcb.snd_nxt)
             return
         if seq > pcb.rcv_nxt:
             self.ooo[seq] = data
-            self._emit(self._seg(frozenset({"ACK"}), seq=pcb.snd_nxt))  # dup-ACK
+            self._send(ACK, pcb.snd_nxt)  # dup-ACK
             return
         if seq < pcb.rcv_nxt:  # partial overlap: trim the stale prefix
             data = data[pcb.rcv_nxt - seq:]
@@ -253,7 +264,7 @@ class TcpConn:
             chunk = self.ooo.pop(pcb.rcv_nxt)
             self.recv_q.extend(chunk)
             pcb.rcv_nxt += len(chunk)
-        self._emit(self._seg(frozenset({"ACK"}), seq=pcb.snd_nxt))
+        self._send(ACK, pcb.snd_nxt)
         self.sock.on_readable()
         # a parked FIN becomes deliverable once the gap closes
         if self._pending_fin is not None and self._pending_fin <= pcb.rcv_nxt:
@@ -274,12 +285,12 @@ class TcpConn:
             # reordered): remember it, deliver EOF only once the stream
             # catches up — otherwise rcv_nxt would skip past real bytes.
             self._pending_fin = seq
-            self._emit(self._seg(frozenset({"ACK"}), seq=self.pcb.snd_nxt))
+            self._send(ACK, self.pcb.snd_nxt)
             return
         self.fin_rcvd = True
         self._pending_fin = None
         self.pcb.rcv_nxt = max(self.pcb.rcv_nxt, seq + 1)
-        self._emit(self._seg(frozenset({"ACK"}), seq=self.pcb.snd_nxt))
+        self._send(ACK, self.pcb.snd_nxt)
         self.sock.on_readable()  # EOF is a readable event
 
     def _on_rst(self) -> None:
@@ -290,7 +301,7 @@ class TcpConn:
     # -- sending --------------------------------------------------------
     def _on_ack(self, ack: int, wnd: int) -> None:
         pcb = self.pcb
-        pcb.peer_wnd = max(wnd, 0)
+        pcb.peer_wnd = wnd if wnd > 0 else 0
         if ack > pcb.snd_una:
             acked = ack - pcb.snd_una
             stream_acked = min(acked, len(self.send_buf))
@@ -317,36 +328,31 @@ class TcpConn:
 
     def app_write_oob(self, data: bytes) -> int:
         """Send urgent data on its own out-of-band segment."""
-        self._emit(Segment(seq=self.pcb.snd_nxt, ack=self.pcb.rcv_nxt,
-                           flags=frozenset({"URG", "ACK"}), data=bytes(data), wnd=self.adv_wnd()))
+        self._send(URG_ACK, self.pcb.snd_nxt, bytes(data))
         return len(data)
 
     def push(self) -> None:
         """Transmit whatever the window and queue allow."""
         pcb = self.pcb
-        mss = self.mss()
-        while True:
-            in_flight = pcb.snd_nxt - pcb.snd_una
-            queued = len(self.send_buf) - in_flight
-            if queued <= 0:
-                break
-            if in_flight >= pcb.peer_wnd:
-                break
-            take = min(queued, mss, pcb.peer_wnd - in_flight)
-            off = in_flight
-            chunk = bytes(self.send_buf[off:off + take])
-            self._emit(Segment(seq=pcb.snd_nxt, ack=pcb.rcv_nxt,
-                               flags=frozenset({"ACK"}), data=chunk, wnd=self.adv_wnd()))
-            pcb.snd_nxt += take
-            self._arm_rto()
-        self._maybe_send_fin()
+        send_buf = self.send_buf
+        in_flight = pcb.snd_nxt - pcb.snd_una
+        if len(send_buf) > in_flight:  # something is unsent (a pure ACK stops here)
+            mss = self.mss()
+            while in_flight < len(send_buf) and in_flight < pcb.peer_wnd:
+                take = min(len(send_buf) - in_flight, mss, pcb.peer_wnd - in_flight)
+                self._send(ACK, pcb.snd_nxt, bytes(send_buf[in_flight:in_flight + take]))
+                pcb.snd_nxt += take
+                self._arm_rto()
+                in_flight = pcb.snd_nxt - pcb.snd_una
+        if self.fin_sent and self.fin_seq is None:  # tested here to spare the call
+            self._maybe_send_fin()
 
     def _maybe_send_fin(self) -> None:
         pcb = self.pcb
         if self.fin_sent and self.fin_seq is None and pcb.snd_nxt - pcb.snd_una == len(self.send_buf):
             # all stream data transmitted; FIN takes the next slot
             self.fin_seq = pcb.snd_nxt
-            self._emit(self._seg(frozenset({"FIN", "ACK"}), seq=pcb.snd_nxt))
+            self._send(FIN_ACK, pcb.snd_nxt)
             pcb.snd_nxt += 1
             self._arm_rto()
 
@@ -360,7 +366,7 @@ class TcpConn:
     # -- retransmission ---------------------------------------------------
     def _arm_rto(self) -> None:
         if self.rto_handle is None:
-            self.rto_handle = self.stack.engine.schedule(self.pcb.rto, self._on_rto)
+            self.rto_handle = self.sock.stack.engine.schedule(self.pcb.rto, self._on_rto)
 
     def _cancel_rto(self) -> None:
         if self.rto_handle is not None:
@@ -371,21 +377,18 @@ class TcpConn:
         self.rto_handle = None
         pcb = self.pcb
         if self.state == SYN_SENT:
-            self._emit(self._seg(frozenset({"SYN"}), seq=pcb.snd_nxt - 1))
+            self._send(SYN, pcb.snd_nxt - 1)
         elif self.state == SYN_RCVD:
-            self._emit(self._seg(frozenset({"SYN", "ACK"}), seq=pcb.snd_nxt - 1))
+            self._send(SYN_ACK, pcb.snd_nxt - 1)
         elif pcb.snd_una < pcb.snd_nxt:
             if self.fin_seq is not None and pcb.snd_una >= self.fin_seq:
-                self._emit(self._seg(frozenset({"FIN", "ACK"}), seq=self.fin_seq))
+                self._send(FIN_ACK, self.fin_seq)
             else:
-                off = 0
-                take = min(len(self.send_buf), self.mss())
-                chunk = bytes(self.send_buf[off:off + take])
+                chunk = bytes(self.send_buf[:self.mss()])
                 if chunk:
-                    self._emit(Segment(seq=pcb.snd_una, ack=pcb.rcv_nxt,
-                                       flags=frozenset({"ACK"}), data=chunk, wnd=self.adv_wnd()))
+                    self._send(ACK, pcb.snd_una, chunk)
                 elif self.fin_seq is not None:
-                    self._emit(self._seg(frozenset({"FIN", "ACK"}), seq=self.fin_seq))
+                    self._send(FIN_ACK, self.fin_seq)
         else:
             return  # nothing outstanding
         pcb.rto = min(pcb.rto * 2, RTO_MAX)
@@ -395,7 +398,7 @@ class TcpConn:
     def after_app_read(self) -> None:
         """Send a window update if the queue was previously near-full."""
         if self.state == ESTABLISHED and self.last_adv_wnd < self.mss():
-            self._emit(self._seg(frozenset({"ACK"}), seq=self.pcb.snd_nxt))
+            self._send(ACK, self.pcb.snd_nxt)
 
     # ------------------------------------------------------------------
     # introspection for the checkpoint layer

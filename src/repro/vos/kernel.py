@@ -35,6 +35,9 @@ DEFAULT_SYSCALL_CYCLES = 2000
 
 SyscallHandler = Callable[["Kernel", Any, Tuple[Any, ...], bool], Any]
 
+#: What a handler may return, most frequent first.
+_OUTCOMES = (Complete, Block, CompleteAfter)
+
 
 class Kernel:
     """One node's operating system instance."""
@@ -215,36 +218,44 @@ class Kernel:
         except SyscallError as err:
             self.complete_syscall(proc, Errno(err.errno, str(err)))
             return
-        if isinstance(outcome, Complete):
+        # the three outcome classes themselves are what handlers return;
+        # a subclass is resolved to the one it specialises
+        kind = outcome.__class__
+        if kind not in _OUTCOMES:
+            kind = next((base for base in _OUTCOMES if isinstance(outcome, base)), None)
+            if kind is None:
+                raise VosError(f"handler for {req.name!r} returned {outcome!r}")
+        if kind is Complete:
             self.complete_syscall(proc, outcome.value)
-        elif isinstance(outcome, CompleteAfter):
+        elif kind is CompleteAfter:
             self.engine.schedule(outcome.delay, self.complete_syscall, proc, outcome.value)
-        elif isinstance(outcome, Block):
-            pass  # handler parked the proc and will complete later
-        else:
-            raise VosError(f"handler for {req.name!r} returned {outcome!r}")
+        # Block: the handler parked the proc and will complete later
 
     def complete_syscall(self, proc: Any, value: Any) -> None:
         """Deliver a syscall result, honoring SIGSTOP parking."""
-        if getattr(proc, "state", None) == DEAD:
+        if proc.__class__ is not Process:
+            # a host channel, which has no ``state`` (or a Process subclass)
+            if getattr(proc, "state", None) == DEAD:
+                return
+            if isinstance(proc, HostChannel):
+                fut, proc.waiting = proc.waiting, None
+                proc.blocked_on = None
+                if fut is not None and not fut.done:
+                    fut.set_result(value)
+                return
+        elif proc.state == DEAD:
             return
-        if isinstance(proc, HostChannel):
-            fut, proc.waiting = proc.waiting, None
-            proc.blocked_on = None
-            if fut is not None and not fut.done:
-                fut.set_result(value)
-            return
-        if proc.blocked_on is None:
+        req = proc.blocked_on
+        if req is None:
             return  # duplicate completion (e.g. racing cancel)
-        dst = proc.blocked_on.dst
-        name = proc.blocked_on.name
+        dst = req.dst
         proc.blocked_on = None
         # pods translate results carrying real identifiers back into the
         # virtual namespace (e.g. timer ids)
-        if getattr(proc, "pod_id", None) is not None:
+        if proc.pod_id is not None:
             pod = self.pods.get(proc.pod_id)
             if pod is not None:
-                value = pod.translate_result(proc, name, value)
+                value = pod.translate_result(proc, req.name, value)
         if proc.stopped:
             proc.pending_result = (dst, value)
             proc.state = RUNNABLE

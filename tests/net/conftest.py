@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.net import Fabric, NetStack
-from repro.sim import all_of
+from repro.net.addr import Endpoint
+from repro.sim import Engine, all_of
 from repro.vos import Kernel
 
 
@@ -39,6 +40,25 @@ def hosts(engine, fabric):
     a = Host(engine, fabric, "na", "10.0.0.1")
     b = Host(engine, fabric, "nb", "10.0.0.2")
     return a, b
+
+
+def established_pair(seed=1, loss=0.0):
+    """Two stacks with a hand-established TCP connection between them:
+    ``(engine, a, b)``."""
+    engine = Engine(seed=seed)
+    fabric = Fabric(engine, loss_rate=loss)
+    sa = NetStack(Kernel(engine, "a"), fabric, "10.0.0.1")
+    sb = NetStack(Kernel(engine, "b"), fabric, "10.0.0.2")
+    a = sa.create_socket("tcp")
+    a.local = Endpoint("10.0.0.1", 1000)
+    sa.register_established(a, Endpoint("10.0.0.2", 2000))
+    b = sb.create_socket("tcp")
+    b.local = Endpoint("10.0.0.2", 2000)
+    sb.register_established(b, Endpoint("10.0.0.1", 1000))
+    for s in (a, b):
+        s.conn.state = "established"
+        s.conn.pcb.snd_una = s.conn.pcb.snd_nxt = s.conn.pcb.rcv_nxt = 1001
+    return engine, a, b
 
 
 def run_tasks(engine, *tasks, until=60.0):

@@ -1,7 +1,7 @@
 """TCP behaviour tests: handshake, data, EOF, OOB, retransmit, backlog."""
 
 
-from repro.net import MSG_OOB, MSG_PEEK
+from repro.net import MSG_OOB, MSG_PEEK, Segment
 from repro.vos.syscalls import Errno
 
 from .conftest import run_tasks
@@ -284,6 +284,43 @@ def test_send_blocks_when_buffer_full_then_completes(engine, hosts):
     cli = a.task(client, name="cli")
     total, sent = run_tasks(engine, srv, cli, until=120.0)
     assert sent == 300_000 and total == 300_000
+
+
+def test_reset_errors_out_a_parked_writer_and_reader(engine, hosts):
+    """An RST on an established socket completes everyone parked on it —
+    the sender blocked on a full send buffer included (its waiter entry
+    also carries the bytes accepted so far)."""
+    a, b = hosts
+
+    def server(call):  # accepts, then never reads
+        fd = yield call("socket", "tcp")
+        yield call("bind", fd, (b.ip, 5013))
+        yield call("listen", fd, 8)
+        yield call("accept", fd)
+        yield call("sleep", 60.0)
+
+    b.task(server, name="srv")
+    writer, reader = a.kernel.host_channel("w"), a.kernel.host_channel("r")
+    call = a.kernel.host_call
+
+    def connect():
+        fd = yield call(writer, "socket", "tcp")
+        yield call(writer, "connect", fd, (b.ip, 5013))
+        return fd
+
+    fd = engine.run_task(connect(), until=5.0)
+    sock = reader.fds[fd] = writer.fds[fd]
+    sending = call(writer, "send", fd, b"w" * (2 * sock.options["SO_SNDBUF"] + 100_000), 0)
+    reading = call(reader, "recv", fd, 100, 0)
+    engine.run(until=engine.now + 5.0)
+    assert not sending.done and not reading.done
+    assert len(sock.send_waiters) == 1 and len(sock.recv_waiters) == 1
+
+    sock.conn.deliver(Segment(flags=frozenset({"RST"})))
+    engine.run(until=engine.now + 1.0)
+    assert sending.result == Errno("ECONNRESET")
+    assert reading.result == Errno("ECONNRESET")
+    assert sock.send_waiters == [] and sock.recv_waiters == []
 
 
 def test_nonblocking_recv_returns_ewouldblock(engine, hosts):

@@ -9,30 +9,9 @@ randomized segment schedules.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.net import Fabric, NetStack, Segment
-from repro.net.addr import Endpoint
-from repro.sim import Engine
-from repro.vos import Kernel
+from repro.net import Segment
 
-
-def _pair(seed=1, loss=0.0):
-    """Two stacks with a hand-established TCP connection between them."""
-    engine = Engine(seed=seed)
-    fabric = Fabric(engine, loss_rate=loss)
-    ka = Kernel(engine, "a")
-    sa = NetStack(ka, fabric, "10.0.0.1")
-    kb = Kernel(engine, "b")
-    sb = NetStack(kb, fabric, "10.0.0.2")
-    a = sa.create_socket("tcp")
-    a.local = Endpoint("10.0.0.1", 1000)
-    sa.register_established(a, Endpoint("10.0.0.2", 2000))
-    b = sb.create_socket("tcp")
-    b.local = Endpoint("10.0.0.2", 2000)
-    sb.register_established(b, Endpoint("10.0.0.1", 1000))
-    for s in (a, b):
-        s.conn.state = "established"
-        s.conn.pcb.snd_una = s.conn.pcb.snd_nxt = s.conn.pcb.rcv_nxt = 1001
-    return engine, a, b
+from .conftest import established_pair as _pair
 
 
 @settings(max_examples=60, deadline=None)

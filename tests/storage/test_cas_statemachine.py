@@ -35,7 +35,7 @@ from repro.errors import RestartError
 from repro.storage import cas
 from repro.storage.san import SharedStorage
 
-from .mutation import mutant
+from ..mutation import mutant
 
 pytest.importorskip("hypothesis")
 from hypothesis import Phase, settings, strategies as st  # noqa: E402
@@ -300,7 +300,7 @@ MUTATIONS = {
 @pytest.mark.parametrize("name", list(MUTATIONS))
 def test_mutated_store_fails_the_machine(name):
     class Broken(CasMachine):
-        impl = mutant(*MUTATIONS[name])
+        impl = mutant(cas, *MUTATIONS[name])
 
     # more examples than the real store gets: a run stops at its first
     # failure, and 500 caught every mutation on 20 of 20 random seeds

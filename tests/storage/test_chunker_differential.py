@@ -21,7 +21,7 @@ from repro.storage import cas
 from repro.storage.san import SharedStorage
 
 from . import reference_chunker as reference
-from .mutation import mutant
+from ..mutation import mutant
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -177,7 +177,7 @@ MUTATIONS = {
 
 @pytest.mark.parametrize("name", list(MUTATIONS))
 def test_mutated_scan_is_caught(name):
-    broken = mutant(*MUTATIONS[name])
+    broken = mutant(cas, *MUTATIONS[name])
     broken._SCAN_BLOCK = 64   # many seams, so a seam bug has somewhere to show
     caught = next(disagreements(broken.chunk_bounds), None)
     assert caught, f"no corpus case tells {name!r} from the real scan"

@@ -1,28 +1,37 @@
-"""Round-robin multi-CPU scheduler for one node.
+"""The scheduler and the syscall hand-off as they stood before the direct
+dispatch, frozen verbatim as a test-only oracle.
 
-Each node has ``ncpus`` CPUs; runnable processes share a single run
-queue.  A dispatched process executes up to one quantum of cycles
-*eagerly* (the interpreter mutates its registers immediately) and the
-CPU is then held busy for the corresponding simulated duration; effects
-visible to other actors — syscalls, exits — are applied only when the
-slice's simulated time has elapsed.  Signals (SIGSTOP in particular)
-take effect at slice boundaries, as in a real kernel where signal
-delivery happens on the user/kernel boundary.
+``Scheduler`` is ``repro.vos.scheduler.Scheduler`` exactly as the parent
+commit shipped it: every ``enqueue`` appends to the run queue and kicks,
+every slice end kicks, every interpreter slice calls ``_charge_dirty``.
+``_run_handler`` / ``complete_syscall`` are the parent's
+``Kernel`` methods (the ``isinstance`` chain over the handler's outcome,
+``getattr`` probes on the caller) as functions of their old ``self``.
+:func:`install` swaps them in through ``monkeypatch`` of
+``repro.vos.kernel.Scheduler`` and the two ``Kernel`` attributes.
 
-Dual-processor blades in the paper's testbed map to ``ncpus=2`` here.
+``tests/vos/test_scheduler_differential.py`` drives the same processes
+through both and requires the same dispatch log — who ran on which CPU,
+when, and why each slice ended — and the same cycle accounts.  Do not
+"fix" anything here.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, TYPE_CHECKING
+from typing import Any, Deque, List, Optional, TYPE_CHECKING
 
-from ..errors import VosError
-from .process import Process, RUNNABLE, RUNNING
+from repro.errors import SyscallError, VosError
+from repro.vos import kernel as live_kernel
+from repro.vos.process import DEAD, Process, RUNNABLE, RUNNING, SyscallRequest
+from repro.vos.syscalls import Block, Complete, CompleteAfter, Errno, HostChannel
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .kernel import Kernel
+    from repro.vos.kernel import Kernel
 
+# ---------------------------------------------------------------------------
+# repro/vos/scheduler.py at the parent commit
+# ---------------------------------------------------------------------------
 
 #: Longest pure-compute burn executed as a single event when the CPU has
 #: no competition (seconds * hz set at scheduler construction).
@@ -65,17 +74,8 @@ class Scheduler:
 
     # ------------------------------------------------------------------
     def enqueue(self, proc: Process) -> None:
-        """Make ``proc`` eligible to run (idempotent).
-
-        With nobody queued and a CPU idle the process goes straight onto
-        that CPU — what appending it and kicking would do, since it would
-        be the queue's only entry.  With anybody queued it waits its turn
-        behind them, so run-queue order is never overtaken.
-        """
+        """Make ``proc`` eligible to run (idempotent)."""
         if proc.state != RUNNABLE or proc.stopped or proc.pid in self._queued:
-            return
-        if not self.runq and None in self.cpus:
-            self._dispatch(self.cpus.index(None), proc)
             return
         self.runq.append(proc)
         self._queued.add(proc.pid)
@@ -105,8 +105,7 @@ class Scheduler:
             return
         used, reason, payload = proc.step(self.quantum_cycles)
         self.busy_cycles[cpu] += used
-        if proc.program.dirty_rate > 0.0:
-            self._charge_dirty(proc, used)
+        self._charge_dirty(proc, used)
         delay = used / self.kernel.hz
         self.kernel.engine.schedule(delay, self._slice_done, cpu, proc, reason, payload)
 
@@ -152,11 +151,79 @@ class Scheduler:
     def _slice_done(self, cpu: int, proc: Process, reason: str, payload: object) -> None:
         self.cpus[cpu] = None
         self.kernel.on_slice_end(proc, reason, payload)
-        if self.runq:
-            self.kick()
+        self.kick()
 
     # ------------------------------------------------------------------
     @property
     def idle(self) -> bool:
         """True when no CPU is running anything and the queue is empty."""
         return not self.runq and all(slot is None for slot in self.cpus)
+
+
+# ---------------------------------------------------------------------------
+# Kernel._run_handler / Kernel.complete_syscall at the parent commit
+# ---------------------------------------------------------------------------
+
+
+def _run_handler(self, proc: Any, req: SyscallRequest, restarted: bool) -> None:
+    # the handler's side effects land now (or it parks the process in
+    # a re-issuable blocked state), so the dispatch window is over
+    proc.syscall_dispatching = False
+    if getattr(proc, "state", None) == DEAD:
+        return
+    handler = self._handlers.get(req.name)
+    if handler is None:
+        self.complete_syscall(proc, Errno("ENOSYS", req.name))
+        return
+    try:
+        outcome = handler(self, proc, req.args, restarted)
+    except SyscallError as err:
+        self.complete_syscall(proc, Errno(err.errno, str(err)))
+        return
+    if isinstance(outcome, Complete):
+        self.complete_syscall(proc, outcome.value)
+    elif isinstance(outcome, CompleteAfter):
+        self.engine.schedule(outcome.delay, self.complete_syscall, proc, outcome.value)
+    elif isinstance(outcome, Block):
+        pass  # handler parked the proc and will complete later
+    else:
+        raise VosError(f"handler for {req.name!r} returned {outcome!r}")
+
+
+def complete_syscall(self, proc: Any, value: Any) -> None:
+    """Deliver a syscall result, honoring SIGSTOP parking."""
+    if getattr(proc, "state", None) == DEAD:
+        return
+    if isinstance(proc, HostChannel):
+        fut, proc.waiting = proc.waiting, None
+        proc.blocked_on = None
+        if fut is not None and not fut.done:
+            fut.set_result(value)
+        return
+    if proc.blocked_on is None:
+        return  # duplicate completion (e.g. racing cancel)
+    dst = proc.blocked_on.dst
+    name = proc.blocked_on.name
+    proc.blocked_on = None
+    # pods translate results carrying real identifiers back into the
+    # virtual namespace (e.g. timer ids)
+    if getattr(proc, "pod_id", None) is not None:
+        pod = self.pods.get(proc.pod_id)
+        if pod is not None:
+            value = pod.translate_result(proc, name, value)
+    if proc.stopped:
+        proc.pending_result = (dst, value)
+        proc.state = RUNNABLE
+        return
+    if dst is not None:
+        proc.regs[dst] = value
+    proc.state = RUNNABLE
+    self.scheduler.enqueue(proc)
+
+
+def install(monkeypatch) -> None:
+    """Make every kernel created from now on schedule and complete
+    syscalls the parent's way."""
+    monkeypatch.setattr(live_kernel, "Scheduler", Scheduler)
+    monkeypatch.setattr(live_kernel.Kernel, "_run_handler", _run_handler)
+    monkeypatch.setattr(live_kernel.Kernel, "complete_syscall", complete_syscall)
