@@ -59,6 +59,7 @@ from .standalone import (
     activate_pod,
     capture_pod_standalone,
     capture_proc_dirty,
+    resolve_programs,
     restore_pod_standalone,
 )
 from .wire import recv_msg, send_msg
@@ -1058,9 +1059,11 @@ class Agent:
                 sum(img.total_bytes for img in chain)))
         try:
             reassembled = ImagePipeline.reassemble(chain, state=self.pipeline_state)
+            resolve_programs(reassembled.payload["standalone"])
         except (CodecError, CheckpointError, RestartError, KeyError) as err:
-            # a corrupt or partial chain must fail the restart loudly,
-            # not hang the session
+            # a corrupt or partial chain, or one naming a program this
+            # node cannot build, must fail the restart loudly, not hang
+            # the session
             phase.end(status="failed")
             yield from send_msg(kernel, chan, fd, {
                 "type": "error",

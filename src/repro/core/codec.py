@@ -68,6 +68,18 @@ _STR_MEMO: Dict[str, bytes] = {}
 _STR_MEMO_CHARS = 32
 _STR_MEMO_SIZE = 1024
 
+#: (dtype, shape) -> everything an ``a`` record says before its payload:
+#: the tag, the dtype ``s``, the shape ``t`` and the ``b`` length header
+#: (the payload is always ``nbytes`` long).  A run moves arrays of a
+#: handful of dtypes and shapes through every MPI frame and image, and
+#: ``str(dtype)`` alone is several Python frames inside numpy.  Decode
+#: remembers the way back, dtype string -> ``np.dtype``.  Both stop
+#: growing at ``_ARRAY_MEMO_SIZE`` entries; a dtype the format refuses is
+#: never remembered.
+_ARRAY_MEMO: Dict[Tuple[np.dtype, Tuple[int, ...]], bytes] = {}
+_DTYPE_MEMO: Dict[str, np.dtype] = {}
+_ARRAY_MEMO_SIZE = 1024
+
 Parts = List[Any]   # bytes fragments plus by-reference bytes-like payloads
 
 
@@ -202,12 +214,36 @@ def _enc_dict(obj, parts, depth) -> None:
     parts[header] = _TAG_U32(b"d" if all_str else b"D", len(obj))
 
 
+def _array_head(dtype: np.dtype, shape: Tuple[int, ...], nbytes: int) -> bytes:
+    """The fragment an array of ``dtype`` and ``shape`` starts with."""
+    name = str(dtype)
+    try:
+        decodable = not dtype.hasobject and np.dtype(name) == dtype
+    except (TypeError, ValueError, SyntaxError):
+        # a structured or record dtype's str is not a dtype string, and
+        # numpy's parser says so in any of these three ways
+        decodable = False
+    if not decodable:
+        # nothing encodes that cannot decode: an object array's bytes are
+        # pointers, and decode could not name this dtype again
+        raise CodecError(f"ndarray dtype {name} is not representable in the image format")
+    head: Parts = [b"a"]
+    _enc_exact_str(name, head, 0)
+    _enc_tuple(shape, head, 0)
+    head.append(_TAG_U32(b"b", nbytes))
+    return b"".join(head)
+
+
 def _enc_ndarray(obj, parts, depth) -> None:
-    depth = _nested(depth)
-    parts.append(b"a")
-    _enc_exact_str(str(obj.dtype), parts, depth)
-    _enc_tuple(tuple(int(x) for x in obj.shape), parts, depth)
-    _enc_bytes(_byte_view(np.ascontiguousarray(obj)), parts, depth)
+    _nested(_nested(depth))  # the shape tuple sits one level below the array
+    key = (obj.dtype, obj.shape)
+    head = _ARRAY_MEMO.get(key)
+    if head is None:
+        head = _array_head(*key, obj.nbytes)
+        if len(_ARRAY_MEMO) < _ARRAY_MEMO_SIZE:
+            _ARRAY_MEMO[key] = head
+    parts.append(head)
+    parts.append(_byte_view(np.ascontiguousarray(obj)))
 
 
 def _enc_errno(obj, parts, depth) -> None:
@@ -407,9 +443,15 @@ def _dec_ndarray(data, pos, depth):
             and isinstance(raw, (bytes, bytearray, memoryview))):
         raise CodecError("malformed ndarray: expected dtype str, shape tuple, raw bytes")
     try:
-        return np.frombuffer(raw, dtype=np.dtype(dtype)).reshape(shape).copy(), pos
-    except (TypeError, ValueError) as err:
-        # unknown dtype, shape that does not match the payload, ...
+        dt = _DTYPE_MEMO.get(dtype)
+        if dt is None:
+            dt = np.dtype(dtype)
+            if len(dtype) <= _STR_MEMO_CHARS and len(_DTYPE_MEMO) < _ARRAY_MEMO_SIZE:
+                _DTYPE_MEMO[dtype] = dt
+        return np.frombuffer(raw, dtype=dt).reshape(shape).copy(), pos
+    except (TypeError, ValueError, SyntaxError) as err:
+        # unknown dtype (numpy's parser raises any of the three), shape
+        # that does not match the payload, ...
         raise CodecError(f"malformed ndarray: {err}") from None
 
 

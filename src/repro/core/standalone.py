@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from ..errors import RestartError
+from ..errors import RestartError, VosError
 from ..pod.pod import Pod
 from ..vos.filesystem import OpenFile
 from ..vos.kernel import Kernel
 from ..vos.process import BLOCKED, Process, RUNNABLE
+from ..vos.program import build_program
 from . import timevirt
 
 
@@ -90,6 +91,19 @@ def _find_fs(kernel: Kernel, name: str):
         if fs.name == name:
             return fs
     raise RestartError(f"file system {name!r} not mounted on {kernel.hostname}")
+
+
+def resolve_programs(standalone: Dict[str, Any]) -> None:
+    """Look up the program of every process image, as
+    :func:`restore_pod_standalone` will, while the restart can still be
+    refused: an image naming a program this interpreter has not
+    registered, or params its builder rejects, is a :class:`RestartError`
+    before any pod exists rather than a half-built pod afterwards."""
+    for image in standalone["procs"]:
+        try:
+            build_program(image["program_name"], **image["program_params"])
+        except (VosError, TypeError, ValueError) as err:
+            raise RestartError(f"a process image cannot be rebuilt: {err}") from None
 
 
 def restore_pod_standalone(

@@ -376,6 +376,7 @@ def _sys_gethostname(kernel: Kernel, proc: Any, args: Tuple, restarted: bool):
 def _sys_spawn(kernel: Kernel, proc: Any, args: Tuple, restarted: bool):
     prog_name, params, regs = args
     try:
+        # one shared Program per (name, params): only the first exec builds
         prog = build_program(prog_name, **dict(params))
     except VosError as err:
         # exec of a nonexistent/unbuildable program is a caller error,

@@ -261,7 +261,8 @@ class Process:
 
     @classmethod
     def from_image(cls, pid: int, image: Dict[str, Any]) -> "Process":
-        """Rebuild a process from an image (program re-derived by name)."""
+        """Rebuild a process from an image; its program is looked up by
+        ``(name, params)`` and shared with every process that runs it."""
         prog = build_program(image["program_name"], **image["program_params"])
         proc = cls(pid, prog, regs=dict(image["regs"]), memory=Memory.from_image(image["memory"]))
         proc.pc = int(image["pc"])

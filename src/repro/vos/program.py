@@ -8,10 +8,20 @@ stack, memory accounting) lives in the :class:`~repro.vos.process.Process`
 image, which the checkpointer serializes without any cooperation from
 the program.
 
-Programs are built once and **registered by name**; a checkpoint stores
+Programs are **registered by name** and built once: a checkpoint stores
 only ``(program name, build params, pc, ...)`` — exactly as a real
 checkpoint stores the executable path rather than its machine code — and
-restart rebuilds the program from the registry.
+:func:`build_program` keeps the one :class:`Program` each ``(name,
+params)`` built, so a spawn, another pod's spawn and every restore of
+that pair share it, the way processes share one mapped executable.
+
+Sharing holds because a program is data, which asks two things of the
+code that writes one.  A **builder** is a pure function of its params:
+it reads nothing that changes between calls and keeps no state in the
+closures it emits.  An ``op`` function **never mutates an operand in
+place** — it returns a new value (``rs + [g]``, ``dict(d)``) — because an
+operand may be an immediate inside the shared instruction
+(``mov("residuals", imm([]))``) or a build param.
 
 Instruction set
 ---------------
@@ -29,6 +39,7 @@ Operands are register names (``str``) or immediates (wrap literals in
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -135,6 +146,18 @@ class Program:
 
 _REGISTRY: Dict[str, Callable[..., None]] = {}
 
+#: (builder function, name, frozen params) -> the one program built for
+#: them.  Bounded the way the codec's memos are (DESIGN §5): insertion
+#: simply stops at ``_PROGRAMS_SIZE`` programs — a 16-rank BT/NAS endpoint
+#: is ~125 KB of instructions, so tens of MB at the very most — and what
+#: does not fit is built per call.  Nothing is keyed by an ``id()``; the
+#: builder function is in the key so that a name registered anew can
+#: never return the old function's program.
+_PROGRAMS: Dict[Tuple[Any, ...], Program] = {}
+_PROGRAMS_SIZE = 512
+
+_ATOMS = frozenset((type(None), bool, int, str, bytes))
+
 
 def program(name: str) -> Callable[[Callable[..., None]], Callable[..., None]]:
     """Decorator registering a program-builder function under ``name``.
@@ -157,18 +180,60 @@ def program(name: str) -> Callable[[Callable[..., None]], Callable[..., None]]:
     return deco
 
 
-def build_program(name: str, **params: Any) -> Program:
-    """Instantiate registered program ``name`` with ``params``.
+def _freeze(value: Any) -> Tuple[Any, ...]:
+    """A hashable key that equals another's exactly when the two values
+    have the same types and contents all the way down: ``1``, ``True``
+    and ``1.0`` are three keys, a list is not a tuple and a dict keeps its
+    order — every one of which reaches the image through
+    :attr:`Program.params`.  ``TypeError`` for anything else (a subclass,
+    an ndarray, an arbitrary object)."""
+    tp = type(value)
+    if tp in _ATOMS:
+        return tp, value
+    if tp is float:
+        return tp, value.hex()  # 0.0 == -0.0, but their images differ
+    if tp is list or tp is tuple:
+        return tp, tuple(map(_freeze, value))
+    if tp is dict:
+        return tp, tuple((_freeze(k), _freeze(v)) for k, v in value.items())
+    raise TypeError(f"a {tp.__name__} cannot key the program table")
 
-    Deterministic: the same name+params always yield the same instruction
-    sequence, which is what lets a checkpoint record just the pair.
+
+def build_program(name: str, **params: Any) -> Program:
+    """The program registered as ``name``, instantiated with ``params``.
+
+    Built once: the first call for a (builder function, name, params)
+    runs the builder, every later one — another pod's spawn, a restore,
+    the next world in the same interpreter — returns that same frozen
+    :class:`Program`.  That is sound because the builder is deterministic
+    (the same name + params always yield the same instruction sequence,
+    which is also what lets a checkpoint record just the pair) and
+    because nothing that executes a program writes to it (module doc).
+    Params :func:`_freeze` cannot represent are built fresh on every call
+    and never kept.
     """
     builder_fn = _REGISTRY.get(name)
     if builder_fn is None:
         raise VosError(f"no program registered under {name!r}")
+    try:
+        key = (builder_fn, name, _freeze(params))
+    except TypeError:
+        key = None
+    prog = _PROGRAMS.get(key)
+    if prog is not None:
+        return prog
+    keep = key is not None and len(_PROGRAMS) < _PROGRAMS_SIZE
+    if keep:
+        # a kept program outlives this call: its params go into every
+        # image and its immediates into every process, so neither may be
+        # reachable through the caller's own lists and dicts
+        params = copy.deepcopy(params)
     b = ProgramBuilder(name, params)
     builder_fn(b, **params)
-    return b.build()
+    prog = b.build()
+    if keep:
+        _PROGRAMS[key] = prog
+    return prog
 
 
 def registered_programs() -> List[str]:

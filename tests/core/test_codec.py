@@ -217,6 +217,7 @@ CORRUPT = {
     "ndarray-unknown-dtype": _ndarray_image("floaT64", (1,), b"\x00" * 8),
     "ndarray-non-string-dtype": _ndarray_image(5, (1,), b"\x00" * 8),
     "ndarray-object-dtype": _ndarray_image("O", (1,), b"\x00" * 8),
+    "ndarray-unparsable-dtype": _ndarray_image("(2,", (1,), b"\x00" * 8),  # a SyntaxError inside numpy
     "ndarray-shape-mismatch": _ndarray_image("float64", (3,), b"\x00" * 8),
     "ndarray-ragged-payload": _ndarray_image("float64", (1,), b"\x00" * 7),
     "ndarray-non-integer-shape": _ndarray_image("float64", ("x",), b"\x00" * 8),

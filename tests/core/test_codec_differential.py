@@ -43,6 +43,10 @@ class Count(int):
     pass
 
 
+class Grid(np.ndarray):
+    pass
+
+
 _text = st.text(max_size=24)
 
 _scalars = st.one_of(
@@ -176,3 +180,117 @@ def test_subclasses_resolve_in_the_old_chain_order():
     for obj in (np.float64(2.5), Level.HIGH, Count(-3), Label("x"), Pair((1,)),
                 Row("a", 1.0), Endpoint("10.0.0.1", 80)):
         assert codec.encode(obj) == reference_codec.encode(obj)
+
+
+# ---------------------------------------------------------------------------
+# one header fragment per (dtype, shape): same bytes, building it and finding it
+# ---------------------------------------------------------------------------
+
+AWKWARD_ARRAYS = {
+    "0-d": np.array(3.5),
+    "0-d-byte-swapped": np.array(7, dtype=">i2"),
+    "zero-size": np.zeros((0, 3)),
+    "zero-size-inner-axis": np.zeros((3, 0), dtype="i2"),
+    "non-contiguous": np.arange(12.0).reshape(3, 4)[:, ::2],
+    "fortran-order": np.asfortranarray(np.arange(6.0).reshape(2, 3)),
+    "byte-swapped": np.arange(6, dtype=">f8").reshape(2, 3),
+    "byte-swapped-transposed": np.arange(6, dtype=">i4").reshape(2, 3).T,
+    "datetime64": np.array(["2005-09-27", "2026-10-01"], dtype="datetime64[s]"),
+    "datetime64-generic-unit": np.zeros(2, dtype="M8"),
+    "timedelta64": np.array([1, 2], dtype="timedelta64[ms]"),
+    "fixed-width-bytes": np.array([b"abc", b"de"], dtype="S5"),
+    "unicode": np.array(["abc", "de"]),
+    "void": np.zeros(3, dtype="V4"),
+    "complex": np.array([1 + 2j]),
+    "half": np.zeros(2, dtype="f2"),
+    "long-double": np.zeros(2, dtype=np.longdouble),
+    "ndarray-subclass": np.arange(4).reshape(2, 2).view(Grid),
+}
+
+
+@pytest.fixture
+def fresh_array_memos(monkeypatch):
+    monkeypatch.setattr(codec, "_ARRAY_MEMO", {})
+    monkeypatch.setattr(codec, "_DTYPE_MEMO", {})
+
+
+@pytest.mark.parametrize("name", list(AWKWARD_ARRAYS))
+def test_an_array_encodes_the_same_building_its_header_and_finding_it(name, fresh_array_memos):
+    arr = AWKWARD_ARRAYS[name]
+    data = reference_codec.encode(arr)
+    for _ in range(2):
+        assert codec.encode(arr) == data
+        assert codec.encoded_size(arr) == len(data)
+        assert codec.encode({"k": [arr, arr.copy()]}) == reference_codec.encode({"k": [arr, arr]})
+        assert _same(codec.decode(data), reference_codec.decode(data))
+    assert len(codec._ARRAY_MEMO) == 1 and len(codec._DTYPE_MEMO) == 1
+
+
+def test_equal_dtypes_however_spelled_encode_as_the_oracle_does(fresh_array_memos):
+    # equal dtypes share one remembered header, so they must share one name
+    for spelling in ("=f8", "<f8", "float64", "d", np.dtype("f8", metadata={"unit": "m"}),
+                     "l", "q", "int64", "p", "L", "Q", "P", ">f8", "<U3", ">U3", "U3"):
+        arr = np.zeros(2, dtype=spelling)
+        assert codec.encode(arr) == reference_codec.encode(arr), spelling
+    assert len(codec._ARRAY_MEMO) < 16
+
+
+def test_an_array_is_as_deep_as_its_shape_tuple(fresh_array_memos):
+    """The shape ``t`` sits one level below the ``a``: the header fragment
+    must not let an array in where its shape tuple would have been
+    refused, building the header or finding it."""
+    deepest = np.zeros(1)
+    for _ in range(codec.MAX_DEPTH - 2):
+        deepest = [deepest]
+    too_deep = reference_codec.encode([deepest])     # the oracle has no cap
+    for _ in range(2):
+        assert codec.encode(deepest) == reference_codec.encode(deepest)
+        assert _same(codec.decode(codec.encode(deepest)), deepest)
+        for refuse, arg in ((codec.encode, [deepest]), (codec.encoded_size, [deepest]),
+                            (codec.decode, too_deep)):
+            with pytest.raises(CodecError, match="nested deeper"):
+                refuse(arg)
+
+
+def test_array_memos_stay_bounded(fresh_array_memos, monkeypatch):
+    monkeypatch.setattr(codec, "_ARRAY_MEMO_SIZE", 8)
+    for n in range(20):
+        arr = np.zeros(n, dtype=f"S{n + 1}")
+        data = reference_codec.encode(arr)
+        for _ in range(2):
+            assert codec.encode(arr) == data
+            assert _same(codec.decode(data), arr)
+    assert len(codec._ARRAY_MEMO) == 8 and len(codec._DTYPE_MEMO) == 8
+    # a dtype name decode could be sent, too long to be worth keeping
+    wide = "i4," * 12 + "i4"
+    codec.decode(b"a" + codec.encode(wide) + codec.encode((0,)) + codec.encode(b""))
+    assert wide not in codec._DTYPE_MEMO
+
+
+# ---------------------------------------------------------------------------
+# nothing encodes that cannot decode
+# ---------------------------------------------------------------------------
+
+UNDECODABLE_ARRAYS = {
+    "structured": np.zeros(2, dtype=[("a", "<i4"), ("b", "<f8")]),
+    "object": np.array([{}, 1], dtype=object),
+    "structured-with-an-object-field": np.zeros(2, dtype=[("a", "O")]),
+    "record": np.rec.array([(1, 2.0)], dtype=[("a", "i4"), ("b", "f8")]),
+}
+
+
+@pytest.mark.parametrize("name", list(UNDECODABLE_ARRAYS))
+def test_an_array_that_could_not_be_decoded_is_refused_at_encode(name, fresh_array_memos):
+    arr = UNDECODABLE_ARRAYS[name]
+    # the parent wrote it (an object array as raw pointers) and only the
+    # restart found out
+    written = reference_codec.encode(arr)
+    with pytest.raises(CodecError):
+        codec.decode(written)
+    for _ in range(2):
+        for refuse in (codec.encode, codec.encoded_size):
+            with pytest.raises(CodecError, match="dtype"):
+                refuse(arr)
+            with pytest.raises(CodecError, match="dtype"):
+                refuse({"regs": {"u": arr}})
+    assert not codec._ARRAY_MEMO     # a refused dtype is never remembered

@@ -10,7 +10,7 @@ its execution."
 import pytest
 
 from repro.cluster import Cluster, crash_node, isolate_node
-from repro.core import Manager
+from repro.core import Manager, codec
 from repro.vos import DEAD
 
 from .testapps import expected_sums, final_sums, launch_pingpong
@@ -235,3 +235,51 @@ def test_recover_without_checkpoint_fails_without_side_effects(world):
     # the running application was never touched
     assert srv.state == DEAD and cli.state == DEAD
     assert final_sums(cluster) == expected_sums(ROUNDS)
+
+
+def _rename_program(image):
+    image["program_name"] = "testapp.gone-since"
+
+
+def _drop_a_param(image):
+    del image["program_params"]["rounds"]
+
+
+@pytest.mark.parametrize("damage, reason", [
+    (_rename_program, "no program registered under 'testapp.gone-since'"),
+    (_drop_a_param, "'rounds'"),
+], ids=["unregistered-program", "params-the-builder-rejects"])
+def test_restart_of_an_image_whose_program_cannot_be_built_fails_before_any_pod(
+        world, damage, reason):
+    """The image was written by an interpreter whose programs differ from
+    this one's.  The Agent must say so while all it has done is read the
+    image: the reason reaches the Manager, no pod is created on any node
+    and the Agent's session ends normally instead of raising."""
+    cluster, manager = world
+    launch_pingpong(cluster, rounds=ROUNDS)
+    targets = [("blade0", "pp-srv", "mem"), ("blade1", "pp-cli", "mem")]
+    holder = {}
+
+    def kick():
+        holder["ckpt"] = manager.checkpoint(targets)
+
+    def crash_damage_restart():
+        cluster.find_pod("pp-srv").destroy()
+        cluster.find_pod("pp-cli").destroy()
+        (image,) = manager.agents["blade1"].mem_sink.load("pp-cli")
+        payload = codec.decode(image.data)
+        damage(payload["standalone"]["procs"][0])
+        image.data = codec.encode(payload)
+        holder["restart"] = manager.restart(targets)
+
+    cluster.engine.schedule(0.15, kick)
+    cluster.engine.schedule(1.0, crash_damage_restart)
+    cluster.engine.run(until=60.0)
+    assert holder["ckpt"].finished.result.ok
+    result = holder["restart"].finished.result
+    assert not result.ok
+    assert any("pp-cli" in e and reason in e for e in result.errors), result.errors
+    assert all(not node.kernel.pods for node in cluster.nodes)
+    crashed = [task.name for task in cluster.engine._tasks
+               if task.done and task.finished.exception is not None]
+    assert crashed == []
