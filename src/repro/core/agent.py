@@ -38,9 +38,9 @@ from .meta import build_pod_meta
 from .netckpt import (
     block_pod_network,
     capture_pod_network,
-    control_nbytes,
     netstate_nbytes,
     restore_socket_state,
+    seal_control,
     unblock_pod_network,
 )
 from .pipeline import (
@@ -399,12 +399,12 @@ class Agent:
 
         phase = self._phase(ck, "netstate")
         ck.sock_records, ck.sock_fd_rows = self._capture_network(pod)
+        # the control blocks are fixed from here on: encode them once, for
+        # this phase's charge, the meta-data and every pack of this capture
+        seal_control(ck.sock_records)
         dev_states, dev_fd_rows = capture_pod_devices(pod)
         ck.devices = {"states": dev_states, "fd_rows": dev_fd_rows}
-        # the control blocks are fixed from here on: size them once, for
-        # this phase's charge and for every pack of this capture
-        ck.net_control = control_nbytes(ck.sock_records)
-        net_bytes = netstate_nbytes(ck.sock_records, ck.net_control)
+        net_bytes = netstate_nbytes(ck.sock_records)
         yield engine.sleep(CKPT_PER_SOCKET * max(1, len(ck.sock_records))
                            + net_bytes / node.spec.memcpy_bandwidth)
         ck.t_net_done = engine.now
@@ -455,8 +455,7 @@ class Agent:
             state=self.pipeline_state,
             serialize_bandwidth=(self.node.spec.memcpy_bandwidth
                                  if charged else None),
-            chain_local=ck.chain_local, proc_dirty=ck.proc_dirty,
-            net_control=ck.net_control)
+            chain_local=ck.chain_local, proc_dirty=ck.proc_dirty)
 
     def _encode(self, ck: "_Checkpoint", span):
         """The encode step: pack the image, charge the pipeline's time,

@@ -30,8 +30,11 @@ tag ``E``    Errno: name str + detail str (syscall error held in a register)
 Both directions are one pass over one dispatch table (DESIGN §5):
 :data:`_ENCODERS` is keyed by ``type(obj)`` and every handler appends
 *fragments* (tag + header as one ``bytes``, payloads by reference) to a
-parts list that :func:`encode` joins once and :func:`encoded_size` only
-measures; :data:`_DECODERS` is indexed by the tag byte.
+parts list that :func:`encode` joins once, :func:`encoded_size` only
+measures and :func:`encode_parts` hands over as it is;
+:data:`_DECODERS` is indexed by the tag byte.  A value that will be
+encoded more than once is sealed by :func:`fragment` and spliced from
+then on.
 """
 
 from __future__ import annotations
@@ -82,12 +85,44 @@ _ARRAY_MEMO_SIZE = 1024
 
 Parts = List[Any]   # bytes fragments plus by-reference bytes-like payloads
 
+#: container levels a :class:`Fragment` may hold.  It is encoded as if it
+#: already sat ``MAX_DEPTH - FRAGMENT_LEVELS`` deep and spliced no deeper
+#: than that, so no splice can pass :data:`MAX_DEPTH` and none has to
+#: look inside the bytes to know.
+FRAGMENT_LEVELS = 8
+
+
+class Fragment(bytes):
+    """One value already in the intermediate format, which the encoder
+    splices verbatim where the value would have been walked.  Made only
+    by :func:`fragment`: the encoder trusts these bytes."""
+
+    __slots__ = ()
+
+
+def fragment(obj: Any) -> Fragment:
+    """Seal ``obj``: encode it now, once, for every later :func:`encode`
+    or :func:`encoded_size` of something that holds the result.  The
+    bytes are those :func:`encode` gives, and decode to a plain value."""
+    parts: Parts = []
+    _emit(obj, parts, MAX_DEPTH - FRAGMENT_LEVELS)
+    return Fragment(b"".join(parts))
+
 
 def encode(obj: Any) -> bytes:
     """Serialize ``obj`` to the intermediate format."""
     parts: Parts = []
     _emit(obj, parts, 0)
     return b"".join(parts)
+
+
+def encode_parts(obj: Any) -> Parts:
+    """The fragments :func:`encode` would join, for a writer that can
+    take them one by one: bytes and array payloads (an image inside its
+    container) are in the list by reference, never copied."""
+    parts: Parts = []
+    _emit(obj, parts, 0)
+    return parts
 
 
 def encoded_size(obj: Any) -> int:
@@ -100,7 +135,9 @@ def encoded_size(obj: Any) -> int:
 
 
 def decode(data: bytes) -> Any:
-    """Deserialize a buffer produced by :func:`encode`."""
+    """Deserialize a buffer produced by :func:`encode`.  ``data`` may be a
+    byte ``memoryview``: ``b`` payloads then come back as views of it, not
+    copies, and the caller decides which to materialise."""
     obj, pos = _read(data, 0, 0)
     if pos != len(data):
         raise CodecError(f"{len(data) - pos} trailing bytes after decode")
@@ -155,6 +192,13 @@ def _enc_exact_str(obj, parts, depth) -> None:
 
 def _enc_bytes(obj, parts, depth) -> None:
     parts.append(_TAG_U32(b"b", len(obj)))
+    parts.append(obj)
+
+
+def _enc_fragment(obj, parts, depth) -> None:
+    if depth > MAX_DEPTH - FRAGMENT_LEVELS:
+        raise CodecError(f"sealed fragment spliced deeper than "
+                         f"{MAX_DEPTH - FRAGMENT_LEVELS} containers")
     parts.append(obj)
 
 
@@ -288,6 +332,8 @@ _BASES: Tuple[Tuple[type, Encoder], ...] = (
 
 _ENCODERS: Dict[type, Encoder] = dict(_BASES)
 _ENCODERS[str] = _enc_exact_str
+# not through ``_resolve``: it is a ``bytes`` and would encode as a ``b``
+_ENCODERS[Fragment] = _enc_fragment
 #: subclasses (NamedTuples, IntEnums, numpy scalar types) are resolved
 #: once and remembered; past this many types they are resolved per call.
 _ENCODERS_SIZE = 256

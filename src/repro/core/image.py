@@ -126,12 +126,9 @@ def build_payload(
 def image_netstate_bytes(
     socket_records: List[Dict[str, Any]],
     devices: Optional[Dict[str, Any]],
-    net_control: Optional[int] = None,
 ) -> int:
-    """An image's network-state share: sockets plus bypass devices.
-    ``net_control`` is the capture's already-measured control-block
-    total (:func:`repro.core.netckpt.control_nbytes`), when known."""
-    return (netstate_nbytes(socket_records, net_control)
+    """An image's network-state share: sockets plus bypass devices."""
+    return (netstate_nbytes(socket_records)
             + device_state_nbytes(devices["states"] if devices else []))
 
 
@@ -140,7 +137,6 @@ def pack_pod_image(
     socket_records: List[Dict[str, Any]],
     socket_fd_rows: List[Dict[str, Any]],
     devices: Dict[str, Any] = None,
-    net_control: Optional[int] = None,
 ) -> PodImage:
     """Assemble and encode an *unfiltered* (v1) pod checkpoint image."""
     payload = build_payload(standalone, socket_records, socket_fd_rows, devices)
@@ -150,5 +146,5 @@ def pack_pod_image(
         data=data,
         encoded_bytes=len(data),
         accounted_bytes=accounted_memory_bytes(standalone),
-        netstate_bytes=image_netstate_bytes(socket_records, devices, net_control),
+        netstate_bytes=image_netstate_bytes(socket_records, devices),
     )

@@ -23,7 +23,7 @@ half-duplex/closed shutdown state.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..errors import CheckpointError
 from ..net.sockets import MSG_OOB, NetStack, Socket
@@ -161,24 +161,33 @@ def capture_pod_network(pod: Pod) -> Tuple[List[Dict[str, Any]], List[Dict[str, 
     return records, fd_table
 
 
+def seal_control(records: List[Dict[str, Any]]) -> None:
+    """Encode each record's socket parameters and protocol control block
+    now, once: ``options`` and ``pcb`` become :class:`codec.Fragment` s
+    that the size accounting, the meta-data message and every pack of
+    this capture splice instead of walking again.  For the owner of a
+    capture that will be encoded (the Agent); a record that is read back
+    (:func:`restore_socket_state`) stays as captured."""
+    for rec in records:
+        rec["options"] = codec.fragment(rec["options"])
+        rec["pcb"] = codec.fragment(rec["pcb"])
+
+
 def control_nbytes(records: List[Dict[str, Any]]) -> int:
     """Socket parameters and protocol control blocks of one capture,
     measured exactly in the intermediate format, plus the fixed endpoint
     share per record.  Fixed at capture — nothing after it (the
-    send-queue redirect included) touches ``options`` or ``pcb`` — so
-    size them once and hand the sum to :func:`netstate_nbytes` wherever
-    the total is needed again."""
+    send-queue redirect included) touches ``options`` or ``pcb`` — which
+    is why :func:`seal_control` may fix their bytes there: a sealed
+    block measures as its length."""
     return sum(codec.encoded_size(rec["options"]) + codec.encoded_size(rec["pcb"])
                + _ENDPOINT_OVERHEAD for rec in records)
 
 
-def netstate_nbytes(records: List[Dict[str, Any]],
-                    control: Optional[int] = None) -> int:
+def netstate_nbytes(records: List[Dict[str, Any]]) -> int:
     """Bytes of captured network state (queues + options), the quantity
-    the paper reports as "only a few kilobytes".  ``control`` is this
-    capture's :func:`control_nbytes` when the caller already has it; the
-    queues are re-read because the send-queue redirect strips them."""
-    total = control_nbytes(records) if control is None else control
+    the paper reports as "only a few kilobytes"."""
+    total = control_nbytes(records)
     for rec in records:
         total += len(rec["recv_data"]) + len(rec["oob_data"]) + len(rec["send_data"])
         total += sum(len(d) for d, _ in rec["datagrams"])

@@ -534,12 +534,8 @@ class ImagePipeline:
         serialize_bandwidth: Optional[float] = None,
         chain_local: bool = True,
         proc_dirty: Optional[Dict[int, Dict[str, int]]] = None,
-        net_control: Optional[int] = None,
     ) -> PodImage:
         """Assemble, filter and cost-account one pod checkpoint image.
-
-        ``net_control`` is the capture's control-block total when the
-        caller measured it already (the Agent does, once per capture).
 
         When a chain filter (delta) is present, the new base is *staged*
         in ``state`` — call ``state.commit(pod_id)`` once the image is
@@ -548,7 +544,7 @@ class ImagePipeline:
         pod_id = standalone["pod_id"]
         if not self.filters:
             image = pack_pod_image(standalone, socket_records, socket_fd_rows,
-                                   devices, net_control)
+                                   devices)
             if state is not None:
                 state.stage_base(pod_id, image.data, proc_memory_tables(standalone))
             self._attach_serialize_cost(image, serialize_bandwidth)
@@ -598,8 +594,7 @@ class ImagePipeline:
             data=envelope,
             encoded_bytes=len(envelope),
             accounted_bytes=accounted,
-            netstate_bytes=image_netstate_bytes(socket_records, devices,
-                                                net_control),
+            netstate_bytes=image_netstate_bytes(socket_records, devices),
             filters=applied,
             epoch=epoch,
             raw_encoded_bytes=len(raw),
@@ -852,28 +847,41 @@ class FileSink(Sink):
               truncate: Optional[float] = None) -> None:
         """Write the image container (truncated: only that prefix of it
         reaches the SAN, which the read-back validation in :meth:`load`
-        must then reject)."""
+        must then reject).  The container is written as the codec's
+        fragments, the image's bytes among them by reference — it is
+        never joined into a second copy of the image."""
         if not image.filters:
-            container = codec.encode({
+            container: Dict[str, Any] = {
                 "data": image.data,
                 "accounted": image.accounted_bytes,
                 "netstate": image.netstate_bytes,
-            })
+            }
         else:
             entries: List[Dict[str, Any]] = []
             if image_extends_chain(image):
                 try:
-                    handle = self.vfs.open(self.path, "r")
-                    existing = codec.decode(bytes(handle.file.data))
-                    entries = list(existing.get("chain", []))
+                    # the stored epochs' bytes are views of the file being
+                    # replaced, which lives until this stage is done
+                    entries = list(self._stored().get("chain", []))
                 except Exception:
                     entries = []
             entries.append(chain_entry(image))
-            container = codec.encode({"chain": entries})
+            container = {"chain": entries}
+        parts = codec.encode_parts(container)
         if truncate is not None:
-            container = container[:max(1, int(len(container) * float(truncate)))]
+            room = max(1, int(sum(map(len, parts)) * float(truncate)))
+            parts = _leading(parts, room)
         handle = self.vfs.open(self.path, "w")
-        handle.write(container)
+        for part in parts:
+            handle.write(part)
+
+    def _stored(self) -> Any:
+        """The container at this path, decoded from a view of the file:
+        every ``data`` in it is a slice of the SAN's own bytes.  Whoever
+        calls this drops the result (and any exception it raised) before
+        returning — a file cannot grow while a view of it is alive."""
+        handle = self.vfs.open(self.path, "r")
+        return codec.decode(memoryview(handle.file.data).toreadonly())
 
     def exists(self, op_id: Optional[int] = None) -> bool:
         fs, inner = self.vfs.resolve(self.path)
@@ -892,21 +900,27 @@ class FileSink(Sink):
         as restartable: every decode error is converted into a clean
         :class:`RestartError` here, before any pod state is touched.
         """
+        if not self.exists():
+            raise RestartError(f"no image at {self.path!r}")
         try:
-            handle = self.vfs.open(self.path, "r")
-        except Exception:
-            raise RestartError(f"no image at {self.path!r}") from None
-        try:
-            container = codec.decode(bytes(handle.file.data))
-            # the historic single-image container is one bare entry
-            entries = container.get("chain", [container])
-            return restorable_chain(
-                [image_from_entry(pod_id, entry) for entry in entries],
-                self.path)
+            chain = self._stored_chain(pod_id)
         except (CodecError, AttributeError, KeyError, TypeError,
                 ValueError) as err:
-            raise RestartError(
-                f"partial or corrupt image at {self.path!r}: {err}") from None
+            # raised below, outside the handler: an exception raised in
+            # here would carry ``err``, its traceback and with it the
+            # decoder's views of the file for as long as a caller held it
+            corrupt = str(err)
+        else:
+            return restorable_chain(chain, self.path)
+        raise RestartError(f"partial or corrupt image at {self.path!r}: {corrupt}")
+
+    def _stored_chain(self, pod_id: str) -> List[PodImage]:
+        """Every stored epoch as an image owning its bytes (the one copy
+        the read-back makes); the views die with this frame."""
+        container = self._stored()
+        # the historic single-image container is one bare entry
+        entries = container.get("chain", [container])
+        return [image_from_entry(pod_id, entry) for entry in entries]
 
 
 class StreamSink(Sink):
@@ -928,6 +942,18 @@ class StreamSink(Sink):
 
     def write_delay(self, image: PodImage) -> float:
         return image.accounted_bytes / self.fabric_bandwidth
+
+
+def _leading(parts: codec.Parts, nbytes: int) -> codec.Parts:
+    """The fragments of ``parts`` that hold its first ``nbytes`` bytes,
+    the last one cut where they end."""
+    out: codec.Parts = []
+    for part in parts:
+        if nbytes <= 0:
+            break
+        out.append(part[:nbytes])
+        nbytes -= len(part)
+    return out
 
 
 def chain_entry(image: PodImage) -> Dict[str, Any]:

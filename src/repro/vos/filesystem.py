@@ -132,14 +132,21 @@ class OpenFile:
         return data
 
     def write(self, data: bytes) -> int:
-        """Write at the current position (overwrites then extends)."""
+        """Write at the current position (overwrites then extends).  At
+        or past end-of-file the file is extended in place, a gap left by
+        a position beyond the end reading as zeros."""
         if "w" not in self.mode and "a" not in self.mode and "+" not in self.mode:
             raise SyscallError("EBADF", f"{self.path} not open for writing")
-        if "a" in self.mode:
-            self.pos = len(self.file.data)
-        end = self.pos + len(data)
-        self.file.data[self.pos:end] = data
-        self.pos = end
+        buf = self.file.data
+        size = len(buf)
+        pos = size if "a" in self.mode else self.pos
+        if pos >= size:
+            if pos > size:
+                buf += bytes(pos - size)
+            buf += data
+        else:
+            buf[pos:pos + len(data)] = data
+        self.pos = pos + len(data)
         return len(data)
 
 

@@ -1,43 +1,54 @@
-"""Network state is sized once per capture.
+"""Socket control blocks are walked once per capture.
 
-A pod checkpoint used to walk every socket record three times: the
-Agent's netstate phase, ``pack``'s ``netstate_bytes`` and the real
-encode.  The control block of a record (``options`` + ``pcb``) is fixed
-at capture, so it is now measured once and the sum reused — these tests
-pin the call count, that the two numbers still agree, and that dropping
-the image builder's deep copy changed no byte of the payload.
+A pod checkpoint used to walk every socket record's control block
+(``options`` + ``pcb``) two or three times: sized in the Agent's netstate
+phase, encoded again by ``pack`` (and the ``pcb`` once more for the
+meta-data message), and both again by a migration's re-pack.  The block is
+fixed at capture, so the Agent now seals it there
+(``netckpt.seal_control``) and everything after splices those bytes —
+these tests pin that each block reaches an encoder handler exactly once,
+that the phase's number and the image's still agree, and that dropping the
+image builder's deep copy changed no byte of the payload.
 """
 
 from collections import Counter
 
 import pytest
 
-from repro.cluster import Cluster
-from repro.core import Manager, codec, migrate, netckpt
+from repro.core import codec, netckpt
+from repro.core.agent import Agent
 from repro.core.image import build_payload
 from repro.core.pipeline import ImagePipeline
-from repro.harness import APPS, build_cluster
-from repro.middleware import checkpoint_targets
 from repro.net import Endpoint
-from repro.obs import SpanTracer
 
 from . import reference_codec
-from .testapps import expected_sums, final_sums, launch_pingpong
+from .testapps import checkpoint_app_once, migrate_pingpong_with_redirect
 
 
 @pytest.fixture
-def sized(monkeypatch):
-    """Count ``codec.encoded_size`` calls per measured object: the socket
-    control blocks are the only thing the checkpoint path sizes."""
-    calls = Counter()
-    real = codec.encoded_size
+def walked(monkeypatch):
+    """Every captured control block, as the capture returned it, and how
+    often each one reached the codec's dict handler (counted by ``id``;
+    the blocks are kept, so no id is reused)."""
+    blocks, calls = [], Counter()
+    capture = Agent._capture_network
+    enc_dict = codec._ENCODERS[dict]
 
-    def counting(obj):
+    def capturing(self, pod):
+        records, fd_rows = capture(self, pod)
+        for rec in records:
+            assert type(rec["options"]) is dict     # sealed by the Agent, not here
+            blocks.extend(rec[part] for part in ("options", "pcb")
+                          if rec[part] is not None)  # a listener has no pcb
+        return records, fd_rows
+
+    def counting(obj, parts, depth):
         calls[id(obj)] += 1
-        return real(obj)
+        enc_dict(obj, parts, depth)
 
-    monkeypatch.setattr(codec, "encoded_size", counting)
-    return calls
+    monkeypatch.setattr(Agent, "_capture_network", capturing)
+    monkeypatch.setitem(codec._ENCODERS, dict, counting)
+    return blocks, calls
 
 
 @pytest.fixture
@@ -62,33 +73,20 @@ def _netstate_span_nbytes(tracer):
             if span.name == "agent.phase.netstate"}
 
 
-def test_one_checkpoint_sizes_each_control_block_exactly_once(sized, packed):
-    spec = APPS["BT/NAS"]
-    cluster = build_cluster(4, seed=0)
-    manager = Manager.deploy(cluster)
-    tracer = SpanTracer(cluster.engine).install(cluster)
-    handle = spec.launch_pods(cluster, 4, 1.0)
-    done = {}
-
-    def script():
-        yield cluster.engine.sleep(0.5 * spec.work_seconds(4, 1.0))
-        done["result"] = yield from manager.checkpoint_task(
-            checkpoint_targets(handle, cluster))
-        cluster.engine.stop()
-
-    cluster.engine.spawn(script(), name="one-checkpoint")
-    cluster.engine.run(until=60.0)
-    result = done["result"]
-    assert result.ok, result.errors
+def test_one_checkpoint_sizes_each_control_block_exactly_once(walked, packed):
+    blocks, calls = walked
+    _cluster, tracer, result = checkpoint_app_once("BT/NAS", 4)
 
     assert len(packed) == 4
     records = [rec for _image, recs, _queued in packed for rec in recs]
     # a connected world: every pod holds sockets to its peers
     assert all(len(recs) >= 3 for _image, recs, _queued in packed)
-    blocks = [rec[part] for rec in records for part in ("options", "pcb")
-              if rec[part] is not None]   # a listener has no pcb
-    assert all(sized[id(block)] == 1 for block in blocks)
-    assert set(sized) - {id(None)} == {id(block) for block in blocks}
+    # sized for the phase, reported as meta-data, packed, flushed and read
+    # back: one walk of each block, by whoever sealed it
+    assert len(blocks) >= 2 * len(records) - 4
+    assert all(type(rec[part]) is codec.Fragment
+               for rec in records for part in ("options", "pcb"))
+    assert [calls[id(block)] for block in blocks] == [1] * len(blocks)
 
     # no redirect happened: the image carries the phase's number
     nbytes = _netstate_span_nbytes(tracer)
@@ -98,31 +96,9 @@ def test_one_checkpoint_sizes_each_control_block_exactly_once(sized, packed):
         assert result.pods[image.pod_id]["netstate_bytes"] == image.netstate_bytes
 
 
-def test_redirect_repack_differs_only_by_the_stripped_send_queue(sized, packed):
-    rounds = 800
-    cluster = Cluster.build(4, seed=42)
-    manager = Manager.deploy(cluster)
-    tracer = SpanTracer(cluster.engine).install(cluster)
-    launch_pingpong(cluster, rounds=rounds)
-    holder = {}
-
-    def go_dark():
-        # the server stops acking: the client's next request stays in its
-        # send queue, so the migration has queue bytes to redirect
-        vip = cluster.find_pod("pp-srv").vip
-        cluster.node(0).kernel.netstack.netfilter.block_ip(vip)
-
-    def kick():
-        holder["mig"] = migrate(manager, [
-            ("blade0", "pp-srv", "blade2"),
-            ("blade1", "pp-cli", "blade3"),
-        ], redirect=True)
-
-    cluster.engine.schedule(0.15, go_dark)
-    cluster.engine.schedule(0.16, kick)
-    cluster.engine.run(until=300.0)
-    assert holder["mig"].finished.result.ok
-    assert final_sums(cluster) == expected_sums(rounds)
+def test_redirect_repack_differs_only_by_the_stripped_send_queue(walked, packed):
+    blocks, calls = walked
+    _cluster, tracer = migrate_pingpong_with_redirect()
 
     nbytes = _netstate_span_nbytes(tracer)
     by_pod = {}
@@ -136,9 +112,8 @@ def test_redirect_repack_differs_only_by_the_stripped_send_queue(sized, packed):
         assert repacked.netstate_bytes == first.netstate_bytes - queued
         stripped_total += queued
     assert stripped_total > 0, "the scenario redirected no send-queue bytes"
-    # the re-pack reused the capture's measurement
-    for _image, recs, _queued in packed:
-        assert all(sized[id(rec["options"])] == 1 for rec in recs)
+    # the re-pack spliced the capture's bytes: still one walk of each block
+    assert blocks and [calls[id(block)] for block in blocks] == [1] * len(blocks)
 
 
 def _plain(obj):

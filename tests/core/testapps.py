@@ -118,3 +118,70 @@ def final_sums(cluster, server_prog="testapp.pp-server", client_prog="testapp.pp
             elif proc.program.name == server_prog and proc.exit_code == 0:
                 ssum = proc.regs["sum"]
     return csum, ssum
+
+
+def checkpoint_app_once(app="BT/NAS", pods=4, fraction=0.5, seed=0,
+                        uri="file:/san/once-{i}.img", **checkpoint_args):
+    """Launch ``app`` on ``pods`` pods, checkpoint all of them once at
+    ``fraction`` of its run time (pod ``i`` to ``uri.format(i=i)``) and
+    stop there.  Returns ``(cluster, tracer, result)``."""
+    from repro.core import Manager
+    from repro.harness import APPS, build_cluster
+    from repro.middleware import checkpoint_targets
+    from repro.obs import SpanTracer
+
+    spec = APPS[app]
+    cluster = build_cluster(pods, seed=seed)
+    manager = Manager.deploy(cluster)
+    tracer = SpanTracer(cluster.engine).install(cluster)
+    handle = spec.launch_pods(cluster, pods, 1.0)
+    done = {}
+
+    def script():
+        yield cluster.engine.sleep(fraction * spec.work_seconds(pods, 1.0))
+        done["result"] = yield from manager.checkpoint_task(
+            [(node, pod_id, uri.format(i=i)) for i, (node, pod_id, _uri)
+             in enumerate(checkpoint_targets(handle, cluster))],
+            **checkpoint_args)
+        cluster.engine.stop()
+
+    cluster.engine.spawn(script(), name="one-checkpoint")
+    cluster.engine.run(until=60.0)
+    assert done["result"].ok, done["result"].errors
+    return cluster, tracer, done["result"]
+
+
+def migrate_pingpong_with_redirect(rounds=800, seed=42):
+    """Migrate both ends of a ping-pong pair while the client's next
+    request sits unacknowledged in its send queue (the server has gone
+    dark), with the §5 send-queue redirect on: every pod is packed, its
+    queue stripped and shipped with the peer's stream, and packed again.
+    Returns ``(cluster, tracer)`` after the pair ran to a verified end."""
+    from repro.cluster import Cluster
+    from repro.core import Manager, migrate
+    from repro.obs import SpanTracer
+
+    cluster = Cluster.build(4, seed=seed)
+    manager = Manager.deploy(cluster)
+    tracer = SpanTracer(cluster.engine).install(cluster)
+    launch_pingpong(cluster, rounds=rounds)
+    holder = {}
+
+    def go_dark():
+        # the server stops acking: the client's next request stays in its
+        # send queue, so the migration has queue bytes to redirect
+        vip = cluster.find_pod("pp-srv").vip
+        cluster.node(0).kernel.netstack.netfilter.block_ip(vip)
+
+    def kick():
+        holder["mig"] = migrate(manager, [
+            ("blade0", "pp-srv", "blade2"),
+            ("blade1", "pp-cli", "blade3"),
+        ], redirect=True)
+
+    cluster.engine.schedule(0.15, go_dark)
+    cluster.engine.schedule(0.16, kick)
+    cluster.engine.run(until=300.0)
+    assert holder["mig"].finished.result.ok
+    assert final_sums(cluster) == expected_sums(rounds)
+    return cluster, tracer

@@ -102,6 +102,36 @@ class TestOpenFile:
         h.write(b"XY")
         assert bytes(f.data) == b"abXYef"
 
+    def test_overwrite_runs_past_the_end(self):
+        vfs = VFS()
+        h = vfs.open("/f", "w")
+        h.write(b"abcdef")
+        h.pos = 4
+        assert h.write(b"WXYZ") == 4 and h.pos == 8
+        assert bytes(h.file.data) == b"abcdWXYZ"
+
+    def test_write_past_the_end_leaves_a_zero_filled_hole(self):
+        # a restored process's descriptor keeps the position its image
+        # recorded, and the file may have been rewritten shorter since
+        vfs = VFS()
+        h = vfs.open("/f", "w")
+        h.write(b"abc")
+        h.pos = 10
+        assert h.write(b"xy") == 2 and h.pos == 12
+        assert bytes(h.file.data) == b"abc" + bytes(7) + b"xy"
+        reader = vfs.open("/f", "r")
+        reader.pos = 10
+        assert reader.read(2) == b"xy"
+
+    def test_write_at_the_end_extends_the_file_in_place(self):
+        vfs = VFS()
+        h = vfs.open("/f", "w")
+        buffer = h.file.data
+        for piece in (b"head", memoryview(b"-body-"), bytearray(b"tail")):
+            h.write(piece)
+        assert h.file.data is buffer and bytes(buffer) == b"head-body-tail"
+        assert h.pos == 14
+
 
 class TestVFS:
     def test_longest_prefix_mount_wins(self):
