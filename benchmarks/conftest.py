@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import os
 from collections import defaultdict
-from time import perf_counter
 
 import pytest
 
@@ -23,10 +22,6 @@ BENCH_SUITE = "core"
 
 _reports = defaultdict(list)
 _bench_metrics = {}
-#: wall seconds per cell (simulator cost) — nondeterministic, so it is
-#: written to a ``.wall.json`` sidecar, never into BENCH_<suite>.json
-#: itself (CI byte-diffs the main file against the committed copy).
-_bench_wall = {}
 
 
 @pytest.fixture
@@ -47,21 +42,15 @@ def bench_json():
     so the emitted file is byte-stable and CI can diff a regenerated
     copy against the committed one to gate hot-path regressions
     (ROADMAP item 3).  Set ``BENCH_JSON=<path>`` to write the file at
-    session end.
-
-    Each ``add`` also records the cell's *wall* cost (real seconds from
-    fixture setup to the call — what the simulation cost to run) into
-    the ``<BENCH_JSON>.wall.json`` sidecar, seeding the wall-time
-    trajectory without touching the byte-stable main file.
+    session end.  (What the simulation costs to *run* is ``perfbench``'s
+    ``wall_s``, measured over fresh interpreters.)
     """
-    t0 = perf_counter()
 
     def add(key: str, **metrics) -> None:
         _bench_metrics[key] = {
             k: (round(v, 6) if isinstance(v, float) else v)
             for k, v in sorted(metrics.items())
         }
-        _bench_wall[key] = round(perf_counter() - t0, 6)
 
     return add
 
@@ -113,12 +102,3 @@ def pytest_sessionfinish(session, exitstatus):
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"\nbench metrics -> {path} ({len(_bench_metrics)} cells)")
-    if path and _bench_wall:
-        sidecar = {"schema": 1, "suite": BENCH_SUITE,
-                   "wall_s": dict(sorted(_bench_wall.items())),
-                   "total_s": round(sum(_bench_wall.values()), 6)}
-        with open(path + ".wall.json", "w") as fh:
-            json.dump(sidecar, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"bench wall sidecar -> {path}.wall.json "
-              f"({sidecar['total_s']:.1f} s simulator cost)")

@@ -365,7 +365,9 @@ def _no_partial_image(w: World) -> List[str]:
 @invariant("last-checkpoint-restorable")
 def _last_checkpoint_restorable(w: World) -> List[str]:
     """(I3.)  ``last_checkpoint`` is never corrupted: every image it
-    points at (on surviving hardware) remains loadable."""
+    points at (on surviving hardware) remains loadable — and, where the
+    sink records owners, is still the generation that op published, not
+    an older one a later failed op's rollback left in its place."""
     out = []
     last = w.active.last_checkpoint
     if last is None or not last.ok:
@@ -379,6 +381,8 @@ def _last_checkpoint_restorable(w: World) -> List[str]:
         if not sink.shared and w.cluster.node_by_name(node_name).crashed:
             continue  # lost with the blade, not corrupted
         err = restore_error(sink, pod_id)
+        if not err and sink.tracks_ops and not sink.exists(last.op_id):
+            err = f"no longer the generation op{last.op_id} published"
         if err:
             out.append(f"last_checkpoint {uri} of {pod_id} on {node_name} "
                        f"unrestorable: {err}")
@@ -512,8 +516,9 @@ def _chain_reassembles(w: World) -> List[str]:
     for node in w.cluster.nodes:
         if node.crashed:
             continue
-        state = w.manager.agents[node.name].pipeline_state
-        for pod_id, chain in sorted(state.chains.items()):
+        tips = w.manager.agents[node.name].pipeline_state.tips()
+        for pod_id in sorted(tips):
+            chain, base = tips[pod_id].chain, tips[pod_id].base
             if not chain or restored and image_extends_chain(chain[0]):
                 # a recover restarted the pod from shared storage: this
                 # Agent's mirror of the deltas it took since starts at
@@ -525,7 +530,6 @@ def _chain_reassembles(w: World) -> List[str]:
             except Exception as err:  # noqa: BLE001 - the finding
                 out.append(f"chain for {pod_id} on {node.name} unrestorable: {err}")
                 continue
-            base = state.bases.get(pod_id)
             if base is not None and reassembled.raw != base:
                 out.append(f"chain for {pod_id} on {node.name} reassembles to "
                            "different bytes than the committed base")

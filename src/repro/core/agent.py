@@ -157,6 +157,29 @@ class _Checkpoint:
         self.cow_bytes = 0
 
 
+class _Restart:
+    """One restart session: the command and the chain ``_do_load_meta``
+    loaded, then whatever each step of :meth:`Agent._do_restart` leaves
+    for the next."""
+
+    def __init__(self, agent: "Agent", chan, fd, msg, chain: List[PodImage],
+                 reassembled: ReassembledImage) -> None:
+        self.chan, self.fd, self.msg = chan, fd, msg
+        self.chain, self.reassembled = chain, reassembled
+        self.pod_id = msg["pod"]
+        self.op_parent = ("op", int(msg.get("op_id", 0)))
+        self.payload = reassembled.payload
+        self.standalone = self.payload["standalone"]
+        self.records: List[Dict[str, Any]] = self.payload["sockets"]
+        self.schedule = msg.get("schedule", [])
+        self.t0 = agent.engine.now
+        # left behind by the steps
+        self.pod = None
+        self.socket_map: Dict[int, Any] = {}
+        self.t_conn_done = self.t_net_done = self.t_done = None
+        self.restore_bytes = 0
+
+
 class Agent:
     """One node's checkpoint-restart agent."""
 
@@ -165,14 +188,12 @@ class Agent:
         self.node = node
         self.kernel = node.kernel
         self.engine = node.kernel.engine
-        #: in-memory checkpoint store: pod_id -> PodImage (the paper's
-        #: write-to-memory semantics; flushing to the SAN is separate).
-        #: Holds the *latest* image; delta chains live in the pipeline
-        #: state behind :attr:`mem_sink`.
-        self.images: Dict[str, PodImage] = {}
-        #: per-pod pipeline memory: delta bases, epochs, stored chains.
+        #: the in-memory checkpoint store (the paper's write-to-memory
+        #: semantics; flushing to the SAN is separate): one generation
+        #: record per pod — chain, delta base, epoch and writing op —
+        #: with :attr:`mem_sink` as its sink-protocol face.
         self.pipeline_state = PipelineState()
-        self.mem_sink = MemorySink(self.images, self.pipeline_state)
+        self.mem_sink = MemorySink(self.pipeline_state)
         #: redirected send-queue data awaiting a restart here:
         #: (pod_id, sock_id) -> bytes, pushed by migrating peers'
         #: agents ("merge it with the peer's stream of checkpoint data").
@@ -193,10 +214,6 @@ class Agent:
         #: connection — how a takeover Manager adopts the dead one's
         #: in-flight sessions.
         self.op_waits: Dict[Tuple[int, str], Future] = {}
-        #: pod_id -> op id of the last checkpoint committed locally
-        #: (lets a takeover Manager attribute an in-memory image to the
-        #: op it is trying to finish, not an older one).
-        self.committed_ops: Dict[str, int] = {}
         self._task = None
 
     # ------------------------------------------------------------------
@@ -264,15 +281,12 @@ class Agent:
                 yield from send_msg(kernel, chan, fd, {"type": "pong", "node": self.node.name})
             elif cmd == "gc":
                 # abort-path garbage collection: tombstone the op, break
-                # any session still parked at its barrier, and roll the
-                # local stores back to the pre-op state.  Idempotent
-                # under double-abort: a second gc for an op already
-                # tombstoned here (a takeover replica re-running a
-                # half-done abort) must NOT roll back again — state
-                # committed *after* the first abort (a newer successful
-                # checkpoint) would be destroyed.
+                # any session still parked at its barrier, and undo what
+                # the op wrote to the local store.  The store knows whose
+                # generation it holds, so a replayed gc (a takeover
+                # replica re-running a half-done abort) or one for an op
+                # that stored nothing here undoes nothing.
                 op = int(msg.get("op_id", 0))
-                already = bool(op) and op in self.gc_ops
                 if op:
                     self.gc_ops.add(op)
                     self._signal_op(op, {"cmd": "abort"})
@@ -281,9 +295,7 @@ class Agent:
                     # idempotent under replayed broadcasts and never
                     # touches a later committed generation)
                     CasStore.on(self.cluster.san).abort_op(op)
-                if not already:
-                    for pid in msg.get("pods", []):
-                        self._gc_pod(pid)
+                self._gc_pods(op, msg.get("pods", []))
                 yield from send_msg(kernel, chan, fd, {"type": "gcd", "node": self.node.name})
             elif cmd == "continue_op":
                 # takeover re-attach: complete the continue barrier of a
@@ -298,12 +310,14 @@ class Agent:
                     "type": "reattached", "op_id": op,
                     "node": self.node.name, "waiting": waiting})
             elif cmd == "query_image":
+                # asked per pod, so the pod's record answers (the sink's
+                # ``exists(op)`` is node-wide)
                 pod = msg.get("pod")
-                chain = self.mem_sink.load(pod)
+                tip = self.pipeline_state.tip(pod)
                 yield from send_msg(kernel, chan, fd, {
                     "type": "image_status", "pod": pod,
-                    "exists": bool(chain),
-                    "op_ok": self.committed_ops.get(pod) == int(msg.get("op_id", -1)),
+                    "exists": bool(tip.chain),
+                    "op_ok": tip.op_id == int(msg.get("op_id", -1)),
                 })
             elif cmd == "query_pod":
                 pod = kernel.pods.get(msg.get("pod"))
@@ -351,9 +365,12 @@ class Agent:
         yield from self._report_done(ck)
         yield from self._deliver(ck)
 
-    def _phase(self, ck: "_Checkpoint", name: str, **attrs):
+    def _phase(self, session, name: str, **attrs):
+        """A phase span of a checkpoint or restart session, hung off the
+        Manager's op span."""
         return self.cluster.span(f"agent.phase.{name}", node=self.node.name,
-                                 pod=ck.pod_id, parent=ck.op_parent, **attrs)
+                                 pod=session.pod_id, parent=session.op_parent,
+                                 **attrs)
 
     def _cross(self, ck: "_Checkpoint", name: str):
         return self.cluster.trace(name, node=self.node.name, pod=ck.pod_id)
@@ -589,18 +606,15 @@ class Agent:
             ck.image.acct_dirty_bytes = sum(
                 sum(table.values()) for table in ck.proc_dirty.values())
         if ck.op_id not in self.gc_ops:
-            self.pipeline_state.commit(pod_id)
-            self.mem_sink.store(ck.image)
+            self.mem_sink.store(ck.image, ck.op_id)
             if ck.track_dirty:
                 # the op is final on this node: the staged baseline
                 # clear becomes the next generation's starting point
                 for p in self._live_procs(pod_id):
                     p.memory.commit_clear(CKPT_CONSUMER)
-            if ck.op_id:
-                self.committed_ops[pod_id] = ck.op_id
-        elif ck.encode_at == "post-resume":
-            # the op was garbage-collected while the encoder ran: the gc
-            # already rolled the stores back; drop the staged base too
+        else:
+            # the op was garbage-collected on the way here (while the
+            # encoder ran, say): nothing of it is published
             self.pipeline_state.abandon(pod_id)
 
         # optional file-system snapshot, "taken immediately prior to
@@ -637,7 +651,7 @@ class Agent:
         # the image must reflect the stripped queues (re-packed, not
         # re-charged: the bytes were already serialized once; the
         # pipeline diffs against the *previous* epoch because the first
-        # pack's base is only staged, not committed)
+        # pack's base is only staged, not published)
         repacked = self._pack(ck, charged=False)
         repacked.stage_costs = ck.image.stage_costs
         ck.image = repacked
@@ -759,6 +773,7 @@ class Agent:
         """The one abort path: close the phase, give the pod back, and
         (when the connection may still be alive) say so."""
         phase.end(status=status)
+        self.pipeline_state.abandon(ck.pod_id)
         if ck.track_dirty:
             # fold the staged baseline clear back: nothing was committed,
             # so the generation still belongs to the next checkpoint
@@ -943,6 +958,8 @@ class Agent:
             entry = self.precopy_store.get(msg["pod"])
             if entry is not None:
                 entry["placed"] = int(msg["placed"])
+        # the image was packed elsewhere: it joins no base staged here
+        self.pipeline_state.abandon(msg["pod"])
         self.mem_sink.store(image_from_entry(msg["pod"], msg))
 
     def _flush(self, image: PodImage, sink: Sink, op_id: int = 0,
@@ -1008,20 +1025,18 @@ class Agent:
             if op == op_id and not fut.done:
                 fut.set_result(dict(msg))
 
-    def _gc_pod(self, pod_id: str) -> None:
-        """Roll local stores back past anything a failed op staged or
-        committed for ``pod_id``."""
-        self.mem_sink.rollback(pod_id)
-        if not self.pipeline_state.rollback(pod_id):
-            self.pipeline_state.abandon(pod_id)
-        self.committed_ops.pop(pod_id, None)
-        # drop pre-copy accounting from an aborted live migration
-        self.precopy_store.pop(pod_id, None)
-        for p in self._live_procs(pod_id):
-            # a rolled-back commit cannot restore its exact pre-clear
-            # counters: fall back to fully dirty — the next epoch
-            # over-charges rather than undercounts
-            p.memory.reset_dirty(CKPT_CONSUMER)
+    def _gc_pods(self, op_id: int, pods: List[str]) -> None:
+        """Undo what failed op ``op_id`` stored here (``pods``: where
+        the Manager expects it to have); a pod it stored nothing for
+        keeps its dirty counters and pre-copy accounting as well."""
+        for pod_id in self.pipeline_state.rollback(op_id, pods):
+            # drop pre-copy accounting from an aborted live migration
+            self.precopy_store.pop(pod_id, None)
+            for p in self._live_procs(pod_id):
+                # a rolled-back commit cannot restore its exact pre-clear
+                # counters: fall back to fully dirty — the next epoch
+                # over-charges rather than undercounts
+                p.memory.reset_dirty(CKPT_CONSUMER)
 
     def _load_chain(self, pod_id: str, sink: Sink) -> List[PodImage]:
         """Load a checkpoint image chain (epoch order; length 1 unless
@@ -1089,29 +1104,27 @@ class Agent:
     def _do_restart(self, chan, fd, msg, chain: List[PodImage],
                     reassembled: ReassembledImage):
         """Second half of the restart session ``_do_load_meta`` opened
-        (the only entry): rebuild the pod from the chain it loaded."""
-        kernel = self.kernel
-        engine = self.engine
-        pod_id = msg["pod"]
-        t0 = engine.now
-        op_parent = ("op", int(msg.get("op_id", 0)))
-        payload = reassembled.payload
-        standalone = payload["standalone"]
-        records: List[Dict[str, Any]] = payload["sockets"]
-        rec_by_id = {int(r["sock_id"]): r for r in records}
-        listeners = msg.get("listeners", [])
-        schedule = msg.get("schedule", [])
-        timevirt_on = bool(msg.get("time_virtualization", True))
+        (the only entry): rebuild the pod from the chain it loaded —
+        Figure 3's fixed sequence of steps sharing one :class:`_Restart`."""
+        rs = _Restart(self, chan, fd, msg, chain, reassembled)
+        yield from self._recover_connectivity(rs)
+        yield from self._restore_network(rs)
+        yield from self._restore_standalone(rs)
+        yield from self._report_restarted(rs)
 
-        # 1. create a new (empty) pod
-        phase = self.cluster.span("agent.phase.connectivity", node=self.node.name,
-                                  pod=pod_id, parent=op_parent)
-        pod = Pod.create(kernel, pod_id, msg.get("vip", standalone["vip"]), self.cluster.vnet)
-
-        # 2. recover network connectivity: two threads of execution
+    def _recover_connectivity(self, rs: "_Restart"):
+        """Steps 1–2: create a new (empty) pod, then recover network
+        connectivity with two threads of execution."""
+        engine, msg, pod_id = self.engine, rs.msg, rs.pod_id
+        phase = self._phase(rs, "connectivity")
+        rs.pod = pod = Pod.create(self.kernel, pod_id,
+                                  msg.get("vip", rs.standalone["vip"]),
+                                  self.cluster.vnet)
         yield from self.cluster.trace("agent.connectivity", node=self.node.name,
                                       pod=pod_id)
-        socket_map: Dict[int, Any] = {}
+        rec_by_id = {int(r["sock_id"]): r for r in rs.records}
+        listeners = msg.get("listeners", [])
+        socket_map, schedule = rs.socket_map, rs.schedule
         accept_entries = [e for e in schedule if e["role"] == "accept"]
         connect_entries = [e for e in schedule if e["role"] == "connect"]
         defer_entries = [e for e in schedule if e["role"] == "defer"]
@@ -1132,12 +1145,14 @@ class Agent:
                 self._connector_thread(pod, connect_entries, defer_entries, socket_map),
                 name=f"restart-connect@{pod_id}")
             yield all_of([acceptor.finished, connector.finished])
-        t_conn_done = engine.now
+        rs.t_conn_done = engine.now
         phase.end(connections=len(schedule))
 
-        # 3'. restore network state on the recovered connections
-        phase = self.cluster.span("agent.phase.netrestore", node=self.node.name,
-                                  pod=pod_id, parent=op_parent)
+    def _restore_network(self, rs: "_Restart"):
+        """Step 3: restore network state on the recovered connections."""
+        kernel, pod_id = self.kernel, rs.pod_id
+        records, schedule, socket_map = rs.records, rs.schedule, rs.socket_map
+        phase = self._phase(rs, "netrestore")
 
         # non-connection sockets (datagram, unconnected TCP) are rebuilt
         # directly — no peer coordination needed
@@ -1155,7 +1170,6 @@ class Agent:
                 yield kernel.host_call(chan2, "bind", sfd, tuple(rec["local"]))
             socket_map[sid] = chan2.fds[sfd]
 
-        # 3. restore network state
         inject_bytes = 0
         for rec in records:
             sid = int(rec["sock_id"])
@@ -1187,60 +1201,65 @@ class Agent:
                 if listener is not None:
                     sock.listener = listener
                     listener.accept_q.append(sock)
-        yield engine.sleep(RESTORE_PER_SOCKET * max(1, len(records))
-                           + inject_bytes / self.node.spec.memcpy_bandwidth)
-        t_net_done = engine.now
+        yield self.engine.sleep(RESTORE_PER_SOCKET * max(1, len(records))
+                                + inject_bytes / self.node.spec.memcpy_bandwidth)
+        rs.t_net_done = self.engine.now
         phase.end(inject_bytes=inject_bytes, sockets=len(records))
 
-        # 4. standalone restart: undo the filter chain (decompress /
-        # delta reassembly), then rebuild the full pre-filter state
-        phase = self.cluster.span("agent.phase.standalone_restore",
-                                  node=self.node.name, pod=pod_id,
-                                  parent=op_parent)
-        restore_bytes = reassembled.full_total_bytes
+    def _restore_standalone(self, rs: "_Restart"):
+        """Step 4: standalone restart — undo the filter chain
+        (decompress / delta reassembly), then rebuild the full
+        pre-filter state."""
+        pod, pod_id, reassembled = rs.pod, rs.pod_id, rs.reassembled
+        spec, payload = self.node.spec, rs.payload
+        phase = self._phase(rs, "standalone_restore")
+        rs.restore_bytes = reassembled.full_total_bytes
         pre = self.precopy_store.get(pod_id)
         if pre is not None and pre.get("rounds") and pre.get("placed") is not None:
             # live migration: the pre-copy rounds wrote the bulk of the
             # memory into place while the pod still ran at the source, so
             # the outage only re-places the stop-and-copy residual (plus
             # the non-memory payload: registers, sockets, devices)
-            last = chain[-1]
+            last = rs.chain[-1]
             mem_bytes = ((last.raw_accounted_bytes if last.filters
                           else last.accounted_bytes) or 0)
             placed = min(mem_bytes, int(pre["placed"]))
-            restore_bytes = restore_bytes - mem_bytes + placed
-        yield engine.sleep(self.node.spec.restart_fixed_s
-                           + reassembled.decode_seconds
-                           + restore_bytes / self.node.spec.restore_bandwidth)
-        restore_pod_standalone(pod, standalone, socket_map, payload["socket_fds"],
-                               time_virtualization=timevirt_on)
+            rs.restore_bytes = rs.restore_bytes - mem_bytes + placed
+        yield self.engine.sleep(spec.restart_fixed_s
+                                + reassembled.decode_seconds
+                                + rs.restore_bytes / spec.restore_bandwidth)
+        restore_pod_standalone(
+            pod, rs.standalone, rs.socket_map, payload["socket_fds"],
+            time_virtualization=bool(rs.msg.get("time_virtualization", True)))
         devices = payload.get("devices", {"states": [], "fd_rows": []})
         restore_pod_devices(pod, devices["states"], devices["fd_rows"])
         activate_pod(pod)
         # the pod runs here now: any live-migration pre-copy accounting
         # served its purpose and must not leak into a later migration
         self.precopy_store.pop(pod_id, None)
-        t_done = engine.now
+        rs.t_done = self.engine.now
         phase.end(image_bytes=reassembled.full_total_bytes)
 
-        # 5. report done
+    def _report_restarted(self, rs: "_Restart"):
+        """Step 5: report done."""
+        reassembled = rs.reassembled
         stats = {
-            "t_connectivity": t_conn_done - t0,
-            "t_network": t_net_done - t0,
-            "t_standalone": t_done - t_net_done,
-            "t_local": t_done - t0,
+            "t_connectivity": rs.t_conn_done - rs.t0,
+            "t_network": rs.t_net_done - rs.t0,
+            "t_standalone": rs.t_done - rs.t_net_done,
+            "t_local": rs.t_done - rs.t0,
             "t_unfilter": reassembled.decode_seconds,
             "image_bytes": reassembled.full_total_bytes,
-            "netstate_bytes": chain[-1].netstate_bytes,
-            "chain_epochs": len(chain),
-            "sockets": len(records),
+            "netstate_bytes": rs.chain[-1].netstate_bytes,
+            "chain_epochs": len(rs.chain),
+            "sockets": len(rs.records),
         }
-        if restore_bytes != reassembled.full_total_bytes:
+        if rs.restore_bytes != reassembled.full_total_bytes:
             # live-only key: how much the outage actually re-placed
-            stats["restored_bytes"] = restore_bytes
-        yield from send_msg(kernel, chan, fd, {
+            stats["restored_bytes"] = rs.restore_bytes
+        yield from send_msg(self.kernel, rs.chan, rs.fd, {
             "type": "done",
-            "pod": pod_id,
+            "pod": rs.pod_id,
             "status": "ok",
             "stats": stats,
         })

@@ -608,8 +608,9 @@ class Manager:
         abort intent and the cleanup actions, so a Manager that crashes
         mid-abort leaves an op a takeover replica re-aborts through this
         same path.  Aborting is idempotent: re-running it after a
-        half-done abort rolls nothing back twice (the Agents' gc guard)
-        and re-unlinking a gone SAN container is a no-op.
+        half-done abort rolls nothing back twice (every store's rollback
+        is keyed on the op — the Agents' in-memory one included) and
+        re-unlinking a gone SAN container is a no-op.
         """
         kernel = self.home.kernel
         result, timeouts = op.result, op.timeouts
@@ -652,8 +653,9 @@ class Manager:
         Even a *complete* per-pod image from a failed operation is one
         half of an inconsistent cut and must not be restartable.  Shared
         sinks are rolled back (never under the last good checkpoint);
-        Agents are told to roll their stores back and to suppress any
-        late store by a still-hung session (the op-id tombstone).
+        Agents are told to undo what the op wrote to their stores
+        (nothing, where it wrote nothing) and to suppress any late store
+        by a still-hung session (the op-id tombstone).
         """
         result = op.result
         protected = set()

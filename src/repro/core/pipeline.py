@@ -32,8 +32,8 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import CheckpointError, CodecError, RestartError
 from . import codec
@@ -140,86 +140,182 @@ class FilterContext:
     proc_dirty: Optional[Dict[int, Dict[str, int]]] = None
 
 
-class PipelineState:
-    """Per-Agent pipeline memory: delta bases and stored chains.
+@dataclass(frozen=True)
+class Generation:
+    """One in-memory generation of a pod on an Agent: what a restart
+    here reassembles, what the next delta diffs against, and who wrote
+    it.  Immutable, so the generation it replaced is kept by reference."""
 
-    The delta filter diffs each epoch against the previous epoch's full
-    payload; the state holds that base per pod, the per-process memory
-    tables behind the accounted dirty model, and (for in-memory URIs) the
-    chain of images a restart must reassemble.  Base updates are staged
-    through :meth:`stage_base` and applied by :meth:`commit` so an Agent
-    that re-packs an image mid-protocol (the send-queue redirect path)
-    diffs against the *previous* epoch, not its own first attempt.
+    #: the epoch-ordered images a restart reassembles (empty: none stored).
+    chain: Tuple[PodImage, ...] = ()
+    #: the full payload of the newest epoch — the next delta's base.
+    base: Optional[bytes] = None
+    #: per-process memory tables behind the accounted dirty model.
+    proc_memory: Optional[Dict[int, Dict[str, int]]] = None
+    #: the epoch number the next checkpoint gets.
+    epoch: int = 0
+    #: the op that published it; None records no owner (a bare
+    #: :meth:`PipelineState.commit`, an image pushed here by a peer).
+    op_id: Optional[int] = None
+
+
+_NO_GENERATION = Generation()
+
+
+class _PodGenerations:
+    """One pod's record: the tip, the one generation it replaced, and
+    the stage that will replace it — a generation not yet linked to the
+    tip: :meth:`ImagePipeline.pack` leaves its base, :meth:`MemorySink.stage`
+    its image (alone in the chain) and its op."""
+
+    def __init__(self) -> None:
+        self.tip = _NO_GENERATION
+        self._undo: Optional[Generation] = None
+        self.staged: Optional[Generation] = None
+
+    def publish(self) -> None:
+        """The staged generation becomes the tip: its image replaces or
+        extends the chain, its base opens the next epoch.  A stage
+        without a base (an image no :meth:`ImagePipeline.pack` here
+        produced) replaces only the chain."""
+        staged, tip, self.staged = self.staged, self.tip, None
+        chain = staged.chain
+        if not chain or (tip.chain and image_extends_chain(chain[0])):
+            chain = tip.chain + chain
+        if staged.base is None:
+            new = replace(tip, chain=chain, op_id=staged.op_id)
+        else:
+            new = replace(staged, chain=chain, epoch=tip.epoch + 1)
+        self.tip, self._undo = new, tip
+
+    def rollback(self, op_id: int) -> bool:
+        """Undo what ``op_id`` staged or published; a tip another op
+        wrote is not ``op_id``'s to undo."""
+        acted = self.staged is not None and self.staged.op_id == op_id
+        if acted:
+            self.staged = None
+        if self.tip.op_id == op_id:
+            self.undo()
+            acted = True
+        return acted
+
+    def undo(self) -> None:
+        """The generation the tip replaced comes back, owner included."""
+        self.tip, self._undo = self._undo or _NO_GENERATION, None
+
+    def rebase(self, **noted) -> None:
+        """A restart reset what the pod's next delta diffs against —
+        whichever retained generation is, or comes back as, the tip."""
+        self.tip = replace(self.tip, **noted)
+        if self._undo is not None:
+            self._undo = replace(self._undo, **noted)
+
+
+class PipelineState:
+    """Per-Agent generation store: one record per pod (DESIGN §5).
+
+    A pod's record holds its committed :class:`Generation` (the *tip*),
+    the one generation the tip replaced, and the stage that will replace
+    it: :meth:`ImagePipeline.pack` stages the new base (so an Agent that
+    re-packs mid-protocol — the send-queue redirect — still diffs
+    against the *previous* epoch), :class:`MemorySink` adds the image
+    and publishes under the writing op.  A user with no sink ends an
+    epoch with :meth:`commit`.
     """
 
     def __init__(self) -> None:
-        self.bases: Dict[str, bytes] = {}
-        self.proc_memory: Dict[str, Dict[int, Dict[str, int]]] = {}
-        self.epochs: Dict[str, int] = {}
-        self.chains: Dict[str, List[PodImage]] = {}
-        self._pending: Dict[str, Tuple[bytes, Dict[int, Dict[str, int]]]] = {}
-        #: one-deep undo written by :meth:`commit`, consumed by
-        #: :meth:`rollback` when a failed coordinated operation is
-        #: garbage-collected.
-        self._undo: Dict[str, Tuple[Optional[bytes],
-                                    Optional[Dict[int, Dict[str, int]]], int]] = {}
+        self._pods: Dict[str, _PodGenerations] = {}
+
+    # -- reads ----------------------------------------------------------
+    def tips(self) -> Dict[str, Generation]:
+        return {pod_id: record.tip for pod_id, record in self._pods.items()}
+
+    def _held(self, pod_id: str) -> _PodGenerations:
+        """The pod's record — a blank one, not kept, when it has none."""
+        return self._pods.get(pod_id) or _PodGenerations()
+
+    def tip(self, pod_id: str) -> Generation:
+        """The pod's committed generation (an empty one: none yet)."""
+        return self._held(pod_id).tip
 
     def epoch(self, pod_id: str) -> int:
-        return self.epochs.get(pod_id, 0)
+        return self.tip(pod_id).epoch
+
+    @property
+    def bases(self) -> Dict[str, bytes]:
+        """pod -> delta base of its tip (a read-only view, for audits)."""
+        return {pod_id: gen.base for pod_id, gen in self.tips().items()
+                if gen.base is not None}
+
+    @property
+    def chains(self) -> Dict[str, List[PodImage]]:
+        """pod -> stored chain of its tip (a read-only view, for audits)."""
+        return {pod_id: list(gen.chain) for pod_id, gen in self.tips().items()
+                if gen.chain}
+
+    # -- the one transaction ---------------------------------------------
+    def _record(self, pod_id: str) -> _PodGenerations:
+        return self._pods.setdefault(pod_id, _PodGenerations())
 
     def stage_base(self, pod_id: str, raw: bytes,
                    proc_memory: Dict[int, Dict[str, int]]) -> None:
-        self._pending[pod_id] = (raw, proc_memory)
+        self._record(pod_id).staged = Generation(base=raw,
+                                                 proc_memory=proc_memory)
+
+    def stage_image(self, image: PodImage, op_id: Optional[int]) -> None:
+        record = self._record(image.pod_id)
+        record.staged = replace(record.staged or _NO_GENERATION,
+                                chain=(image,), op_id=op_id)
+
+    def publish(self, op_id: Optional[int] = None) -> bool:
+        """Publish every staged image — only ``op_id``'s, when one is
+        given; True iff there was one."""
+        mine = [record for record in self._pods.values()
+                if record.staged is not None and record.staged.chain
+                and (not op_id or record.staged.op_id == op_id)]
+        for record in mine:
+            record.publish()
+        return bool(mine)
 
     def commit(self, pod_id: str) -> None:
-        """Adopt the staged base and advance the pod's epoch."""
-        pending = self._pending.pop(pod_id, None)
-        if pending is not None:
-            self._undo[pod_id] = (self.bases.get(pod_id),
-                                  self.proc_memory.get(pod_id),
-                                  self.epochs.get(pod_id, 0))
-            self.bases[pod_id], self.proc_memory[pod_id] = pending
-            self.epochs[pod_id] = self.epochs.get(pod_id, 0) + 1
+        """Publish whatever is staged for ``pod_id``, image or not,
+        whoever staged it — how a user with no sink ends an epoch."""
+        record = self._held(pod_id)
+        if record.staged is not None:
+            record.publish()
 
     def abandon(self, pod_id: str) -> None:
-        """Drop a staged (uncommitted) base — the abort path."""
-        self._pending.pop(pod_id, None)
+        """Drop a staged (unpublished) generation — the abort path."""
+        self._held(pod_id).staged = None
 
-    def rollback(self, pod_id: str) -> bool:
-        """Undo the most recent :meth:`commit` for ``pod_id``.
-
-        Returns True if there was a commit to undo.  Used by the abort
-        garbage collector so a failed operation cannot advance (and
-        thereby corrupt) the delta-chain state behind the last good
-        checkpoint.
-        """
-        undo = self._undo.pop(pod_id, None)
-        if undo is None:
-            return False
-        base, proc_memory, epoch = undo
-        if base is None:
-            self.bases.pop(pod_id, None)
-        else:
-            self.bases[pod_id] = base
-        if proc_memory is None:
-            self.proc_memory.pop(pod_id, None)
-        else:
-            self.proc_memory[pod_id] = proc_memory
-        self.epochs[pod_id] = epoch
-        return True
+    def rollback(self, op_id: int, named: Sequence[str] = ()) -> List[str]:
+        """Undo what ``op_id`` staged or published, on every pod it
+        wrote: the previous generation comes back with its owner, so a
+        replay — or an op that wrote nothing here — undoes nothing.  Of
+        the pods ``named``, a stored image that records no owner (pushed
+        here by a migrating peer: the wire carries none) goes too —
+        whoever names it decides it is theirs to remove.  Returns the
+        pods undone."""
+        undone = []
+        for pod_id, record in self._pods.items():
+            if record.rollback(op_id):
+                undone.append(pod_id)
+            elif (pod_id in named and record.tip.op_id is None
+                  and record.tip.chain):
+                record.undo()
+                undone.append(pod_id)
+        return undone
 
     def note_full(self, pod_id: str, raw: bytes, standalone: Dict[str, Any],
                   epoch: int) -> None:
         """Record a reassembled full payload (restart side), so the next
         incremental checkpoint of the restored pod has its base."""
-        self.bases[pod_id] = raw
-        self.proc_memory[pod_id] = proc_memory_tables(standalone)
-        self.epochs[pod_id] = epoch + 1
+        self._record(pod_id).rebase(
+            base=raw, proc_memory=proc_memory_tables(standalone),
+            epoch=epoch + 1)
 
     def forget(self, pod_id: str) -> None:
-        for store in (self.bases, self.proc_memory, self.epochs,
-                      self.chains, self._pending):
-            store.pop(pod_id, None)
+        self._pods.pop(pod_id, None)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +498,7 @@ class DeltaFilter(ImageFilter):
         if raw_total <= 0:
             return 0
         measured = ctx.proc_dirty if self.measured else None
-        prev = (ctx.state.proc_memory.get(ctx.pod_id, {})
+        prev = (ctx.state.tip(ctx.pod_id).proc_memory or {}
                 if ctx.state is not None else {})
         dirty = 0
         for vpid, table in ctx.proc_memory.items():
@@ -537,9 +633,9 @@ class ImagePipeline:
     ) -> PodImage:
         """Assemble, filter and cost-account one pod checkpoint image.
 
-        When a chain filter (delta) is present, the new base is *staged*
-        in ``state`` — call ``state.commit(pod_id)`` once the image is
-        final (Agents re-pack after the send-queue redirect).
+        The new base is *staged* in ``state``: publish it once the image
+        is final (Agents re-pack after the send-queue redirect) — through
+        the Agent's :class:`MemorySink`, or ``state.commit(pod_id)``.
         """
         pod_id = standalone["pod_id"]
         if not self.filters:
@@ -558,7 +654,7 @@ class ImagePipeline:
             pod_id=pod_id,
             epoch=epoch,
             state=state,
-            base=(state.bases.get(pod_id)
+            base=(state.tip(pod_id).base
                   if state is not None and chain_local else None),
             proc_memory=proc_memory_tables(standalone),
             proc_dirty=proc_dirty,
@@ -761,58 +857,35 @@ class Sink:
 
 
 class MemorySink(Sink):
-    """The Agent's in-memory store (the paper's default target),
-    chain-aware.  It holds every pod of the node, so its one-deep undo
-    is keyed by *pod*, as the Agent's ``gc`` is."""
+    """The Agent's in-memory store (the paper's default target): the
+    :class:`Sink` face of its :class:`PipelineState`.  It holds every
+    pod of the node, so an op id selects among the pods' records."""
 
     kind = "mem"
+    tracks_ops = True
 
-    def __init__(self, images: Dict[str, PodImage], state: PipelineState) -> None:
-        self.images = images
+    def __init__(self, state: PipelineState) -> None:
         self.state = state
-        #: one-deep undo per pod: (previous image, previous chain).
-        self._undo: Dict[str, Tuple[Optional[PodImage],
-                                    Optional[List[PodImage]]]] = {}
 
     def stage(self, image: PodImage, op_id: int = 0,
               truncate: Optional[float] = None) -> None:
-        pod_id = image.pod_id
-        prev_chain = self.state.chains.get(pod_id)
-        self._undo[pod_id] = (self.images.get(pod_id),
-                              list(prev_chain) if prev_chain is not None else None)
-        if image_extends_chain(image) and prev_chain:
-            self.state.chains[pod_id].append(image)
-        else:
-            self.state.chains[pod_id] = [image]
-        self.images[pod_id] = image
+        """Join the image to the base :meth:`ImagePipeline.pack` staged."""
+        self.state.stage_image(image, op_id or None)
 
-    def rollback(self, pod_id: str) -> bool:
-        """Restore the pre-:meth:`stage` image and chain for ``pod_id``.
+    def publish(self, op_id: Optional[int] = None) -> bool:
+        return self.state.publish(op_id)
 
-        The abort garbage collector uses this so a failed coordinated
-        operation cannot replace the last good in-memory checkpoint with
-        one half of an inconsistent cut.
-        """
-        undo = self._undo.pop(pod_id, None)
-        if undo is None:
-            return False
-        image, chain = undo
-        if image is None:
-            self.images.pop(pod_id, None)
-        else:
-            self.images[pod_id] = image
-        if chain is None:
-            self.state.chains.pop(pod_id, None)
-        else:
-            self.state.chains[pod_id] = chain
-        return True
+    def rollback(self, op_id: int) -> bool:
+        """Op-keyed (see :meth:`PipelineState.rollback`); an image that
+        records no owner is never this call's to remove."""
+        return bool(self.state.rollback(op_id))
 
     def load(self, pod_id: str) -> List[PodImage]:
-        chain = self.state.chains.get(pod_id)
-        if chain:
-            return list(chain)
-        image = self.images.get(pod_id)
-        return [image] if image is not None else []
+        return list(self.state.tip(pod_id).chain)
+
+    def exists(self, op_id: Optional[int] = None) -> bool:
+        return any(gen.chain and op_id in (None, gen.op_id)
+                   for gen in self.state.tips().values())
 
 
 class FileSink(Sink):

@@ -31,6 +31,7 @@ def restores_committed(sink: Sink, agent, pod_id: str) -> bool:
         raw = ImagePipeline.reassemble(loaded).raw
     except Exception:  # noqa: BLE001 - any failure to restore is a "no"
         return False
-    return (raw == agent.pipeline_state.bases.get(pod_id)
+    committed = agent.pipeline_state.tip(pod_id)
+    return (raw == committed.base
             and [chain_entry(image) for image in loaded]
-            == [chain_entry(image) for image in agent.mem_sink.load(pod_id)])
+            == [chain_entry(image) for image in committed.chain])

@@ -521,13 +521,12 @@ def run_inc_cell(mode: str, *, n_pods: int = 2, ballast: int = 64_000_000,
         from .core.pipeline import ImagePipeline
         agent = manager.agents[host.name]
         for _node, pod_id, _uri in targets:
-            chain = agent.pipeline_state.chains.get(pod_id)
-            base = agent.pipeline_state.bases.get(pod_id)
-            if not chain or base is None:
+            tip = agent.pipeline_state.tip(pod_id)
+            if not tip.chain or tip.base is None:
                 cell.chain_ok = False
                 continue
-            reassembled = ImagePipeline.reassemble(list(chain))
-            cell.chain_ok = cell.chain_ok and reassembled.raw == base
+            reassembled = ImagePipeline.reassemble(list(tip.chain))
+            cell.chain_ok = cell.chain_ok and reassembled.raw == tip.base
     return cell
 
 

@@ -202,8 +202,7 @@ class WallProfiler:
     ``time.perf_counter`` seconds under :meth:`phase` labels so runs can
     report what the *simulation* cost next to what it simulated.  Always
     export its numbers beside — never inside — deterministic artifacts
-    (the committed ``BENCH_core.json`` is byte-diffed in CI; wall times
-    go to the ``.wall.json`` sidecar).
+    (the committed ``BENCH_core.json`` is byte-diffed in CI).
     """
 
     def __init__(self) -> None:

@@ -8,14 +8,18 @@ invariant of ``chaos.INVARIANTS`` reports it.  Deleting an invariant
 from the registry fails its test.
 """
 
+from dataclasses import replace
+
 from repro.cluster import chaos
 from repro.core import pipeline
 from repro.core.agent import Agent
 from repro.core.manager import Manager, OpMachine, OpResult
-from repro.core.pipeline import MemorySink, Sink
+from repro.core.pipeline import PipelineState, Sink
 from repro.core.wire import send_msg
 from repro.fleet.scheduler import InflightGate
 from repro.pod.pod import Pod
+
+from ..mutation import mutant
 
 
 def caught(report):
@@ -93,8 +97,42 @@ def test_chain_reassembles_catches_an_aborted_epoch_left_in_the_chain(
         monkeypatch):
     # the abort GC forgets to roll the in-memory chain back: the aborted
     # epoch stays in it while the delta base is rolled back
-    monkeypatch.setattr(MemorySink, "rollback", lambda self, pod_id: False)
+    rollback = PipelineState.rollback
+
+    def keep_the_chain(self, op_id, named=()):
+        chains = {pod_id: tip.chain for pod_id, tip in self.tips().items()}
+        undone = rollback(self, op_id, named)
+        for pod_id in undone:
+            self._pods[pod_id].tip = replace(self.tip(pod_id),
+                                             chain=chains[pod_id])
+        return undone
+
+    monkeypatch.setattr(PipelineState, "rollback", keep_the_chain)
     assert "chain-reassembles" in caught(chaos.run("async", 12))
+
+
+def test_last_checkpoint_restorable_catches_a_pod_keyed_rollback(monkeypatch):
+    # the bug the op-keyed store fixed: any failed op's gc undoes the
+    # pod's tip, whoever wrote it.  Seed 9's last op times out on one
+    # blade before storing anything; its gc then takes the last *good*
+    # checkpoint off the other blade
+    twin = mutant(pipeline, "        if self.tip.op_id == op_id:\n",
+                  "        if True:\n")
+    monkeypatch.setattr(pipeline._PodGenerations, "rollback",
+                        twin._PodGenerations.rollback)
+    assert "last-checkpoint-restorable" in caught(chaos.run("serial", 9))
+
+
+def test_last_checkpoint_restorable_catches_a_rollback_that_forgets_the_owner(
+        monkeypatch):
+    # a legitimate rollback that restores the image but not who wrote it
+    # (async 12 rolls one back): the last good checkpoint is then no
+    # longer attributable to its op
+    twin = mutant(pipeline, "self._undo or _NO_GENERATION, None\n",
+                  "replace(self._undo or _NO_GENERATION, op_id=None), None\n")
+    monkeypatch.setattr(pipeline._PodGenerations, "undo",
+                        twin._PodGenerations.undo)
+    assert "last-checkpoint-restorable" in caught(chaos.run("async", 12))
 
 
 def test_sync_point_catches_continue_before_the_last_meta(monkeypatch):

@@ -86,7 +86,7 @@ def test_second_checkpoint_captures_the_alternate_queue():
     c2 = holder["c2"].finished.result
     assert c2.ok
     # the second image really carried receive-side data
-    image = manager.agents["blade0"].images["dq-rx"]
+    image = manager.agents["blade0"].mem_sink.load("dq-rx")[-1]
     recs = [r for r in image.unpack()["sockets"]
             if r["proto"] == "tcp" and not r["listening"]]
     assert any(r["recv_data"] for r in recs), \

@@ -188,6 +188,51 @@ def test_deadline_abort_resumes_all_pods_and_reaps_protocol_tasks(world):
     assert final_sums(cluster) == expected_sums(ROUNDS)
 
 
+def test_failed_checkpoint_leaves_the_last_good_one_restartable(world):
+    """Section 4's abort guarantee, end to end: a checkpoint that fails
+    after one Agent became unreachable must not cost the application its
+    *previous* checkpoint.  The failed op stored nothing anywhere, so its
+    garbage collection has nothing to undo — least of all the generation
+    the last good op left on the reachable Agent."""
+    from repro.cluster import heal_node
+
+    cluster, manager = world
+    rounds = 40_000     # still running when the third checkpoint fails
+    launch_pingpong(cluster, rounds=rounds)
+    engine = cluster.engine
+    targets = [("blade0", "pp-srv", "mem"), ("blade1", "pp-cli", "mem")]
+    ops = {}
+
+    def driver():
+        yield engine.sleep(0.1)
+        ops["first"] = yield from manager.checkpoint_task(targets)
+        # far enough apart that the pair progresses between the two (a
+        # cut mixing them is then not one the pair can resume from)
+        yield engine.sleep(2.0)
+        ops["second"] = yield from manager.checkpoint_task(targets)
+        yield engine.sleep(0.5)
+        isolate_node(cluster, cluster.node(1))
+        ops["failed"] = yield from manager.checkpoint_task(targets, deadline=3.0)
+        heal_node(cluster, cluster.node(1))
+        yield engine.sleep(2.0)
+        last = manager.last_checkpoint
+        ops["owners"] = [manager.agents[node].pipeline_state.tip(pod).op_id
+                         for node, pod, _uri in last.targets]
+        for _node, pod, _uri in last.targets:
+            cluster.find_pod(pod).destroy()
+        ops["restart"] = yield from manager.restart_task(last.targets)
+
+    engine.spawn(driver(), name="drv")
+    engine.run(until=600.0)
+    assert ops["first"].ok and ops["second"].ok
+    assert ops["failed"].status == "timeout"
+    last = manager.last_checkpoint
+    assert last.op_id == ops["second"].op_id
+    assert ops["owners"] == [last.op_id, last.op_id]
+    assert ops["restart"].ok, ops["restart"].errors
+    assert final_sums(cluster) == expected_sums(rounds)
+
+
 def test_recover_restarts_lost_pods_on_surviving_nodes(world):
     """Manager.recover: detect the crashed blade and restart its pods
     elsewhere from last_checkpoint — no manual targets needed."""

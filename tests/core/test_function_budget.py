@@ -16,9 +16,8 @@ import repro.core
 
 BUDGET = 120
 
-#: package -> "<file>:<qualified name>" still over budget (ROADMAP item 2
-#: "Remains").
-EXEMPT = {repro.core: {"agent.py:Agent._do_restart"}, repro.cluster: set()}
+#: package -> "<file>:<qualified name>" still over budget: nothing is.
+EXEMPT = {repro.core: set(), repro.cluster: set()}
 
 
 def _functions(tree, prefix=""):

@@ -109,7 +109,7 @@ def test_golden_v1_file_image_still_restarts(world):
         # the flushed file must be exactly what the historic writer
         # produced: codec({"data", "accounted", "netstate"}) around a
         # format-1 payload
-        image = manager.agents["blade0"].images["pp-srv"]
+        image = manager.agents["blade0"].mem_sink.load("pp-srv")[-1]
         golden = codec.encode({
             "data": image.data,
             "accounted": image.accounted_bytes,
@@ -154,7 +154,7 @@ def test_partial_container_is_never_accepted_by_the_reader(world, make_sink):
     cluster.engine.schedule(0.15, kick)
     cluster.engine.run(until=300.0)
     assert holder["ckpt"].finished.result.ok
-    image = manager.agents["blade0"].images["pp-srv"]
+    image = manager.agents["blade0"].mem_sink.load("pp-srv")[-1]
     # a second generation with different bytes everywhere
     other = replace(image, data=bytes(b ^ 0xFF for b in image.data))
     vfs = cluster.node(0).kernel.vfs

@@ -94,7 +94,7 @@ def test_raw_socket_queue_captured_in_image():
     result = holder["c"].finished.result
     assert result.ok
     # the image holds the three queued raw datagrams
-    image = manager.agents["blade0"].images["raw-rx"]
+    image = manager.agents["blade0"].mem_sink.load("raw-rx")[-1]
     payload = image.unpack()
     raw_recs = [r for r in payload["sockets"] if r["proto"] == "raw"]
     assert len(raw_recs) == 1
