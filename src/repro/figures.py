@@ -82,7 +82,7 @@ def fig6c(apps: List[str], scale: float, filters: Filters = None) -> None:
             cell = run_fig6_cell(app, nodes, scale=scale, n_checkpoints=5,
                                  filters=filters)
             rows.append((app, nodes, f"{cell.mean_image_size / 1e6:.1f}",
-                         f"{statistics_mean_mb(cell.raw_image_sizes):.1f}",
+                         f"{cell.mean_raw_image_mb:.1f}",
                          f"{cell.max_netstate}"))
     print_table("Figure 6(c) — largest-pod checkpoint image size",
                 ("app", "nodes", "image [MB]", "raw [MB]", "network state [B]"),
@@ -120,7 +120,7 @@ def figinc(apps: List[str], scale: float, filters: Filters = None) -> None:
         cell = run_inc_cell(mode)
         for epoch, (img, raw, susp, e2e) in enumerate(zip(
                 cell.image_sizes, cell.raw_image_sizes,
-                cell.suspend_windows, cell.ckpt_times)):
+                cell.suspend_windows, cell.checkpoint_times)):
             rows.append((mode, epoch, f"{img / 1e6:.2f}", f"{raw / 1e6:.1f}",
                          f"{susp * 1000:.1f}", f"{e2e * 1000:.1f}",
                          "ok" if cell.chain_ok else "BROKEN"))
@@ -216,9 +216,9 @@ def figtimeline(apps: List[str], scale: float, filters: Filters = None) -> None:
     """Fleet timeline: downtime / in-flight / bytes over simulated time
     (not a paper figure — the windowed-series view of the evacuation the
     fleet figure summarizes; each row is one window of the campaign)."""
-    from .harness import run_timeline_series
-    out = run_timeline_series()
-    cols = out["columns"]
+    from .fleet import run_evacuation_demo
+    out = run_evacuation_demo(metrics=True, series_window_s=0.05)
+    cols = out["metrics"].series.to_columns()
     series = cols["series"]
     window_ms = cols["window_s"] * 1000
 
@@ -245,10 +245,6 @@ def figtimeline(apps: List[str], scale: float, filters: Filters = None) -> None:
          "downtime p99 [ms]", "bytes [MB/s]"), rows)
 
 
-def statistics_mean_mb(sizes: List[int]) -> float:
-    return (sum(sizes) / len(sizes) / 1e6) if sizes else 0.0
-
-
 def main(argv: Optional[List[str]] = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--fig", choices=["5", "6a", "6b", "6c", "mig", "inc",
@@ -271,7 +267,12 @@ def main(argv: Optional[List[str]] = None) -> None:
                "fleet": figfleet, "timeline": figtimeline}
     for name, fn in runners.items():
         if args.fig in (name, "all"):
-            fn(apps, args.scale, filters)
+            try:
+                fn(apps, args.scale, filters)
+            except RuntimeError as err:
+                # a cell that could not measure (a run too short for
+                # its checkpoint, say) names itself; no traceback
+                raise SystemExit(str(err)) from None
 
 
 if __name__ == "__main__":

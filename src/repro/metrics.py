@@ -23,8 +23,39 @@ class Fig5Cell:
         return 100.0 * (self.zapc_time - self.base_time) / self.base_time
 
 
+class _CheckpointSeries:
+    """What a cell that takes a series of checkpoints reports:
+    ``checkpoint_times``, one end-to-end time [s] (Manager invoke →
+    commit) per checkpoint."""
+
+    checkpoint_times: List[float]
+
+    @property
+    def mean_checkpoint(self) -> float:
+        return statistics.mean(self.checkpoint_times) if self.checkpoint_times else 0.0
+
+
+class _ImageSeries(_CheckpointSeries):
+    """... plus ``image_sizes``, the largest pod's image per checkpoint
+    (epoch 0 is the full base a delta filter diffs against)."""
+
+    image_sizes: List[int]
+
+    @property
+    def epoch0_image_size(self) -> int:
+        """The first (full) checkpoint image — the delta filter's base."""
+        return self.image_sizes[0] if self.image_sizes else 0
+
+    @property
+    def steady_state_image_size(self) -> int:
+        """Mean image size once incremental checkpointing is warm
+        (every epoch after the first full image)."""
+        tail = self.image_sizes[1:]
+        return int(statistics.mean(tail)) if tail else 0
+
+
 @dataclass
-class Fig6Cell:
+class Fig6Cell(_ImageSeries):
     """One point of Figure 6: checkpoint/restart metrics for (app, nodes)."""
 
     app: str
@@ -46,16 +77,18 @@ class Fig6Cell:
     phase_times: Dict[str, List[float]] = field(default_factory=dict)
 
     @property
-    def mean_checkpoint(self) -> float:
-        return statistics.mean(self.checkpoint_times) if self.checkpoint_times else 0.0
-
-    @property
     def mean_network_ckpt(self) -> float:
         return statistics.mean(self.network_ckpt_times) if self.network_ckpt_times else 0.0
 
     @property
     def mean_image_size(self) -> int:
         return int(statistics.mean(self.image_sizes)) if self.image_sizes else 0
+
+    @property
+    def mean_raw_image_mb(self) -> float:
+        """Mean pre-filter image size, in MB (10^6 bytes)."""
+        raw = self.raw_image_sizes
+        return sum(raw) / len(raw) / 1e6 if raw else 0.0
 
     @property
     def max_netstate(self) -> int:
@@ -78,21 +111,9 @@ class Fig6Cell:
         samples = self.phase_times.get(phase)
         return statistics.mean(samples) if samples else 0.0
 
-    @property
-    def epoch0_image_size(self) -> int:
-        """The first (full) checkpoint image — the delta filter's base."""
-        return self.image_sizes[0] if self.image_sizes else 0
-
-    @property
-    def steady_state_image_size(self) -> int:
-        """Mean image size once incremental checkpointing is warm
-        (every epoch after the first full image)."""
-        tail = self.image_sizes[1:]
-        return int(statistics.mean(tail)) if tail else 0
-
 
 @dataclass
-class IncCell:
+class IncCell(_ImageSeries):
     """One mode of the incremental-generations study: a writing workload
     checkpointed every epoch under one image-pipeline configuration
     (``full`` / ``heuristic`` / ``delta`` / ``delta-async``)."""
@@ -105,37 +126,18 @@ class IncCell:
     #: the whole local checkpoint otherwise.
     suspend_windows: List[float] = field(default_factory=list)
     #: per-epoch end-to-end checkpoint time [s] (manager invoke→commit).
-    ckpt_times: List[float] = field(default_factory=list)
+    checkpoint_times: List[float] = field(default_factory=list)
     #: every committed delta chain reassembled byte-identical to the
     #: agent's full base (vacuously True for unchained modes).
     chain_ok: bool = True
 
     @property
-    def epoch0_image_size(self) -> int:
-        return self.image_sizes[0] if self.image_sizes else 0
-
-    @property
-    def steady_state_image_size(self) -> int:
-        tail = self.image_sizes[1:]
-        return int(statistics.mean(tail)) if tail else 0
-
-    @property
     def mean_suspend(self) -> float:
         return statistics.mean(self.suspend_windows) if self.suspend_windows else 0.0
 
-    @property
-    def mean_checkpoint(self) -> float:
-        return statistics.mean(self.ckpt_times) if self.ckpt_times else 0.0
-
-    @property
-    def shrink_factor(self) -> float:
-        """Full-image bytes per steady-state incremental-image byte."""
-        steady = self.steady_state_image_size
-        return self.epoch0_image_size / steady if steady else 0.0
-
 
 @dataclass
-class CasCell:
+class CasCell(_CheckpointSeries):
     """One mode of the content-addressed-store study: the generational
     writer workload checkpointed to the SAN under one sink/pipeline
     configuration (``file-full`` / ``cas-full`` / ``cas-delta``)."""
@@ -148,7 +150,7 @@ class CasCell:
     #: the CAS modes; the full containers for ``file-full``).
     stored_sizes: List[int] = field(default_factory=list)
     #: per-epoch end-to-end checkpoint time [s].
-    ckpt_times: List[float] = field(default_factory=list)
+    checkpoint_times: List[float] = field(default_factory=list)
     #: final store counters (zero for the file baseline).
     footprint_bytes: int = 0
     dup_bytes: int = 0
@@ -172,10 +174,6 @@ class CasCell:
         """Logical bytes per byte that reached the SAN."""
         return self.logical_total / self.stored_total if self.stored_total \
             else 0.0
-
-    @property
-    def mean_checkpoint(self) -> float:
-        return statistics.mean(self.ckpt_times) if self.ckpt_times else 0.0
 
 
 @dataclass

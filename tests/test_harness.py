@@ -82,6 +82,31 @@ def test_fig6b_cell_restarts_midrun():
     assert cell.network_restart_time > 0
 
 
+def test_fig6_cell_that_took_no_checkpoint_raises():
+    # at this scale CPI on 4 nodes finishes before the first interval
+    with pytest.raises(RuntimeError, match=r"^CPI on 4 nodes at scale 0\.002 "):
+        run_fig6_cell("CPI", 4, scale=0.002)
+
+
+def test_fig6b_cell_that_never_restarted_raises():
+    with pytest.raises(RuntimeError, match=r"^CPI on 2 nodes at scale 0\.002 "):
+        run_fig6b_cell("CPI", 2, scale=0.002)
+
+
+@pytest.mark.parametrize("fig", ["6a", "6b", "6c"])
+def test_figures_cli_names_a_short_run_and_exits(fig, capsys):
+    from repro.figures import main
+
+    # no ZeroDivisionError / TypeError traceback, no 0.0 MB row: the
+    # cell's one-line reason as the exit message
+    with pytest.raises(SystemExit) as exit_:
+        main(["--fig", fig, "--app", "CPI", "--scale", "0.002"])
+    message = exit_.value.code
+    assert isinstance(message, str) and "\n" not in message
+    assert message.startswith("CPI on ") and "at scale 0.002" in message
+    assert capsys.readouterr().out == ""
+
+
 def test_figures_cli_smoke(capsys):
     from repro.figures import main
 
