@@ -105,6 +105,11 @@ def _stage_seconds(image: PodImage, kind: Optional[str] = None) -> float:
     return total
 
 
+def _stored(reply: Any) -> bool:
+    """Did a peer Agent acknowledge a push?"""
+    return isinstance(reply, dict) and reply.get("type") == "stored"
+
+
 class _Checkpoint:
     """One checkpoint session: the command as read here, then whatever
     each step of :meth:`Agent._do_checkpoint` leaves for the next."""
@@ -645,9 +650,12 @@ class Agent:
             rec["send_data"] = b""
             rec["send_redirected"] = True
             if trimmed:
-                yield from self._push_redirect(
-                    entry["dst_node"], entry["peer_pod"],
-                    int(entry["peer_sock_id"]), trimmed)
+                # straight to the peer pod's destination Agent: one
+                # transfer instead of two
+                yield from self._push_to_agent(
+                    "agent-redirect", self.cluster.node_by_name(entry["dst_node"]),
+                    {"cmd": "push_redirect", "pod": entry["peer_pod"],
+                     "sock_id": int(entry["peer_sock_id"]), "data": trimmed})
         # the image must reflect the stripped queues (re-packed, not
         # re-charged: the bytes were already serialized once; the
         # pipeline diffs against the *previous* epoch because the first
@@ -796,30 +804,50 @@ class Agent:
         migration streams only the residual the pre-copy rounds left
         dirty).
         """
-        kernel, chan, fd, image = self.kernel, ck.chan, ck.fd, ck.image
-        charge_bytes = ck.stream_charge
-        target = self.cluster.node_by_name(ck.sink.dest)
-        tchan = kernel.host_channel("agent-push")
-        tfd = yield kernel.host_call(tchan, "socket", "tcp")
-        rc = yield kernel.host_call(tchan, "connect", tfd, (target.ip, AGENT_PORT))
-        if isinstance(rc, Errno):
-            yield from send_msg(kernel, chan, fd, {"type": "error", "error": f"push connect: {rc.name}"})
-            return
-        yield self.engine.sleep(ck.t_write)
+        image = ck.image
         # the peer stores the same chain entry a SAN container holds
         push = {"cmd": "push_image", "pod": image.pod_id,
                 **chain_entry(image)}
-        if charge_bytes is not None:
+        if ck.stream_charge is not None:
             # live migration only (non-live wire traffic stays identical):
             # tell the destination how much accounted memory this final
             # stream actually moved, so its restore charges placement for
             # the residual — the pre-copied pages are already in place
-            push["placed"] = int(charge_bytes)
-        yield from send_msg(kernel, tchan, tfd, push)
-        ack = yield from recv_msg(kernel, tchan, tfd)
+            push["placed"] = int(ck.stream_charge)
+        ack = yield from self._push_to_agent(
+            "agent-push", self.cluster.node_by_name(ck.sink.dest), push,
+            ck.t_write)
+        if isinstance(ack, Errno):
+            reply = {"type": "error", "error": f"push connect: {ack.name}"}
+        else:
+            reply = {"type": "streamed" if _stored(ack) else "stream-failed",
+                     "pod": image.pod_id}
+        yield from send_msg(self.kernel, ck.chan, ck.fd, reply)
+
+    def _push_to_agent(self, channel: str, target: Node, msg: Dict[str, Any],
+                       transfer_s: Optional[float] = None,
+                       read_unsent: bool = True):
+        """The one Agent→Agent push: on a fresh host ``channel``, connect
+        to ``target``'s Agent, sleep the modelled ``transfer_s`` (no
+        sleep when None), send ``msg``, read the peer's reply and close.
+        Returns the reply (None when none came), or the connect
+        ``Errno`` when the peer cannot be reached.  ``read_unsent=False``
+        skips the read after a failed send (a pre-copy round does; the
+        stream and the redirect read anyway)."""
+        kernel = self.kernel
+        tchan = kernel.host_channel(channel)
+        tfd = yield kernel.host_call(tchan, "socket", "tcp")
+        rc = yield kernel.host_call(tchan, "connect", tfd, (target.ip, AGENT_PORT))
+        if isinstance(rc, Errno):
+            return rc
+        if transfer_s is not None:
+            yield self.engine.sleep(transfer_s)
+        sent = yield from send_msg(kernel, tchan, tfd, msg)
+        reply = None
+        if sent or read_unsent:
+            reply = yield from recv_msg(kernel, tchan, tfd)
         yield kernel.host_call(tchan, "close", tfd)
-        status = "streamed" if ack and ack.get("type") == "stored" else "stream-failed"
-        yield from send_msg(kernel, chan, fd, {"type": status, "pod": image.pod_id})
+        return reply
 
     # ------------------------------------------------------------------
     # pre-copy live migration (source + destination sides)
@@ -900,25 +928,17 @@ class Agent:
                       round_no: int, op_id: int):
         """Stream one round's bytes to the destination Agent; True iff
         the destination acknowledged the round."""
-        kernel = self.kernel
         try:
             target = self.cluster.node_by_name(dst_node)
         except Exception:
             return False
-        tchan = kernel.host_channel("agent-precopy")
-        tfd = yield kernel.host_call(tchan, "socket", "tcp")
-        rc = yield kernel.host_call(tchan, "connect", tfd, (target.ip, AGENT_PORT))
-        if isinstance(rc, Errno):
-            return False
         # accounted transfer at fabric bandwidth, like the image stream
-        yield self.engine.sleep(nbytes / self.cluster.fabric.bandwidth)
-        sent = yield from send_msg(kernel, tchan, tfd, {
-            "cmd": "precopy_push", "pod": pod_id, "bytes": int(nbytes),
-            "round": round_no, "op_id": op_id,
-        })
-        ack = (yield from recv_msg(kernel, tchan, tfd)) if sent else None
-        yield kernel.host_call(tchan, "close", tfd)
-        return bool(ack and ack.get("type") == "stored")
+        ack = yield from self._push_to_agent(
+            "agent-precopy", target,
+            {"cmd": "precopy_push", "pod": pod_id, "bytes": int(nbytes),
+             "round": round_no, "op_id": op_id},
+            nbytes / self.cluster.fabric.bandwidth, read_unsent=False)
+        return _stored(ack)
 
     def _store_precopy(self, msg) -> None:
         """Destination side: account one received pre-copy round."""
@@ -932,24 +952,6 @@ class Agent:
             entry.update({"op_id": op_id, "bytes": 0, "rounds": 0})
         entry["bytes"] += int(msg.get("bytes", 0))
         entry["rounds"] += 1
-
-    def _push_redirect(self, dst_node: str, peer_pod: str, peer_sock_id: int,
-                       data: bytes):
-        """Ship redirected send-queue bytes straight to the destination
-        Agent of the peer pod (one transfer instead of two)."""
-        kernel = self.kernel
-        target = self.cluster.node_by_name(dst_node)
-        tchan = kernel.host_channel("agent-redirect")
-        tfd = yield kernel.host_call(tchan, "socket", "tcp")
-        rc = yield kernel.host_call(tchan, "connect", tfd, (target.ip, AGENT_PORT))
-        if isinstance(rc, Errno):
-            return
-        yield from send_msg(kernel, tchan, tfd, {
-            "cmd": "push_redirect", "pod": peer_pod,
-            "sock_id": peer_sock_id, "data": data,
-        })
-        yield from recv_msg(kernel, tchan, tfd)
-        yield kernel.host_call(tchan, "close", tfd)
 
     def _store_pushed(self, msg) -> None:
         if msg.get("placed") is not None:
