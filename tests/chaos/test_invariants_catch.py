@@ -14,10 +14,13 @@ from repro.cluster import chaos
 from repro.core import pipeline
 from repro.core.agent import Agent
 from repro.core.manager import Manager, OpMachine, OpResult
+from repro.core import manager as manager_module
 from repro.core.pipeline import PipelineState, Sink
 from repro.core.wire import send_msg
+from repro.fleet import campaign
 from repro.fleet.scheduler import InflightGate
 from repro.pod.pod import Pod
+from repro.storage import cas
 
 from ..mutation import mutant
 
@@ -33,7 +36,10 @@ def test_unmutated_seeds_are_clean():
     for scenario, seed, params in (
             ("serial", 5, {}), ("serial", 21, {}), ("cas", 8, {"n_ops": 2}),
             ("async", 4, {}), ("async", 12, {}), ("serial", 0, {}),
-            ("compose", 18, {}), ("migration", 3, {}), ("fleet", 0, {})):
+            ("compose", 18, {}), ("migration", 3, {}), ("fleet", 0, {}),
+            ("failover", 3, {"crash_phase": "manager.ledger.meta"}),
+            ("fleet", 22, {}), ("fleet", 1, {}),
+            ("fleet", 18, {"trace_spans": True})):
         assert chaos.run(scenario, seed, **params).violations == []
 
 
@@ -186,3 +192,61 @@ def test_bounded_concurrency_catches_a_gate_that_lets_everyone_in(monkeypatch):
     monkeypatch.setattr(InflightGate, "__init__",
                         lambda self, limit: init(self, limit + 8))
     assert "bounded-concurrency" in caught(chaos.run("fleet", 0))
+
+
+def test_generation_integrity_catches_a_recipe_that_drops_committed_metadata(
+        monkeypatch):
+    # the CAS recipe keeps less of an entry than the Agent committed (its
+    # raw accounted size): the chain still loads and reassembles, so only
+    # the byte-for-byte diff against the committed in-memory chain sees
+    # that the published generation is not the one committed
+    twin = mutant(cas, 'items() if k != "data"}',
+                  'items() if k not in ("data", "raw_accounted")}')
+    monkeypatch.setattr(cas.CasSink, "stage", twin.CasSink.stage)
+    assert "generation-integrity" in caught(chaos.run("cas", 8, n_ops=2))
+
+
+def test_takeover_resolved_catches_a_replica_that_reuses_op_ids(monkeypatch):
+    # the replica numbers its ops from 1 again instead of past the
+    # ledger: its continuity checkpoint is op 1, the op its own takeover
+    # just aborted, and every Agent's tombstone for op 1 refuses it
+    twin = mutant(manager_module,
+                  "        op_id = max(self._next_op_id, self.ledger.next_op_id())\n",
+                  "        op_id = self._next_op_id\n")
+    monkeypatch.setattr(Manager, "new_op_id", twin.Manager.new_op_id)
+    assert "takeover-resolved" in caught(
+        chaos.run("failover", 3, crash_phase="manager.ledger.meta"))
+
+
+def test_threshold_respected_catches_a_threshold_over_the_wrong_total(
+        monkeypatch):
+    # the failed fraction is taken over the in-flight cap, not the
+    # campaign: seed 22's evacuation halts at 3 failures of 10 units
+    twin = mutant(campaign, "        total = max(1, len(self.units))\n",
+                  "        total = max(1, self.policy.max_inflight)\n")
+    monkeypatch.setattr(campaign.Campaign, "_check_threshold",
+                        twin.Campaign._check_threshold)
+    assert "threshold-respected" in caught(chaos.run("fleet", 22))
+
+
+def test_clean_end_state_catches_a_drain_onto_its_own_blade(monkeypatch):
+    # destination choice forgets the campaign's exclusion set: seed 1
+    # drains blade4 and moves a pod back onto it
+    twin = mutant(campaign,
+                  "            if node.crashed or node.name in self.exclude:\n",
+                  "            if node.crashed:\n")
+    monkeypatch.setattr(campaign.Campaign, "_dest_for",
+                        twin.Campaign._dest_for)
+    assert "clean-end-state" in caught(chaos.run("fleet", 1))
+
+
+def test_assembled_complete_catches_a_resume_under_a_new_campaign_id(
+        monkeypatch):
+    # the replica resumes the dead Manager's campaign (seed 18 kills it
+    # mid-evacuation) under a fresh id: the ledger and the span dump now
+    # stitch into two campaign trees where there was one campaign
+    twin = mutant(campaign, "policy, cid=lc.cid,", "policy, cid=None,")
+    monkeypatch.setattr(campaign.Campaign, "from_ledger",
+                        classmethod(twin.Campaign.from_ledger.__func__))
+    assert "assembled-complete" in caught(
+        chaos.run("fleet", 18, trace_spans=True))
