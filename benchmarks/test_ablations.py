@@ -17,7 +17,7 @@
 from repro.baselines import deploy_peek_manager
 from repro.cluster import Cluster
 from repro.core import Manager, migrate
-from repro.scenarios import launch_oob_probe, launch_queue_pair, launch_ring
+from repro.probes import launch_oob_probe, launch_queue_pair, launch_ring
 from repro.vos import DEAD, build_program
 
 

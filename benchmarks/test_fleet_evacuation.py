@@ -13,7 +13,7 @@ evacuated) drains under increasing concurrency caps.  The claims:
 
 import pytest
 
-from repro.fleet import run_evacuation_demo
+from repro.fleet import FleetPolicy, run_evacuation_demo
 
 from .conftest import SCALE  # noqa: F401  (cells run at fixed fleet scale)
 
@@ -22,7 +22,7 @@ CAPS = (1, 4, 16)
 
 def _run_cell(cap):
     return run_evacuation_demo(n_nodes=24, n_pods=96, n_evacuate=18,
-                               seed=0, max_inflight=cap)
+                               seed=0, policy=FleetPolicy(max_inflight=cap))
 
 
 @pytest.mark.parametrize("cap", CAPS, ids=[f"inflight-{c}" for c in CAPS])

@@ -235,6 +235,16 @@ class OpMachine:
         self.span.end(status="crashed")
         return True
 
+    def refuse(self, reason: str) -> OpResult:
+        """End an op refused before its begin record: nothing durable,
+        nothing sent (``return op.refuse(...)``)."""
+        result = self.result
+        result.status = "failed"
+        result.errors.append(reason)
+        result.t_end = self.manager.cluster.engine.now
+        self.span.end(status=result.status, duration_s=result.duration)
+        return result
+
     # -- the durable half --------------------------------------------------
     def _append(self, phase: str, rec: str = "phase", **fields) -> None:
         mgr = self.manager
@@ -545,16 +555,27 @@ class Manager:
         return OpMachine(self, result, timeouts, lease_s, span,
                          adopted=orphan is not None)
 
+    @staticmethod
+    def _session(op: OpMachine, gen):
+        """A pod session as :meth:`_drive` runs it: one that raises fails
+        the op with the exception as the reason (so the op aborts)."""
+        try:
+            return (yield from gen)
+        except Exception as exc:  # noqa: BLE001 - any raise fails the op
+            op.fail(f"{type(exc).__name__}: {exc}")
+
     def _drive(self, op: OpMachine, sessions, deadline: float, expired: str,
                **begin):
         """The one way an op is driven to its terminal record.
 
-        Make the request durable, spawn the per-pod ``sessions``
-        (``(task name, generator)`` pairs), race *all done* / *op
-        failed* / ``deadline``, and then — unless this Manager died in
-        the meantime — drain, abort or commit, and close the op span.
-        Sessions stamp ``result.t_end`` when their pod is done; an op
-        that did not get every pod that far reports full elapsed time.
+        Refuse a request naming a node the cluster lacks, make it
+        durable, spawn the per-pod ``sessions`` (``(task name,
+        generator)`` pairs), race *all done* / *op failed* (a session
+        that raises fails it) / ``deadline``, and then — unless this
+        Manager died in the meantime — drain, abort or commit, and close
+        the op span.  Sessions stamp ``result.t_end`` when their pod is
+        done; an op that did not get every pod that far reports full
+        elapsed time.
         """
         engine = self.cluster.engine
         result = op.result
@@ -562,10 +583,18 @@ class Manager:
             # opened on an already-dead Manager (an untracked driver kept
             # calling it): no record, no message, no task
             return result
+        # every node the request names must exist: an Agent told to stream
+        # its pod to a missing node destroys the pod before the stream fails
+        named = {name for node_name, _pod_id, uri in result.targets for name in
+                 (node_name, resolve_sink(uri, self.cluster, self.home.kernel.vfs).dest)}
+        missing = sorted(named - {None} - {node.name for node in self.cluster.nodes})
+        if missing:
+            return op.refuse(f"no node named {missing[0]!r}")
         marker = f"op{result.op_id}"
         yield from self.cluster.trace("manager.op_start", pod=marker)
         yield from op.begin(**begin)
-        op.tasks = [self._spawn(gen, name=name) for name, gen in sessions]
+        op.tasks = [self._spawn(self._session(op, gen), name=name)
+                    for name, gen in sessions]
         all_done = all_of([t.finished for t in op.tasks])
         race = Future(f"{marker}-race")
         all_done.add_done_callback(
@@ -1130,11 +1159,7 @@ class Manager:
         if refused is not None:
             # nothing was begun, claimed or touched: no ledger record,
             # so no claimable orphan is left behind
-            result.status = "failed"
-            result.errors.append(refused)
-            result.t_end = engine.now
-            op.span.end(status=result.status, duration_s=result.duration)
-            return result
+            return op.refuse(refused)
         # the begin record lands only once the early-out checks passed;
         # from here on the one exit below writes a terminal record
         yield from op.begin()

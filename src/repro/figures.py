@@ -193,11 +193,11 @@ def figfleet(apps: List[str], scale: float, filters: Filters = None) -> None:
     """Fleet orchestration: evacuation sweep over the in-flight cap (not
     a paper figure — rolling waves over the paper's per-pod ops; the
     table shows the concurrency/downtime trade at a fixed fleet)."""
-    from .fleet import run_evacuation_demo
+    from .fleet import FleetPolicy, run_evacuation_demo
     rows = []
     for max_inflight in (1, 2, 4, 8, 16):
-        out = run_evacuation_demo(n_nodes=24, n_pods=96, n_evacuate=18,
-                                  seed=0, max_inflight=max_inflight)
+        out = run_evacuation_demo(n_nodes=24, n_pods=96, n_evacuate=18, seed=0,
+                                  policy=FleetPolicy(max_inflight=max_inflight))
         res = out["result"]
         counts = res.counts()
         rows.append((max_inflight, len(res.waves),

@@ -27,7 +27,7 @@ from .drain import (
     evacuate_campaign,
     evacuate_task,
 )
-from .scenario import (
+from .world import (
     FLEET_TIMEOUTS,
     SOFT_FAULT_KINDS,
     build_fleet_world,

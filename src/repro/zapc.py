@@ -20,6 +20,9 @@ Examples::
     python -m repro.zapc fleet --audit --budget 0.5
     python -m repro.zapc trace --campaign --seed 18 --trace campaign.jsonl
 
+Each action reads only its own flags (:data:`FLAGS`); the checkpoint
+and runbook flags set one :class:`~repro.fleet.FleetPolicy`.
+
 ``--managers 2`` demonstrates the HA Manager: the active Manager is
 crashed at a ledger phase boundary mid-checkpoint and a standby replica
 claims the orphaned op from the durable op ledger and finishes it.
@@ -43,8 +46,11 @@ and the SLO report.  Same seed → byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
 from typing import List, Optional
 
+from .cluster.builder import Cluster
 from .core.manager import Manager, OpResult
 from .core.pipeline import parse_filter_args
 from .core.streaming import (
@@ -52,9 +58,31 @@ from .core.streaming import (
     DEFAULT_PRECOPY_ROUNDS,
     migrate_task,
 )
-from .harness import APPS, build_cluster, layout
+from .fleet import FleetPolicy, run_evacuation_demo
+from .harness import APPS, _checkpoint_step, _run, layout
 from .middleware.daemon import checkpoint_targets
-from .obs import MetricsRegistry, SpanTracer, export, phase_timeline
+from .obs import (MetricsRegistry, SpanTracer, WallProfiler, assemble_campaign,
+                  audit_campaign, export, phase_timeline)
+
+#: the application demos' default settings: unfiltered flat images, serial
+#: checkpoints, stop-and-copy migration (live: 8 rounds, 1 MB residual).
+DEMO_POLICY = FleetPolicy(live=False, precopy_rounds=DEFAULT_PRECOPY_ROUNDS,
+                          dirty_threshold=DEFAULT_DIRTY_THRESHOLD)
+
+#: the flags each action reads; any other flag set away from its default
+#: is refused.  A flag whose ``dest`` is a :class:`FleetPolicy` field sets
+#: that field (``--compress`` and ``--incremental`` set ``filters``).
+FLAGS = {
+    "snapshot": "--app --nodes --scale --seed --compress --incremental --checkpoints "
+                "--cas --async --managers --trace --trace-format --metrics",
+    "recover": "--app --nodes --scale --seed --compress --incremental --checkpoints "
+               "--cas --async --trace --trace-format --metrics",
+    "migrate": "--app --nodes --scale --seed --compress --incremental --live "
+               "--precopy-rounds --dirty-threshold --trace --trace-format --metrics",
+    "fleet": "--nodes --seed --pods --evacuate --max-inflight --wave-size --no-barrier "
+             "--threshold --retries --budget --faults --audit",
+    "trace": "--campaign --seed --trace",
+}
 
 
 def _print_op(result, label: str) -> None:
@@ -75,65 +103,74 @@ def _print_op(result, label: str) -> None:
         if stats.get("epoch"):
             line += f"  epoch {stats['epoch']}"
         print(line)
-        chain = result.filters.get(pod_id) if hasattr(result, "filters") else None
-        if chain:
-            print("    pipeline: " + " | ".join(e["name"] for e in chain))
-        rejected = getattr(result, "filters_rejected", {}).get(pod_id)
-        if rejected:
-            print("    rejected filters: "
-                  + " | ".join(e.get("name", "?") for e in rejected))
+        for title, chain in (("pipeline", result.filters.get(pod_id)),
+                             ("rejected filters", result.filters_rejected.get(pod_id))):
+            if chain:
+                print(f"    {title}: " + " | ".join(e.get("name", "?") for e in chain))
     for err in result.errors:
         print(f"  error: {err}")
 
 
-def run_demo(action: str, app: str, nodes: int, scale: float = 0.5,
-             seed: int = 0, filters: Optional[List[dict]] = None,
-             checkpoints: int = 1, trace: Optional[str] = None,
+def _failover_checkpoint(manager: Manager, delay: float, targets, **options):
+    """The HA demo's victim op (generator): after ``delay``, ``manager``
+    is crashed at the checkpoint's ``continue`` crossing, and once its
+    lease expires a standby replica claims the orphan from the op
+    ledger.  Returns ``(result, the Manager now active)``."""
+    engine = manager.cluster.engine
+    lease_s = 3.0
+    yield engine.sleep(delay)
+    task = manager.checkpoint(targets, lease_s=lease_s, **options)
+    yield engine.timeout(task.finished, 120.0)
+    if not manager.crashed:
+        return task.finished.result, manager
+    print(f"{manager.name} crashed mid-checkpoint; standby "
+          f"waits out the {lease_s:.0f} s ledger lease")
+    yield engine.sleep(lease_s + 1.0)
+    replica = Manager.deploy_replica(manager.cluster, manager.agents,
+                                     name="mgr1")
+    actions = yield from replica.takeover_task(lease_s=lease_s)
+    for op_id, phase, what in actions:
+        print(f"  op {op_id}: orphaned at «{phase}» -> {what}")
+    return (replica.last_checkpoint
+            or OpResult("checkpoint", "failed", 0.0, engine.now)), replica
+
+
+def run_demo(action: str, app: str, nodes: int,
+             policy: Optional[FleetPolicy] = None, scale: float = 0.5,
+             seed: int = 0, checkpoints: int = 1, trace: Optional[str] = None,
              trace_format: str = "chrome", metrics: bool = False,
-             live: bool = False, precopy_rounds: int = DEFAULT_PRECOPY_ROUNDS,
-             dirty_threshold: int = DEFAULT_DIRTY_THRESHOLD,
-             managers: int = 1, async_ckpt: bool = False,
-             cas: bool = False) -> bool:
+             managers: int = 1) -> bool:
     """Run one demo scenario; returns True when everything verified.
+
+    ``policy`` (None = :data:`DEMO_POLICY`) holds the checkpoint and
+    migration settings.  A migration moves the pods of blade *k* to
+    spare blade ``blades + k``; with ``policy.cas`` the run ends with the
+    store's cost accounting.
 
     ``trace`` writes a span trace of the whole run to a file
     (``trace_format``: ``chrome`` for ``chrome://tracing`` / Perfetto,
     ``jsonl`` for the deterministic line-delimited dump) and prints the
     phase timeline; ``metrics`` prints the metrics registry tables.
-    ``live`` makes a migration pre-copy memory while the application
-    keeps running (up to ``precopy_rounds`` rounds, stopping early once
-    the residual falls to ``dirty_threshold`` bytes).
 
-    ``async_ckpt`` takes zero-stall snapshots: the pods resume right
-    after the short capture window and the encode + write-out overlap
-    application time (the suspend window shrinks to capture only).
+    ``managers`` > 1 turns a snapshot into the HA failover demo
+    (:func:`_failover_checkpoint` is its first checkpoint).
 
-    ``cas`` routes the images through the content-addressed store
-    instead of flat SAN containers (snapshot and recover actions): the
-    chunk index dedups repeated bytes across epochs and pods, and the
-    run ends with the store's cost accounting.
-
-    ``managers`` > 1 turns a snapshot into the HA failover demo: the
-    active Manager is crashed at the ``continue`` ledger crossing of the
-    first checkpoint, and once its lease expires a standby replica scans
-    the op ledger, claims the orphan, and resumes (or aborts) it.
+    A failed checkpoint, or a run that finishes before its first one,
+    raises ``RuntimeError``.
     """
+    policy = policy if policy is not None else DEMO_POLICY
     spec = APPS[app]
     if nodes not in spec.node_counts:
         raise SystemExit(f"{app} supports node counts {spec.node_counts}")
-    blades, _ = layout(nodes)
-    cluster = build_cluster(nodes, seed=seed)
-    tracer = SpanTracer(cluster.engine).install(cluster) if trace else None
+    blades, ncpus = layout(nodes)
+    spares = blades if action == "migrate" else 0  # a migration's destinations
+    cluster = Cluster.build(blades + spares, ncpus=ncpus, seed=seed)
+    engine = cluster.engine
+    tracer = SpanTracer(engine).install(cluster) if trace else None
     registry = MetricsRegistry().install(cluster) if metrics else None
-    # migrations need destination blades: extend the cluster with spares
-    if action == "migrate":
-        from .cluster.node import Node
-        from .net.addr import real_ip
-        for i in range(blades, 2 * blades):
-            cluster.nodes.append(Node(cluster.engine, i, f"blade{i}", real_ip(i),
-                                      cluster.fabric, cluster.vnet, cluster.san))
     manager = Manager.deploy(cluster)
-    if managers > 1 and action == "snapshot":
+    failover = managers > 1 and action == "snapshot"
+    if failover:
         from .cluster.faults import FaultInjector, FaultPlan, FaultSpec
         FaultInjector(cluster, FaultPlan(seed=seed, faults=[
             FaultSpec(kind="crash_manager", phase="manager.ledger.continue"),
@@ -142,82 +179,56 @@ def run_demo(action: str, app: str, nodes: int, scale: float = 0.5,
     expected = spec.work_seconds(nodes, scale)
     print(f"{app} on {nodes} node(s) ({blades} blade(s)); "
           f"expected run ≈ {expected:.1f} s simulated")
-    outcome = {}
+    via_cas = policy.cas and action != "migrate"
+    targets = checkpoint_targets(handle, cluster)
+    if via_cas or action == "recover":
+        scheme = "cas" if via_cas else "file"
+        targets = [(n, p, f"{scheme}:/san/{p}.img") for n, p, _u in targets]
+    options = dict(filters=policy.filters, async_ckpt=policy.async_ckpt)
+    ops, migs = [], []
 
     def orchestrate():
-        yield cluster.engine.sleep(max(0.05, expected * 0.4))
-        targets = checkpoint_targets(handle, cluster)
-        if cas and action == "snapshot":
-            targets = [(n, p, f"cas:/san/{p}.img") for n, p, _u in targets]
-        if action == "snapshot":
-            ops = []
-            active = manager
-            for i in range(max(1, checkpoints)):
-                if i:
-                    yield cluster.engine.sleep(max(0.02, expected * 0.05))
-                if managers > 1 and i == 0:
-                    lease_s = 3.0
-                    task = active.checkpoint(targets, filters=filters,
-                                             lease_s=lease_s,
-                                             async_ckpt=async_ckpt)
-                    yield cluster.engine.timeout(task.finished, 120.0)
-                    if active.crashed:
-                        print(f"{active.name} crashed mid-checkpoint; standby "
-                              f"waits out the {lease_s:.0f} s ledger lease")
-                        yield cluster.engine.sleep(lease_s + 1.0)
-                        replica = Manager.deploy_replica(cluster, active.agents,
-                                                         name="mgr1")
-                        actions = yield from replica.takeover_task(
-                            lease_s=lease_s)
-                        for op_id, phase, what in actions:
-                            print(f"  op {op_id}: orphaned at «{phase}» "
-                                  f"-> {what}")
-                        active = replica
-                        result = replica.last_checkpoint
-                        if result is None:
-                            result = OpResult("checkpoint", "failed", 0.0,
-                                              cluster.engine.now)
-                    else:
-                        result = task.finished.result
-                else:
-                    result = yield from active.checkpoint_task(
-                        targets, filters=filters, async_ckpt=async_ckpt)
-                ops.append((f"checkpoint #{i}" if checkpoints > 1 else "checkpoint",
-                            result))
-            outcome["ops"] = ops
-        elif action == "migrate":
-            moves = [(node, pod, f"blade{blades + i}")
-                     for i, (node, pod, _u) in enumerate(targets)]
+        delay = max(0.05, expected * 0.4)
+        if action == "migrate":
+            yield engine.sleep(delay)
+            moves = [(n, p, f"blade{blades + cluster.node_by_name(n).index}")
+                     for n, p, _u in targets]
             print("migrating:", ", ".join(f"{p}:{s}->{d}" for s, p, d in moves))
-            mig = yield from migrate_task(manager, moves, filters=filters,
-                                          live=live, precopy_rounds=precopy_rounds,
-                                          dirty_threshold=dirty_threshold)
-            outcome["ops"] = [("checkpoint", mig.checkpoint), ("restart", mig.restart)]
-            outcome["mig"] = mig
-        elif action == "recover":
-            scheme = "cas" if cas else "file"
-            file_targets = [(n, p, f"{scheme}:/san/{p}.img")
-                            for n, p, _u in targets]
-            ops = []
-            for i in range(max(1, checkpoints)):
-                if i:
-                    yield cluster.engine.sleep(max(0.02, expected * 0.05))
-                ckpt = yield from manager.checkpoint_task(
-                    file_targets, filters=filters, async_ckpt=async_ckpt)
-                ops.append((f"checkpoint #{i}" if checkpoints > 1 else "checkpoint",
-                            ckpt))
+            mig = yield from migrate_task(
+                manager, moves, filters=policy.filters, live=policy.live,
+                precopy_rounds=policy.precopy_rounds,
+                dirty_threshold=policy.dirty_threshold)
+            ops.extend([("checkpoint", mig.checkpoint), ("restart", mig.restart)])
+            migs.append(mig)
+            return
+        # the checkpoint loop snapshot and recover share; only the first
+        # checkpoint needs the application still running
+        active = manager
+        for i in range(max(1, checkpoints)):
+            if failover and i == 0:
+                result, active = yield from _failover_checkpoint(
+                    active, delay, targets, **options)
+            else:
+                result = yield from _checkpoint_step(
+                    active, delay, lambda: not ops and handle.ok(cluster),
+                    targets, **options)
+            if result is None:
+                raise RuntimeError(f"{app} on {nodes} nodes at scale {scale} "
+                                   "finished before its first checkpoint")
+            ops.append((f"checkpoint #{i}" if checkpoints > 1 else "checkpoint",
+                        result))
+            delay = max(0.02, expected * 0.05)
+        if action == "recover":
             # simulated crash of every pod, then recovery from the SAN
             for _n, pod_id, _u in targets:
                 cluster.find_pod(pod_id).destroy()
-            restart = yield from manager.restart_task(file_targets)
-            outcome["ops"] = ops + [("restart", restart)]
+            restart = yield from manager.restart_task(targets)
+            ops.append(("restart", restart))
 
-    cluster.engine.spawn(orchestrate(), name="zapc-cli")
-    cluster.engine.run(until=3600.0)
-    for label, result in outcome.get("ops", []):
+    _run(cluster, orchestrate(), "zapc-cli", until=3600.0)
+    for label, result in ops:
         _print_op(result, label)
-    mig = outcome.get("mig")
-    if mig is not None and mig.live:
+    for mig in (m for m in migs if m.live):
         line = (f"live migration: downtime {mig.downtime * 1000:.1f} ms of "
                 f"{mig.total_time * 1000:.0f} ms total; "
                 f"{len(mig.rounds)} pre-copy round(s), "
@@ -229,8 +240,8 @@ def run_demo(action: str, app: str, nodes: int, scale: float = 0.5,
             print(f"  round {rnd['round']}: shipped {rnd['shipped_bytes'] / 1e6:6.1f} MB"
                   f" in {rnd['seconds'] * 1000:6.1f} ms"
                   f"  (dirty after: {rnd['dirty_bytes'] / 1e6:.1f} MB)")
-    ok = all(r.ok for _l, r in outcome.get("ops", []))
-    if cas:
+    ok = all(r.ok for _l, r in ops)
+    if via_cas:
         from .storage.cas import CasStore
         stats = CasStore.on(cluster.san).stats()
         print(f"cas: {stats['logical_bytes'] / 1e6:.1f} MB logical -> "
@@ -259,10 +270,7 @@ def run_campaign_trace(seed: int, out_path: str) -> bool:
     ``out_path + ".chrome.json"`` and the SLO report to
     ``out_path + ".slo.json"``.  Deterministic: same seed, same bytes.
     """
-    import json
-
     from .cluster import chaos
-    from .obs import WallProfiler
     wall = WallProfiler()
     with wall.phase("simulate+assemble"):
         report = chaos.run("fleet", seed, trace_spans=True)
@@ -298,12 +306,11 @@ def run_campaign_trace(seed: int, out_path: str) -> bool:
     return not report.violations
 
 
-def run_fleet(nodes: int, pods: int, evacuate: int, seed: int = 0,
-              max_inflight: int = 8, wave_size: Optional[int] = None,
-              wave_barrier: bool = True, threshold: float = 0.25,
-              retries: int = 1, budget: Optional[float] = None,
+def run_fleet(nodes: int, pods: int, evacuate: int,
+              policy: Optional[FleetPolicy] = None, seed: int = 0,
               faults: int = 0, audit: bool = False) -> bool:
-    """Run the fleet evacuation demo and print the campaign report.
+    """Run the fleet evacuation demo under ``policy`` (None =
+    :class:`FleetPolicy`'s defaults) and print the campaign report.
 
     With ``audit``, the run is traced and metered, the op ledger + span
     dump are stitched into one campaign trace, and the SLO auditor
@@ -311,21 +318,14 @@ def run_fleet(nodes: int, pods: int, evacuate: int, seed: int = 0,
     (``--budget`` becomes the per-pod downtime budget) — a failed audit
     fails the command.
     """
-    from .fleet import run_evacuation_demo
-    from .obs import WallProfiler
+    policy = policy if policy is not None else FleetPolicy()
     wall = WallProfiler()
     print(f"fleet: evacuating blades 1..{evacuate} of {nodes} "
-          f"({pods} pods), max {max_inflight} in flight"
+          f"({pods} pods), max {policy.max_inflight} in flight"
           + (f", {faults} seeded soft fault(s)" if faults else ""))
     with wall.phase("simulate"):
-        out = run_evacuation_demo(n_nodes=nodes, n_pods=pods,
-                                  n_evacuate=evacuate, seed=seed,
-                                  max_inflight=max_inflight,
-                                  wave_size=wave_size,
-                                  wave_barrier=wave_barrier,
-                                  failure_threshold=threshold,
-                                  retries=retries,
-                                  downtime_budget=budget, n_faults=faults,
+        out = run_evacuation_demo(n_nodes=nodes, n_pods=pods, n_evacuate=evacuate,
+                                  seed=seed, policy=policy, n_faults=faults,
                                   trace_spans=audit, metrics=audit)
     res = out["result"]
     if res is None:
@@ -349,7 +349,7 @@ def run_fleet(nodes: int, pods: int, evacuate: int, seed: int = 0,
               + "  ".join(f"p{q} {res.downtime_percentile(q) * 1000:.1f} ms"
                           for q in (50, 90, 99)))
     if res.threshold_tripped:
-        print(f"failure threshold ({threshold:.0%}) tripped: "
+        print(f"failure threshold ({policy.failure_threshold:.0%}) tripped: "
               "campaign halted, tail skipped")
     if res.budget_trips:
         print(f"downtime budget tripped on {len(res.budget_trips)} pod(s): "
@@ -359,8 +359,8 @@ def run_fleet(nodes: int, pods: int, evacuate: int, seed: int = 0,
         print(f"  error: {err}")
     if out["injector"] is not None and out["injector"].fired:
         for (t, kind, phase, node, pod) in out["injector"].fired:
-            where = node or pod or "-"
-            print(f"  fault @ {t * 1000:8.1f} ms: {kind} at «{phase}» ({where})")
+            print(f"  fault @ {t * 1000:8.1f} ms: {kind} at «{phase}» "
+                  f"({node or pod or '-'})")
     evac = set(out["evacuated"])
     cluster = out["cluster"]
     emptied = all(not cluster.node_by_name(n).kernel.pods for n in evac)
@@ -370,7 +370,6 @@ def run_fleet(nodes: int, pods: int, evacuate: int, seed: int = 0,
           f"pods running on survivors: {landed}/{pods}")
     verdict = True
     if audit:
-        from .obs import assemble_campaign, audit_campaign
         from .storage.ledger import OpLedger
         with wall.phase("assemble"):
             trace = assemble_campaign(OpLedger(cluster.san),
@@ -386,106 +385,94 @@ def run_fleet(nodes: int, pods: int, evacuate: int, seed: int = 0,
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="repro.zapc", description=__doc__)
-    parser.add_argument("action",
-                        choices=["snapshot", "migrate", "recover", "fleet",
-                                 "trace"])
-    parser.add_argument("--app", choices=list(APPS), default="CPI")
-    parser.add_argument("--nodes", type=int, default=4)
-    parser.add_argument("--scale", type=float, default=0.5)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--compress", type=int, default=None, metavar="LEVEL",
-                        choices=range(1, 10),
-                        help="compress checkpoint images (zlib level 1-9)")
-    parser.add_argument("--incremental", action="store_true",
-                        help="delta-checkpoint against the previous epoch "
-                             "(epoch 0 is full; later snapshots write dirty state)")
-    parser.add_argument("--checkpoints", type=int, default=1,
-                        help="snapshots to take (chains delta epochs)")
-    parser.add_argument("--cas", action="store_true",
-                        help="checkpoint through the content-addressed "
-                             "store: chunked images, fleet-wide dedup, "
-                             "refcounted GC (snapshot/recover actions)")
-    parser.add_argument("--async", dest="async_ckpt", action="store_true",
-                        help="zero-stall snapshots: resume the pods after "
-                             "the capture window; encode and write-out "
-                             "overlap application time")
-    parser.add_argument("--trace", metavar="PATH", default=None,
-                        help="write a span trace of the run to PATH")
-    parser.add_argument("--trace-format", choices=["jsonl", "chrome"],
-                        default="chrome",
-                        help="trace file format (default: chrome trace_event)")
-    parser.add_argument("--metrics", action="store_true",
-                        help="print the metrics registry after the run")
-    parser.add_argument("--live", action="store_true",
-                        help="migrate live: pre-copy memory while the app "
-                             "runs, then stop-and-copy only the residual")
-    parser.add_argument("--precopy-rounds", type=int,
-                        default=DEFAULT_PRECOPY_ROUNDS, metavar="N",
-                        help="max pre-copy rounds for --live "
-                             f"(default: {DEFAULT_PRECOPY_ROUNDS})")
-    parser.add_argument("--dirty-threshold", type=int,
-                        default=DEFAULT_DIRTY_THRESHOLD, metavar="BYTES",
-                        help="stop pre-copying once the residual dirty set "
-                             f"falls to this (default: {DEFAULT_DIRTY_THRESHOLD})")
-    parser.add_argument("--managers", type=int, default=1, metavar="N",
-                        help="with N > 1, demo HA failover: crash the active "
-                             "Manager mid-snapshot and let a standby replica "
-                             "finish the op from the durable op ledger")
+    parser.add_argument("action", choices=list(FLAGS))
     fleet = parser.add_argument_group("fleet", "options for the fleet action")
-    fleet.add_argument("--pods", type=int, default=96,
-                       help="idle pods to populate (fleet action)")
-    fleet.add_argument("--evacuate", type=int, default=None, metavar="N",
-                       help="evacuate blades 1..N (default: 3/4 of --nodes)")
-    fleet.add_argument("--max-inflight", type=int, default=8,
-                       help="bounded concurrency: units in flight at once")
-    fleet.add_argument("--wave-size", type=int, default=None,
-                       help="units per wave (default: max-inflight)")
-    fleet.add_argument("--no-barrier", action="store_true",
-                       help="let waves overlap (no per-wave barrier)")
-    fleet.add_argument("--threshold", type=float, default=0.25,
-                       help="failed fraction that halts the campaign")
-    fleet.add_argument("--retries", type=int, default=1,
-                       help="per-pod retries before a unit counts failed")
-    fleet.add_argument("--budget", type=float, default=None, metavar="S",
-                       help="per-pod downtime budget in seconds (advisory)")
-    fleet.add_argument("--faults", type=int, default=0, metavar="N",
-                       help="inject N seeded soft faults at fleet phases")
-    fleet.add_argument("--audit", action="store_true",
-                       help="trace + meter the run, assemble the campaign "
-                            "trace from the ledger, and SLO-audit it "
-                            "against the policy's budgets (exit 1 on a "
-                            "violated budget)")
-    parser.add_argument("--campaign", action="store_true",
-                        help="with the trace action: run a traced "
-                             "fleet-chaos episode and write the assembled "
-                             "failover-stitched campaign trace")
+    flags = []
+
+    def flag(group, *names, **kw):
+        flags.append(group.add_argument(*names, **kw))
+
+    flag(parser, "--app", choices=list(APPS), default="CPI")
+    flag(parser, "--nodes", type=int, default=4)
+    flag(parser, "--scale", type=float, default=0.5)
+    flag(parser, "--seed", type=int, default=0)
+    flag(parser, "--compress", type=int, metavar="LEVEL", choices=range(1, 10),
+         help="compress checkpoint images (zlib level 1-9)")
+    flag(parser, "--incremental", action="store_true",
+         help="delta-checkpoint against the previous epoch (epoch 0 is full)")
+    flag(parser, "--checkpoints", type=int, default=1,
+         help="snapshots to take (chains delta epochs)")
+    flag(parser, "--cas", action="store_true",
+         help="checkpoint through the content-addressed store (chunked, deduped)")
+    flag(parser, "--async", dest="async_ckpt", action="store_true",
+         help="zero-stall snapshots: encode and write-out overlap the application")
+    flag(parser, "--trace", metavar="PATH", help="write a span trace of the run to PATH")
+    flag(parser, "--trace-format", choices=["jsonl", "chrome"], default="chrome",
+         help="trace file format (default: chrome trace_event)")
+    flag(parser, "--metrics", action="store_true", help="print the metrics registry")
+    flag(parser, "--live", action="store_true",
+         help="migrate live: pre-copy memory, then stop-and-copy the residual")
+    flag(parser, "--precopy-rounds", type=int, default=DEFAULT_PRECOPY_ROUNDS,
+         metavar="N", help=f"max pre-copy rounds (default: {DEFAULT_PRECOPY_ROUNDS})")
+    flag(parser, "--dirty-threshold", type=int, default=DEFAULT_DIRTY_THRESHOLD,
+         metavar="BYTES", help="stop pre-copying once the residual dirty set "
+                               f"falls to this (default: {DEFAULT_DIRTY_THRESHOLD})")
+    flag(parser, "--managers", type=int, default=1, metavar="N",
+         help="with N > 1, crash the active Manager mid-snapshot and let a "
+              "standby replica finish the op from the durable op ledger")
+    flag(fleet, "--pods", type=int, default=96, help="idle pods to populate")
+    flag(fleet, "--evacuate", type=int, metavar="N",
+         help="evacuate blades 1..N (default: 3/4 of --nodes)")
+    flag(fleet, "--max-inflight", type=int, default=8, help="units in flight at once")
+    flag(fleet, "--wave-size", type=int, help="units per wave (default: max-inflight)")
+    flag(fleet, "--no-barrier", dest="wave_barrier", action="store_false",
+         help="let waves overlap (no per-wave barrier)")
+    flag(fleet, "--threshold", dest="failure_threshold", type=float, default=0.25,
+         metavar="F", help="failed fraction that halts the campaign")
+    flag(fleet, "--retries", type=int, default=1, help="per-pod retries before failing")
+    flag(fleet, "--budget", dest="downtime_budget", type=float,
+         metavar="S", help="per-pod downtime budget in seconds (advisory)")
+    flag(fleet, "--faults", type=int, default=0, metavar="N",
+         help="inject N seeded soft faults at fleet phases")
+    flag(fleet, "--audit", action="store_true",
+         help="trace, meter and SLO-audit the campaign against the policy's "
+              "budgets (exit 1 on a violated budget)")
+    flag(parser, "--campaign", action="store_true",
+         help="with trace: write a traced fleet-chaos episode's campaign trace")
     args = parser.parse_args(argv)
+    reads = FLAGS[args.action].split()
+    settings = {field.name for field in dataclasses.fields(FleetPolicy)}
+    fields = {}
+    for opt in flags:
+        name, value = opt.option_strings[0], getattr(args, opt.dest)
+        if name not in reads:
+            if value != opt.default:
+                raise SystemExit(f"zapc: {name} does not apply to {args.action}")
+        elif opt.dest in settings:
+            fields[opt.dest] = value
+    if "--compress" in reads:
+        fields["filters"] = parse_filter_args(args.compress, args.incremental) or None
+    base = FleetPolicy() if args.action == "fleet" else DEMO_POLICY
+    policy = dataclasses.replace(base, **fields)
     if args.action == "trace":
         if not args.campaign:
             raise SystemExit("the trace action requires --campaign")
-        ok = run_campaign_trace(args.seed,
-                                args.trace or "campaign-trace.jsonl")
-        return 0 if ok else 1
-    if args.action == "fleet":
+        ok = run_campaign_trace(args.seed, args.trace or "campaign-trace.jsonl")
+    elif args.action == "fleet":
         n_evac = args.evacuate if args.evacuate is not None \
             else max(1, (args.nodes * 3) // 4)
-        ok = run_fleet(args.nodes, args.pods, n_evac, seed=args.seed,
-                       max_inflight=args.max_inflight,
-                       wave_size=args.wave_size,
-                       wave_barrier=not args.no_barrier,
-                       threshold=args.threshold, retries=args.retries,
-                       budget=args.budget, faults=args.faults,
-                       audit=args.audit)
-        return 0 if ok else 1
-    ok = run_demo(args.action, args.app, args.nodes, scale=args.scale,
-                  seed=args.seed,
-                  filters=parse_filter_args(args.compress, args.incremental) or None,
-                  checkpoints=args.checkpoints, trace=args.trace,
-                  trace_format=args.trace_format, metrics=args.metrics,
-                  live=args.live, precopy_rounds=args.precopy_rounds,
-                  dirty_threshold=args.dirty_threshold,
-                  managers=args.managers, async_ckpt=args.async_ckpt,
-                  cas=args.cas)
+        ok = run_fleet(args.nodes, args.pods, n_evac, policy, seed=args.seed,
+                       faults=args.faults, audit=args.audit)
+    else:
+        try:
+            ok = run_demo(args.action, args.app, args.nodes, policy, scale=args.scale,
+                          seed=args.seed, checkpoints=args.checkpoints, trace=args.trace,
+                          trace_format=args.trace_format, metrics=args.metrics,
+                          managers=args.managers)
+        except RuntimeError as err:
+            # a run too short for its first checkpoint, or a failed
+            # checkpoint, names itself; no traceback
+            raise SystemExit(str(err)) from None
     return 0 if ok else 1
 
 

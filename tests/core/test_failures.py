@@ -328,3 +328,125 @@ def test_restart_of_an_image_whose_program_cannot_be_built_fails_before_any_pod(
     crashed = [task.name for task in cluster.engine._tasks
                if task.done and task.finished.exception is not None]
     assert crashed == []
+
+
+# ---------------------------------------------------------------------------
+# a request naming a node the cluster lacks; a session that raises
+# ---------------------------------------------------------------------------
+
+
+def _ledger_ops(cluster):
+    from repro.storage.ledger import OpLedger
+    return {op.op_id: op.phase for op in OpLedger(cluster.san).replay().values()}
+
+
+def test_migrate_to_a_missing_node_is_refused_and_leaves_the_pods_running(world):
+    """Both pods aimed at ``agent://blade9`` on a four-blade cluster: the
+    Manager refuses before the op opens, so no Agent destroys a pod whose
+    stream could never land, and the application finishes as if nothing
+    had been asked."""
+    cluster, manager = world
+    srv, cli = launch_pingpong(cluster, rounds=ROUNDS)
+    ops = {}
+
+    def driver():
+        yield cluster.engine.sleep(0.1)
+        ops["ckpt"] = yield from manager.checkpoint_task(
+            [("blade0", "pp-srv", "agent://blade9"),
+             ("blade1", "pp-cli", "agent://blade9")], context="migrate")
+        ops["pods"] = sorted(cluster.pods())
+
+    cluster.engine.spawn(driver(), name="drv")
+    cluster.engine.run(until=300.0)
+    result = ops["ckpt"]
+    assert result.status == "failed"
+    assert any("blade9" in e for e in result.errors), result.errors
+    assert ops["pods"] == ["pp-cli", "pp-srv"]
+    assert _ledger_ops(cluster) == {}
+    assert srv.state == DEAD and cli.state == DEAD
+    assert final_sums(cluster) == expected_sums(ROUNDS)
+
+
+def test_restart_naming_a_missing_node_fails_without_a_commit(world):
+    cluster, manager = world
+    launch_pingpong(cluster, rounds=ROUNDS)
+    targets = [("blade0", "pp-srv", "mem"), ("blade1", "pp-cli", "mem")]
+    ops = {}
+
+    def driver():
+        yield cluster.engine.sleep(0.1)
+        ops["ckpt"] = yield from manager.checkpoint_task(targets)
+        for _node, pod, _uri in targets:
+            cluster.find_pod(pod).destroy()
+        ops["bad"] = yield from manager.restart_task(
+            [("blade0", "pp-srv", "mem"), ("blade9", "pp-cli", "mem")])
+        ops["ledger"] = _ledger_ops(cluster)
+        # nothing was touched: the images still restart the pair
+        ops["good"] = yield from manager.restart_task(targets)
+
+    cluster.engine.spawn(driver(), name="drv")
+    cluster.engine.run(until=300.0)
+    assert ops["ckpt"].ok
+    assert ops["bad"].status == "failed"
+    assert any("blade9" in e for e in ops["bad"].errors), ops["bad"].errors
+    assert ops["ledger"] == {ops["ckpt"].op_id: "commit"}
+    assert ops["good"].ok, ops["good"].errors
+    assert final_sums(cluster) == expected_sums(ROUNDS)
+
+
+def _raising(lane, pod_id):
+    """``lane`` (a Manager per-pod session method) for every pod but
+    ``pod_id``, whose session raises after one scheduling step."""
+    def session(self, op, node_name, pod, *rest):
+        if pod == pod_id:
+            yield None
+            raise RuntimeError(f"{pod} session broke")
+        return (yield from lane(self, op, node_name, pod, *rest))
+    return session
+
+
+def test_a_checkpoint_session_that_raises_aborts_the_op(world, monkeypatch):
+    cluster, manager = world
+    srv, cli = launch_pingpong(cluster, rounds=ROUNDS)
+    monkeypatch.setattr(Manager, "_checkpoint_pod",
+                        _raising(Manager._checkpoint_pod, "pp-cli"))
+    ops = {}
+
+    def driver():
+        yield cluster.engine.sleep(0.1)
+        ops["ckpt"] = yield from manager.checkpoint_task(
+            [("blade0", "pp-srv", "mem"), ("blade1", "pp-cli", "mem")])
+
+    cluster.engine.spawn(driver(), name="drv")
+    cluster.engine.run(until=300.0)
+    result = ops["ckpt"]
+    assert result.status == "failed"
+    assert any("pp-cli session broke" in e for e in result.errors), result.errors
+    assert _ledger_ops(cluster) == {result.op_id: "aborted"}
+    assert manager.last_checkpoint is None
+    assert srv.state == DEAD and cli.state == DEAD
+    assert final_sums(cluster) == expected_sums(ROUNDS)
+
+
+def test_a_restart_session_that_raises_aborts_the_op(world, monkeypatch):
+    cluster, manager = world
+    launch_pingpong(cluster, rounds=ROUNDS)
+    targets = [("blade0", "pp-srv", "mem"), ("blade1", "pp-cli", "mem")]
+    ops = {}
+
+    def driver():
+        yield cluster.engine.sleep(0.1)
+        ops["ckpt"] = yield from manager.checkpoint_task(targets)
+        for _node, pod, _uri in targets:
+            cluster.find_pod(pod).destroy()
+        monkeypatch.setattr(Manager, "_restart_pod",
+                            _raising(Manager._restart_pod, "pp-cli"))
+        ops["restart"] = yield from manager.restart_task(targets)
+
+    cluster.engine.spawn(driver(), name="drv")
+    cluster.engine.run(until=300.0)
+    result = ops["restart"]
+    assert result.status == "failed"
+    assert any("pp-cli session broke" in e for e in result.errors), result.errors
+    assert _ledger_ops(cluster)[result.op_id] == "aborted"
+    assert "pp-cli" not in result.pods

@@ -82,9 +82,11 @@ def test_evacuate_never_lands_on_evacuating_set():
 
 def test_evacuation_demo_deterministic_with_faults():
     a = run_evacuation_demo(n_nodes=16, n_pods=48, n_evacuate=12, seed=9,
-                            max_inflight=6, n_faults=3, trace_spans=True)
+                            policy=FleetPolicy(max_inflight=6), n_faults=3,
+                            trace_spans=True)
     b = run_evacuation_demo(n_nodes=16, n_pods=48, n_evacuate=12, seed=9,
-                            max_inflight=6, n_faults=3, trace_spans=True)
+                            policy=FleetPolicy(max_inflight=6), n_faults=3,
+                            trace_spans=True)
     assert a["result"].status == b["result"].status == "ok"
     assert a["injector"].trace == b["injector"].trace
     assert a["injector"].fired == b["injector"].fired
@@ -99,7 +101,8 @@ def test_hundred_node_thousand_pod_evacuation():
     """The acceptance scenario: 100 blades, 1000 pods, 75 blades
     evacuated under seeded soft fault injection."""
     out = run_evacuation_demo(n_nodes=100, n_pods=1000, n_evacuate=75,
-                              seed=13, max_inflight=16, n_faults=4)
+                              seed=13, policy=FleetPolicy(max_inflight=16),
+                              n_faults=4)
     res = out["result"]
     assert res.status == "ok"
     assert res.counts() == {"ok": 1000, "failed": 0, "skipped": 0}
@@ -129,7 +132,7 @@ def test_hundred_node_thousand_pod_evacuation():
 
 def test_fleet_phase_crossings_emitted():
     out = run_evacuation_demo(n_nodes=8, n_pods=12, n_evacuate=4, seed=5,
-                              max_inflight=4, n_faults=1)
+                              policy=FleetPolicy(max_inflight=4), n_faults=1)
     phases = {ev[1] for ev in out["injector"].trace}
     # the trace records every crossing (agent/manager phases included);
     # all four in-campaign fleet crossings must be among them

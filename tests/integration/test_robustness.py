@@ -43,7 +43,7 @@ def test_checkpoint_during_network_congestion():
     srv, cli = launch_pingpong(cluster, rounds=ROUNDS)
 
     # background bulk noise between blades 2 and 3
-    from repro.scenarios import launch_queue_pair
+    from repro.probes import launch_queue_pair
     launch_queue_pair(cluster, chunks=200, chunk_bytes=8192,
                       rx_node=2, tx_node=3, name="noise", port=9999)
 

@@ -35,13 +35,13 @@ import numpy as np
 import pytest
 
 import repro.harness  # noqa: F401 - registers harness.writer
-import repro.scenarios  # noqa: F401 - registers the scenario.* programs
+import repro.probes  # noqa: F401 - registers the scenario.* programs
 from repro.apps import btnas, cpi, petsc_bratu
 from repro.cluster import Cluster
 from repro.cluster import chaos  # noqa: F401 - registers the chaos.* programs
 from repro.core import codec
 from repro.errors import CodecError
-from repro.fleet import scenario as fleet_scenario
+from repro.fleet import world as fleet_world
 from repro.middleware import launch_spmd
 from repro.vos import DEAD
 from repro.vos.program import Imm, Instr, Program, imm, program
@@ -55,7 +55,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 #: ``repro.vos`` exports the ``program`` decorator under the module's name
 program_module = sys.modules["repro.vos.program"]
 
-fleet_scenario._register_idle_program()
+fleet_world._register_idle_program()
 
 
 # ---------------------------------------------------------------------------
