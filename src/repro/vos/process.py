@@ -10,17 +10,20 @@ The interpreter (:meth:`Process.step`) executes instructions against a
 cycle *budget* (the scheduler quantum).  Large ``compute`` instructions
 are split across quanta via :attr:`Process.compute_remaining`, which is
 also part of the checkpointed image — a process frozen mid-computation
-resumes exactly where it left off.
+resumes exactly where it left off.  Straight-line runs of a program are
+compiled once per entry pc into one Python function each
+(:func:`_compile_block`), a cache of what the per-instruction loop does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import CodeType, FunctionType
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import VosError
 from .memory import Memory
-from .program import Imm, OPCODES, Program, build_program
+from .program import Imm, Instr, OPCODES, Program, _add_const, _gt, _identity, _lt, build_program
 
 # Process lifecycle states.
 RUNNABLE = "runnable"
@@ -67,6 +70,127 @@ class SyscallRequest:
     def from_image(cls, image: Dict[str, Any]) -> "SyscallRequest":
         """Rebuild from :meth:`to_image` output."""
         return cls(image["name"], tuple(image["args"]), image["dst"])
+
+
+# ---------------------------------------------------------------------------
+# blocks: straight-line code compiled once per (program, entry pc)
+# ---------------------------------------------------------------------------
+
+#: The most instructions one block holds.
+BLOCK_LIMIT = 64
+
+#: The kinds a block holds; it ends with a branch or a syscall.
+_BLOCK_OPCODES = (_OP, _JUMP, _BRANCH, _SYSCALL)
+
+#: Block source -> its code object.  The source depends only on a block's
+#: *shape*: register names, immediates, op functions and pcs are the
+#: function's default arguments, so every block of one shape shares one
+#: code object.  Bounded the way the codec memos are (DESIGN §5): insertion
+#: simply stops at ``_SHAPES_SIZE`` shapes, and a block whose shape does not
+#: fit compiles its own.
+_SHAPES: Dict[str, CodeType] = {}
+_SHAPES_SIZE = 256
+
+#: Line of a block's source that holds its first instruction; instruction
+#: ``k`` is on line ``k + _FIRST_LINE``, which is how a fault finds its pc.
+_FIRST_LINE = 2
+
+#: Every ``_add_const(k)`` function runs this code, with ``k`` its default.
+_ADD_CONST_CODE = _add_const(1).__code__
+
+
+def _block_pcs(instrs: Tuple[Instr, ...], pc: int) -> List[int]:
+    """The pcs of the block entered at ``pc``, in execution order.
+
+    A block starts with ``op`` instructions, follows unconditional
+    ``jump``\\ s and ends *with* a ``branch`` or a ``syscall``; it stops
+    *before* any other kind, the end of the program, a pc it already
+    holds, or :data:`BLOCK_LIMIT` instructions.
+    """
+    end = len(instrs)
+    pcs: List[int] = []
+    while pc < end and pc not in pcs and len(pcs) < BLOCK_LIMIT:
+        instr = instrs[pc]
+        if instr.opcode not in _BLOCK_OPCODES:
+            break
+        pcs.append(pc)
+        if instr.opcode == _BRANCH or instr.opcode == _SYSCALL:
+            break
+        pc = instr.target if instr.opcode == _JUMP else pc + 1
+    return pcs
+
+
+def _compile_block(instrs: Tuple[Instr, ...], pc: int) -> Tuple[Any, ...]:
+    """The block entered at ``pc`` (:func:`_block_pcs`) as ``(fn, cost,
+    need, after)``, or ``()`` when it would hold fewer than two
+    instructions: one alone saves no dispatch, and compiling it would
+    only spend a function's memory on its pc.
+
+    ``fn(regs)`` runs the block one source line per instruction, in
+    order, writing each result into ``regs`` as the loop would, and
+    returns the next pc — or, for a block that ends in a syscall, the
+    :class:`SyscallRequest`, after which the process resumes at
+    ``after``.  ``cost`` is the cycles it charges; ``need`` is the least
+    budget, counted from the block's entry, under which the
+    per-instruction loop runs all of it: that loop starts an instruction
+    only while cycles remain and never lets one overrun the budget, so a
+    block that ends in the 0-cycle ``syscall`` needs one cycle more than
+    it costs.
+    """
+    pcs = _block_pcs(instrs, pc)
+    if len(pcs) < 2:
+        return ()
+    lines: List[str] = []
+    consts: List[Any] = []
+
+    def const(value: Any) -> str:
+        consts.append(value)
+        return f"k{len(consts) - 1}"
+
+    def operand(src: Any) -> str:
+        return const(src.value) if src.__class__ is Imm else f"regs[{const(src)}]"
+
+    cost = need = 0
+    for at in pcs:
+        instr = instrs[at]
+        opcode = instr.opcode
+        if opcode == _OP:
+            fn = instr.fn
+            if fn is _identity and len(instr.srcs) == 1:
+                expr = operand(instr.srcs[0])
+            elif (fn is _lt or fn is _gt) and len(instr.srcs) == 2:
+                expr = f"{operand(instr.srcs[0])} {'<' if fn is _lt else '>'} {operand(instr.srcs[1])}"
+            elif getattr(fn, "__code__", None) is _ADD_CONST_CODE and len(instr.srcs) == 1:
+                expr = f"{operand(instr.srcs[0])} + {const(fn.__defaults__[0])}"
+            else:
+                expr = f"{const(fn)}({', '.join(map(operand, instr.srcs))})"
+            lines.append(expr if instr.dst is None else f"regs[{const(instr.dst)}] = {expr}")
+        elif opcode == _JUMP:
+            lines.append("# jump")
+        elif opcode == _BRANCH:
+            taken, not_taken = (instr.target, at + 1) if instr.sense else (at + 1, instr.target)
+            lines.append(f"return {const(taken)} if {operand(instr.srcs[0])} else {const(not_taken)}")
+        else:
+            args = "".join(f"{operand(src)}, " for src in instr.srcs)
+            lines.append(f"return SyscallRequest({const(instr.name)}, ({args}), {const(instr.dst)})")
+        need = max(need, cost + max(instr.base, 1))
+        cost += instr.base
+    last = instrs[pcs[-1]]
+    if last.opcode == _OP:
+        lines.append(f"return {const(pcs[-1] + 1)}")
+    elif last.opcode == _JUMP:
+        lines.append(f"return {const(last.target)}")
+    params = "".join(f", k{n}" for n in range(len(consts)))
+    source = f"def block(regs{params}):\n" + "".join(f"    {line}\n" for line in lines)
+    code = _SHAPES.get(source)
+    if code is None:
+        namespace: Dict[str, Any] = {}
+        exec(compile(source, "<vos block>", "exec"), namespace)
+        code = namespace["block"].__code__
+        if len(_SHAPES) < _SHAPES_SIZE:
+            _SHAPES[source] = code
+    fn = FunctionType(code, globals(), "block", tuple(consts))
+    return fn, cost, need, pcs[-1] + 1
 
 
 class Process:
@@ -128,6 +252,15 @@ class Process:
         ``self.pc`` back on every exit, exceptions included; instructions
         arrive decoded (opcode, base cost, operands known to be ``str`` or
         :class:`Imm` — see :class:`~repro.vos.program.Instr`).
+
+        At each pc it first looks for the program's block entered there
+        (:func:`_compile_block`, compiled on first entry) and, when the
+        whole block fits the budget, runs it in one call.  A fault inside
+        a block leaves ``pc`` on the faulting instruction and charges
+        nothing, as the per-instruction path does.  The first block that
+        does not fit hands the rest of the slice to that path, which runs
+        one instruction per iteration and is the semantics every block is
+        compiled from.
         """
         if self.state == DEAD:
             raise VosError(f"stepping dead pid {self.pid}")
@@ -139,6 +272,7 @@ class Process:
                 self.cpu_cycles += used
                 return used, REASON_QUANTUM, None
         instrs = self.program.instrs
+        blocks = self.program.blocks
         end = len(instrs)
         regs = self.regs
         pc = self.pc
@@ -150,6 +284,31 @@ class Process:
                     # Falling off the end is an implicit clean exit.
                     reason, payload = REASON_HALT, 0
                     break
+                if blocks is not None:
+                    block = blocks.get(pc)
+                    if block is None:
+                        block = blocks[pc] = _compile_block(instrs, pc)
+                    if block:
+                        fn, cost, need, after = block
+                        if used + need <= budget_cycles:
+                            try:
+                                result = fn(regs)
+                            except Exception as err:  # re-raised on the instruction that raised it
+                                line = err.__traceback__.tb_next.tb_lineno
+                                pc = _block_pcs(instrs, pc)[line - _FIRST_LINE]
+                                unset = self._unset_source(pc) if isinstance(err, KeyError) else None
+                                if unset is not None:
+                                    raise unset from None
+                                raise
+                            used += cost
+                            if result.__class__ is not SyscallRequest:
+                                pc = result
+                                continue
+                            pc = after
+                            self.syscalls_made += 1
+                            reason, payload = REASON_SYSCALL, result
+                            break
+                        blocks = None  # the slice's tail runs instruction by instruction
                 instr = instrs[pc]
                 base = instr.base
                 # Never split a non-compute instruction across quanta, but always
@@ -227,6 +386,15 @@ class Process:
 
     def _unset_register(self, pc: int, reg: str) -> VosError:
         return VosError(f"pid {self.pid} ({self.program.name}) pc={pc}: unset register {reg!r}")
+
+    def _unset_source(self, pc: int) -> Optional[VosError]:
+        """The unset-register fault of the instruction at ``pc`` — its
+        first source register that holds nothing — or None when all of
+        them are set (a ``KeyError`` then came from inside its op)."""
+        for src in self.program.instrs[pc].srcs:
+            if src.__class__ is not Imm and src not in self.regs:
+                return self._unset_register(pc, src)
+        return None
 
     # ------------------------------------------------------------------
     # checkpoint support

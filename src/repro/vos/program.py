@@ -135,6 +135,12 @@ class Program:
     #: (drives the scheduler's dirty-page accounting for live migration).
     #: Not serialized — rebuilt with the program on restore.
     dirty_rate: float = 0.0
+    #: entry pc -> the straight-line block compiled there on first entry
+    #: (see :func:`repro.vos.process._compile_block`), shared by every
+    #: process running this program.  A cache of the instructions, never
+    #: serialized: a restored process refills it at whatever pc it resumes.
+    blocks: Dict[int, Tuple[Any, ...]] = field(default_factory=dict, init=False,
+                                               repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.instrs)
