@@ -569,13 +569,13 @@ class Manager:
         """The one way an op is driven to its terminal record.
 
         Refuse a request naming a node the cluster lacks, make it
-        durable, spawn the per-pod ``sessions`` (``(task name,
-        generator)`` pairs), race *all done* / *op failed* (a session
-        that raises fails it) / ``deadline``, and then — unless this
-        Manager died in the meantime — drain, abort or commit, and close
-        the op span.  Sessions stamp ``result.t_end`` when their pod is
-        done; an op that did not get every pod that far reports full
-        elapsed time.
+        durable (an adopted op's begin already is), spawn the per-pod
+        ``sessions`` (``(task name, generator)`` pairs), race *all done*
+        / *op failed* (a session that raises fails it) / ``deadline``,
+        and then — unless this Manager died in the meantime — drain,
+        abort or commit, and close the op span.  Sessions stamp
+        ``result.t_end`` when their pod is done; an op that did not get
+        every pod that far reports full elapsed time.
         """
         engine = self.cluster.engine
         result = op.result
@@ -591,8 +591,9 @@ class Manager:
         if missing:
             return op.refuse(f"no node named {missing[0]!r}")
         marker = f"op{result.op_id}"
-        yield from self.cluster.trace("manager.op_start", pod=marker)
-        yield from op.begin(**begin)
+        if not op.adopted:
+            yield from self.cluster.trace("manager.op_start", pod=marker)
+            yield from op.begin(**begin)
         op.tasks = [self._spawn(self._session(op, gen), name=name)
                     for name, gen in sessions]
         all_done = all_of([t.finished for t in op.tasks])
@@ -1026,9 +1027,10 @@ class Manager:
     def _restart_pod(self, op: OpMachine, node_name: str, pod_id: str,
                      uri: str, vips: Dict[str, str], plan_ready: Future,
                      how: Dict[str, Any]):
-        """One pod's lane of a restart: image load + meta-data, the
-        merged plan, the restart command, done.  No barrier: each Agent
-        proceeds as soon as it has the plan."""
+        """One pod's lane of a restart (and of a re-drive, whose plan is
+        the recorded one): image load + meta-data, the merged plan, the
+        restart command, done.  No barrier: each Agent proceeds as soon
+        as it has the plan."""
         engine = self.cluster.engine
         result, timeouts = op.result, op.timeouts
         # phase 0: have the agent load the image and report meta-data
@@ -1059,8 +1061,14 @@ class Manager:
         # 1. send restart command + (modified) meta-data, 2. receive status
         phase = op.phase("commit", node_name, pod_id)
         yield from self.cluster.trace("manager.restart_sent", node=node_name, pod=pod_id)
-        done = yield from self._restart_cmd(op, chan, fd, pod_id, uri,
-                                            vips[pod_id], pod_plan, how)
+        yield from send_msg(self.home.kernel, chan, fd, {
+            "cmd": "restart", "pod": pod_id, "vip": vips[pod_id], "uri": uri,
+            "op_id": result.op_id,
+            "listeners": pod_plan.get("listeners", []),
+            "schedule": pod_plan.get("schedule", []),
+            **how,
+        })
+        done = yield from self._recv_timed(chan, fd, timeouts.restart_done)
         if done is None or done.get("status") != "ok":
             detail = done.get("error", "restart failed") if done else \
                 "restart timed out or agent connection lost"
@@ -1079,7 +1087,10 @@ class Manager:
             opened = yield from self._open_attempt(node_name, timeouts.connect)
             if opened is not None:
                 chan, fd = opened
-                msg = yield from self._load_meta_cmd(op, chan, fd, pod_id, uri)
+                yield from send_msg(self.home.kernel, chan, fd, {
+                    "cmd": "load_meta", "pod": pod_id, "uri": uri,
+                    "op_id": op.result.op_id})
+                msg = yield from self._recv_timed(chan, fd, timeouts.load)
                 if msg is not None:
                     return chan, fd, msg
                 # transient (timeout / connection lost): retry
@@ -1087,31 +1098,6 @@ class Manager:
             if attempt < timeouts.load_retries:
                 yield from self._backoff("manager.load_retries", timeouts, attempt)
         return None
-
-    def _load_meta_cmd(self, op: OpMachine, chan, fd, pod_id: str, uri: str):
-        """First half of a restart session: have the Agent load the
-        image chain; yields its reply (None on timeout/EOF)."""
-        yield from send_msg(self.home.kernel, chan, fd, {
-            "cmd": "load_meta", "pod": pod_id, "uri": uri,
-            "op_id": op.result.op_id})
-        return (yield from self._recv_timed(chan, fd, op.timeouts.load))
-
-    def _restart_cmd(self, op: OpMachine, chan, fd, pod_id: str, uri: str,
-                     vip: str, pod_plan: Dict[str, Any], how: Dict[str, Any]):
-        """Second half, on the same connection: the restart command with
-        the pod's share of the plan; yields the ``done`` reply (None on
-        timeout/EOF)."""
-        yield from send_msg(self.home.kernel, chan, fd, {
-            "cmd": "restart",
-            "pod": pod_id,
-            "vip": vip,
-            "uri": uri,
-            "op_id": op.result.op_id,
-            "listeners": pod_plan.get("listeners", []),
-            "schedule": pod_plan.get("schedule", []),
-            **how,
-        })
-        return (yield from self._recv_timed(chan, fd, op.timeouts.restart_done))
 
     # ------------------------------------------------------------------
     # recovery: the paper's motivating use case
@@ -1121,20 +1107,17 @@ class Manager:
         return self._spawn(self.recover_task(**kw), name="manager-recover")
 
     def recover_task(self, deadline: float = 120.0,
-                     timeouts: Optional[PhaseTimeouts] = None,
-                     placement: Optional[Dict[str, str]] = None,
-                     time_virtualization: bool = True,
-                     recovery_mode: str = "two-thread"):
+                     timeouts: Optional[PhaseTimeouts] = None):
         """Detect crashed nodes and restart the application from
         ``last_checkpoint``, placing lost pods on surviving blades.
 
         The whole application rolls back to the consistent checkpoint:
         surviving instances of the checkpointed pods are destroyed, then
         every pod is restarted — on its original node when that node
-        still answers, elsewhere (least-loaded surviving blade, or the
-        caller's ``placement`` overrides) when it does not.  In-memory
-        images died with their node and make the pod unrecoverable; the
-        operation then fails *before* touching any surviving pod.
+        still answers, on the least-loaded surviving blade when it does
+        not.  In-memory images died with their node and make the pod
+        unrecoverable; the operation then fails *before* touching any
+        surviving pod.
         """
         engine = self.cluster.engine
         last = self.last_checkpoint
@@ -1165,7 +1148,7 @@ class Manager:
         yield from op.begin()
         crashed = yield from self._detect_crashed(op, involved)
         survivors = [n for n in self.cluster.nodes if n.name not in crashed]
-        new_targets = self._place(op, crashed, survivors, label, placement)
+        new_targets = self._place(op, crashed, survivors, label)
         if not result.errors:
             # roll the survivors back: the restart restores the whole
             # application to the consistent cut
@@ -1175,9 +1158,7 @@ class Manager:
                     if pod is not None:
                         pod.destroy()
             restart = yield from self.restart_task(
-                new_targets, time_virtualization=time_virtualization,
-                deadline=deadline, recovery_mode=recovery_mode,
-                timeouts=op.timeouts)
+                new_targets, deadline=deadline, timeouts=op.timeouts)
             result.status = restart.status
             result.errors.extend(restart.errors)
             result.pods = restart.pods
@@ -1214,8 +1195,8 @@ class Manager:
         yield from op.advance("detect", crashed=sorted(crashed))
         return crashed
 
-    def _place(self, op: OpMachine, crashed, survivors: List[Node], label: str,
-               placement: Optional[Dict[str, str]]) -> List[Target]:
+    def _place(self, op: OpMachine, crashed, survivors: List[Node],
+               label: str) -> List[Target]:
         """Where each pod of the checkpoint restarts — checked for
         feasibility before any destruction (failures land in
         ``result.errors``).  Nodes another op holds (a drain emptying a
@@ -1238,9 +1219,7 @@ class Manager:
             if sink.shared:
                 # shared-storage image (SAN container or CAS recipe):
                 # restartable from any surviving node
-                if placement and pod_id in placement:
-                    dest = placement[pod_id]
-                elif node_name not in crashed:
+                if node_name not in crashed:
                     dest = node_name
                 else:
                     dest = min(candidates, key=lambda n: (load[n.name], n.index)).name
@@ -1279,7 +1258,8 @@ class Manager:
           restart commands never reached;
         * anything else: abort through the normal tombstone-GC path.
 
-        Returns ``[(op_id, phase_at_claim, outcome), ...]``.
+        Returns ``[(op_id, phase_at_claim, outcome), ...]``; a replica
+        that dies under a re-drive stops at that op (``crashed``).
         """
         engine = self.cluster.engine
         timeouts = timeouts if timeouts is not None else PhaseTimeouts()
@@ -1305,6 +1285,8 @@ class Manager:
             else:
                 outcome = yield from self._abort_orphan(op, timeouts)
             actions.append((op.op_id, op.phase, outcome))
+            if self.crashed:
+                return actions  # fail-stop: claim nothing more, sweep nothing
         # orphaned-chunk sweep: a Manager that died between a CAS stage
         # and its publish left pending recipes holding references; every
         # op this takeover aborted releases exactly its unshared chunks
@@ -1393,66 +1375,43 @@ class Manager:
         return "aborted"
 
     def _redrive_restart(self, orphan, timeouts: PhaseTimeouts):
-        """Finish an orphaned restart from its durable plan.
-
-        Pods whose restart command never went out are re-driven on
-        fresh sessions — concurrently, because connectivity recovery
-        only completes when every peer participates; pods that already
-        exist (restored, or mid-restore by a surviving Agent session)
-        are left to finish on their own.
-        """
-        engine = self.cluster.engine
+        """Finish an orphaned restart from its durable plan: the
+        restart's own pod lanes under :meth:`_drive`, with the recorded
+        plan already in hand (the adopted op's begin is durable)."""
         op = self._open_op(orphan.kind, orphan.targets, timeouts,
                            orphan=orphan, verb="redrive")
-        result = op.result
-        decoded = codec.decode(bytes.fromhex(orphan.fields["plan_hex"]))
-        plan, vips = decoded["plan"], decoded["vips"]
+        recorded = codec.decode(bytes.fromhex(orphan.fields["plan_hex"]))
+        plan_ready = Future("restart-plan")
+        plan_ready.set_result(recorded["plan"])
         how = {"time_virtualization":
                bool(orphan.fields.get("time_virtualization", True)),
                "recovery_mode": orphan.fields.get("recovery_mode", "two-thread")}
-        failures = result.errors
+        sessions = [(f"redrive-{p}", self._redrive_pod(
+            op, n, p, u, recorded["vips"], plan_ready, how))
+            for n, p, u in orphan.targets]
+        # one lane at its slowest: query_pod, every load attempt and the
+        # backoffs between them, then the restart itself
+        attempts = timeouts.load_retries + 1
+        deadline = (timeouts.connect + timeouts.drain
+                    + attempts * (timeouts.connect + timeouts.load)
+                    + sum(timeouts.backoff(a) for a in range(attempts - 1))
+                    + timeouts.restart_done)
+        result = yield from self._drive(op, sessions, deadline,
+                                        "redrive deadline expired")
+        if result.status == "crashed":
+            return "crashed"
+        return "redriven" if result.ok else "aborted"
 
-        def redrive_pod(node_name: str, pod_id: str, uri: str):
-            reply = yield from self._send_simple(node_name, {
-                "cmd": "query_pod", "pod": pod_id}, timeouts)
-            if reply is not None and reply.get("exists"):
-                return
-            opened = yield from self._open_retry(node_name, timeouts)
-            if opened is None:
-                failures.append(f"{pod_id}: cannot reach agent on {node_name}")
-                return
-            chan, fd = opened
-            msg = yield from self._load_meta_cmd(op, chan, fd, pod_id, uri)
-            if msg is None or msg.get("type") != "meta":
-                failures.append(f"{pod_id}: image reload failed")
-                yield from self._close_conn(chan, fd)
-                return
-            done = yield from self._restart_cmd(
-                op, chan, fd, pod_id, uri, vips.get(pod_id, msg.get("vip")),
-                plan.get(pod_id, {}), how)
-            yield from self._close_conn(chan, fd)
-            if done is None or done.get("status") != "ok":
-                failures.append(f"{pod_id}: re-driven restart failed")
-                return
-            result.pods[pod_id] = done["stats"]
-
-        op.tasks = [self._spawn(redrive_pod(n, p, u), name=f"redrive-{p}")
-                    for n, p, u in orphan.targets]
-        if op.tasks:
-            ok, _ = yield engine.timeout(
-                all_of([t.finished for t in op.tasks]),
-                timeouts.connect + timeouts.load + timeouts.restart_done)
-            if not ok:
-                for task in op.tasks:
-                    if not task.done:
-                        task.cancel()
-                failures.append("redrive deadline expired")
-        result.t_end = engine.now
-        if failures:
-            result.status = "failed"
-            op.aborted("; ".join(failures))
-            op.span.end(status="failed")
-            return "aborted"
-        yield from op.commit(resumed_by=self.name, redriven=len(result.pods))
-        op.span.end(status="redriven", redriven=len(result.pods))
-        return "redriven"
+    def _redrive_pod(self, op: OpMachine, node_name: str, pod_id: str,
+                     uri: str, vips: Dict[str, str], plan_ready: Future,
+                     how: Dict[str, Any]):
+        """One pod's lane of a re-drive.  A pod that exists (restored, or
+        mid-restore by a surviving Agent session) is left to finish on
+        its own; the rest run the restart lane, concurrently, because
+        connectivity recovery only completes when every peer takes part."""
+        reply = yield from self._send_simple(node_name, {
+            "cmd": "query_pod", "pod": pod_id}, op.timeouts)
+        if reply is not None and reply.get("exists"):
+            return
+        yield from self._restart_pod(op, node_name, pod_id, uri, vips,
+                                     plan_ready, how)

@@ -90,7 +90,7 @@ class MigrationResult:
 
 
 def migrate_task(manager: Manager, moves: List[Move], redirect: bool = False,
-                 time_virtualization: bool = True, deadline: float = 120.0,
+                 deadline: float = 120.0,
                  recovery_mode: str = "two-thread", filters=None,
                  live: bool = False,
                  precopy_rounds: int = DEFAULT_PRECOPY_ROUNDS,
@@ -180,8 +180,8 @@ def migrate_task(manager: Manager, moves: List[Move], redirect: bool = False,
                                t_invoke=t_invoke)
     restart_targets = [(dst, pod, "mem") for _src, pod, dst in moves]
     restart = yield from manager.restart_task(
-        restart_targets, time_virtualization=time_virtualization,
-        deadline=deadline, recovery_mode=recovery_mode, timeouts=timeouts)
+        restart_targets, deadline=deadline, recovery_mode=recovery_mode,
+        timeouts=timeouts)
     return MigrationResult(ckpt, restart, live=live, rounds=rounds_log,
                            bailout=bailout, t_invoke=t_invoke)
 

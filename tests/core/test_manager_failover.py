@@ -7,6 +7,8 @@ one deterministic scenario each, so a matrix failure has a small test to
 bisect against.
 """
 
+from collections import Counter
+
 from repro.cluster import Cluster, FaultInjector, FaultPlan, FaultSpec
 from repro.cluster.faults import crash_node
 from repro.core import Manager
@@ -39,24 +41,28 @@ def _file_targets(cluster):
             (cluster.node(2).name, "pp-cli", f"file:{CLI_IMG}")]
 
 
-def _crash_at(cluster, ledger_phase):
+def _crash_at(cluster, ledger_phase, extra_faults=()):
     plan = FaultPlan(seed=0, faults=[
-        FaultSpec(kind="crash_manager", phase=ledger_phase)])
+        FaultSpec(kind="crash_manager", phase=ledger_phase), *extra_faults])
     return FaultInjector(cluster, plan).install()
 
 
 def _await_crash_then_takeover(cluster, manager, state, settle=3.0,
-                               lease_s=2.0):
-    """Driver tail: wait out the crash + lease, deploy a replica,
-    run its takeover, and record what it did."""
+                               lease_s=2.0, before_takeover=None):
+    """Driver tail: wait out the crash + lease, deploy a replica (handed
+    to ``before_takeover`` first, if given), run its takeover, and record
+    what it did and which host tasks were still live when it returned."""
     engine = cluster.engine
     while not manager.crashed:
         yield engine.sleep(0.25)
     yield engine.sleep(settle)
     replica = Manager.deploy_replica(cluster, manager.agents, name="mgr1")
     state["replica"] = replica
+    if before_takeover is not None:
+        before_takeover(cluster, replica)
     state["actions"] = yield from replica.takeover_task(
         timeouts=TIGHT, lease_s=lease_s)
+    state["live"] = [task.name for task in engine.live_tasks()]
 
 
 def test_replica_resumes_checkpoint_crashed_after_continue():
@@ -122,13 +128,17 @@ def test_replica_aborts_checkpoint_crashed_before_continue():
     assert final_sums(cluster) == expected_sums(ROUNDS)
 
 
-def run_redrive_world(seed, trace_spans=False):
+def run_redrive_world(seed, trace_spans=False, extra_faults=(),
+                      before_takeover=None):
     """Checkpoint, destroy both pods, restart, and crash the Manager at
     the restart's ``plan`` crossing; a replica takes over.  Returns
     ``(cluster, manager, state)`` after the run (the golden span-dump
-    digest ``redrive-13`` pins this same world)."""
+    digest ``redrive-13`` pins this same world).  ``extra_faults`` ride
+    the same plan; ``before_takeover(cluster, replica)`` runs between
+    the crash and the takeover."""
     cluster, manager = _world(seed, trace_spans=trace_spans)
-    _crash_at(cluster, "manager.ledger.plan")  # only crossed by restarts
+    # the plan crossing is only crossed by restarts
+    _crash_at(cluster, "manager.ledger.plan", extra_faults)
     launch_pingpong(cluster, rounds=ROUNDS, server_node=1, client_node=2)
     engine = cluster.engine
     targets = _file_targets(cluster)
@@ -142,7 +152,8 @@ def run_redrive_world(seed, trace_spans=False):
         cluster.find_pod("pp-srv").destroy()
         cluster.find_pod("pp-cli").destroy()
         manager.restart(targets, timeouts=TIGHT, lease_s=2.0)
-        yield from _await_crash_then_takeover(cluster, manager, state)
+        yield from _await_crash_then_takeover(cluster, manager, state,
+                                              before_takeover=before_takeover)
 
     engine.spawn(driver(), name="drv")
     engine.run(until=240.0)
@@ -159,6 +170,77 @@ def test_replica_redrives_orphaned_restart():
     ops = OpLedger(cluster.san).replay()
     assert ops[2].terminal and ops[2].phase == "commit"
     assert final_sums(cluster) == expected_sums(ROUNDS)
+
+
+def test_replica_dying_mid_redrive_writes_nothing():
+    """Fail-stop under a re-drive: the replica dies at the first Agent
+    ``agent.connectivity`` crossing, which is the re-drive's own.  Its
+    cancelled lanes must not let it commit: nothing it owns lands in the
+    ledger after the crash, and op 2 stays open for the next Manager."""
+    at_crash = {}
+
+    def mark_crash(cluster, replica):
+        crash = replica.crash
+
+        def crash_and_mark():
+            at_crash["records"] = len(OpLedger(cluster.san).records())
+            crash()
+
+        replica.crash = crash_and_mark
+
+    cluster, _manager, state = run_redrive_world(
+        13, extra_faults=[FaultSpec(kind="crash_manager",
+                                    phase="agent.connectivity")],
+        before_takeover=mark_crash)
+    assert state["replica"].crashed
+    records = OpLedger(cluster.san).records()
+    late = [r for r in records[at_crash["records"]:] if r.get("owner") == "mgr1"]
+    assert late == [], f"mgr1 wrote after its crash: {late}"
+    assert not fold_ops(records)[2].terminal
+    assert state["actions"] == [(2, "plan", "crashed")]
+
+
+def test_redrive_retries_a_stalled_image_load():
+    """The re-drive's first image load on pp-srv's node hangs past the
+    load timeout (the original restart's load crossed first and passed).
+    A re-driven pod retries its load like a first restart does, under
+    the same phase spans, and the restart commits."""
+    hang = FaultSpec(kind="hang", phase="agent.load_meta", node="blade1",
+                     after=1, seconds=TIGHT.load + 1.0)
+    cluster, _manager, state = run_redrive_world(13, trace_spans=True,
+                                                 extra_faults=[hang])
+    assert state["actions"] == [(2, "plan", "redriven")]
+    assert final_sums(cluster) == expected_sums(ROUNDS)
+    tracer = cluster.tracer
+    redrive = next(s for s in tracer.spans if s.name == "manager.redrive")
+    lanes = Counter((s.name, s.pod) for s in tracer.children_of(redrive))
+    assert lanes == Counter({(f"manager.phase.{phase}", pod): 1
+                             for pod in ("pp-srv", "pp-cli")
+                             for phase in ("load_meta", "plan", "commit")})
+
+
+def test_failing_redrive_stops_at_its_failing_lane():
+    """pp-srv's image is gone when the replica re-drives: that lane fails
+    the op, which aborts through the one abort path (``abort``, then
+    ``aborted``) one drain window later — not after pp-cli's restart
+    times out — and reaps every re-drive session."""
+    def unlink_srv_image(cluster, _replica):
+        san, path = cluster.node(0).kernel.vfs.resolve(SRV_IMG)
+        san.unlink(path)
+
+    cluster, _manager, state = run_redrive_world(
+        13, trace_spans=True, before_takeover=unlink_srv_image)
+    assert state["actions"] == [(2, "plan", "aborted")]
+    records = [r for r in OpLedger(cluster.san).records()
+               if r["op"] == 2 and r["rec"] == "phase"]
+    assert [(r["phase"], r["owner"]) for r in records[-2:]] == [
+        ("abort", "mgr1"), ("aborted", "mgr1")]
+    failed_load = next(
+        s for s in cluster.tracer.spans
+        if s.name == "agent.phase.load_meta" and s.pod == "pp-srv"
+        and s.status == "failed")
+    assert records[-1]["t"] - failed_load.t_end <= TIGHT.drain + 1.0
+    assert not {"redrive-pp-srv", "redrive-pp-cli"} & set(state["live"])
 
 
 def test_takeover_respects_live_lease():

@@ -65,7 +65,7 @@ GOLDEN = {
     "failover-continue-3": "27cea4b83cf4d885418af5a04fb8c7a11f72ea387f9cbfd757bbb1089949f037",
     "failover-abort-3": "bdd76f22a359891843cff22b3d07305106bc53e249ccb59cd77010db4a87c397",
     "failover-meta-3": "56af15c37ae47746d68ff4976a72e27cf980e3ef9142a351a2e7e60f3be4f60f",
-    "redrive-13": "f5eef997ddc71753d7e590adc5101e8e836e66b03d9fd4609fff8690818250f2",
+    "redrive-13": "6d674976d8ea34f38f5c64044c1ee592b9b548d2cab58b6b1d4998579f57ea92",
     "migration-4": "82302a2648811f7d838da5af268721ea5bd0e4091b9d17b1d4a8ecac1b1a738a",
     "async-mem-5": "c61e46eab9ab89308012cef1e2bbaede8413027f9566bc12e279cdd84ca9a136",
     "async-file-3": "78efcdc1f286168ebb42a277fafbd6ecbdb5ccb9ed450f5cd38d423a621cec63",
