@@ -28,6 +28,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
+from ..storage.ledger import CAMPAIGNS, OpLedger
 from ..vos import build_program, imm, program
 from .builder import Cluster
 from .faults import (
@@ -234,7 +235,6 @@ class World:
         return {n.name for n in self.cluster.nodes if n.crashed}
 
     def ledger(self):
-        from ..storage.ledger import OpLedger
         return OpLedger(self.cluster.san)
 
     def sink(self, uri: str, node_name: Optional[str] = None):
@@ -446,7 +446,8 @@ def _ledger_terminal(w: World) -> List[str]:
                if not op.terminal}
     if orphans:
         out.append(f"non-terminal ledger ops: {orphans}")
-    open_camps = {cid: lc.phase for cid, lc in ledger.replay_campaigns().items()
+    open_camps = {cid: lc.phase
+                  for cid, lc in ledger.replay(CAMPAIGNS).items()
                   if not lc.terminal}
     if open_camps:
         out.append(f"non-terminal ledger campaigns: {open_camps}")

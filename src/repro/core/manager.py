@@ -55,7 +55,7 @@ from ..cluster.node import Node
 from ..obs.tracer import NULL_SPAN
 from ..sim.tasks import Future, Task, all_of
 from ..storage.cas import CasStore
-from ..storage.ledger import OpLedger
+from ..storage.ledger import OPS, OpLedger
 from ..vos.syscalls import Errno
 from . import codec
 from .agent import AGENT_PORT, Agent, deploy_agents
@@ -72,12 +72,6 @@ _POST_ACKS = {
     "streamed": ("stream", "image streaming failed"),
     "flushed": ("flush", "image flush failed or timed out"),
 }
-
-#: how long one ledger record keeps an op owned before a replica may
-#: claim it.  Each phase record renews the lease, so a live Manager
-#: never loses an op; a dead one loses it one lease after its last
-#: durable phase.
-DEFAULT_LEASE_S = 30.0
 
 
 @dataclass
@@ -186,7 +180,8 @@ class OpMachine:
         self.manager = manager
         self.result = result
         self.timeouts = timeouts
-        self.lease_s = DEFAULT_LEASE_S if lease_s is None else float(lease_s)
+        #: the lease each record renews (None = the ledger default).
+        self.lease_s = lease_s
         #: the driving incarnation's op span; its id rides every ledger
         #: record so the campaign-trace assembler can join durable facts
         #: back to the span dump that timed them.
@@ -248,14 +243,10 @@ class OpMachine:
     # -- the durable half --------------------------------------------------
     def _append(self, phase: str, rec: str = "phase", **fields) -> None:
         mgr = self.manager
-        now = mgr.cluster.engine.now
         self.result.phase = phase
-        record = dict({"rec": rec, "op": self.result.op_id,
-                       "phase": phase, "owner": mgr.name,
-                       "lease": now + self.lease_s, "t": now}, **fields)
-        if self.span.span_id is not None:
-            record.setdefault("span", self.span.span_id)
-        mgr.ledger.append(record)
+        mgr.ledger.write(OPS, self.result.op_id, mgr.name,
+                         mgr.cluster.engine.now, self.lease_s,
+                         self.span.span_id, rec=rec, phase=phase, **fields)
 
     def advance(self, phase: str, rec: str = "phase", **fields):
         """One phase boundary: durable record, crossing, boundary."""
@@ -325,7 +316,6 @@ class Manager:
         self.last_checkpoint: Optional[OpResult] = None
         #: fail-stop flag: a crashed Manager drives nothing ever again.
         self.crashed = False
-        self._next_op_id = 1
         #: live protocol tasks this Manager spawned (reaped on crash).
         self._tracked: List[Task] = []
         #: per-node op exclusion: node name -> label of the op holding
@@ -359,13 +349,6 @@ class Manager:
                                op_id=last.op_id, phase="commit")
             replica.last_checkpoint = rebuilt
         return replica
-
-    def new_op_id(self) -> int:
-        """Allocate the next op id, never below what the ledger has seen
-        (two Managers over one ledger must not collide)."""
-        op_id = max(self._next_op_id, self.ledger.next_op_id())
-        self._next_op_id = op_id + 1
-        return op_id
 
     def _spawn(self, gen, name: str) -> Task:
         """Spawn a protocol task and track it for fail-stop reaping."""
@@ -535,7 +518,7 @@ class Manager:
         """
         engine = self.cluster.engine
         if orphan is None:
-            op_id, t_start = self.new_op_id(), engine.now
+            op_id, t_start = self.ledger.new_id(), engine.now
             link = {"key": ("op", op_id)}
         else:
             op_id, t_start = orphan.op_id, orphan.t_last
@@ -1263,7 +1246,6 @@ class Manager:
         """
         engine = self.cluster.engine
         timeouts = timeouts if timeouts is not None else PhaseTimeouts()
-        lease = DEFAULT_LEASE_S if lease_s is None else float(lease_s)
         actions: List[Tuple[int, str, str]] = []
         if self.crashed:
             return actions
@@ -1271,7 +1253,7 @@ class Manager:
             span = self.cluster.span("manager.claim", parent=("op", op.op_id),
                                      category="op", op=op.op_id,
                                      owner=self.name, at_phase=op.phase)
-            if not self.ledger.claim(op.op_id, self.name, engine.now, lease):
+            if not self.ledger.claim(op.op_id, self.name, engine.now, lease_s):
                 span.end(status="refused")
                 actions.append((op.op_id, op.phase, "refused"))
                 continue

@@ -126,7 +126,7 @@ def migrate_task(manager: Manager, moves: List[Move], redirect: bool = False,
     if live and moves:
         # the migration gets its own operation id so every pre-copy span
         # (manager and agent side) hangs off one "manager.migrate" op
-        mig_op = manager.new_op_id()
+        mig_op = manager.ledger.new_id()
         op_span = manager.cluster.span("manager.migrate", category="op",
                                        key=("op", mig_op), op=mig_op,
                                        pods=len(moves), live=True)

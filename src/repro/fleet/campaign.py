@@ -38,6 +38,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.metrics import percentile
 from ..sim.tasks import Future
+from ..storage.ledger import CAMPAIGNS
 from .scheduler import InflightGate, Unit, pick_target, plan_waves
 
 #: default fraction of failed units that halts a campaign.
@@ -77,7 +78,7 @@ class FleetPolicy:
     #: checkpoint units target the content-addressed store (``cas:``
     #: URIs): identical chunks dedup across the whole fleet.
     cas: bool = False
-    #: campaign ledger lease; None = the Manager default.
+    #: campaign ledger lease; None = the ledger default.
     lease_s: Optional[float] = None
 
     def effective_wave_size(self) -> int:
@@ -213,14 +214,11 @@ class Campaign:
         self.kind = kind                       # checkpoint | drain | evacuate
         self.units: List[Unit] = [tuple(u) for u in units]
         self.policy = policy if policy is not None else FleetPolicy()
-        self.cid = cid if cid is not None else self.ledger.next_campaign_id()
+        self.cid = cid if cid is not None else self.ledger.new_id(CAMPAIGNS)
         #: nodes units may never land on (the evacuated/drained set).
         self.exclude: Tuple[str, ...] = tuple(exclude)
         self.timeouts = timeouts
         self.resumed_from = resumed_from
-        from ..core.manager import DEFAULT_LEASE_S
-        self.lease_s = (DEFAULT_LEASE_S if self.policy.lease_s is None
-                        else float(self.policy.lease_s))
         self.waves: List[List[Unit]] = plan_waves(
             self.units, self.policy.effective_wave_size())
         #: pods already durable-ok before this run (filled on resume).
@@ -261,16 +259,12 @@ class Campaign:
 
     # ------------------------------------------------------------------
     def _append(self, phase: str, **fields_: Any) -> None:
-        now = self.cluster.engine.now
-        rec = dict({"rec": "campaign", "cid": self.cid,
-                    "phase": phase, "owner": self.manager.name,
-                    "lease": now + self.lease_s, "t": now}, **fields_)
         # span context rides the record: the campaign span id joins this
         # durable fact to the incarnation's trace dump for the assembler
-        sid = getattr(self._span, "span_id", None)
-        if sid is not None:
-            rec.setdefault("span", sid)
-        self.ledger.append(rec)
+        self.ledger.write(CAMPAIGNS, self.cid, self.manager.name,
+                          self.cluster.engine.now, self.policy.lease_s,
+                          getattr(self._span, "span_id", None),
+                          rec="campaign", phase=phase, **fields_)
 
     def _check_threshold(self) -> None:
         total = max(1, len(self.units))
@@ -596,25 +590,22 @@ def resume_campaigns_task(manager, timeouts=None,
     each resumed run's :class:`CampaignResult` is appended to it (the
     chaos auditor uses this to merge attempt logs across the failover).
     """
-    from ..core.manager import DEFAULT_LEASE_S
     engine = manager.cluster.engine
-    lease = DEFAULT_LEASE_S if lease_s is None else float(lease_s)
     actions: List[Tuple[int, str, str]] = []
-    for lc in manager.ledger.orphaned_campaigns(engine.now):
+    for lc in manager.ledger.orphaned(engine.now, CAMPAIGNS):
         span = manager.cluster.span("fleet.claim", category="op",
                                     key=("campaign", lc.cid),
                                     campaign=lc.cid, owner=manager.name,
                                     at_phase=lc.phase)
-        if not manager.ledger.claim_campaign(lc.cid, manager.name,
-                                             engine.now, lease):
+        if not manager.ledger.claim(lc.cid, manager.name, engine.now,
+                                    lease_s, CAMPAIGNS):
             span.end(status="refused")
             actions.append((lc.cid, lc.phase, "refused"))
             continue
         span.end(status="claimed")
         yield from manager.cluster.trace("fleet.resume", pod=f"c{lc.cid}")
         camp = Campaign.from_ledger(manager, lc)
-        camp.policy.lease_s = lease
-        camp.lease_s = lease
+        camp.policy.lease_s = lease_s
         if timeouts is not None:
             camp.timeouts = timeouts
         res = yield from camp.run_task()

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+from ..storage.ledger import CAMPAIGNS
 from .campaign import Campaign, CampaignResult, FleetPolicy
 from .scheduler import Unit
 
@@ -101,7 +102,7 @@ def checkpoint_fleet_task(manager, uri_prefix: str = "file:/san/fleet",
     SAN namespace — the shared vfs has no mkdir).
     """
     cluster = manager.cluster
-    cid = manager.ledger.next_campaign_id()
+    cid = manager.ledger.new_id(CAMPAIGNS)
     units: List[Unit] = []
     wanted = set(pods) if pods is not None else None
     for node in cluster.nodes:

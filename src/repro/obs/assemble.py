@@ -28,8 +28,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..storage.ledger import (CAMPAIGN_TERMINAL_PHASES, LedgerCampaign,
-                              fold_campaigns, fold_ops)
+from ..storage.ledger import CAMPAIGNS, LedgerCampaign, fold
 from .tracer import _TIME_DECIMALS
 
 #: schema version stamped on the assembled-trace JSONL header.
@@ -282,34 +281,29 @@ def assemble_campaigns(records: Any, dumps: Sequence[Any] = (),
     Passing ``cid`` restricts assembly to that campaign.
     """
     recs = _records_of(records)
-    campaigns = fold_campaigns(recs)
-    ops = fold_ops(recs)
+    campaigns = fold(recs, CAMPAIGNS)
+    ops = fold(recs)
 
-    # per-op / per-campaign first-record timestamps (the fold keeps only
-    # the newest), plus the per-campaign wave timing skeleton
-    op_t0: Dict[int, float] = {}
-    camp_t0: Dict[int, float] = {}
+    # the per-campaign wave timing skeleton
     camp_t1: Dict[int, float] = {}
     wave_t: Dict[Tuple[int, int], float] = {}
     wave_done_t: Dict[Tuple[int, int], float] = {}
     owners: Dict[int, List[str]] = {}
     for rec in recs:
+        if not CAMPAIGNS.owns(rec):
+            continue
         t = float(rec.get("t", 0.0))
-        if "cid" in rec:
-            c = int(rec["cid"])
-            camp_t0.setdefault(c, t)
-            own = rec.get("owner")
-            if own and own not in owners.setdefault(c, []):
-                owners[c].append(own)
-            phase = rec.get("phase")
-            if phase == "wave":
-                wave_t.setdefault((c, int(rec.get("wave", -1))), t)
-            elif phase == "wave-done":
-                wave_done_t.setdefault((c, int(rec.get("wave", -1))), t)
-            elif phase in CAMPAIGN_TERMINAL_PHASES:
-                camp_t1[c] = t
-        elif "op" in rec:
-            op_t0.setdefault(int(rec["op"]), t)
+        c = int(rec["cid"])
+        own = rec.get("owner")
+        if own and own not in owners.setdefault(c, []):
+            owners[c].append(own)
+        phase = rec.get("phase")
+        if phase == "wave":
+            wave_t.setdefault((c, int(rec.get("wave", -1))), t)
+        elif phase == "wave-done":
+            wave_done_t.setdefault((c, int(rec.get("wave", -1))), t)
+        elif phase in CAMPAIGNS.terminal:
+            camp_t1[c] = t
 
     parsed = [_parse_dump(i, d) for i, d in enumerate(dumps)]
 
@@ -349,8 +343,7 @@ def assemble_campaigns(records: Any, dumps: Sequence[Any] = (),
         op = ops.get(op_id)
         if op is None:
             return None
-        t0 = op_t0.get(op_id, op.t_last)
-        node = TraceNode(kind="op", name=op.kind, t0=t0, t1=op.t_last,
+        node = TraceNode(kind="op", name=op.kind, t0=op.t_first, t1=op.t_last,
                          status=op.phase, pod=pod,
                          attrs={"op": op_id, "context": op.context,
                                 "owner": op.owner,
@@ -368,7 +361,7 @@ def assemble_campaigns(records: Any, dumps: Sequence[Any] = (),
             continue
         lc: LedgerCampaign = campaigns[c]
         root = TraceNode(kind="campaign", name=f"fleet.{lc.kind}",
-                         t0=camp_t0.get(c, lc.t_last), t1=lc.t_last,
+                         t0=lc.t_first, t1=lc.t_last,
                          status=lc.phase,
                          attrs={"campaign": c, "units": len(lc.units),
                                 "waves": len(lc.waves),
@@ -431,8 +424,7 @@ def assemble_campaigns(records: Any, dumps: Sequence[Any] = (),
                     op = ops[oid]
                     if not any(t[1] == pod for t in op.targets):
                         continue
-                    t_begin = op_t0.get(oid, op.t_last)
-                    if t_begin < root.t0 or t_begin > unit.t1:
+                    if op.t_first < root.t0 or op.t_first > unit.t1:
                         continue
                     opnode = build_op_node(oid, pod)
                     if opnode is not None:

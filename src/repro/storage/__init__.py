@@ -2,9 +2,9 @@
 content-addressed checkpoint store."""
 
 from .ledger import (
-    CAMPAIGN_TERMINAL_PHASES,
+    CAMPAIGNS,
     LEDGER_PATH,
-    TERMINAL_PHASES,
+    OPS,
     LedgerCampaign,
     LedgerOp,
     OpLedger,
@@ -28,7 +28,7 @@ def __getattr__(name):
 
 __all__ = [
     "ACCT_BLOCK",
-    "CAMPAIGN_TERMINAL_PHASES",
+    "CAMPAIGNS",
     "CHUNK_AVG",
     "CHUNK_MAX",
     "CHUNK_MIN",
@@ -39,12 +39,12 @@ __all__ = [
     "LEDGER_PATH",
     "LedgerCampaign",
     "LedgerOp",
+    "OPS",
     "OpLedger",
     "SAN_MOUNT",
     "SharedStorage",
     "Snapshot",
     "SnapshotManager",
-    "TERMINAL_PHASES",
     "chunk_bounds",
     "chunk_id",
     "split_chunks",

@@ -18,107 +18,130 @@ modeled as free (a ledger record is tens of bytes riding the SAN's
 metadata path; charging FC latency per record would perturb every
 existing latency figure for no modeling value).
 
-Record schema (all records carry ``op``, ``t``, and ``rec``):
+Two record families share the log and one protocol:
 
-``{"rec": "op", "op": N, "phase": "begin", "kind": ..., "targets":
-[[node, pod, uri], ...], "context": ..., "owner": mgr, "lease": T}``
-    Opens op ``N``: the full request, who drives it, and a lease.
+==========  =======  ==================  ====================================
+family      id key   claim record        terminal phases
+==========  =======  ==================  ====================================
+op          ``op``   ``claim``           ``commit``, ``aborted``
+campaign    ``cid``  ``campaign-claim``  ``commit``, ``halted``, ``aborted``
+==========  =======  ==================  ====================================
 
-``{"rec": "phase", "op": N, "phase": P, "owner": mgr, "lease": T, ...}``
-    Op ``N`` reached phase ``P``; extra keys carry per-phase payload
-    (negotiated filters, per-pod stats, the restart plan).  Writing the
-    record *renews the owner's lease*.
+A record belongs to the campaign family iff it carries ``cid`` (a
+campaign's ``pod`` record also names the ``op`` that did the work).
+Every record carries its id, ``phase``, ``owner``, ``lease`` (absolute
+expiry) and ``t``; writing one *renews the owner's lease*.  A claim
+record transfers ownership of an orphan (non-terminal, lease expired)
+to a replica.  Claims are atomic by construction: the simulator is
+single-threaded and :meth:`OpLedger.claim` never yields between the
+lease check and the append.  Both families fold with one loop, newest
+wins, into a :class:`LedgerEntry`; only the payload differs:
 
-``{"rec": "claim", "op": N, "owner": mgr, "lease": T}``
-    A replica claimed the orphaned op.  Claims are atomic by
-    construction: the simulator is single-threaded and :meth:`claim`
-    never yields between the lease check and the append.
+* ops — ``rec: "op"`` (begin: ``kind``, ``targets`` [[node, pod, uri],
+  ...], ``context``) then ``rec: "phase"`` records whose extra keys
+  (negotiated filters, per-pod stats, the restart plan) merge into
+  :attr:`LedgerOp.fields`;
+* campaigns — ``rec: "campaign"``: ``begin`` journals every unit
+  [[node, pod, arg], ...], the wave partition and the policy, enough
+  for a replica to rebuild the plan; ``wave`` W started (the *first*
+  record of a wave wins — a duplicate from a second owner, two Managers
+  racing after a messy failover, stays on the audit trail only and
+  neither takes ownership nor renews the lease); ``pod`` is one unit's
+  outcome (a resuming replica skips every pod whose latest record says
+  ``ok``); ``wave-done`` W means every unit of the wave has an outcome.
 
-Terminal phases are ``commit`` and ``aborted``; everything else is
-in-flight and claimable once its lease expires.  A torn final line
-(a writer that died mid-append) is ignored on scan, mirroring how a
-real WAL discards a torn tail record.
-
-The ``campaign`` record family journals fleet orchestration (rolling
-checkpoint waves, node drains, evacuations) in the same log.  Campaign
-records carry ``cid`` instead of ``op`` and fold with the same
-newest-wins rule into :class:`LedgerCampaign`:
-
-``{"rec": "campaign", "cid": C, "phase": "begin", "kind": ...,
-"units": [[node, pod, arg], ...], "waves": [[pod, ...], ...],
-"policy": {...}, "owner": mgr, "lease": T}``
-    Opens campaign ``C``: every unit, the wave partition, and the
-    policy knobs — enough for a replica to rebuild the whole plan.
-
-``{"rec": "campaign", "cid": C, "phase": "wave", "wave": W, ...}``
-    Wave ``W`` started.  The *first* claim of a wave wins; a duplicate
-    wave record from a different owner (two Managers racing after a
-    messy failover) is folded as a recorded-but-ignored claim.
-
-``{"rec": "campaign", "cid": C, "phase": "pod", "wave": W, "pod": P,
-"status": "ok"|"failed", "op": N, "downtime": D, ...}``
-    Unit outcome for pod ``P`` (op ``N`` did the work).  A resuming
-    replica skips every pod whose latest record says ``ok`` — completed
-    pods are never re-checkpointed.
-
-``{"rec": "campaign", "cid": C, "phase": "wave-done", "wave": W, ...}``
-    Every unit of wave ``W`` reached an outcome.
-
-``{"rec": "campaign-claim", "cid": C, "owner": mgr, "lease": T}``
-    A replica claimed the orphaned campaign (same atomicity argument
-    as op claims).
-
-Campaign terminal phases are ``commit`` (all waves done), ``halted``
-(failure threshold tripped), and ``aborted``.
+A torn final line (a writer that died mid-append) is ignored on scan,
+mirroring how a real WAL discards a torn tail record.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, ClassVar, Dict, List, Optional, Tuple
 
 from ..vos.filesystem import FileSystem, ensure_dirs
 
 #: conventional ledger path on the SAN (inner path, below the mount).
 LEDGER_PATH = "/zapc/ops.jsonl"
 
-#: phases after which an op needs no further work from anyone.
-TERMINAL_PHASES = ("commit", "aborted")
+#: how long one ledger record keeps its entry owned before a replica may
+#: claim it.  Each record renews the lease, so a live Manager never loses
+#: an op or campaign; a dead one loses it one lease after its last
+#: durable record.
+DEFAULT_LEASE_S = 30.0
 
-#: phases after which a campaign needs no further work from anyone.
-CAMPAIGN_TERMINAL_PHASES = ("commit", "halted", "aborted")
+
+@dataclass(frozen=True)
+class Family:
+    """One record family of the log (a row of the module doc's table)."""
+
+    key: str
+    claim: str
+    terminal: Tuple[str, ...]
+    entry: type
+
+    def owns(self, rec: Dict[str, Any]) -> bool:
+        return ("cid" in rec) == (self.key == "cid")
 
 
-@dataclass
-class LedgerOp:
-    """One op's state, folded from its ledger records (newest wins)."""
+@dataclass(kw_only=True)
+class LedgerEntry:
+    """What both families fold to: phase, ownership, lease, claims and
+    the first and newest record times.  Subclasses fold their payload."""
 
-    op_id: int
-    kind: str = "checkpoint"
+    family: ClassVar[Family]
     phase: str = "begin"
-    targets: List[Tuple[str, str, str]] = field(default_factory=list)
-    context: str = "snapshot"
     owner: Optional[str] = None
     lease_until: float = 0.0
-    #: merged per-phase payload (negotiated filters, plan, stats, ...).
-    fields: Dict[str, Any] = field(default_factory=dict)
-    #: every owner that ever claimed the op, in order.
+    #: every owner that ever claimed the entry, in order.
     claims: List[str] = field(default_factory=list)
+    t_first: float = 0.0
     t_last: float = 0.0
 
     @property
     def terminal(self) -> bool:
-        return self.phase in TERMINAL_PHASES
+        return self.phase in self.family.terminal
+
+    def absorb(self, rec: Dict[str, Any]) -> bool:
+        """Fold one non-claim record's payload; False leaves owner, lease
+        and phase as they were."""
+        raise NotImplementedError
+
+
+#: op record keys that are not phase payload.
+_OP_HEADER = frozenset(("rec", "op", "phase", "owner", "lease", "t", "kind",
+                        "context", "targets"))
 
 
 @dataclass
-class LedgerCampaign:
+class LedgerOp(LedgerEntry):
+    """One op's state, folded from its ledger records."""
+
+    op_id: int
+    kind: str = "checkpoint"
+    targets: List[Tuple[str, str, str]] = field(default_factory=list)
+    context: str = "snapshot"
+    #: merged per-phase payload (negotiated filters, plan, stats, ...).
+    fields: Dict[str, Any] = field(default_factory=dict)
+
+    def absorb(self, rec: Dict[str, Any]) -> bool:
+        if rec.get("rec") == "op":
+            self.kind = rec.get("kind", self.kind)
+            self.context = rec.get("context", self.context)
+            self.targets = [tuple(t) for t in rec.get("targets", [])]
+        for key, value in rec.items():
+            if key not in _OP_HEADER:
+                self.fields[key] = value
+        return True
+
+
+@dataclass
+class LedgerCampaign(LedgerEntry):
     """One fleet campaign's state, folded from its ledger records."""
 
     cid: int
     kind: str = "checkpoint"
-    phase: str = "begin"
     #: every unit as journaled at begin: (node, pod, arg) — the arg is a
     #: checkpoint URI or a migration destination ("" = pick by load).
     units: List[Tuple[str, str, str]] = field(default_factory=list)
@@ -126,8 +149,6 @@ class LedgerCampaign:
     waves: List[List[str]] = field(default_factory=list)
     #: the policy knobs journaled at begin (max_inflight, threshold, ...).
     policy: Dict[str, Any] = field(default_factory=dict)
-    owner: Optional[str] = None
-    lease_until: float = 0.0
     #: newest-wins unit outcome per pod: {"status", "op", "wave", ...}.
     pods: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     #: wave index -> the owner whose wave record landed *first*.
@@ -137,13 +158,6 @@ class LedgerCampaign:
     wave_claims: List[Tuple[int, str]] = field(default_factory=list)
     #: wave indices whose wave-done record landed.
     waves_done: List[int] = field(default_factory=list)
-    #: every owner that ever claimed the campaign, in order.
-    claims: List[str] = field(default_factory=list)
-    t_last: float = 0.0
-
-    @property
-    def terminal(self) -> bool:
-        return self.phase in CAMPAIGN_TERMINAL_PHASES
 
     @property
     def done_pods(self) -> List[str]:
@@ -152,92 +166,68 @@ class LedgerCampaign:
         return sorted(p for p, rec in self.pods.items()
                       if rec.get("status") == "ok")
 
-
-def fold_ops(records: List[Dict[str, Any]]) -> Dict[int, LedgerOp]:
-    """Fold raw op records into per-op state (newest wins).
-
-    Module-level so the campaign-trace assembler (:mod:`repro.obs.
-    assemble`) can fold a record list it obtained elsewhere — a span
-    dump's sidecar, a copied log — without a live :class:`FileSystem`.
-    """
-    ops: Dict[int, LedgerOp] = {}
-    for rec in records:
-        if "cid" in rec:
-            continue  # campaign records fold via fold_campaigns()
-        op_id = int(rec["op"])
-        op = ops.get(op_id)
-        if op is None:
-            op = ops[op_id] = LedgerOp(op_id=op_id)
-        kind = rec.get("rec", "phase")
-        op.t_last = float(rec.get("t", op.t_last))
-        if kind == "claim":
-            op.owner = rec.get("owner")
-            op.lease_until = float(rec.get("lease", 0.0))
-            op.claims.append(rec.get("owner"))
-            continue
-        if kind == "op":
-            op.kind = rec.get("kind", op.kind)
-            op.context = rec.get("context", op.context)
-            op.targets = [tuple(t) for t in rec.get("targets", [])]
-        if rec.get("owner") is not None:
-            op.owner = rec["owner"]
-        if rec.get("lease") is not None:
-            op.lease_until = float(rec["lease"])
-        op.phase = rec.get("phase", op.phase)
-        for key, value in rec.items():
-            if key not in ("rec", "op", "phase", "owner", "lease", "t",
-                           "kind", "context", "targets"):
-                op.fields[key] = value
-    return ops
-
-
-def fold_campaigns(records: List[Dict[str, Any]]) -> Dict[int, LedgerCampaign]:
-    """Fold raw campaign-family records into per-campaign state."""
-    campaigns: Dict[int, LedgerCampaign] = {}
-    for rec in records:
-        if "cid" not in rec:
-            continue
-        cid = int(rec["cid"])
-        camp = campaigns.get(cid)
-        if camp is None:
-            camp = campaigns[cid] = LedgerCampaign(cid=cid)
-        kind = rec.get("rec", "campaign")
-        camp.t_last = float(rec.get("t", camp.t_last))
-        if kind == "campaign-claim":
-            camp.owner = rec.get("owner")
-            camp.lease_until = float(rec.get("lease", 0.0))
-            camp.claims.append(rec.get("owner"))
-            continue
-        phase = rec.get("phase", camp.phase)
+    def absorb(self, rec: Dict[str, Any]) -> bool:
+        phase = rec.get("phase", self.phase)
         if phase == "begin":
-            camp.kind = rec.get("kind", camp.kind)
-            camp.units = [tuple(u) for u in rec.get("units", [])]
-            camp.waves = [list(w) for w in rec.get("waves", [])]
-            camp.policy = dict(rec.get("policy", {}))
+            self.kind = rec.get("kind", self.kind)
+            self.units = [tuple(u) for u in rec.get("units", [])]
+            self.waves = [list(w) for w in rec.get("waves", [])]
+            self.policy = dict(rec.get("policy", {}))
         elif phase == "wave":
             wave = int(rec.get("wave", -1))
             owner = rec.get("owner")
-            camp.wave_claims.append((wave, owner))
-            if wave in camp.wave_owners:
-                # duplicate wave claim: first writer wins, the
-                # duplicate stays on the audit trail only
-                continue
-            camp.wave_owners[wave] = owner
+            self.wave_claims.append((wave, owner))
+            if wave in self.wave_owners:
+                return False          # duplicate: the first writer won
+            self.wave_owners[wave] = owner
         elif phase == "pod":
-            camp.pods[rec.get("pod")] = {
+            self.pods[rec.get("pod")] = {
                 k: v for k, v in rec.items()
                 if k in ("status", "op", "wave", "downtime", "attempts",
                          "adopted", "t")}
         elif phase == "wave-done":
             wave = int(rec.get("wave", -1))
-            if wave not in camp.waves_done:
-                camp.waves_done.append(wave)
+            if wave not in self.waves_done:
+                self.waves_done.append(wave)
+        return True
+
+
+OPS = LedgerOp.family = Family("op", "claim", ("commit", "aborted"), LedgerOp)
+CAMPAIGNS = LedgerCampaign.family = Family(
+    "cid", "campaign-claim", ("commit", "halted", "aborted"), LedgerCampaign)
+
+
+def fold(records: List[Dict[str, Any]],
+         family: Family = OPS) -> Dict[int, LedgerEntry]:
+    """Fold one family's raw records into per-id state (newest wins).
+
+    Module-level so the campaign-trace assembler (:mod:`repro.obs.
+    assemble`) can fold a record list it obtained elsewhere — a span
+    dump's sidecar, a copied log — without a live :class:`FileSystem`.
+    """
+    out: Dict[int, LedgerEntry] = {}
+    for rec in records:
+        if not family.owns(rec):
+            continue
+        eid = int(rec[family.key])
+        entry = out.get(eid)
+        if entry is None:
+            entry = out[eid] = family.entry(eid)
+            entry.t_first = float(rec.get("t", 0.0))
+        entry.t_last = float(rec.get("t", entry.t_last))
+        if rec.get("rec") == family.claim:
+            entry.owner = rec.get("owner")
+            entry.lease_until = float(rec.get("lease", 0.0))
+            entry.claims.append(entry.owner)
+            continue
+        if not entry.absorb(rec):
+            continue
         if rec.get("owner") is not None:
-            camp.owner = rec["owner"]
+            entry.owner = rec["owner"]
         if rec.get("lease") is not None:
-            camp.lease_until = float(rec["lease"])
-        camp.phase = phase
-    return campaigns
+            entry.lease_until = float(rec["lease"])
+        entry.phase = rec.get("phase", entry.phase)
+    return out
 
 
 class OpLedger:
@@ -249,13 +239,13 @@ class OpLedger:
         #: scan bookkeeping: lines the last scan had to discard (the torn
         #: tail, or corruption injected by tests).
         self.skipped = 0
-        #: id-allocation caches: highest op/campaign id seen, maintained
-        #: incrementally by :meth:`append` after the first full scan, so
-        #: allocating ids is O(1) instead of re-parsing the whole log per
-        #: op (quadratic at fleet scale).  Per-instance only — a replica
-        #: builds its own OpLedger and does its own first scan.
-        self._max_op: Optional[int] = None
-        self._max_cid: Optional[int] = None
+        #: id allocation, per family key: the highest id seen or handed
+        #: out.  Seeded by one full scan at the first allocation, then
+        #: kept by :meth:`append` and :meth:`new_id`, so allocating is
+        #: O(1) instead of re-parsing the whole log per op (quadratic at
+        #: fleet scale).  Per-instance only — a replica builds its own
+        #: OpLedger and does its own first scan.
+        self._top: Dict[str, int] = {}
 
     # -- raw log ---------------------------------------------------------
     def _file(self):
@@ -268,11 +258,26 @@ class OpLedger:
     def append(self, record: Dict[str, Any]) -> None:
         """Append one record (sorted keys: deterministic bytes)."""
         line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        self._file().data += (line + "\n").encode("ascii")
-        if self._max_op is not None and "op" in record and "cid" not in record:
-            self._max_op = max(self._max_op, int(record["op"]))
-        if self._max_cid is not None and "cid" in record:
-            self._max_cid = max(self._max_cid, int(record["cid"]))
+        data = self._file().data
+        if data and data[-1] != 10:
+            data += b"\n"    # end a torn tail, or it swallows this record
+        data += (line + "\n").encode("ascii")
+        key = CAMPAIGNS.key if "cid" in record else OPS.key
+        if key in self._top and key in record:
+            self._top[key] = max(self._top[key], int(record[key]))
+
+    def write(self, family: Family, eid: int, owner: str, now: float,
+              lease_s: Optional[float], span: Optional[int] = None,
+              **fields: Any) -> None:
+        """Append one record of entry ``eid`` that renews ``owner``'s
+        lease (None = :data:`DEFAULT_LEASE_S`); ``span`` joins it to the
+        trace that timed it."""
+        lease = DEFAULT_LEASE_S if lease_s is None else float(lease_s)
+        record = dict({family.key: eid, "owner": owner,
+                       "lease": now + lease, "t": now}, **fields)
+        if span is not None:
+            record.setdefault("span", span)
+        self.append(record)
 
     def records(self) -> List[Dict[str, Any]]:
         """Parse the log, tolerating a torn (truncated) final line."""
@@ -300,40 +305,43 @@ class OpLedger:
         return out
 
     # -- folded state ----------------------------------------------------
-    def replay(self) -> Dict[int, LedgerOp]:
-        """Fold the log into per-op state, in op-id order."""
-        return fold_ops(self.records())
+    def replay(self, family: Family = OPS) -> Dict[int, LedgerEntry]:
+        """Fold the log into per-entry state of ``family``."""
+        return fold(self.records(), family)
 
-    def next_op_id(self) -> int:
-        """Smallest op id no record has used yet."""
-        if self._max_op is None:
-            self._max_op = max(
-                (int(r["op"]) for r in self.records()
-                 if "op" in r and "cid" not in r), default=0)
-        return self._max_op + 1
+    def new_id(self, family: Family = OPS) -> int:
+        """Reserve and return the smallest id of ``family`` that no
+        record has used and this ledger has not handed out before."""
+        top = self._top.get(family.key)
+        if top is None:
+            top = max((int(r[family.key]) for r in self.records()
+                       if family.owns(r)), default=0)
+        self._top[family.key] = top + 1
+        return top + 1
 
-    def orphaned(self, now: float) -> List[LedgerOp]:
-        """Non-terminal ops whose lease has expired, in op-id order —
+    def orphaned(self, now: float, family: Family = OPS) -> List[LedgerEntry]:
+        """Non-terminal entries whose lease has expired, in id order —
         the set a takeover replica must resume or abort."""
-        return [op for _id, op in sorted(self.replay().items())
-                if not op.terminal and now >= op.lease_until]
+        return [e for _id, e in sorted(self.replay(family).items())
+                if not e.terminal and now >= e.lease_until]
 
-    def claim(self, op_id: int, owner: str, now: float,
-              lease_s: float) -> bool:
-        """Atomically claim an orphaned op.
+    def claim(self, eid: int, owner: str, now: float,
+              lease_s: Optional[float] = None, family: Family = OPS) -> bool:
+        """Atomically claim an orphaned entry.
 
-        Refuses when the op is unknown, already terminal, or still under
-        another Manager's unexpired lease.  Single-threaded simulation
-        plus no yield between check and append makes this atomic — the
-        moral equivalent of an O_APPEND compare-and-swap record.
+        Refuses when the entry is unknown, already terminal, or still
+        under another Manager's unexpired lease.  Single-threaded
+        simulation plus no yield between check and append makes this
+        atomic — the moral equivalent of an O_APPEND compare-and-swap
+        record.
         """
-        op = self.replay().get(op_id)
-        if op is None or op.terminal:
+        entry = self.replay(family).get(eid)
+        if entry is None or entry.terminal:
             return False
-        if op.owner is not None and op.owner != owner and now < op.lease_until:
+        if entry.owner is not None and entry.owner != owner \
+                and now < entry.lease_until:
             return False
-        self.append({"rec": "claim", "op": op_id, "owner": owner,
-                     "lease": now + lease_s, "t": now})
+        self.write(family, eid, owner, now, lease_s, rec=family.claim)
         return True
 
     def last_committed(self, kind: str = "checkpoint") -> Optional[LedgerOp]:
@@ -344,36 +352,3 @@ class OpLedger:
             if op.kind == kind and op.phase == "commit":
                 best = op
         return best
-
-    # -- campaigns -------------------------------------------------------
-    def replay_campaigns(self) -> Dict[int, LedgerCampaign]:
-        """Fold the campaign record family into per-campaign state."""
-        return fold_campaigns(self.records())
-
-    def next_campaign_id(self) -> int:
-        """Smallest campaign id no record has used yet."""
-        if self._max_cid is None:
-            self._max_cid = max(
-                (int(r["cid"]) for r in self.records() if "cid" in r),
-                default=0)
-        return self._max_cid + 1
-
-    def orphaned_campaigns(self, now: float) -> List[LedgerCampaign]:
-        """Non-terminal campaigns whose lease has expired, in campaign-id
-        order — what a takeover replica must resume."""
-        return [c for _id, c in sorted(self.replay_campaigns().items())
-                if not c.terminal and now >= c.lease_until]
-
-    def claim_campaign(self, cid: int, owner: str, now: float,
-                       lease_s: float) -> bool:
-        """Atomically claim an orphaned campaign (same rule as ops:
-        refused when unknown, terminal, or under a live foreign lease)."""
-        camp = self.replay_campaigns().get(cid)
-        if camp is None or camp.terminal:
-            return False
-        if (camp.owner is not None and camp.owner != owner
-                and now < camp.lease_until):
-            return False
-        self.append({"rec": "campaign-claim", "cid": cid, "owner": owner,
-                     "lease": now + lease_s, "t": now})
-        return True

@@ -14,13 +14,12 @@ from repro.cluster import chaos
 from repro.core import pipeline
 from repro.core.agent import Agent
 from repro.core.manager import Manager, OpMachine, OpResult
-from repro.core import manager as manager_module
 from repro.core.pipeline import PipelineState, Sink
 from repro.core.wire import send_msg
 from repro.fleet import campaign
 from repro.fleet.scheduler import InflightGate
 from repro.pod.pod import Pod
-from repro.storage import cas
+from repro.storage import cas, ledger
 
 from ..mutation import mutant
 
@@ -207,13 +206,15 @@ def test_generation_integrity_catches_a_recipe_that_drops_committed_metadata(
 
 
 def test_takeover_resolved_catches_a_replica_that_reuses_op_ids(monkeypatch):
-    # the replica numbers its ops from 1 again instead of past the
-    # ledger: its continuity checkpoint is op 1, the op its own takeover
-    # just aborted, and every Agent's tombstone for op 1 refuses it
-    twin = mutant(manager_module,
-                  "        op_id = max(self._next_op_id, self.ledger.next_op_id())\n",
-                  "        op_id = self._next_op_id\n")
-    monkeypatch.setattr(Manager, "new_op_id", twin.Manager.new_op_id)
+    # the id allocator ignores the ids its first scan finds, so the
+    # replica numbers its ops from 1 again instead of past the ledger:
+    # its continuity checkpoint is op 1, the op its own takeover just
+    # aborted, and every Agent's tombstone for op 1 refuses it
+    twin = mutant(ledger,
+                  "            top = max((int(r[family.key]) for r in self.records()\n"
+                  "                       if family.owns(r)), default=0)\n",
+                  "            top = 0\n")
+    monkeypatch.setattr(ledger.OpLedger, "new_id", twin.OpLedger.new_id)
     assert "takeover-resolved" in caught(
         chaos.run("failover", 3, crash_phase="manager.ledger.meta"))
 

@@ -16,7 +16,7 @@ from repro.fleet import (
     evacuate_campaign,
     resume_campaigns_task,
 )
-from repro.storage.ledger import OpLedger
+from repro.storage.ledger import CAMPAIGNS, OpLedger
 
 LEASE_S = 3.0
 
@@ -95,7 +95,7 @@ def test_replica_resumes_half_done_wave_without_redriving():
     # the world is fully evacuated
     for name in evac:
         assert not cluster.node_by_name(name).kernel.pods
-    lc = led.replay_campaigns()[cid]
+    lc = led.replay(CAMPAIGNS)[cid]
     assert lc.terminal and lc.phase == "commit"
     assert len(lc.done_pods) == 24
 

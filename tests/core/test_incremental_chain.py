@@ -158,7 +158,7 @@ def test_precopy_and_incremental_share_one_run():
         out["ckpts"].append(res)
         yield engine.sleep(0.2)
         # pre-copy round 1 ships the full resident set
-        op = manager.new_op_id()
+        op = manager.ledger.new_id()
         stats, errors = yield from manager.precopy_round(moves, 1, op_id=op)
         assert not errors, errors
         out["rounds"].append(stats)

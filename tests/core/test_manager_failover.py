@@ -12,11 +12,11 @@ from collections import Counter
 from repro.cluster import Cluster, FaultInjector, FaultPlan, FaultSpec
 from repro.cluster.faults import crash_node
 from repro.core import Manager
-from repro.core.manager import DEFAULT_LEASE_S, PhaseTimeouts
+from repro.core.manager import PhaseTimeouts
 from repro.core.pipeline import FileSink
 from repro.obs import SpanTracer
 from repro.storage import OpLedger
-from repro.storage.ledger import fold_ops
+from repro.storage.ledger import DEFAULT_LEASE_S, LEDGER_PATH, fold
 from repro.vos import DEAD
 
 from .testapps import expected_sums, final_sums, launch_pingpong
@@ -120,8 +120,11 @@ def test_replica_aborts_checkpoint_crashed_before_continue():
     assert manager.crashed
     assert state["actions"] == [(1, "meta", "aborted")]
     assert state["replica"].last_checkpoint is None
+    vfs = cluster.node(0).kernel.vfs
     for path in (SRV_IMG, CLI_IMG):
-        assert not cluster.san.exists(path), f"partial image left at {path}"
+        san, inner = vfs.resolve(path)
+        assert not san.exists(inner), f"partial image left at {path}"
+    assert sorted(cluster.san.files) == [LEDGER_PATH]
     assert OpLedger(cluster.san).replay()[1].phase == "aborted"
     # the app was released and ran to the correct answer anyway
     assert srv.state == DEAD and cli.state == DEAD
@@ -196,7 +199,7 @@ def test_replica_dying_mid_redrive_writes_nothing():
     records = OpLedger(cluster.san).records()
     late = [r for r in records[at_crash["records"]:] if r.get("owner") == "mgr1"]
     assert late == [], f"mgr1 wrote after its crash: {late}"
-    assert not fold_ops(records)[2].terminal
+    assert not fold(records)[2].terminal
     assert state["actions"] == [(2, "plan", "crashed")]
 
 
@@ -343,7 +346,7 @@ def test_crash_inside_recover_leaves_both_ops_to_the_replica():
     owned = [(r["op"], r["phase"]) for r in state["records"]
              if r.get("owner") == "mgr0"]
     assert owned[-1] == (3, "plan"), f"mgr0 wrote after its crash: {owned}"
-    assert not fold_ops(state["records"])[2].terminal
+    assert not fold(state["records"])[2].terminal
     assert state["actions"] == [(2, "detect", "aborted"),
                                 (3, "plan", "redriven")]
     ops = OpLedger(cluster.san).replay()
@@ -451,5 +454,5 @@ def test_replica_reconstructs_last_checkpoint_and_op_ids():
     assert replica.last_checkpoint is not None
     assert replica.last_checkpoint.op_id == ckpt.op_id
     assert replica.last_checkpoint.targets == [tuple(t) for t in ckpt.targets]
-    assert replica.new_op_id() > ckpt.op_id
+    assert replica.ledger.new_id() > ckpt.op_id
     assert cluster.manager is replica

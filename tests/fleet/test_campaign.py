@@ -16,7 +16,7 @@ from repro.fleet import (
     build_fleet_world,
     checkpoint_fleet_task,
 )
-from repro.storage.ledger import OpLedger
+from repro.storage.ledger import CAMPAIGNS, OpLedger
 
 
 def _run(cluster, gen, until=600.0):
@@ -52,7 +52,7 @@ def test_checkpoint_fleet_commits_and_resumes_pods():
         assert sink.exists()
         assert sink.load(pod_id) is not None
     # the ledger folded the campaign to a terminal commit
-    lc = OpLedger(cluster.san).replay_campaigns()[res.cid]
+    lc = OpLedger(cluster.san).replay(CAMPAIGNS)[res.cid]
     assert lc.terminal and lc.phase == "commit"
     assert len(lc.done_pods) == 9
     assert lc.waves_done == list(range(len(lc.waves)))
@@ -127,7 +127,7 @@ def test_threshold_halts_campaign_and_skips_tail():
     for pod_id, out in res.pods.items():
         if out.status == "skipped":
             assert out.attempts == 0
-    lc = OpLedger(cluster.san).replay_campaigns()[res.cid]
+    lc = OpLedger(cluster.san).replay(CAMPAIGNS)[res.cid]
     assert lc.phase == "halted" and lc.terminal
 
 
@@ -189,7 +189,7 @@ def test_campaign_refused_when_nodes_claimed():
     assert res.status == "excluded"
     assert "node claim refused" in res.errors[0]
     # nothing was journaled for the refused campaign
-    assert res.cid not in OpLedger(cluster.san).replay_campaigns()
+    assert res.cid not in OpLedger(cluster.san).replay(CAMPAIGNS)
 
 
 def test_downtime_distribution_is_nontrivial():
@@ -203,3 +203,29 @@ def test_downtime_distribution_is_nontrivial():
     # ballast spread (i % 7 steps) must show up as distinct downtimes
     assert len(set(times)) >= 5
     assert res.downtime_percentile(99) >= res.downtime_percentile(50) > 0.0
+
+
+def test_campaigns_built_before_either_runs_get_distinct_ids():
+    """A campaign id is reserved when the campaign is built, not when
+    its begin record lands: two drains planned up front must not share
+    an id (and so fold into one campaign with both drains' pods)."""
+    cluster, manager, _pods = build_fleet_world(8, 16)
+    from repro.fleet import drain_campaign
+    first, second = (drain_campaign(manager, blade, policy=FleetPolicy(),
+                                    timeouts=FLEET_TIMEOUTS)
+                     for blade in ("blade1", "blade2"))
+    assert first.cid != second.cid
+
+    def both():
+        results = []
+        for camp in (first, second):
+            results.append((yield from camp.run_task()))
+        return results
+
+    results = _run(cluster, both(), until=1200.0)
+    camps = OpLedger(cluster.san).replay(CAMPAIGNS)
+    for camp, res in zip((first, second), results):
+        assert res.status == "ok"
+        lc = camps[camp.cid]
+        assert len(lc.units) == 3
+        assert sorted(lc.pods) == sorted(unit[1] for unit in camp.units)

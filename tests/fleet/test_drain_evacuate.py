@@ -14,7 +14,7 @@ from repro.fleet import (
     evacuate_task,
     run_evacuation_demo,
 )
-from repro.storage.ledger import OpLedger
+from repro.storage.ledger import CAMPAIGNS, OpLedger
 
 
 def _run(cluster, gen, until=3600.0):
@@ -44,7 +44,7 @@ def test_drain_empties_node_and_releases_claim():
         assert not host.kernel.pods[out.pod].suspended
     # the node claim was released at campaign end
     assert manager.node_claim_holder("blade2") is None
-    lc = OpLedger(cluster.san).replay_campaigns()[res.cid]
+    lc = OpLedger(cluster.san).replay(CAMPAIGNS)[res.cid]
     assert lc.terminal and lc.kind == "drain"
 
 
@@ -125,7 +125,7 @@ def test_hundred_node_thousand_pod_evacuation():
     assert 0.0 < res.downtime_percentile(50) <= res.downtime_percentile(99)
     assert res.downtime_percentile(99) < 1.0
     # the whole campaign journaled to a terminal commit
-    lc = OpLedger(cluster.san).replay_campaigns()[res.cid]
+    lc = OpLedger(cluster.san).replay(CAMPAIGNS)[res.cid]
     assert lc.terminal and lc.phase == "commit"
     assert len(lc.done_pods) == 1000
 

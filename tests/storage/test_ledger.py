@@ -6,7 +6,7 @@ writer died mid-append), duplicate claims racing for one orphan, and
 stale leases that must not block a takeover forever.
 """
 
-from repro.storage import LEDGER_PATH, OpLedger, SharedStorage
+from repro.storage import CAMPAIGNS, LEDGER_PATH, OpLedger, SharedStorage
 
 
 def _ledger():
@@ -32,7 +32,7 @@ def test_append_and_replay_folds_phases():
     assert op.lease_until == 32.0
     assert op.fields["pods"] == ["p0"]       # per-phase payload merged
     assert not op.terminal
-    assert led.next_op_id() == 2
+    assert led.new_id() == 2
 
 
 def test_terminal_phases_end_the_op():
@@ -62,7 +62,7 @@ def test_truncated_last_record_is_discarded():
     ops = led.replay()
     assert led.skipped == 1
     assert ops[1].phase == "begin"           # the torn meta record is gone
-    assert led.next_op_id() == 2             # op ids still monotonic
+    assert led.new_id() == 2                 # op ids still monotonic
 
 
 def test_corrupt_middle_line_is_skipped():
@@ -170,7 +170,7 @@ def test_campaign_records_fold_to_state():
     _camp(led, "pod", t=2.0, wave=0, pod="p0", status="ok", op=7,
           downtime=0.25, attempts=1)
     _camp(led, "wave-done", t=3.0, wave=0, ok=1, failed=0)
-    camps = led.replay_campaigns()
+    camps = led.replay(CAMPAIGNS)
     assert set(camps) == {1}
     camp = camps[1]
     assert camp.kind == "drain"
@@ -183,7 +183,7 @@ def test_campaign_records_fold_to_state():
     assert camp.wave_owners == {0: "mgr0"}
     assert camp.waves_done == [0]
     assert not camp.terminal
-    assert led.next_campaign_id() == 2
+    assert led.new_id(CAMPAIGNS) == 2
 
 
 def test_campaign_terminal_phases():
@@ -191,9 +191,9 @@ def test_campaign_terminal_phases():
     for cid, phase in ((1, "commit"), (2, "halted"), (3, "aborted")):
         _begin(led, cid=cid)
         _camp(led, phase, cid=cid, t=5.0)
-    camps = led.replay_campaigns()
+    camps = led.replay(CAMPAIGNS)
     assert all(c.terminal for c in camps.values())
-    assert led.orphaned_campaigns(now=1000.0) == []
+    assert led.orphaned(now=1000.0, family=CAMPAIGNS) == []
 
 
 def test_campaign_torn_tail_mid_wave_is_resumable():
@@ -211,13 +211,13 @@ def test_campaign_torn_tail_mid_wave_is_resumable():
     torn = bytes(f.data)[:-11]               # tear the p1 record mid-line
     del f.data[:]
     f.data.extend(torn)
-    camp = led.replay_campaigns()[1]
+    camp = led.replay(CAMPAIGNS)[1]
     assert led.skipped == 1
     assert camp.done_pods == ["p0"]          # p1's outcome never became durable
     assert camp.phase == "pod"
     assert not camp.terminal
     # the campaign is orphanable once its last durable lease expires
-    orphans = led.orphaned_campaigns(now=100.0)
+    orphans = led.orphaned(now=100.0, family=CAMPAIGNS)
     assert [c.cid for c in orphans] == [1]
 
 
@@ -228,7 +228,7 @@ def test_duplicate_wave_claim_first_writer_wins():
     _begin(led)
     _camp(led, "wave", t=1.0, wave=0, pods=1, owner="mgr0")
     _camp(led, "wave", t=2.0, wave=0, pods=1, owner="mgr1")
-    camp = led.replay_campaigns()[1]
+    camp = led.replay(CAMPAIGNS)[1]
     assert camp.wave_owners == {0: "mgr0"}   # first writer wins
     assert camp.wave_claims == [(0, "mgr0"), (0, "mgr1")]
 
@@ -236,14 +236,15 @@ def test_duplicate_wave_claim_first_writer_wins():
 def test_campaign_claim_respects_live_lease():
     led = _ledger()
     _begin(led, t=0.0)                       # lease runs to t=30
-    assert not led.claim_campaign(1, "mgr1", now=10.0, lease_s=5.0)
-    assert led.claim_campaign(1, "mgr1", now=31.0, lease_s=5.0)
-    assert not led.claim_campaign(2, "mgr1", now=31.0, lease_s=5.0)  # unknown
-    camp = led.replay_campaigns()[1]
+    claim = dict(lease_s=5.0, family=CAMPAIGNS)
+    assert not led.claim(1, "mgr1", now=10.0, **claim)
+    assert led.claim(1, "mgr1", now=31.0, **claim)
+    assert not led.claim(2, "mgr1", now=31.0, **claim)  # unknown
+    camp = led.replay(CAMPAIGNS)[1]
     assert camp.owner == "mgr1"
     assert camp.claims == ["mgr1"]
     _camp(led, "commit", t=40.0, owner="mgr1")
-    assert not led.claim_campaign(1, "mgr2", now=100.0, lease_s=5.0)  # terminal
+    assert not led.claim(1, "mgr2", now=100.0, **claim)  # terminal
 
 
 def test_campaign_records_do_not_disturb_op_replay():
@@ -259,23 +260,31 @@ def test_campaign_records_do_not_disturb_op_replay():
           downtime=0.1, attempts=1)
     ops = led.replay()
     assert set(ops) == {3}
-    assert led.next_op_id() == 4
-    assert led.next_campaign_id() == 8
-    camps = led.replay_campaigns()
+    assert led.new_id() == 4
+    assert led.new_id(CAMPAIGNS) == 8
+    camps = led.replay(CAMPAIGNS)
     assert set(camps) == {7}
 
 
 def test_id_caches_follow_appends():
-    """next_op_id / next_campaign_id are O(1) after the first scan: the
-    caches track appends instead of re-parsing the log per allocation."""
+    """``new_id`` is O(1) after the first scan: the allocator tracks
+    appends instead of re-parsing the log per allocation, and reserves
+    every id it hands out, written or not."""
     led = _ledger()
-    assert led.next_op_id() == 1
-    assert led.next_campaign_id() == 1
+    assert led.new_id() == 1
+    assert led.new_id(CAMPAIGNS) == 1
     led.append({"rec": "op", "op": 1, "phase": "begin", "t": 0.0})
     _begin(led, cid=1, t=0.0)
-    assert led.next_op_id() == 2
-    assert led.next_campaign_id() == 2
-    # a second instance over the same file scans fresh and agrees
+    assert led.new_id() == 2
+    assert led.new_id(CAMPAIGNS) == 2
+    # both ids 2 were handed out but never written: neither is reused
+    assert led.new_id() == 3
+    assert led.new_id(CAMPAIGNS) == 3
+    # a record written past the allocator moves it on
+    led.append({"rec": "op", "op": 9, "phase": "begin", "t": 0.0})
+    assert led.new_id() == 10
+    # a second instance over the same file scans fresh and agrees on
+    # what is durable
     other = OpLedger(led.fs)
-    assert other.next_op_id() == 2
-    assert other.next_campaign_id() == 2
+    assert other.new_id() == 10
+    assert other.new_id(CAMPAIGNS) == 2
