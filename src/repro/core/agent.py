@@ -1009,9 +1009,7 @@ class Agent:
             # so fail without touching the published generation
             span.end(status="failed")
             return False
-        try:
-            sink.load(image.pod_id)
-        except RestartError:
+        if sink.tip_epoch(image.pod_id) is None:
             # a partial generation got published: roll it back (op-keyed
             # where the sink can, so a replayed GC cannot undo more)
             sink.rollback(op_id)

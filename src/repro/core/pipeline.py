@@ -755,21 +755,34 @@ class ImagePipeline:
                                 decode_seconds=decode_seconds, stage_costs=costs)
 
 
+def extends_chain(filters: List[Dict[str, Any]]) -> bool:
+    """True when an image with these filters is a delta depending on
+    the previous epoch."""
+    return any(entry.get("name") == "delta" and entry.get("kind") == "delta"
+               for entry in filters)
+
+
 def image_extends_chain(image: PodImage) -> bool:
     """True when ``image`` is a delta depending on the previous epoch."""
-    return any(entry.get("name") == "delta" and entry.get("kind") == "delta"
-               for entry in image.filters)
+    return extends_chain(image.filters)
 
 
-def restorable_chain(chain: List[PodImage], where: str) -> List[PodImage]:
-    """``chain`` if a restart can apply it — a self-contained head, then
-    each next epoch's delta — else :class:`RestartError` (a delta decodes
-    against *any* base, so a gap would restore wrong bytes silently)."""
-    epochs = [image.epoch for image in chain]
-    if (not chain or image_extends_chain(chain[0])
+def check_chain(epochs: List[int], head_filters: List[Dict[str, Any]],
+                where: str) -> None:
+    """:class:`RestartError` unless a restart can apply a chain of these
+    epochs whose head has these filters — a self-contained head, then
+    each next epoch's delta (a delta decodes against *any* base, so a
+    gap would restore wrong bytes silently)."""
+    if (not epochs or extends_chain(head_filters)
             or epochs != list(range(epochs[0], epochs[0] + len(epochs)))):
         raise RestartError(f"image chain at {where!r} (epochs {epochs}) is "
                            "not a full image plus consecutive deltas")
+
+
+def restorable_chain(chain: List[PodImage], where: str) -> List[PodImage]:
+    """``chain`` if a restart can apply it (see :func:`check_chain`)."""
+    check_chain([image.epoch for image in chain],
+                chain[0].filters if chain else [], where)
     return chain
 
 

@@ -469,8 +469,15 @@ class NetStack:
         self.established[(sock.proto, sock.local, remote)] = sock
 
     def _cancel_waits(self, proc: Any) -> None:
-        for sock in list(self.bound.values()) + list(self.established.values()):
-            sock.drop_waiter(proc)
+        """Purge an exiting ``proc`` from the sockets someone waits on —
+        closed connections stay in ``established`` (late retransmissions
+        still get ACKed) and hold no waiter to purge."""
+        for table in (self.bound, self.established):
+            for sock in table.values():
+                if sock.recv_waiters or sock.send_waiters \
+                        or sock.accept_waiters or sock.poll_waiters \
+                        or sock.connect_waiter is not None:
+                    sock.drop_waiter(proc)
 
     def abort_sockets_of(self, ip: str) -> int:
         """Silently destroy every socket bound to ``ip`` (pod teardown).

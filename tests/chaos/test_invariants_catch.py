@@ -59,7 +59,7 @@ def _publish_without_read_back(monkeypatch):
     flush = Agent._flush
 
     def blind_flush(self, image, sink, op_id=0, overlap_s=0.0):
-        sink.load = lambda pod_id: []
+        sink.tip_epoch = lambda pod_id: image.epoch
         return (yield from flush(self, image, sink, op_id, overlap_s))
 
     monkeypatch.setattr(Agent, "_flush", blind_flush)

@@ -10,14 +10,16 @@ the store must agree with the model and with itself:
 
 * the recipe tables hold the model's generations, op for op;
 * ``refs`` is exactly one reference per chunk occurrence in ``recipes``
-  + ``pending`` + ``retired``; ``footprint_bytes`` is the sum of the
-  stored objects; stored minus reclaimed is what is there;
+  + ``pending`` + ``retired`` (the view the store derives from its two
+  levels, which ``audit()`` recounts); ``footprint_bytes`` is the sum
+  of the stored objects; stored minus reclaimed is what is there;
 * ``carried_bytes`` is what the carried-id walk of the first CAS
   implementation would have counted (recomputed here from the tables);
 * every generation staged whole — published or still pending — has all
   its chunks, ``audit()`` is clean unless a cut-short generation is
   published, every published whole path ``load()``s the model's bytes,
-  and a generation missing a chunk raises ``RestartError``.
+  a generation missing a chunk raises ``RestartError``, and
+  ``tip_epoch`` is the loaded chain's last epoch (None where it raises).
 
 The mutations at the bottom are the bugs this exists for (the first is
 the PR 10 re-stage bug a reviewer caught by reading): each must fail it.
@@ -237,7 +239,10 @@ class CasMachine(RuleBasedStateMachine):
             if missing or _is_delta(gen.chain[0]):
                 with pytest.raises(RestartError):
                     self.sink(path).load(PATHS[path])
+                assert self.sink(path).tip_epoch(PATHS[path]) is None
             else:
+                assert self.sink(path).tip_epoch(PATHS[path]) \
+                    == gen.chain[-1].epoch
                 loaded = self.sink(path).load(PATHS[path])
                 assert [(i.data, i.epoch, i.accounted_bytes, i.filters)
                         for i in loaded] \
@@ -284,11 +289,17 @@ MUTATIONS = {
         "            obj = objects.pop(cid, None)\n",
         "            obj = None\n"),
     "release skips the accounted blocks": (
-        "        for cid in _recipe_cids(recipe):\n            n = refs[cid] - 1",
-        "        for cid in chain.from_iterable(\n"
-        "                e[\"payload\"] for e in recipe[\"entries\"]):\n"
-        "            n = refs[cid] - 1"),
-    # the carried-bytes bookkeeping this PR added
+        "            for cid in _entry_cids(entry):\n                n = refs[cid] - 1",
+        "            for cid in entry[\"payload\"]:\n                n = refs[cid] - 1"),
+    # the two reference levels: an entry holds its chunks once, from its
+    # first holder to its last
+    "an entry takes its chunk refs per holder": (
+        "                held[1] += 1\n",
+        "                held[1] += 1\n"
+        "                self.chunk_refs.update(_entry_cids(entry))\n"),
+    "an entry's holder count never reaches zero": (
+        "            held[1] -= 1\n", "            held[1] = max(1, held[1] - 1)\n"),
+    # the carried-bytes bookkeeping
     "carried forgets the chunks that never arrived": (
         "recipe[\"carried\"] = distinct - sum(absent.values())",
         "recipe[\"carried\"] = distinct"),
