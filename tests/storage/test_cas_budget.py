@@ -11,7 +11,12 @@ does must be independent of how long the chain already is:
 * the accounted-block ids are derived once per flush (the parent
   derived them at each of the flush's four looks);
 * ``tip_epoch`` validates without reassembly: it builds no image and
-  joins no payload.
+  joins no payload;
+* ``tip_epoch`` checks chunk presence only for the entries no earlier
+  walk found whole: after publishing generation k it checks what
+  generation k added — the same count at k = 2 and k = 40 — and a
+  repeated ``tip_epoch`` of an unchanged tip checks nothing (the
+  parent checked every entry of the chain at every look).
 
 What a flush must still read off the live store at every look — which
 chunks are new — is ``tests/storage/test_cas_once.py``'s.
@@ -72,21 +77,25 @@ def _publish(sink, image, op_id):
     return CountingRefs.changes
 
 
+def _generations(n):
+    """A full head then ``n`` same-sized deltas."""
+    rng = random.Random(5)
+    yield _image(0, rng.randbytes(4000), 300_000, False)
+    for k in range(1, n + 1):
+        # one payload chunk (no more than the minimum chunk size) and
+        # eight accounted blocks: every delta entry has nine occurrences
+        yield _image(k, rng.randbytes(CHUNKING[0]), 8 * cas.ACCT_BLOCK, True)
+
+
 def _chain_of(impl, table, generations):
-    """A full head then ``generations`` same-sized deltas, through
-    ``impl``'s sink; the refcount changes of each publish."""
+    """:func:`_generations` through ``impl``'s sink; the refcount
+    changes of each publish."""
     san = SharedStorage()
     store = impl.CasStore.on(san)
     setattr(store, table, CountingRefs())
     sink = impl.CasSink(san, None, PATH, chunking=CHUNKING)
-    rng = random.Random(5)
-    changes = [_publish(sink, _image(0, rng.randbytes(4000), 300_000, False), 1)]
-    for k in range(1, generations + 1):
-        # one payload chunk (no more than the minimum chunk size) and
-        # eight accounted blocks: every delta entry has nine occurrences
-        changes.append(_publish(
-            sink, _image(k, rng.randbytes(CHUNKING[0]), 8 * cas.ACCT_BLOCK,
-                         True), k + 1))
+    changes = [_publish(sink, image, k + 1)
+               for k, image in enumerate(_generations(generations))]
     return san, store, sink, changes
 
 
@@ -175,3 +184,50 @@ def test_tip_epoch_builds_no_image_and_joins_no_payload(monkeypatch):
     # load does both: the stand-ins fail its join
     with pytest.raises(TypeError):
         sink.load("pod-a")
+
+
+class CountingObjects(dict):
+    """A chunk table that counts its presence checks."""
+
+    checks = 0
+
+    def __contains__(self, cid):
+        CountingObjects.checks += 1
+        return super().__contains__(cid)
+
+    def get(self, cid, default=None):
+        CountingObjects.checks += 1
+        return super().get(cid, default)
+
+
+def _tip_checks(impl, generations):
+    """:func:`_generations` through ``impl``'s sink, each publish read
+    back by ``tip_epoch`` as a flush does; the presence checks of each
+    read-back."""
+    san = SharedStorage()
+    store = impl.CasStore.on(san)
+    store.objects = CountingObjects()
+    sink = impl.CasSink(san, None, PATH, chunking=CHUNKING)
+    checks = []
+    for k, image in enumerate(_generations(generations)):
+        sink.store(image, op_id=k + 1)
+        CountingObjects.checks = 0
+        assert sink.tip_epoch("pod-a") == k
+        checks.append(CountingObjects.checks)
+    return sink, checks
+
+
+def test_tip_epoch_checks_what_the_generation_added():
+    sink, checks = _tip_checks(cas, 40)
+    assert checks[2] == checks[40] == 9
+    # the Manager's look after the flush's read-back: the tip is unchanged
+    CountingObjects.checks = 0
+    assert sink.tip_epoch("pod-a") == 40
+    assert CountingObjects.checks == 0
+
+
+def test_the_frozen_store_checked_the_whole_chain():
+    """What the budget guards against: the parent's read-back checks
+    every entry of the chain."""
+    _sink, checks = _tip_checks(reference, 40)
+    assert checks[40] > 10 * checks[2]
