@@ -6,8 +6,7 @@ writing workload (2 pods × 64 MB ballast, 8 MB/s writes) is snapshotted
 four epochs under each pipeline mode.  The claims:
 
 * with measured dirty tracking, every epoch ≥ 1 image is ≥ 5× smaller
-  than a full image (the heuristic-delta fallback manages only its
-  fixed assumed-dirty fraction),
+  than a full image,
 * the zero-stall path cuts the pod suspend window ≥ 3× against serial
   incremental checkpoints — while the committed chain still reassembles
   byte-identical to the full base (``chain_ok``),

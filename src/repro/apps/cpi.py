@@ -27,11 +27,6 @@ def partial_pi(n: int, rank: int, nprocs: int) -> float:
     return float((4.0 / (1.0 + x * x)).sum())
 
 
-def reference_pi(n: int) -> float:
-    """Sequential reference: what the parallel run must reproduce."""
-    return sum(partial_pi(n, r, 1) for r in [0]) / n
-
-
 @program("apps.cpi")
 def _cpi(b, *, rank, nprocs, vips, intervals=DEFAULT_INTERVALS,
          cycles_per_interval=DEFAULT_CYCLES_PER_INTERVAL):

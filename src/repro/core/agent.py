@@ -58,7 +58,7 @@ from .sinks import resolve_sink
 from .standalone import (
     activate_pod,
     capture_pod_standalone,
-    capture_proc_dirty,
+    count_dirty,
     resolve_programs,
     restore_pod_standalone,
 )
@@ -135,9 +135,7 @@ class _Checkpoint:
         # that keeps chains — and for any sink whose cost model needs the
         # dirty byte count to tell changed blocks from clean ones
         self.track_dirty = self.sink.dest is None and (
-            self.sink.wants_dirty or any(
-                f.name == "delta" and getattr(f, "measured", True)
-                for f in filters))
+            self.sink.wants_dirty or any(f.name == "delta" for f in filters))
         #: where in the sequence the image is encoded; capture-then-resume
         #: needs the pod to survive (snapshot context) and the image to
         #: stay on this node's sinks.
@@ -157,7 +155,7 @@ class _Checkpoint:
         self.t0 = agent.engine.now
         # left behind by the steps
         self.net_window = self.commit_span = NULL_SPAN
-        self.residual = self.proc_dirty = self.standalone = self.image = None
+        self.residual = self.dirty_bytes = self.standalone = self.image = None
         self.t_resume = self.snapshot_id = self.stream_charge = None
         self.cow_bytes = 0
 
@@ -396,14 +394,13 @@ class Agent:
             # live migration: once suspended, nothing dirties memory
             # anymore — whatever the pre-copy rounds did not ship is the
             # final residual
-            ck.residual = sum(p.memory.dirty_in(PRECOPY_CONSUMER)
-                              for p in pod.processes())
+            ck.residual = count_dirty(pod.processes(), PRECOPY_CONSUMER)
         if ck.track_dirty:
-            # measured dirty tables against the checkpoint baseline,
-            # captured at suspend; the baseline clear is *staged* — only
-            # a committed op keeps it, an abort folds the generation back
-            # so the next epoch never undercounts
-            ck.proc_dirty = capture_proc_dirty(pod, CKPT_CONSUMER)
+            # the one dirty count every image of this capture is priced
+            # from, taken at suspend; the baseline clear is *staged* —
+            # only a committed op keeps it, an abort folds the generation
+            # back so the next epoch never undercounts
+            ck.dirty_bytes = count_dirty(pod.processes(), CKPT_CONSUMER)
             for p in pod.processes():
                 p.memory.begin_clear(CKPT_CONSUMER)
         yield from self._cross(ck, "agent.suspend")
@@ -477,7 +474,7 @@ class Agent:
             state=self.pipeline_state,
             serialize_bandwidth=(self.node.spec.memcpy_bandwidth
                                  if charged else None),
-            chain_local=ck.chain_local, proc_dirty=ck.proc_dirty)
+            chain_local=ck.chain_local, dirty_bytes=ck.dirty_bytes)
 
     def _encode(self, ck: "_Checkpoint", span):
         """The encode step: pack the image, charge the pipeline's time,
@@ -599,17 +596,13 @@ class Agent:
                                          parent=ck.op_parent, category="post")
             yield from self._cross(ck, "agent.async_encode")
             yield from self._encode(ck, post_enc)
-            for p in self._live_procs(pod_id):
-                ck.cow_bytes += p.memory.dirty_in(COW_CONSUMER)
+            procs = self._live_procs(pod_id)
+            ck.cow_bytes = count_dirty(procs, COW_CONSUMER)
+            for p in procs:
                 p.memory.reset_dirty(COW_CONSUMER)
             if ck.cow_bytes:
                 yield engine.sleep(ck.cow_bytes / self.node.spec.memcpy_bandwidth)
             post_enc.end(nbytes=ck.image.total_bytes, cow_bytes=ck.cow_bytes)
-        if ck.proc_dirty is not None:
-            # stamp the measured dirty total on the image: the CAS dedup
-            # model reads it to decide which accounted blocks re-hash
-            ck.image.acct_dirty_bytes = sum(
-                sum(table.values()) for table in ck.proc_dirty.values())
         if ck.op_id not in self.gc_ops:
             self.mem_sink.store(ck.image, ck.op_id)
             if ck.track_dirty:
@@ -882,7 +875,7 @@ class Agent:
         if round_no <= 1:
             shipped = sum(p.memory.rss for p in procs)
         else:
-            shipped = sum(p.memory.dirty_in(PRECOPY_CONSUMER) for p in procs)
+            shipped = count_dirty(procs, PRECOPY_CONSUMER)
         # the baseline clear is staged, not final: writes landing while
         # the copy is in flight accrue to the next generation, and a
         # round the destination never acknowledged folds its dirtiness
@@ -900,8 +893,7 @@ class Agent:
                     p.memory.commit_clear(PRECOPY_CONSUMER)
                 else:
                     p.memory.abort_clear(PRECOPY_CONSUMER)
-        dirty_after = (sum(p.memory.dirty_in(PRECOPY_CONSUMER)
-                           for p in pod.processes())
+        dirty_after = (count_dirty(pod.processes(), PRECOPY_CONSUMER)
                        if pod is not None else 0)
         if not ok or pod is None or op_id in self.gc_ops:
             phase.end(status="failed", shipped_bytes=shipped)

@@ -59,9 +59,9 @@ class PodImage:
     raw_accounted_bytes: Optional[int] = None
     stage_costs: List[Dict[str, Any]] = field(default_factory=list)
     #: accounted bytes the pod dirtied since its last committed
-    #: checkpoint (from the Agent's measured dirty tables), when dirty
-    #: tracking was on at capture time — the content-addressed store's
-    #: dedup model reads this to tell changed blocks from clean ones.
+    #: checkpoint (counted at suspend), when dirty tracking was on at
+    #: capture time — the content-addressed store's dedup model reads
+    #: this to tell changed blocks from clean ones.
     acct_dirty_bytes: Optional[int] = None
 
     @property

@@ -19,9 +19,9 @@ Two production filters prove the seam:
   compression ratio for the accounted (non-materialized) resident-set
   bytes, charged at a level-dependent CPU bandwidth;
 * :class:`DeltaFilter` — incremental checkpointing: a block-level diff of
-  the payload against the previous epoch's payload, plus a per-process
-  dirty-page model for accounted memory, so periodic checkpoints after
-  epoch 0 write only dirty state.  Restart reassembles the chain
+  the payload against the previous epoch's payload, with accounted memory
+  charged the pod's measured dirty byte count, so periodic checkpoints
+  after epoch 0 write only dirty state.  Restart reassembles the chain
   (epoch-0 full image + the deltas) in order.
 
 An empty filter chain is the default everywhere and is byte-identical to
@@ -45,7 +45,7 @@ from .image import (
     image_netstate_bytes,
     pack_pod_image,
 )
-from .standalone import accounted_memory_bytes, proc_memory_tables
+from .standalone import accounted_memory_bytes
 
 # ---------------------------------------------------------------------------
 # cost-model constants (simulated seconds; see DESIGN.md "cost model")
@@ -68,12 +68,15 @@ ACCOUNTED_RATIO_BASE = 0.57
 ACCOUNTED_RATIO_SLOPE = 0.02
 ACCOUNTED_RATIO_FLOOR = 0.35
 
-#: delta-filter defaults.
+#: delta-filter block size, bytes.
 DELTA_BLOCK = 4096
-#: fraction of an (otherwise unchanged) process resident set assumed dirty
-#: between consecutive epochs — page-granularity conservatism plus the
-#: application's steady-state write traffic.
-DELTA_DIRTY_FRACTION = 0.25
+#: keys every delta record in an image envelope carries beside its name
+#: and block size, and those of a delta priced from a measured dirty
+#: count.  Nothing reads them: decoding needs only the delta header.
+#: They stay because a checkpoint is charged its envelope's bytes, so
+#: dropping them is an image-format change, not a clean-up.
+DELTA_RECORD_KEYS = {"dirty_fraction": 0.25}
+DELTA_MEASURED_KEYS = {"dirty_model": "measured"}
 
 _DELTA_MAGIC = b"ZDLT"
 
@@ -124,20 +127,16 @@ class FilterContext:
 
     pod_id: str
     epoch: int
-    state: Optional["PipelineState"] = None
     #: previous-epoch full payload (chain filters only; reads and
     #: restores).  None when the target holds no such epoch — a delta it
     #: cannot apply would be useless, so chain filters then emit
     #: self-contained output.
     base: Optional[bytes] = None
-    #: per-process memory segment tables of the pod being packed,
-    #: ``{vpid: {segment: bytes}}`` — drives the accounted dirty model.
-    proc_memory: Optional[Dict[int, Dict[str, int]]] = None
-    #: *measured* per-process dirty tables, ``{vpid: {segment: dirty
-    #: bytes}}``, captured at suspend against the checkpoint consumer's
-    #: baseline (:meth:`repro.vos.memory.Memory.dirty_table`).  None when
-    #: dirty tracking is off — filters then fall back to the heuristic.
-    proc_dirty: Optional[Dict[int, Dict[str, int]]] = None
+    #: the pod's accounted resident-set bytes before any stage.
+    raw_accounted: int = 0
+    #: bytes the pod wrote since its last checkpoint, counted at suspend
+    #: (:func:`repro.core.standalone.count_dirty`).  None: not counted.
+    dirty_bytes: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -150,8 +149,6 @@ class Generation:
     chain: Tuple[PodImage, ...] = ()
     #: the full payload of the newest epoch — the next delta's base.
     base: Optional[bytes] = None
-    #: per-process memory tables behind the accounted dirty model.
-    proc_memory: Optional[Dict[int, Dict[str, int]]] = None
     #: the epoch number the next checkpoint gets.
     epoch: int = 0
     #: the op that published it; None records no owner (a bare
@@ -257,10 +254,8 @@ class PipelineState:
     def _record(self, pod_id: str) -> _PodGenerations:
         return self._pods.setdefault(pod_id, _PodGenerations())
 
-    def stage_base(self, pod_id: str, raw: bytes,
-                   proc_memory: Dict[int, Dict[str, int]]) -> None:
-        self._record(pod_id).staged = Generation(base=raw,
-                                                 proc_memory=proc_memory)
+    def stage_base(self, pod_id: str, raw: bytes) -> None:
+        self._record(pod_id).staged = Generation(base=raw)
 
     def stage_image(self, image: PodImage, op_id: Optional[int]) -> None:
         record = self._record(image.pod_id)
@@ -306,13 +301,10 @@ class PipelineState:
                 undone.append(pod_id)
         return undone
 
-    def note_full(self, pod_id: str, raw: bytes, standalone: Dict[str, Any],
-                  epoch: int) -> None:
+    def note_full(self, pod_id: str, raw: bytes, epoch: int) -> None:
         """Record a reassembled full payload (restart side), so the next
         incremental checkpoint of the restored pod has its base."""
-        self._record(pod_id).rebase(
-            base=raw, proc_memory=proc_memory_tables(standalone),
-            epoch=epoch + 1)
+        self._record(pod_id).rebase(base=raw, epoch=epoch + 1)
 
     def forget(self, pod_id: str) -> None:
         self._pods.pop(pod_id, None)
@@ -406,41 +398,22 @@ class DeltaFilter(ImageFilter):
     Epoch 0 (or any image leaving the node) passes through as a ``full``
     record and becomes the base; later epochs emit only the blocks that
     changed, so the 10 periodic checkpoints of Figure 6(a) write dirty
-    state only after the first.  Accounted memory is charged *measured*
-    dirty bytes when the Agent captured per-process dirty tables at
-    suspend (``ctx.proc_dirty`` — the generational counters of
-    :class:`repro.vos.memory.Memory` against the checkpoint consumer's
-    baseline); without tracking (or with ``measured=False``) it falls
-    back to the per-process heuristic: ``dirty_fraction`` of an
-    unchanged process's resident set, and for a resized segment the
-    steady-state fraction of the surviving pages plus the size delta
-    (pages that are certainly new).  Restart reassembles the chain: the
-    epoch-0 full payload patched by each delta in order.
+    state only after the first.  Accounted memory is charged the bytes
+    the pod wrote since its last checkpoint (``ctx.dirty_bytes``, counted
+    at suspend); a delta with no count charges every accounted byte.
+    Restart reassembles the chain: the epoch-0 full payload patched by
+    each delta in order.
     """
 
     name = "delta"
 
-    def __init__(self, block: int = DELTA_BLOCK,
-                 dirty_fraction: float = DELTA_DIRTY_FRACTION,
-                 measured: bool = True) -> None:
+    def __init__(self, block: int = DELTA_BLOCK) -> None:
         if int(block) <= 0:
             raise CheckpointError(f"delta block size {block!r} must be positive")
-        if not 0.0 <= float(dirty_fraction) <= 1.0:
-            raise CheckpointError(f"dirty fraction {dirty_fraction!r} outside [0, 1]")
         self.block = int(block)
-        self.dirty_fraction = float(dirty_fraction)
-        #: False forces the heuristic even when measured tables exist
-        #: (the figures' heuristic-delta ablation variant).
-        self.measured = bool(measured)
 
     def describe(self) -> Dict[str, Any]:
-        spec = {"name": self.name, "block": self.block,
-                "dirty_fraction": self.dirty_fraction}
-        if not self.measured:
-            # key present only for the non-default ablation so existing
-            # envelopes / negotiated chains are byte-identical
-            spec["measured"] = False
-        return spec
+        return {"name": self.name, "block": self.block, **DELTA_RECORD_KEYS}
 
     # -- payload bytes --------------------------------------------------
     def encode(self, data: bytes, ctx: FilterContext) -> Tuple[bytes, Dict[str, Any]]:
@@ -461,11 +434,8 @@ class DeltaFilter(ImageFilter):
             out += struct.pack(">II", idx, len(chunk))
             out += chunk
         params: Dict[str, Any] = {"kind": "delta"}
-        if self.measured and ctx.proc_dirty is not None:
-            # generation provenance in the chain: this epoch's accounted
-            # bytes came from measured dirty counters, not the heuristic
-            # (key absent when tracking is off — old envelopes unchanged)
-            params["dirty_model"] = "measured"
+        if ctx.dirty_bytes is not None:
+            params.update(DELTA_MEASURED_KEYS)
         return bytes(out), params
 
     def decode(self, data: bytes, params: Dict[str, Any], ctx: FilterContext) -> bytes:
@@ -492,39 +462,12 @@ class DeltaFilter(ImageFilter):
 
     # -- accounted memory ----------------------------------------------
     def model_accounted(self, accounted: int, ctx: FilterContext) -> int:
-        if ctx.base is None or ctx.proc_memory is None:
+        if ctx.base is None or ctx.dirty_bytes is None:
             return accounted
-        raw_total = sum(sum(t.values()) for t in ctx.proc_memory.values())
-        if raw_total <= 0:
+        if ctx.raw_accounted <= 0:
             return 0
-        measured = ctx.proc_dirty if self.measured else None
-        prev = (ctx.state.tip(ctx.pod_id).proc_memory or {}
-                if ctx.state is not None else {})
-        dirty = 0
-        for vpid, table in ctx.proc_memory.items():
-            if measured is not None:
-                # measured path: charge the dirty counters captured at
-                # suspend (already clamped to segment size); a process or
-                # segment the tracker never saw is charged in full
-                seen = measured.get(vpid, {})
-                dirty += sum(min(size, seen.get(seg, size))
-                             for seg, size in table.items())
-                continue
-            prev_table = prev.get(vpid)
-            if prev_table == table:
-                dirty += int(self.dirty_fraction * sum(table.values()))
-            elif prev_table is None:
-                dirty += sum(table.values())  # new process: every page is new
-            else:
-                # resized process: surviving pages carry the steady-state
-                # fraction; only the size delta is certainly new
-                for seg, size in table.items():
-                    old = prev_table.get(seg, 0)
-                    dirty += min(size,
-                                 int(self.dirty_fraction * min(old, size))
-                                 + abs(size - old))
         # compose with whatever earlier stages did to the accounted bytes
-        return int(accounted * (dirty / raw_total))
+        return int(accounted * (ctx.dirty_bytes / ctx.raw_accounted))
 
     def encode_seconds(self, in_bytes: int, out_bytes: int) -> float:
         return in_bytes / DELTA_SCAN_BW
@@ -629,10 +572,13 @@ class ImagePipeline:
         state: Optional[PipelineState] = None,
         serialize_bandwidth: Optional[float] = None,
         chain_local: bool = True,
-        proc_dirty: Optional[Dict[int, Dict[str, int]]] = None,
+        dirty_bytes: Optional[int] = None,
     ) -> PodImage:
         """Assemble, filter and cost-account one pod checkpoint image.
 
+        ``dirty_bytes`` is what the pod wrote since its last checkpoint:
+        a delta's accounted bytes are priced from it, and the image
+        carries it (``acct_dirty_bytes``) for the sink's cost model.
         The new base is *staged* in ``state``: publish it once the image
         is final (Agents re-pack after the send-queue redirect) — through
         the Agent's :class:`MemorySink`, or ``state.commit(pod_id)``.
@@ -641,8 +587,9 @@ class ImagePipeline:
         if not self.filters:
             image = pack_pod_image(standalone, socket_records, socket_fd_rows,
                                    devices)
+            image.acct_dirty_bytes = dirty_bytes
             if state is not None:
-                state.stage_base(pod_id, image.data, proc_memory_tables(standalone))
+                state.stage_base(pod_id, image.data)
             self._attach_serialize_cost(image, serialize_bandwidth)
             return image
 
@@ -653,11 +600,10 @@ class ImagePipeline:
         ctx = FilterContext(
             pod_id=pod_id,
             epoch=epoch,
-            state=state,
             base=(state.tip(pod_id).base
                   if state is not None and chain_local else None),
-            proc_memory=proc_memory_tables(standalone),
-            proc_dirty=proc_dirty,
+            raw_accounted=raw_accounted,
+            dirty_bytes=dirty_bytes,
         )
 
         body = raw
@@ -695,10 +641,11 @@ class ImagePipeline:
             epoch=epoch,
             raw_encoded_bytes=len(raw),
             raw_accounted_bytes=raw_accounted,
+            acct_dirty_bytes=dirty_bytes,
             stage_costs=[c.as_stats() for c in costs],
         )
         if state is not None:
-            state.stage_base(pod_id, raw, ctx.proc_memory)
+            state.stage_base(pod_id, raw)
         return image
 
     def _attach_serialize_cost(self, image: PodImage,
@@ -733,10 +680,11 @@ class ImagePipeline:
                     f"unsupported filtered-image format {envelope.get('format')!r}")
             body = envelope["body"]
             ctx = FilterContext(pod_id=image.pod_id, epoch=int(envelope["epoch"]),
-                                state=state, base=raw)
+                                base=raw)
             for entry in reversed(envelope["filters"]):
-                filt = build_filter({k: v for k, v in entry.items()
-                                     if k not in ("kind", "dirty_model")})
+                # decoding needs no parameter but the name: a delta reads
+                # its block size from its own header, zlib needs no level
+                filt = build_filter({"name": entry.get("name")})
                 in_bytes = len(body)
                 body = filt.decode(body, entry, ctx)
                 seconds = filt.decode_seconds(in_bytes, len(body))
@@ -749,7 +697,7 @@ class ImagePipeline:
         last = chain[-1]
         full_total = (last.raw_total_bytes if last.filters else last.total_bytes)
         if state is not None:
-            state.note_full(last.pod_id, raw, payload["standalone"], last.epoch)
+            state.note_full(last.pod_id, raw, last.epoch)
         return ReassembledImage(payload=payload, raw=raw,
                                 full_total_bytes=full_total,
                                 decode_seconds=decode_seconds, stage_costs=costs)

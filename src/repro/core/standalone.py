@@ -11,7 +11,7 @@ finally *activates* the pod — re-issuing checkpointed blocking syscalls
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from ..errors import RestartError, VosError
 from ..pod.pod import Pod
@@ -65,23 +65,12 @@ def accounted_memory_bytes(standalone: Dict[str, Any]) -> int:
     return sum(sum(p["memory"].values()) for p in standalone["procs"])
 
 
-def proc_memory_tables(standalone: Dict[str, Any]) -> Dict[int, Dict[str, int]]:
-    """Per-process memory segment tables, ``{vpid: {segment: bytes}}``.
-
-    The image pipeline's delta filter uses these as its dirty-state
-    model: a process whose table is unchanged since the previous epoch
-    contributes only its assumed-dirty fraction to the incremental image.
-    """
-    return {int(p["vpid"]): dict(p["memory"]) for p in standalone["procs"]}
-
-
-def capture_proc_dirty(pod: Pod, consumer: str) -> Dict[int, Dict[str, int]]:
-    """Per-process *measured* dirty tables against ``consumer``'s baseline,
-    ``{vpid: {segment: dirty bytes}}`` — captured at suspend, alongside
-    the segment tables, and handed to the delta filter so epoch-N images
-    are charged what the application actually wrote."""
-    return {proc.vpid: proc.memory.dirty_table(consumer)
-            for proc in pod.processes()}
+def count_dirty(procs: Iterable[Process], consumer: str) -> int:
+    """Bytes ``procs`` wrote since ``consumer`` last cleared its baseline
+    (:class:`repro.vos.memory.Memory`): the one dirty count a checkpoint
+    is priced from, and what a pre-copy round or copy-on-write window
+    has to move."""
+    return sum(p.memory.dirty_in(consumer) for p in procs)
 
 
 def _find_fs(kernel: Kernel, name: str):

@@ -477,7 +477,6 @@ def run_migration_cell(precopy_rounds: int, *, ballast: int = 256_000_000,
 #: pipeline configuration per mode of the generations study.
 INC_MODES: Dict[str, Optional[List[Dict[str, Any]]]] = {
     "full": None,
-    "heuristic": [{"name": "delta", "measured": False}],
     "delta": [{"name": "delta"}],
     "delta-async": [{"name": "delta"}],
 }
@@ -493,10 +492,9 @@ def run_inc_cell(mode: str, *, n_pods: int = 2, ballast: int = 64_000_000,
     ``dirty_rate`` bytes per CPU-second — the live-migration study's
     workload) are snapshotted ``n_checkpoints`` times, ``interval``
     apart.  Modes (:data:`INC_MODES`): ``full`` re-images everything
-    every epoch; ``heuristic`` runs the delta filter on its modeled
-    dirty fraction; ``delta`` charges the *measured* per-segment dirty
-    bytes; ``delta-async`` adds the zero-stall path (pods resume after
-    capture, encode/stream overlap application time).
+    every epoch; ``delta`` charges the bytes the pods wrote since the
+    last epoch; ``delta-async`` adds the zero-stall path (pods resume
+    after capture, encode/stream overlap application time).
 
     Besides per-epoch sizes and windows the cell audits chain
     integrity: every committed delta chain must reassemble

@@ -116,7 +116,7 @@ class Fig6Cell(_ImageSeries):
 class IncCell(_ImageSeries):
     """One mode of the incremental-generations study: a writing workload
     checkpointed every epoch under one image-pipeline configuration
-    (``full`` / ``heuristic`` / ``delta`` / ``delta-async``)."""
+    (``full`` / ``delta`` / ``delta-async``)."""
 
     mode: str
     #: per-epoch largest-pod image bytes (epoch 0 is the full base).

@@ -245,16 +245,6 @@ def emit_recv(b: ProgramBuilder, src_rank, out_reg: str, tag: str = "msg") -> No
         b.label(end)
 
 
-def _check_tag(expected: str):
-    def checker(msg: Any, _t=expected) -> Any:
-        tag, value = msg
-        if tag != _t:
-            raise ConnectionError(f"mini-MPI tag mismatch: wanted {_t!r}, got {tag!r}")
-        return value
-
-    return checker
-
-
 def _unexp_take(tag: str):
     """Pop the first parked frame for (src, tag): (found, value, queues')."""
 

@@ -13,7 +13,7 @@ from heapq import heappop, heappush
 from typing import Any, Callable, List, Optional, Tuple
 
 from ..errors import DeadlockError, SimError
-from .clock import Clock, to_ticks
+from .clock import Clock
 from .rng import RngHub
 from .tasks import Future, Task, TaskGen
 
@@ -71,12 +71,6 @@ class Engine:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self.clock.now
-
-    @property
-    def now_ticks(self) -> float:
-        """Current simulated time in ticks (µs) — what the observability
-        layer stamps on exported trace events."""
-        return to_ticks(self.clock.now)
 
     @property
     def events_executed(self) -> int:

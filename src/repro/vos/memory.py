@@ -18,10 +18,6 @@ from ..errors import VosError
 #: Segment names every process starts with.
 DEFAULT_SEGMENTS = ("text", "data", "stack", "heap")
 
-#: The consumer name behind the bare dirty API (``dirty_bytes``,
-#: ``clear_dirty()``), kept for the pre-generational callers and tests.
-DEFAULT_CONSUMER = "default"
-
 
 class Memory:
     """Byte-accounted address space of one process.
@@ -76,11 +72,6 @@ class Memory:
         """Total resident bytes across all segments."""
         return sum(self._segments.values())
 
-    @property
-    def dirty_bytes(self) -> int:
-        """Default consumer's total dirty bytes (bare / legacy API)."""
-        return self.dirty_in(DEFAULT_CONSUMER)
-
     def dirty_in(self, consumer: str) -> int:
         """Total bytes written since ``consumer`` last cleared its baseline."""
         return sum(self.dirty_table(consumer).values())
@@ -89,7 +80,7 @@ class Memory:
         """Bytes currently accounted to segment ``name`` (0 if absent)."""
         return self._segments.get(name, 0)
 
-    def dirty_table(self, consumer: str = DEFAULT_CONSUMER) -> Dict[str, int]:
+    def dirty_table(self, consumer: str) -> Dict[str, int]:
         """Per-segment dirty byte counts for ``consumer`` (a copy; zero
         entries included).  A consumer that never cleared sees every
         segment fully dirty."""
@@ -98,7 +89,7 @@ class Memory:
             return dict(self._segments)
         return {name: table.get(name, 0) for name in self._segments}
 
-    def clear_dirty(self, consumer: str = DEFAULT_CONSUMER) -> None:
+    def clear_dirty(self, consumer: str) -> None:
         """Mark every segment clean for ``consumer`` — call when that
         consumer's copy round starts (unconditional form; see
         :meth:`begin_clear` for the ack-gated variant)."""

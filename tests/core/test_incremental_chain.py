@@ -1,11 +1,15 @@
 """Dirty-delta incremental checkpoints: chain integrity and acceptance.
 
-Three layers:
+Four layers:
 
 * a hypothesis property at the pipeline level — an epoch-0 full image
   plus N measured-dirty delta epochs reassembles byte-identical to the
   latest capture, under any random stream of alloc/free/resize/touch
   against a real :class:`~repro.vos.memory.Memory`;
+* a hypothesis differential at the Agent level — the one dirty count an
+  Agent takes at suspend prices every delta exactly as the frozen
+  per-process, per-segment clamp of the dirty tables did, and it is the
+  count the image carries for the CAS block model;
 * a simulation regression — live-migration pre-copy rounds and
   incremental checkpoints interleave in one run without corrupting each
   other's dirty baseline (the bug the per-consumer generations fix);
@@ -17,12 +21,15 @@ Three layers:
 import pytest
 
 from repro.cluster import Cluster
-from repro.core import Manager, codec
+from repro.core import Manager, agent, codec
 from repro.core.image import build_payload
-from repro.core.pipeline import DeltaFilter, ImagePipeline, PipelineState
+from repro.core.pipeline import (
+    DeltaFilter, ImagePipeline, PipelineState, image_extends_chain)
 from repro.harness import run_inc_cell
+from repro.vos import build_program, imm, program
 from repro.vos.memory import Memory
 
+from ..mutation import mutant
 from .testapps import expected_sums, final_sums, launch_pingpong
 
 
@@ -31,7 +38,7 @@ from .testapps import expected_sums, final_sums, launch_pingpong
 # ---------------------------------------------------------------------------
 
 hyp = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import Phase, given, settings, strategies as st  # noqa: E402
 
 SEGMENTS = ("heap", "grid")
 CONSUMER = "ckpt"
@@ -84,8 +91,8 @@ def test_dirty_delta_chain_restores_byte_identical(epochs):
 
     def snapshot(epoch):
         std = _standalone(mem, epoch)
-        proc_dirty = {1: mem.dirty_table(CONSUMER)}
-        image = pipeline.pack(std, [], [], state=state, proc_dirty=proc_dirty)
+        image = pipeline.pack(std, [], [], state=state,
+                              dirty_bytes=mem.dirty_in(CONSUMER))
         mem.clear_dirty(CONSUMER)
         state.commit("prop")
         return std, image
@@ -118,16 +125,145 @@ def test_untouched_epoch_accounts_near_zero(ops):
         _apply(mem, op)
     std = _standalone(mem, 0)
     pipeline.pack(std, [], [], state=state,
-                  proc_dirty={1: mem.dirty_table(CONSUMER)})
+                  dirty_bytes=mem.dirty_in(CONSUMER))
     mem.clear_dirty(CONSUMER)
     state.commit("prop")
     # nothing written since: the next epoch's accounted size is only
     # envelope framing, not memory
     std1 = _standalone(mem, 1)
     img1 = pipeline.pack(std1, [], [], state=state,
-                         proc_dirty={1: mem.dirty_table(CONSUMER)})
+                         dirty_bytes=mem.dirty_in(CONSUMER))
     state.commit("prop")
     assert img1.accounted_bytes == 0
+
+
+# ---------------------------------------------------------------------------
+# differential: one dirty count prices a delta as the per-segment clamp did
+# ---------------------------------------------------------------------------
+
+
+def _frozen_clamp(accounted, proc_memory, proc_dirty):
+    """The delta charge as it was computed before the count existed,
+    frozen verbatim: each process's dirty table clamped per segment to
+    the segment's size (a process or segment the tracker never saw
+    charged in full), as a share of the pod's accounted bytes."""
+    raw_total = sum(sum(t.values()) for t in proc_memory.values())
+    if raw_total <= 0:
+        return 0
+    dirty = 0
+    for vpid, table in proc_memory.items():
+        seen = proc_dirty.get(vpid, {})
+        dirty += sum(min(size, seen.get(seg, size))
+                     for seg, size in table.items())
+    return int(accounted * (dirty / raw_total))
+
+
+def _frozen_stamp(proc_dirty):
+    """The dirty total the Agent stamped on the image for the CAS block
+    model, frozen verbatim: the same tables, summed unclamped."""
+    return sum(sum(table.values()) for table in proc_dirty.values())
+
+
+@program("testapp.idle")
+def _idle(b, *, ballast):
+    b.alloc(imm(ballast), "heap")
+    b.syscall(None, "sleep", imm(1000.0))
+    b.halt(imm(0))
+
+
+_proc_op = st.tuples(st.integers(0, 2), st.one_of(
+    _op,
+    st.tuples(st.sampled_from(("begin", "commit", "abort")), st.just(""),
+              st.just(0))))
+
+
+def _apply_history(mem, op):
+    """A memory op, or a clear of the checkpoint consumer's baseline
+    (begun, committed or aborted) outside any checkpoint."""
+    kind = op[0]
+    if kind == "begin":
+        mem.begin_clear(CONSUMER)
+    elif kind == "commit":
+        mem.commit_clear(CONSUMER)
+    elif kind == "abort":
+        mem.abort_clear(CONSUMER)
+    else:
+        _apply(mem, op)
+
+
+def _count_matches_the_clamp(nprocs, epochs):
+    """Checkpoint an idle pod of ``nprocs`` processes once per history
+    in ``epochs`` (a delta to ``mem``), writing each history straight
+    into the processes' memories first.  Every image must carry the
+    clamp's dirty total, and every delta must charge the clamp's bytes."""
+    cluster = Cluster.build(1, seed=3)
+    manager = Manager.deploy(cluster)
+    node = cluster.node(0)
+    cluster.create_pod(node, "dc")
+    for _ in range(nprocs):
+        node.kernel.spawn(build_program("testapp.idle", ballast=1 << 16),
+                          pod_id="dc")
+    cluster.engine.run(until=0.5)
+    procs = cluster.find_pod("dc").processes()
+    sink = manager.agents[node.name].mem_sink
+    seen = []
+
+    def driver():
+        for history in [[]] + epochs:
+            for which, op in history:
+                _apply_history(procs[which % nprocs].memory, op)
+            # an idle pod writes nothing more before its suspend: these
+            # are the tables the Agent would have captured there
+            proc_dirty = {p.vpid: p.memory.dirty_table(CONSUMER) for p in procs}
+            charge = _frozen_clamp(
+                sum(p.memory.rss for p in procs),
+                {p.vpid: p.memory.to_image() for p in procs}, proc_dirty)
+            res = yield from manager.checkpoint_task(
+                [(node.name, "dc", "mem")], filters=[{"name": "delta"}])
+            assert res.ok, res.errors
+            seen.append((charge, _frozen_stamp(proc_dirty),
+                         sink.load("dc")[-1]))
+
+    cluster.engine.spawn(driver(), name="differential")
+    cluster.engine.run(until=cluster.engine.now + 60.0)
+    assert len(seen) == len(epochs) + 1
+    for charge, dirty, image in seen:
+        assert image.acct_dirty_bytes == dirty
+        if image_extends_chain(image):
+            assert image.accounted_bytes == charge
+
+
+_histories = (st.integers(1, 3),
+              st.lists(st.lists(_proc_op, max_size=10), min_size=1, max_size=4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(*_histories)
+def test_one_dirty_count_prices_deltas_as_the_segment_clamp(nprocs, epochs):
+    _count_matches_the_clamp(nprocs, epochs)
+
+
+def test_a_count_taken_after_the_baseline_clear_is_caught(monkeypatch):
+    """Hand mutation: the Agent counts after staging its baseline clear,
+    so every checkpoint looks clean."""
+    twin = mutant(
+        agent,
+        "            ck.dirty_bytes = count_dirty(pod.processes(), CKPT_CONSUMER)\n"
+        "            for p in pod.processes():\n"
+        "                p.memory.begin_clear(CKPT_CONSUMER)\n",
+        "            for p in pod.processes():\n"
+        "                p.memory.begin_clear(CKPT_CONSUMER)\n"
+        "            ck.dirty_bytes = count_dirty(pod.processes(), CKPT_CONSUMER)\n")
+    monkeypatch.setattr(agent.Agent, "_capture", twin.Agent._capture)
+
+    @settings(max_examples=40, deadline=None, database=None,
+              phases=[Phase.generate])
+    @given(*_histories)
+    def mutated(nprocs, epochs):
+        _count_matches_the_clamp(nprocs, epochs)
+
+    with pytest.raises(AssertionError):
+        mutated()
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +354,10 @@ def test_precopy_and_incremental_share_one_run():
 DELTA = [{"name": "delta"}]
 
 
-def _ckpt_sequence(uris_per_op):
-    """Delta checkpoints of the ping-pong pair, one per entry of
-    ``uris_per_op`` (each a ``{pod: uri}``), then the world."""
+def _ckpt_sequence(uris_per_op, filters=DELTA):
+    """Checkpoints of the ping-pong pair (delta ones by default), one
+    per entry of ``uris_per_op`` (each a ``{pod: uri}``), then the
+    world."""
     cluster = Cluster.build(4, seed=11)
     manager = Manager.deploy(cluster)
     launch_pingpong(cluster, rounds=4000, ballast=2_000_000,
@@ -233,7 +370,7 @@ def _ckpt_sequence(uris_per_op):
             yield cluster.engine.sleep(0.3)
             res = yield from manager.checkpoint_task(
                 [(hosts[pod], pod, uri) for pod, uri in uris.items()],
-                filters=DELTA)
+                filters=filters)
             assert res.ok, res.errors
             results.append(res)
 
@@ -241,6 +378,19 @@ def _ckpt_sequence(uris_per_op):
     cluster.engine.run(until=30.0)
     assert len(results) == len(uris_per_op)
     return cluster, manager, results
+
+
+def test_a_request_for_the_unmeasured_delta_is_rejected():
+    """``measured: False`` named a dirty model that no longer exists:
+    the Agent refuses the stage, says so, and writes full images."""
+    legacy = [{"name": "delta", "measured": False}]
+    _cluster, manager, results = _ckpt_sequence(
+        [{"pp-srv": "mem"}, {"pp-srv": "mem"}], filters=legacy)
+    for res in results:
+        assert res.filters_rejected == {"pp-srv": legacy}
+        assert res.max_stat("image_bytes") == res.max_stat("raw_image_bytes")
+    (image,) = manager.agents["blade0"].mem_sink.load("pp-srv")
+    assert image.filters == [] and not image_extends_chain(image)
 
 
 def test_delta_to_a_fresh_path_is_restartable():

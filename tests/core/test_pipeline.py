@@ -1,5 +1,7 @@
 """Unit tests for the staged image pipeline (filters, sinks, costs)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cluster import Cluster
@@ -14,7 +16,7 @@ from repro.core.pipeline import (
     negotiate_filters,
     parse_filter_args,
 )
-from repro.core.standalone import capture_pod_standalone
+from repro.core.standalone import capture_pod_standalone, count_dirty
 from repro.errors import CheckpointError
 from repro.vos import build_program, imm, program
 
@@ -42,6 +44,15 @@ def _capture(cluster, pod_id="pipe", ballast=2_000_000, until=1.0):
     cluster.engine.run(until=until + 0.1)
     assert pod.quiescent()
     return pod, capture_pod_standalone(pod)
+
+
+def _count(pod):
+    """What an Agent does at suspend: count the bytes written since the
+    last checkpoint, then clear the baseline for the next one."""
+    dirty = count_dirty(pod.processes(), "ckpt")
+    for proc in pod.processes():
+        proc.memory.clear_dirty("ckpt")
+    return dirty
 
 
 def _recapture(cluster, pod, until):
@@ -120,15 +131,16 @@ def test_delta_chain_round_trip_and_shrink(world):
     pod, first = _capture(cluster)
     state = PipelineState()
     pipeline = ImagePipeline([DeltaFilter()])
-    img0 = pipeline.pack(first, [], [], state=state)
+    img0 = pipeline.pack(first, [], [], state=state, dirty_bytes=_count(pod))
     state.commit(pod.id)
     assert img0.epoch == 0 and not image_extends_chain(img0)
 
     second = _recapture(cluster, pod, until=2.0)
-    img1 = pipeline.pack(second, [], [], state=state)
+    img1 = pipeline.pack(second, [], [], state=state, dirty_bytes=_count(pod))
     state.commit(pod.id)
     assert img1.epoch == 1 and image_extends_chain(img1)
-    # steady state: unchanged memory tables charge only the dirty fraction
+    # the pod wrote nothing since epoch 0: its memory is not charged again
+    assert img1.acct_dirty_bytes == 0 and img1.accounted_bytes == 0
     assert img1.total_bytes < 0.5 * img0.total_bytes
 
     out = ImagePipeline.reassemble([img0, img1])
@@ -141,14 +153,53 @@ def test_delta_with_compress_composes(world):
     pod, first = _capture(cluster)
     state = PipelineState()
     pipeline = ImagePipeline([DeltaFilter(), CompressFilter(level=4)])
-    img0 = pipeline.pack(first, [], [], state=state)
+    img0 = pipeline.pack(first, [], [], state=state, dirty_bytes=_count(pod))
     state.commit(pod.id)
     second = _recapture(cluster, pod, until=2.0)
-    img1 = pipeline.pack(second, [], [], state=state)
+    img1 = pipeline.pack(second, [], [], state=state, dirty_bytes=_count(pod))
     state.commit(pod.id)
     assert [f["name"] for f in img1.filters] == ["delta", "compress"]
     assert img1.total_bytes < img0.total_bytes
     out = ImagePipeline.reassemble([img0, img1])
+    assert out.raw == codec.encode(build_payload(second, [], []))
+
+
+def test_delta_without_a_count_charges_every_accounted_byte(world):
+    """A delta packed with no dirty count cannot tell written memory
+    from clean: it charges all of it (the payload is still diffed)."""
+    cluster = world
+    pod, first = _capture(cluster)
+    state = PipelineState()
+    pipeline = ImagePipeline([DeltaFilter()])
+    pipeline.pack(first, [], [], state=state)
+    state.commit(pod.id)
+    second = _recapture(cluster, pod, until=2.0)
+    img1 = pipeline.pack(second, [], [], state=state)
+    assert image_extends_chain(img1)
+    assert img1.accounted_bytes == img1.raw_accounted_bytes > 0
+    assert img1.acct_dirty_bytes is None
+    assert "dirty_model" not in img1.filters[0]
+
+
+def test_parent_format_delta_record_still_reassembles(world):
+    """Chains already on storage name their delta with every parameter
+    the filter once took, ``measured: False`` included; a reader builds
+    the filter from the record's name alone, so they still restore."""
+    cluster = world
+    pod, first = _capture(cluster)
+    state = PipelineState()
+    pipeline = ImagePipeline([DeltaFilter()])
+    img0 = pipeline.pack(first, [], [], state=state, dirty_bytes=_count(pod))
+    state.commit(pod.id)
+    second = _recapture(cluster, pod, until=2.0)
+    img1 = pipeline.pack(second, [], [], state=state, dirty_bytes=_count(pod))
+    record = {"name": "delta", "block": 4096, "dirty_fraction": 0.25,
+              "measured": False, "kind": "delta"}
+    envelope = codec.decode(img1.data)
+    envelope["filters"] = [record]
+    old = replace(img1, data=codec.encode(envelope), filters=[record])
+    assert image_extends_chain(old)
+    out = ImagePipeline.reassemble([img0, old])
     assert out.raw == codec.encode(build_payload(second, [], []))
 
 

@@ -24,7 +24,7 @@ GOLDEN = {
     "6b": "49d24e0f562c72c76f9a68a2b8a941f227649d0130b011c5e8ba67dc772bdb7b",
     "6c": "f447b4fac43698d62d60a5a4b58b28788f49c79c4636149a0f527f2e283619e5",
     "mig": "7a0520923476e1ccc5269203c1854e9d30f05bdc38d6b0b03107ecc6e8711128",
-    "inc": "add886bcb2599a92c0d18e7da92a73b7def67bfe0d61aaf18ea17d7f99464337",
+    "inc": "4b85d316c085b4eee9d13560fab2aac85b6455a21e0fb029a307798f656fba72",
     "cas": "0fc1ec80aa1cb0c1fbe695100031881ceb28c619621838fa8576ff63114deb50",
 }
 

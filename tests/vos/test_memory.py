@@ -5,6 +5,9 @@ import pytest
 from repro.errors import VosError
 from repro.vos.memory import Memory
 
+#: the dirty-tracking consumer these tests read and clear.
+C = "ckpt"
+
 
 def test_default_segments_zero():
     m = Memory()
@@ -56,47 +59,47 @@ def test_image_round_trip():
 
 def test_fresh_memory_fully_dirty():
     m = Memory(heap=1000)
-    assert m.dirty_bytes == 1000
-    m.clear_dirty()
-    assert m.dirty_bytes == 0
+    assert m.dirty_in(C) == 1000
+    m.clear_dirty(C)
+    assert m.dirty_in(C) == 0
 
 
 def test_touch_saturates_at_segment_size():
     m = Memory(heap=100)
-    m.clear_dirty()
+    m.clear_dirty(C)
     m.touch(60, "heap")
     m.touch(60, "heap")
-    assert m.dirty_bytes == 100
+    assert m.dirty_in(C) == 100
 
 
 def test_touch_default_targets_largest_segment():
     m = Memory(text=10, data=5)
     m.alloc(1000, "grid")
-    m.clear_dirty()
+    m.clear_dirty(C)
     m.touch(64)  # no segment named: the working set (grid) takes the writes
-    assert m.dirty_table()["grid"] == 64
-    assert m.dirty_bytes == 64
+    assert m.dirty_table(C)["grid"] == 64
+    assert m.dirty_in(C) == 64
 
 
 def test_touch_empty_memory_is_noop():
     m = Memory()
-    m.clear_dirty()
+    m.clear_dirty(C)
     m.touch(100)
     m.touch(100, "nowhere")
-    assert m.dirty_bytes == 0
+    assert m.dirty_in(C) == 0
 
 
 def test_restored_memory_fully_dirty():
     m = Memory(heap=500)
-    m.clear_dirty()
+    m.clear_dirty(C)
     clone = Memory.from_image(m.to_image())
-    assert clone.dirty_bytes == clone.rss == 500
+    assert clone.dirty_in(C) == clone.rss == 500
 
 
 def test_dirty_never_serialized():
     a = Memory(heap=500)
     b = Memory(heap=500)
-    a.clear_dirty()
+    a.clear_dirty(C)
     b.touch(100, "heap")
     assert a.to_image() == b.to_image()
 
@@ -137,7 +140,7 @@ def _apply(m, op):
     elif kind == "touch_any":
         m.touch(n)
     elif kind == "clear":
-        m.clear_dirty()
+        m.clear_dirty(C)
 
 
 @settings(max_examples=200, deadline=None)
@@ -148,10 +151,10 @@ def test_dirty_bounded_by_rss(ops):
     m = Memory(heap=4096)
     for op in ops:
         _apply(m, op)
-        table = m.dirty_table()
+        table = m.dirty_table(C)
         for seg, dirty in table.items():
             assert 0 <= dirty <= m.segment(seg), (seg, ops)
-        assert m.dirty_bytes <= m.rss
+        assert m.dirty_in(C) <= m.rss
 
 
 @settings(max_examples=200, deadline=None)
@@ -161,8 +164,8 @@ def test_clear_dirty_always_zeroes(ops):
     m = Memory(heap=4096)
     for op in ops:
         _apply(m, op)
-    m.clear_dirty()
-    assert m.dirty_bytes == 0
+    m.clear_dirty(C)
+    assert m.dirty_in(C) == 0
 
 
 @settings(max_examples=200, deadline=None)
@@ -206,16 +209,16 @@ def test_remembered_largest_segment_equals_the_recomputed_one(ops):
             assert m._largest == _largest(m), ops
     # observable form: an anonymous touch dirties exactly that segment
     target = _largest(m)
-    m.clear_dirty()
+    m.clear_dirty(C)
     m.touch(1)
     expected = {seg: 0 for seg in m.to_image()}
     if target is not None and m.segment(target) > 0:
         expected[target] = 1
-    assert m.dirty_table() == expected
+    assert m.dirty_table(C) == expected
 
 
 def test_anonymous_touch_on_no_segments_is_a_noop():
     m = Memory.from_image({})
-    m.clear_dirty()
+    m.clear_dirty(C)
     m.touch(100)
-    assert m.dirty_table() == {} and m._largest is None
+    assert m.dirty_table(C) == {} and m._largest is None

@@ -26,15 +26,6 @@ def test_consumers_have_independent_baselines():
     assert m.dirty_in("precopy") == 50
 
 
-def test_default_consumer_is_a_consumer_like_any_other():
-    m = Memory(heap=100)
-    m.clear_dirty()
-    m.touch(40, "heap")
-    m.clear_dirty("other")
-    assert m.dirty_bytes == 40     # legacy API maps to the default consumer
-    assert m.dirty_in("other") == 0
-
-
 def test_unseen_consumer_starts_fully_dirty():
     m = Memory(heap=256)
     m.clear_dirty("ckpt")
