@@ -128,9 +128,14 @@ class _Checkpoint:
         self.pipeline = ImagePipeline(filters)
         # a delta the target cannot apply is useless: this epoch may be
         # one only if the sink's newest image for the pod is the previous
-        # epoch (a sink the image leaves this node for holds none)
-        self.chain_local = bool(filters) and self.sink.tip_epoch(
-            self.pod_id) == agent.pipeline_state.epoch(self.pod_id) - 1
+        # epoch *and* the generation this Agent diffs against (a sink the
+        # image leaves this node for holds none; an epoch number alone
+        # also matches another host's chain)
+        tip = agent.pipeline_state.tip(self.pod_id)
+        self.chain_local = (bool(filters)
+                            and self.sink.tip_epoch(self.pod_id) == tip.epoch - 1
+                            and tip.op_id is not None
+                            and self.sink.exists(tip.op_id))
         # measured dirty tracking pays off for a delta filter on a sink
         # that keeps chains — and for any sink whose cost model needs the
         # dirty byte count to tell changed blocks from clean ones

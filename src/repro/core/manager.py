@@ -577,6 +577,8 @@ class Manager:
         if not op.adopted:
             yield from self.cluster.trace("manager.op_start", pod=marker)
             yield from op.begin(**begin)
+            if op.dead():
+                return result
         op.tasks = [self._spawn(self._session(op, gen), name=name)
                     for name, gen in sessions]
         all_done = all_of([t.finished for t in op.tasks])
@@ -1129,6 +1131,8 @@ class Manager:
         # the begin record lands only once the early-out checks passed;
         # from here on the one exit below writes a terminal record
         yield from op.begin()
+        if op.dead():
+            return result
         crashed = yield from self._detect_crashed(op, involved)
         survivors = [n for n in self.cluster.nodes if n.name not in crashed]
         new_targets = self._place(op, crashed, survivors, label)

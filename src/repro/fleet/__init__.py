@@ -34,7 +34,7 @@ from .world import (
     run_cas_fleet_demo,
     run_evacuation_demo,
 )
-from .scheduler import InflightGate, Unit, pick_target, plan_placements, plan_waves
+from .scheduler import InflightGate, Unit, pick_target, plan_waves
 
 __all__ = [
     "Campaign",
@@ -56,7 +56,6 @@ __all__ = [
     "evacuate_campaign",
     "evacuate_task",
     "pick_target",
-    "plan_placements",
     "plan_waves",
     "resume_campaigns_task",
     "run_cas_fleet_demo",

@@ -53,30 +53,6 @@ def pick_target(load: Dict[str, int], exclude: Iterable[str] = (),
     return min(eligible, key=lambda n: (load[n], n))
 
 
-def plan_placements(units: Sequence[Unit], load: Dict[str, int],
-                    exclude: Iterable[str] = (),
-                    order: Optional[Dict[str, int]] = None,
-                    ) -> Dict[str, Optional[str]]:
-    """Resolve every unit's destination up front, reserving as it goes.
-
-    Units whose arg already names a destination keep it; units with an
-    empty arg draw the least-loaded eligible node, and each draw bumps
-    that node's load so a burst of placements spreads instead of piling
-    onto one blade.  Pods that cannot be placed map to ``None``.
-    """
-    working = dict(load)
-    out: Dict[str, Optional[str]] = {}
-    for _node, pod, arg in units:
-        if arg:
-            dest: Optional[str] = arg
-        else:
-            dest = pick_target(working, exclude=exclude, order=order)
-        if dest is not None:
-            working[dest] = working.get(dest, 0) + 1
-        out[pod] = dest
-    return out
-
-
 class InflightGate:
     """Counting gate bounding concurrent in-flight units.
 

@@ -36,7 +36,7 @@ from .core.sinks import resolve_sink, restores_committed
 from .core.streaming import DEFAULT_DIRTY_THRESHOLD, migrate_task
 from .metrics import CasCell, Fig5Cell, Fig6Cell, IncCell, MigrationCell
 from .middleware.daemon import checkpoint_targets, launch_master_worker, launch_spmd
-from .obs.tracer import PHASE, SpanTracer
+from .obs.tracer import SpanTracer, layer_table
 from .storage.cas import CasStore
 from .vos import build_program, imm, program
 from .vos.kernel import DEFAULT_HZ
@@ -324,19 +324,12 @@ def run_fig6_cell(app: str, nodes: int, scale: float = 1.0, seed: int = 0,
         cell.netstate_sizes.append(int(result.max_stat("netstate_bytes")))
         for stage in ("serialize", "filter", "write"):
             cell.add_stage_time(stage, result.max_stat(f"t_{stage}"))
-        # per-phase breakdown: max across pods of each agent-side phase
-        # span under the operation (max, like the end-to-end latency,
-        # since the pods proceed in parallel)
+        # per-phase breakdown: the layer table's agent rows (max across
+        # pods, like the end-to-end latency, since the pods run in parallel)
         op_span = tracer.find(("op", result.op_id))
         if op_span is None:
             continue
-        worst: Dict[str, float] = {}
-        for span in tracer.children_of(op_span):
-            if span.category != PHASE or not span.name.startswith("agent.phase."):
-                continue
-            phase = span.name[len("agent.phase."):]
-            worst[phase] = max(worst.get(phase, 0.0), span.duration)
-        for phase, seconds in worst.items():
+        for phase, seconds in layer_table(tracer, op_span).agent.items():
             cell.add_phase_time(phase, seconds)
     return cell
 

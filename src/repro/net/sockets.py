@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..errors import SyscallError
-from ..vos.kernel import Kernel
+from ..vos.kernel import Kernel, _alloc_fd
 from ..vos.syscalls import BLOCK, Complete, Errno
 from .addr import ANY_IP, Endpoint
 from .fabric import Fabric
@@ -354,13 +354,6 @@ def default_release(stack: "NetStack", sock: Socket, proc: Any) -> None:
     for w in sock.accept_waiters:
         kernel.complete_syscall(w, Errno("ECONNABORTED"))
     sock.accept_waiters.clear()
-
-
-def _alloc_fd(proc: Any, obj: Any) -> int:
-    fd = proc.next_fd
-    proc.next_fd += 1
-    proc.fds[fd] = obj
-    return fd
 
 
 def _trim_blocked_send(proc: Any, remaining: bytes) -> None:

@@ -21,7 +21,6 @@ from .exporters import (
     dumps_chrome,
     export,
     lane_of,
-    phase_summary,
     phase_timeline,
     to_chrome,
     to_jsonl,
@@ -52,9 +51,10 @@ from .tracer import (
     SIM_TICK_S,
     STAGE,
     WINDOW,
+    LayerTable,
     Span,
     SpanTracer,
-    phase_sums,
+    layer_table,
     reconcile_op,
 )
 from .validate import (
@@ -69,11 +69,11 @@ from .validate import (
 __all__ = [
     "CHECKPOINT_SPAN_NAMES", "CampaignTrace", "Counter", "DEFAULT_BOUNDS",
     "DEFAULT_WINDOW_S", "FAULT", "FLEET_SPAN_NAMES", "Gauge", "Histogram",
-    "KNOWN_CATEGORIES", "MARK", "MetricsRegistry", "NULL_SPAN", "OP", "PHASE",
-    "POST", "SIM_TICK_S", "STAGE", "SeriesBank", "SloBudget", "SloReport",
-    "SloVerdict", "Span", "SpanTracer", "TraceNode", "WINDOW", "WallProfiler",
-    "assemble_campaign", "assemble_campaigns", "audit_campaign",
-    "dumps_chrome", "export", "lane_of", "percentile", "phase_summary",
-    "phase_sums", "phase_timeline", "reconcile_op", "to_chrome", "to_jsonl",
+    "KNOWN_CATEGORIES", "LayerTable", "MARK", "MetricsRegistry", "NULL_SPAN",
+    "OP", "PHASE", "POST", "SIM_TICK_S", "STAGE", "SeriesBank", "SloBudget",
+    "SloReport", "SloVerdict", "Span", "SpanTracer", "TraceNode", "WINDOW",
+    "WallProfiler", "assemble_campaign", "assemble_campaigns", "audit_campaign",
+    "dumps_chrome", "export", "lane_of", "layer_table", "percentile",
+    "phase_timeline", "reconcile_op", "to_chrome", "to_jsonl",
     "validate_campaign", "validate_chrome", "validate_file",
 ]

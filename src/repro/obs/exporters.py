@@ -23,7 +23,7 @@ Simulated seconds are exported as Chrome microsecond timestamps, so one
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..metrics import print_table
 from ..sim.clock import to_ticks
@@ -165,18 +165,3 @@ def phase_timeline(tracer: SpanTracer, include_stages: bool = False) -> str:
     return print_table(
         "phase timeline [ms, simulated]",
         ("start", "end", "duration", "track", "phase", "status"), rows)
-
-
-def phase_summary(tracer: SpanTracer) -> str:
-    """Mean/total duration per phase name; returns the table text."""
-    tracer.close_open()
-    totals: Dict[str, Tuple[int, float]] = {}
-    for span in tracer.spans:
-        if span.category not in (PHASE, STAGE, WINDOW):
-            continue
-        count, total = totals.get(span.name, (0, 0.0))
-        totals[span.name] = (count + 1, total + span.duration)
-    rows = [(name, count, f"{total * 1e3:9.3f}", f"{total / count * 1e3:9.3f}")
-            for name, (count, total) in sorted(totals.items())]
-    return print_table("phase summary [ms, simulated]",
-                       ("phase", "count", "total", "mean"), rows)

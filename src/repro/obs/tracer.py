@@ -32,6 +32,7 @@ Span categories:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 #: span categories (see module docstring).
@@ -310,26 +311,66 @@ class SpanTracer:
 
 
 # ---------------------------------------------------------------------------
-# reconciliation: phase spans must account for the reported latency
+# the layer table: where one operation's simulated time went
 # ---------------------------------------------------------------------------
 
 
-def phase_sums(tracer: SpanTracer, op_span: Span) -> Dict[Tuple[str, Optional[str]], float]:
-    """Per-lane sum of ``phase`` durations under one operation span.
+@dataclass
+class LayerTable:
+    """One operation's latency decomposition, read off its child spans.
 
-    Lanes are ``(actor, pod)`` where actor is ``"manager"`` for
-    Manager-side phases and the node name for Agent-side phases.  Within
-    a lane, phase spans are contiguous by construction, so the sum is
-    that lane's wall-clock share of the operation.
+    Manager lanes are contiguous (invocation → that pod's done), so the
+    critical lane's phases plus ``unaccounted`` equal ``latency``; a
+    phase nobody named still lands in the lane instead of vanishing.
+    Agent phases run in parallel across pods, so each is the max over
+    pods.  ``lanes`` keeps every ``(actor, pod)`` sum — actor
+    ``"manager"`` or the Agent's node — for the check of an Agent lane
+    against that Agent's own ``t_local``.
     """
-    sums: Dict[Tuple[str, Optional[str]], float] = {}
+
+    #: pod of the critical manager lane: the one whose phases sum
+    #: highest, the first in span order on a tie.
+    critical_pod: Optional[str]
+    #: phase -> seconds on the critical manager lane.
+    manager: Dict[str, float]
+    #: phase -> seconds, max over pods, in first-span order.
+    agent: Dict[str, float]
+    #: (actor, pod) -> summed ``phase`` seconds, in first-span order.
+    lanes: Dict[Tuple[str, Optional[str]], float]
+    #: longest ``manager.post.*`` span: the image's journey after resume.
+    post: float
+    #: the reported latency (``duration_s``, else the span's duration).
+    latency: float
+    #: ``latency`` minus the critical lane's sum.
+    unaccounted: float
+
+
+def layer_table(tracer: SpanTracer, op_span: Span) -> LayerTable:
+    """The :class:`LayerTable` of one operation span."""
+    by_pod: Dict[Optional[str], Dict[str, float]] = {}
+    agent: Dict[str, float] = {}
+    lanes: Dict[Tuple[str, Optional[str]], float] = {}
+    post = 0.0
     for span in tracer.children_of(op_span):
+        kind, _, phase = span.name.rpartition(".")
+        if kind == "manager.post":
+            post = max(post, span.duration)
+            continue
         if span.category != PHASE:
             continue
-        actor = "manager" if span.name.startswith("manager.") else (span.node or "?")
-        lane = (actor, span.pod)
-        sums[lane] = sums.get(lane, 0.0) + span.duration
-    return sums
+        if kind == "manager.phase":
+            actor = "manager"
+            lane = by_pod.setdefault(span.pod, {})
+            lane[phase] = lane.get(phase, 0.0) + span.duration
+        else:
+            actor = span.node or "?"
+            agent[phase] = max(agent.get(phase, 0.0), span.duration)
+        lanes[(actor, span.pod)] = lanes.get((actor, span.pod), 0.0) + span.duration
+    critical_pod, manager = max(by_pod.items(), key=lambda lane: sum(lane[1].values()),
+                                default=(None, {}))
+    latency = op_span.attrs.get("duration_s", op_span.duration)
+    return LayerTable(critical_pod, manager, agent, lanes, post, latency,
+                      latency - sum(manager.values()))
 
 
 def reconcile_op(tracer: SpanTracer, op_span: Span,
@@ -337,20 +378,17 @@ def reconcile_op(tracer: SpanTracer, op_span: Span,
     """Check one operation's phase accounting; returns problem strings.
 
     The Manager measures the operation as invocation → last pod done;
-    each manager lane covers invocation → that pod's done, so the *max*
-    manager-lane sum must equal the span's duration to within one sim
-    tick.  (Agent lanes start later — at command receipt — and are
+    each manager lane covers invocation → that pod's done, so the
+    critical lane's sum must equal the reported latency to within one
+    sim tick.  (Agent lanes start later — at command receipt — and are
     reconciled against the Agent's own ``t_local`` by the caller, which
     has the stats message.)
     """
-    problems: List[str] = []
-    lanes = phase_sums(tracer, op_span)
-    mgr = [total for (actor, _pod), total in lanes.items() if actor == "manager"]
-    if not mgr:
+    table = layer_table(tracer, op_span)
+    if not table.manager:
         return [f"op span {op_span.span_id} ({op_span.name}) has no manager phase spans"]
-    measured = op_span.attrs.get("duration_s", op_span.duration)
-    if abs(max(mgr) - measured) > tolerance:
-        problems.append(
-            f"{op_span.name} op {op_span.attrs.get('op')}: manager phase sum "
-            f"{max(mgr):.9f}s != reported latency {measured:.9f}s")
-    return problems
+    if abs(table.unaccounted) <= tolerance:
+        return []
+    return [f"{op_span.name} op {op_span.attrs.get('op')}: manager phase sum "
+            f"{table.latency - table.unaccounted:.9f}s != reported latency "
+            f"{table.latency:.9f}s"]

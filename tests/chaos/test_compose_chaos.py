@@ -18,7 +18,7 @@ from repro.cluster import chaos
 
 from .battery import clean_episode, needs_full_seed_set, seeds
 
-N_SEEDS = 24
+N_SEEDS = 64
 SEEDS = seeds(N_SEEDS)
 
 

@@ -11,10 +11,10 @@ from the registry fails its test.
 from dataclasses import replace
 
 from repro.cluster import chaos
-from repro.core import pipeline
+from repro.core import agent, pipeline
 from repro.core.agent import Agent
 from repro.core.manager import Manager, OpMachine, OpResult
-from repro.core.pipeline import PipelineState, Sink
+from repro.core.pipeline import PipelineState
 from repro.core.wire import send_msg
 from repro.fleet import campaign
 from repro.fleet.scheduler import InflightGate
@@ -80,18 +80,19 @@ def test_cas_audit_catches_a_published_truncated_generation(monkeypatch):
         chaos.run("cas", 8, n_ops=2))
 
 
-class _EqualsAnything:
-    def __eq__(self, other):
-        return True
-
-
 def test_no_partial_image_catches_a_lone_delta(monkeypatch):
-    # PR 12's bug, both halves: a delta written where its base is not
-    # (the ``tip_epoch`` rule off) and a load that accepts a chain whose
-    # head is a delta.  With only the rule off the flush's read-back
-    # fails the op instead — safe, and invisible to every invariant.
-    monkeypatch.setattr(Sink, "tip_epoch",
-                        lambda self, pod_id: _EqualsAnything())
+    # a delta written where its base is not (the whole base rule off:
+    # neither the sink's epoch nor its generation is checked) and a load
+    # that accepts a chain whose head is a delta.  With only the rule off
+    # the flush's read-back fails the op instead — safe, and invisible to
+    # every invariant.
+    init = agent._Checkpoint.__init__
+
+    def no_base_rule(self, *args):
+        init(self, *args)
+        self.chain_local = bool(self.pipeline.filters)
+
+    monkeypatch.setattr(agent._Checkpoint, "__init__", no_base_rule)
     monkeypatch.setattr(pipeline, "restorable_chain",
                         lambda chain, where: chain)
     assert {"no-partial-image", "last-checkpoint-restorable"} <= caught(

@@ -12,8 +12,10 @@ from collections import Counter
 from repro.cluster import Cluster, FaultInjector, FaultPlan, FaultSpec
 from repro.cluster.faults import crash_node
 from repro.core import Manager
+from repro.core import agent as agent_mod
 from repro.core.manager import PhaseTimeouts
 from repro.core.pipeline import FileSink
+from repro.core.wire import recv_msg
 from repro.obs import SpanTracer
 from repro.storage import OpLedger
 from repro.storage.ledger import DEFAULT_LEASE_S, LEDGER_PATH, fold
@@ -391,6 +393,85 @@ def test_dead_manager_drives_nothing():
     assert state["takeover"] == [] and state["took_s"] == 0.0
     assert (OpLedger(cluster.san).records(), injector.trace) == state["before"]
     assert final_sums(cluster) == expected_sums(ROUNDS)
+
+
+def _agent_commands(monkeypatch):
+    """Every ``cmd`` an Agent receives, in order."""
+    got = []
+
+    def spy(kernel, chan, fd):
+        msg = yield from recv_msg(kernel, chan, fd)
+        if isinstance(msg, dict) and "cmd" in msg:
+            got.append(msg["cmd"])
+        return msg
+
+    monkeypatch.setattr(agent_mod, "recv_msg", spy)
+    return got
+
+
+def _mgr0_records(cluster):
+    return [(r["op"], r["phase"]) for r in OpLedger(cluster.san).records()
+            if r.get("owner") == "mgr0"]
+
+
+def test_inline_checkpoint_crashed_at_its_begin_stops_there(monkeypatch):
+    """Fail-stop right after the begin record, for an op driven inline
+    (``yield from checkpoint_task``, as the chaos drivers, the harness
+    and the benchmark drive it): the crash cancels only the tasks the
+    Manager spawned, so the op itself must notice.  Nothing after the
+    begin record: no pod session, no Agent command, no further ledger
+    record, and the application keeps running untouched."""
+    cluster, manager = _world(0)
+    _crash_at(cluster, "manager.ledger.begin")
+    commands = _agent_commands(monkeypatch)
+    launch_pingpong(cluster, rounds=ROUNDS, server_node=1, client_node=2)
+    engine = cluster.engine
+    state = {}
+
+    def driver():
+        yield engine.sleep(0.2)
+        state["res"] = yield from manager.checkpoint_task(
+            _file_targets(cluster), timeouts=TIGHT)
+
+    engine.spawn(driver(), name="drv")
+    engine.run(until=120.0)
+    assert manager.crashed and state["res"].status == "crashed"
+    assert _mgr0_records(cluster) == [(1, "begin")]
+    assert commands == []
+    assert final_sums(cluster) == expected_sums(ROUNDS)
+
+
+def test_inline_recover_crashed_at_its_begin_stops_there(monkeypatch):
+    """The same for a recover: a Manager that died on the recover's
+    begin record neither probes the blades nor rolls the survivors back
+    (without the check it pinged the Agents, destroyed the surviving pod
+    and wrote ``detect``)."""
+    cluster, manager = _world(0)
+    FaultInjector(cluster, FaultPlan(seed=0, faults=[
+        FaultSpec(kind="crash_manager", phase="manager.ledger.begin",
+                  pod="op2")])).install()
+    commands = _agent_commands(monkeypatch)
+    launch_pingpong(cluster, rounds=ROUNDS, server_node=1, client_node=2)
+    engine = cluster.engine
+    state = {}
+
+    def driver():
+        yield engine.sleep(0.2)
+        res = yield from manager.checkpoint_task(_file_targets(cluster),
+                                                 timeouts=TIGHT)
+        assert res.ok, res.errors
+        crash_node(cluster, cluster.node(1))
+        state["sent"] = len(commands)
+        state["res"] = yield from manager.recover_task(timeouts=TIGHT)
+
+    engine.spawn(driver(), name="drv")
+    engine.run(until=120.0)
+    assert manager.crashed and state["res"].status == "crashed"
+    assert _mgr0_records(cluster)[-1] == (2, "begin")
+    assert commands[state["sent"]:] == []
+    survivor = cluster.node(2).kernel.pods.get("pp-cli")
+    assert survivor is not None and survivor.processes()
+    assert all(proc.state != DEAD for proc in survivor.processes())
 
 
 def test_recover_deadline_expiry_leaves_terminal_ledger():

@@ -277,3 +277,44 @@ def test_incremental_steady_state_images_shrink(world):
     # raw size stays at full scale — only the written bytes shrink
     assert results[-1].max_stat("raw_image_bytes") > 0.95 * sizes[0]
     assert final_sums(cluster) == expected_sums(ROUNDS)
+
+
+def test_a_migrated_pods_first_delta_starts_its_own_chain(world):
+    """A delta extends a chain only if this Agent's tip generation is
+    the chain's tip (compose chaos seed 56's sequence).  The pods checkpoint a full CAS epoch at home,
+    live-migrate (the destination restarts from the pushed image and its
+    epoch counter restarts at 1), then checkpoint with the delta filter
+    again.  The home chain's epoch-0 tip matches that delta by number
+    alone; appended to it, the delta would patch a base it was never
+    diffed against."""
+    from repro.core.sinks import resolve_sink
+    from repro.core.streaming import migrate_task
+
+    cluster, manager = world
+    launch_pingpong(cluster, rounds=ROUNDS, ballast=BALLAST)
+    uri = "cas:/san/moved-{pod}.img"
+    delta = [{"name": "delta"}]
+    moves = [("blade0", "pp-srv", "blade2"), ("blade1", "pp-cli", "blade3")]
+    results = {}
+
+    def drive():
+        yield cluster.engine.sleep(0.15)
+        results["home"] = yield from manager.checkpoint_task(
+            [(src, pod, uri.format(pod=pod)) for src, pod, _dst in moves],
+            filters=delta, async_ckpt=True)
+        results["mig"] = yield from migrate_task(manager, moves, live=True)
+        results["away"] = yield from manager.checkpoint_task(
+            [(dst, pod, uri.format(pod=pod)) for _src, pod, dst in moves],
+            filters=delta, async_ckpt=True)
+
+    cluster.engine.spawn(drive(), name="seed-56-replay")
+    cluster.engine.run(until=300.0)
+    assert results["home"].ok and results["mig"].ok and results["away"].ok
+    vfs = cluster.node(0).kernel.vfs
+    for _src, pod, dst in moves:
+        # the stored chain is, entry for entry, the one the pod's Agent
+        # committed and diffs its next delta against
+        stored = resolve_sink(uri.format(pod=pod), cluster, vfs).load(pod)
+        committed = manager.agents[dst].mem_sink.load(pod)
+        assert [i.data for i in stored] == [i.data for i in committed], pod
+    assert final_sums(cluster) == expected_sums(ROUNDS)

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from repro.fleet.scheduler import (
     InflightGate,
     pick_target,
-    plan_placements,
     plan_waves,
 )
 from repro.sim.engine import Engine
@@ -54,24 +53,6 @@ def test_pick_target_is_least_loaded_and_deterministic(load, exclude):
     assert chosen in eligible
     assert load[chosen] == min(eligible.values())
     assert chosen == pick_target(dict(load), exclude=set(exclude))
-
-
-@given(units=units_st)
-@settings(max_examples=100, deadline=None)
-def test_plan_placements_spreads_by_load(units):
-    # placements are keyed by pod: keep the first unit per pod id
-    seen = set()
-    uniq = [u for u in units if not (u[1] in seen or seen.add(u[1]))]
-    load = {f"blade{i}": 0 for i in range(6, 9)}
-    placed = plan_placements(uniq, dict(load), exclude=())
-    assert set(placed) == seen
-    counts = {}
-    for _pod, dest in placed.items():
-        assert dest in load              # all empty-arg units get placed
-        counts[dest] = counts.get(dest, 0) + 1
-    # equal starting load + reservation-aware draws → balanced
-    per_node = [counts.get(n, 0) for n in load]
-    assert max(per_node) - min(per_node) <= 1
 
 
 @given(limit=st.integers(min_value=1, max_value=7),

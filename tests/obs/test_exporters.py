@@ -7,7 +7,6 @@ import pytest
 from repro.obs.exporters import (
     dumps_chrome,
     lane_of,
-    phase_summary,
     phase_timeline,
     to_chrome,
     to_jsonl,
@@ -208,13 +207,11 @@ def test_validator_required_names():
 # ---------------------------------------------------------------------------
 
 
-def test_phase_timeline_and_summary(tracer, capsys):
+def test_phase_timeline(tracer, capsys):
     checkpoint_like(tracer)
     timeline = phase_timeline(tracer)
     assert "manager.checkpoint" in timeline
     assert "blade1/p0" in timeline
     assert "stage.serialize" not in timeline
     assert "stage.serialize" in phase_timeline(tracer, include_stages=True)
-    summary = phase_summary(tracer)
-    assert "agent.phase.suspend" in summary
     capsys.readouterr()

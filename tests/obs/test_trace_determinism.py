@@ -21,7 +21,7 @@ from repro.cluster import chaos
 from repro.core import Manager, migrate
 from repro.obs import (
     SpanTracer,
-    phase_sums,
+    layer_table,
     reconcile_op,
     to_chrome,
     to_jsonl,
@@ -132,7 +132,7 @@ def test_async_checkpoint_post_work_outside_commit_phase():
     ``post``-category span under the same operation."""
     tracer, result = traced_async_checkpoint_run(7)
     op_span = tracer.find(("op", result.op_id))
-    sums = phase_sums(tracer, op_span)
+    sums = layer_table(tracer, op_span).lanes
     for pod_id, stats in result.pods.items():
         agent_lanes = [total for (actor, pod), total in sums.items()
                        if actor != "manager" and pod == pod_id]
@@ -212,7 +212,7 @@ def test_checkpoint_phases_reconcile_with_latency():
     assert op.attrs["duration_s"] == pytest.approx(result.duration)
     assert reconcile_op(tracer, op) == []
     # agent lanes sum to each pod's locally measured checkpoint time
-    lanes = phase_sums(tracer, op)
+    lanes = layer_table(tracer, op).lanes
     for pod_id in ("pp-srv", "pp-cli"):
         agent = [total for (actor, pod), total in lanes.items()
                  if pod == pod_id and actor != "manager"]

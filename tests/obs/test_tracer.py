@@ -10,7 +10,7 @@ from repro.obs.tracer import (
     PHASE,
     SIM_TICK_S,
     SpanTracer,
-    phase_sums,
+    layer_table,
     reconcile_op,
 )
 
@@ -107,7 +107,7 @@ def test_to_dict_rounds_timestamps(tracer):
     assert d["t0"] == 0.3 and d["t1"] == 0.3
 
 
-def test_phase_sums_and_reconcile(tracer):
+def test_layer_table_lanes_and_reconcile(tracer):
     op = tracer.begin("manager.checkpoint", category=OP, key=("op", 1), op=1)
     # manager lane: two contiguous phases, 0 → 2.0
     tracer.add("manager.phase.connect", 0.0, 0.5, pod="p0",
@@ -119,9 +119,13 @@ def test_phase_sums_and_reconcile(tracer):
                parent=op, category=PHASE)
     tracer.engine.now = 2.0
     op.end(duration_s=2.0)
-    sums = phase_sums(tracer, op)
-    assert sums[("manager", "p0")] == pytest.approx(2.0)
-    assert sums[("blade1", "p0")] == pytest.approx(1.3)
+    table = layer_table(tracer, op)
+    assert table.lanes[("manager", "p0")] == pytest.approx(2.0)
+    assert table.lanes[("blade1", "p0")] == pytest.approx(1.3)
+    assert table.critical_pod == "p0"
+    assert table.manager == {"connect": 0.5, "commit": 1.5}
+    assert table.agent == {"suspend": pytest.approx(1.3)}
+    assert table.unaccounted == 0.0
     assert reconcile_op(tracer, op) == []
 
 
