@@ -596,6 +596,21 @@ def _cas_audit_clean(w: World) -> List[str]:
             + list(store.audit()))
 
 
+@invariant("connections-released")
+def _connections_released(w: World) -> List[str]:
+    """(N1.)  A closed connection leaves the stack: no node's demux
+    tables still hold a TCP pair that neither end can ever again send or
+    receive on (:meth:`~repro.net.tcp.TcpConn.reapable`) — whatever
+    control sessions the scenario's ops opened, and whatever the faults
+    did to them."""
+    return [f"{node.name} {name} holds finished {sock!r}"
+            for node in w.cluster.nodes
+            for name, table in (("bound", node.stack.bound),
+                                ("established", node.stack.established))
+            for sock in table.values()
+            if sock.proto == "tcp" and sock.conn.reapable()]
+
+
 @invariant("threshold-respected", applies=_fleet)
 def _threshold_respected(w: World) -> List[str]:
     """(FC2.)  Once the failed fraction trips the threshold, no retry

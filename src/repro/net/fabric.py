@@ -160,19 +160,26 @@ class Fabric:
     def _arrive(self, src_nic: Nic, packet: Packet) -> None:
         real_dst = packet.real_dst
         if self._partitions and (packet.real_src, real_dst) in self._partitions:
-            self.dropped_packets += 1
+            self._drop(packet)
             return
         if self.loss_rate > 0 and self._rng.random() < self.loss_rate:
-            self.dropped_packets += 1
+            self._drop(packet)
             return
         dst_nic = self._nics.get(real_dst)  # a primary address; aliases need the scan
         if dst_nic is None:
             dst_nic = self.nic_for(real_dst)
             if dst_nic is None:
-                self.dropped_packets += 1  # address currently unowned (mid-migration)
+                self._drop(packet)  # address currently unowned (mid-migration)
                 return
         # Nic.deliver, in line
         dst_nic.rx_packets += 1
         ingress = dst_nic.ingress
         if ingress is not None:
             ingress(packet)
+        elif packet.conn is not None:  # a dark NIC swallows it
+            packet.conn.landed()
+
+    def _drop(self, packet: Packet) -> None:
+        self.dropped_packets += 1
+        if packet.conn is not None:
+            packet.conn.landed()

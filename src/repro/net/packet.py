@@ -14,9 +14,12 @@ later (``size`` is fixed when the packet is built).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Optional
+from typing import TYPE_CHECKING, FrozenSet, Optional
 
 from .addr import Endpoint
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .tcp import TcpConn
 
 #: Per-packet header overhead charged against link bandwidth (bytes).
 HEADER_BYTES = 66  # Ethernet + IP + TCP, roughly
@@ -65,6 +68,9 @@ class Packet:
     real_dst: str
     #: Bytes charged against link bandwidth: header plus body, as built.
     size: int
+    #: the TCP end that sent it, counted on the wire until the packet is
+    #: delivered or dropped (``None``: not a connection's segment).
+    conn: Optional["TcpConn"]
 
     def __init__(self, proto: str, src: Endpoint, dst: Endpoint, payload: bytes = b"",
                  segment: Optional[Segment] = None, real_src: str = "",
@@ -77,6 +83,7 @@ class Packet:
         self.real_src = real_src
         self.real_dst = real_dst
         self.size = HEADER_BYTES + len(segment.data if segment is not None else payload)
+        self.conn = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         core = repr(self.segment) if self.segment else f"len={len(self.payload)}"

@@ -339,8 +339,9 @@ def default_release(stack: "NetStack", sock: Socket, proc: Any) -> None:
             for child in sock.accept_q:
                 default_release(stack, child, proc)
             sock.accept_q.clear()
-        # established demux entries persist so late retransmissions
-        # still get ACKed; the fabric-level entry is tiny.
+        # a connection keeps its demux entries until neither end can
+        # send or receive again (``TcpConn.reap``): its FIN exchange and
+        # any late retransmission still find it.
     else:
         stack.unbind(sock)
     # error out anyone still parked on this socket
@@ -461,10 +462,19 @@ class NetStack:
         sock.remote = remote
         self.established[(sock.proto, sock.local, remote)] = sock
 
+    def forget(self, sock: Socket) -> None:
+        """Drop a reaped TCP connection's demux entries — only its own:
+        an entry may already name the socket that replaced it."""
+        local = sock.local
+        for table, key in ((self.established, (sock.proto, local, sock.remote)),
+                           (self.bound, (sock.proto, local.ip, local.port))):
+            if table.get(key) is sock:
+                del table[key]
+
     def _cancel_waits(self, proc: Any) -> None:
         """Purge an exiting ``proc`` from the sockets someone waits on —
-        closed connections stay in ``established`` (late retransmissions
-        still get ACKed) and hold no waiter to purge."""
+        a closed connection still in the tables (its FINs or its peer's
+        close outstanding) holds no waiter to purge."""
         for table in (self.bound, self.established):
             for sock in table.values():
                 if sock.recv_waiters or sock.send_waiters \
@@ -482,6 +492,7 @@ class NetStack:
         the restored connection would corrupt it.
         """
         count = 0
+        aborted = []
         for table in (self.bound, self.established):
             for key in [k for k in table if k[1] == ip or (hasattr(k[1], "ip") and k[1].ip == ip)]:
                 sock = table.pop(key)
@@ -491,7 +502,10 @@ class NetStack:
                     if sock.conn._backlog_kick is not None:
                         sock.conn._backlog_kick.cancel()
                         sock.conn._backlog_kick = None
+                    aborted.append(sock.conn)
                 count += 1
+        for conn in aborted:  # its peer may have waited only for this end
+            conn.reap()
         return count
 
     # ------------------------------------------------------------------
@@ -516,10 +530,15 @@ class NetStack:
         resolve = self.vnet.resolve
         pkt.real_src = resolve(local.ip)
         pkt.real_dst = resolve(target.ip)
+        if segment is not None:
+            conn = pkt.conn = sock.conn
+            conn.on_wire += 1
         self.fabric.transmit(self.nic, pkt)
 
     def _ingress(self, pkt: Packet) -> None:
         if not self.netfilter.permits(pkt):
+            if pkt.conn is not None:
+                pkt.conn.landed()
             return  # ingress blocked (checkpoint freeze)
         proto = pkt.proto
         if proto == "tcp":
@@ -528,6 +547,8 @@ class NetStack:
                 sock.conn.deliver(pkt.segment)
             else:
                 self._ingress_unconnected(pkt)
+            if pkt.conn is not None:  # an RST answering a SYN has none
+                pkt.conn.landed()
         elif proto in self.extra_protocols:
             self.extra_protocols[proto](pkt)
         else:
@@ -542,7 +563,8 @@ class NetStack:
             if listener is None:
                 listener = self.bound.get(("tcp", ANY_IP, pkt.dst.port))
             if listener is not None and listener.listening and not listener.closed:
-                self._spawn_child(listener, pkt)
+                child = self._spawn_child(listener, pkt).conn
+                child.peer, pkt.conn.peer = pkt.conn, child  # the pair, for TcpConn.reap
                 return
         if "RST" in flags:
             return
@@ -554,7 +576,7 @@ class NetStack:
             rst.real_dst = self.vnet.resolve(pkt.src.ip)
             self.fabric.transmit(self.nic, rst)
 
-    def _spawn_child(self, listener: Socket, pkt: Packet) -> None:
+    def _spawn_child(self, listener: Socket, pkt: Packet) -> Socket:
         child = self.create_socket("tcp")
         child.options = dict(listener.options)  # children inherit options
         child.local = Endpoint(pkt.dst.ip, pkt.dst.port)  # inherits the port
@@ -563,6 +585,7 @@ class NetStack:
         conn: TcpConn = child.conn
         conn.pcb.rcv_nxt = pkt.segment.seq + 1
         conn.start_passive()
+        return child
 
     def _ingress_datagram(self, pkt: Packet) -> None:
         sock = self.bound.get((pkt.proto, pkt.dst.ip, pkt.dst.port))

@@ -109,6 +109,13 @@ class TcpConn:
         # --- timers ---
         self.rto_handle = None
         self.last_adv_wnd = 262144
+        # --- the pair, for the reaper ---
+        #: the other end, linked at the handshake (``None``: unknown, as
+        #: for a hand-built pair — such a pair is never reaped).
+        self.peer: Optional["TcpConn"] = None
+        #: this end's packets on the fabric: handed to it and not yet
+        #: delivered or dropped.
+        self.on_wire = 0
 
     # ------------------------------------------------------------------
     # helpers
@@ -186,6 +193,8 @@ class TcpConn:
         backlog = self.backlog
         while backlog:
             self._process(backlog.pop(0))
+        if self.sock.closed:  # the last ACK or FIN of a closed end
+            self.reap()
 
     # ------------------------------------------------------------------
     def _process(self, seg: Segment) -> None:
@@ -357,8 +366,11 @@ class TcpConn:
             self._arm_rto()
 
     def app_close(self) -> None:
-        """Application close/shutdown(WR): FIN after pending data."""
+        """Application close/shutdown(WR): FIN after pending data.  A
+        close after shutdown(WR) sends nothing, but it may be the last
+        thing a finished pair waited for."""
         if self.fin_sent:
+            self.reap()
             return
         self.fin_sent = True
         self._maybe_send_fin()
@@ -399,6 +411,39 @@ class TcpConn:
         """Send a window update if the queue was previously near-full."""
         if self.state == ESTABLISHED and self.last_adv_wnd < self.mss():
             self._send(ACK, self.pcb.snd_nxt)
+
+    # -- the end of a connection -------------------------------------------
+    def landed(self) -> None:
+        """One of this end's packets left the fabric: delivered, or
+        dropped on the way."""
+        self.on_wire -= 1
+        if not self.on_wire and self.sock.closed:
+            self.reap()
+
+    def spent(self) -> bool:
+        """This end's half of the reap rule: app-closed, its FIN
+        acknowledged and the peer's received, no timer, bottom half or
+        backlog pending, none of its packets on the fabric.  A spent end
+        still receives whatever its peer sends."""
+        return (self.sock.closed and self.fin_acked and self.fin_rcvd
+                and not self.on_wire and self.rto_handle is None
+                and self._backlog_kick is None and not self.backlog)
+
+    def reapable(self) -> bool:
+        """Both ends of the pair are :meth:`spent`: no event of the
+        simulation can reach either of them again."""
+        peer = self.peer
+        return (peer is not None and peer.peer is self
+                and self.spent() and peer.spent())
+
+    def reap(self) -> None:
+        """Take a reapable pair out of both stacks' demux tables (and the
+        connecting end's port out of ``bound``)."""
+        if self.reapable():
+            peer = self.peer
+            self.peer = peer.peer = None
+            self.sock.stack.forget(self.sock)
+            peer.sock.stack.forget(peer.sock)
 
     # ------------------------------------------------------------------
     # introspection for the checkpoint layer

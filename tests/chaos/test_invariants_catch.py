@@ -11,6 +11,7 @@ from the registry fails its test.
 from dataclasses import replace
 
 from repro.cluster import chaos
+from repro.cluster.faults import MANAGER_PHASES
 from repro.core import agent, pipeline
 from repro.core.agent import Agent
 from repro.core.manager import Manager, OpMachine, OpResult
@@ -18,6 +19,7 @@ from repro.core.pipeline import PipelineState
 from repro.core.wire import send_msg
 from repro.fleet import campaign
 from repro.fleet.scheduler import InflightGate
+from repro.net.tcp import TcpConn
 from repro.pod.pod import Pod
 from repro.storage import cas, ledger
 
@@ -252,3 +254,13 @@ def test_assembled_complete_catches_a_resume_under_a_new_campaign_id(
                         classmethod(twin.Campaign.from_ledger.__func__))
     assert "assembled-complete" in caught(
         chaos.run("fleet", 18, trace_spans=True))
+
+
+def test_connections_released_catches_a_disabled_reaper(monkeypatch):
+    # the reaper never runs: every control session an op closed stays in
+    # both stacks.  Every episode closes some, so the first episode of
+    # each battery catches it — no seed picked for the mutation
+    monkeypatch.setattr(TcpConn, "reap", lambda self: None)
+    for scenario in chaos.SCENARIOS:
+        params = {"crash_phase": MANAGER_PHASES[0]} if scenario == "failover" else {}
+        assert "connections-released" in caught(chaos.run(scenario, 0, **params)), scenario

@@ -11,7 +11,8 @@ stream, and a control lane that raises and drops netfilter rules (by
 address or by endpoint), cuts and heals a partition, delays the link,
 takes a NIC's ingress away and gives it back, loses the segments waiting
 in a backlog, toggles ``SO_OOBINLINE``, polls, closes, shuts down and
-connects to a port nobody listens on.  A few control operations may also
+connects to a port nobody listens on (closing that socket before the
+refusal comes back, if asked).  A few control operations may also
 run while the handshake is still in progress (``opening``), and the two
 ends may talk over alias addresses, which the fabric has to scan for.
 
@@ -270,12 +271,21 @@ class World:
             elif name == "shutdown_wr":
                 self.call(side, chan, lane, i, "shutdown", FD, "wr")
             elif name == "connect_nowhere":
-                self.engine.spawn(self._connect_nowhere(side, chan, lane, i), name=f"nowhere{i}")
+                self.engine.spawn(self._connect_nowhere(side, chan, lane, i, *args[1:]),
+                                  name=f"nowhere{i}")
             else:
                 raise AssertionError(name)
 
-    def _connect_nowhere(self, side: str, chan: Any, lane: str, i: int):
+    def _connect_nowhere(self, side: str, chan: Any, lane: str, i: int,
+                         close_after: Optional[float] = None):
+        """Connect to a port nobody listens on; with ``close_after``,
+        close the socket that long after the SYN left, from a channel of
+        its own — the refusal then finds a closed socket."""
         fd = yield self.call(side, chan, lane, i, "socket", "tcp")
+        if close_after is not None:
+            closer = self.hosts[side].kernel.host_channel(f"{lane}{i}.close")
+            closer.fds[fd] = chan.fds[fd]
+            self.engine.schedule(close_after, self.call, side, closer, lane, i, "close", fd)
         yield self.call(side, chan, lane, i, "connect", fd, (self.ips[PEER[side]], 9))
 
     # -- connection set-up -------------------------------------------------

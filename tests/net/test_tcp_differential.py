@@ -29,6 +29,15 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 _IDLE = {"a.w": (), "a.r": (), "b.w": (), "b.r": (), "ctl": ()}
+_READS = ((0.0, "recv", 65536, 0),) * 6
+
+
+def _lossy_close(seed):
+    """Both ends send, read, and close, on a link that loses 30 %."""
+    return Script(seed=seed, loss=0.3, rcvbuf=None, mss=1460, lanes={
+        **_IDLE, "a.w": ((0.0, "send", 3000),), "b.w": ((0.0, "send", 2000),),
+        "a.r": _READS, "b.r": _READS, "ctl": ((0.05, "close", "a"), (0.01, "close", "b"))})
+
 
 #: Scripts for the corners random draws almost never reach.
 DIRECTED = {
@@ -55,6 +64,35 @@ DIRECTED = {
         seed=4, loss=0.0, rcvbuf=16384, mss=536,
         lanes={**_IDLE, "a.w": ((0.0, "send", 40_000),), "b.r": ((0.0, "recv", 65536, 0),) * 4,
                "ctl": ((1e-4, "nf_block", "b", "endpoint"), (0.3, "nf_unblock", "b", "endpoint"))}),
+    # The end of a connection: a pair leaves both stacks' demux tables
+    # once neither end can send or receive again; nothing observable may
+    # move.  Both ends close under loss and the pair is reaped ...
+    "both close under loss": _lossy_close(0),
+    # ... or the ACK of a's FIN is lost: b never re-ACKs the retransmitted
+    # FIN, so a retransmits it to the end and the pair is never reaped
+    "both close under loss, a FIN's ACK lost": _lossy_close(1),
+    # a 0.3 s link against the 0.2 s RTO: when the second FIN's ACK
+    # lands, retransmitted duplicates are still on the wire
+    "a duplicate in flight at the last ACK": Script(
+        seed=12, loss=0.0, rcvbuf=None, mss=16384,
+        lanes={**_IDLE, "a.w": ((0.0, "send", 100),), "b.r": ((0.0, "recv", 100, 0),),
+               "ctl": ((0.0, "delay_link", 0.3), (0.01, "close", "a"), (0.0, "close", "b"))}),
+    # b closes with 5000 bytes it never read
+    "close with unread data": Script(
+        seed=13, loss=0.0, rcvbuf=None, mss=1460,
+        lanes={**_IDLE, "a.w": ((0.0, "send", 5000),),
+               "ctl": ((0.01, "close", "b"), (0.01, "close", "a"))}),
+    # a's close comes long after its FIN was acknowledged: the close is
+    # the last thing the finished pair waits for
+    "shutdown(wr), then a late close": Script(
+        seed=14, loss=0.0, rcvbuf=None, mss=16384,
+        lanes={**_IDLE, "a.w": ((0.0, "send", 300),), "a.r": _READS[:2], "b.r": _READS[:2],
+               "ctl": ((0.001, "shutdown_wr", "a"), (0.01, "close", "b"), (0.5, "close", "a"))}),
+    # a connecting socket closed while its SYN is out: the RST refusing
+    # it finds a closed socket
+    "a refusal after close": Script(
+        seed=15, loss=0.0, rcvbuf=None, mss=16384,
+        lanes={**_IDLE, "ctl": ((0.0, "connect_nowhere", "a", 5e-5),)}),
 }
 
 
@@ -122,6 +160,34 @@ def test_the_corpus_reaches_what_it_is_there_for():
     assert any(obs["dropped"] for obs in seen.values())
     assert any(obs[side]["ooo"] or obs[side]["fin"][3] for obs in seen.values()
                for side in "ab" if side in obs)
+    # the refusal came back after the close
+    refused = [r for r in seen["a refusal after close"]["results"] if r[0] == "ctl"]
+    assert refused[1][3] == 0 and refused[2][3].name == "ECONNREFUSED"
+    assert refused[1][2] < refused[2][2]
+    # b closed with data unread; a's close came after every FIN was acknowledged
+    assert seen["close with unread data"]["b"]["recv_q"]
+    late = seen["shutdown(wr), then a late close"]
+    assert late["a"]["fin"][1] and late["b"]["fin"][1] and late["clock"] > 0.5
+
+
+def _tables(script):
+    """Each host's demux table sizes, ``(bound, established)``, after
+    ``script`` played on the live path."""
+    with pytest.MonkeyPatch.context() as patch:
+        world = play(script, patch)
+    return {side: (len(host.stack.bound), len(host.stack.established))
+            for side, host in world.hosts.items()}
+
+
+@pytest.mark.parametrize("name, reaped", [
+    ("both close under loss", True), ("both close under loss, a FIN's ACK lost", False),
+    ("a duplicate in flight at the last ACK", True), ("close with unread data", True),
+    ("shutdown(wr), then a late close", True)])
+def test_the_close_scripts_reach_the_reaper(name, reaped):
+    """A reaped pair leaves a with nothing and b with its listener; an
+    unreaped one leaves both ends' entries (and a's port)."""
+    assert _tables(DIRECTED[name]) == ({"a": (0, 0), "b": (1, 0)} if reaped
+                                      else {"a": (1, 1), "b": (1, 1)})
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +221,9 @@ MUTATIONS = {
     "size without HEADER_BYTES": (
         packet, "self.size = HEADER_BYTES + len(", "self.size = len(",
         lambda patch, twin: patch.setattr(sockets, "Packet", twin.Packet)),
+    "reap without the in-flight check": (
+        tcp, "and not self.on_wire and", "and",
+        lambda patch, twin: patch.setattr(sockets, "TcpConn", twin.TcpConn)),
     "the skip-process_backlog test ignores a pending bottom half": (
         sockets,
         "        if conn.backlog or conn._backlog_kick is not None:\n"
