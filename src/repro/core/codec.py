@@ -32,7 +32,8 @@ Both directions are one pass over one dispatch table (DESIGN §5):
 *fragments* (tag + header as one ``bytes``, payloads by reference) to a
 parts list that :func:`encode` joins once, :func:`encoded_size` only
 measures and :func:`encode_parts` hands over as it is;
-:data:`_DECODERS` is indexed by the tag byte.  A value that will be
+:data:`_DECODERS` is indexed by the tag byte, and :func:`decode_parts`
+gives each stored payload fragment back as itself.  A value that will be
 encoded more than once is sealed by :func:`fragment` and spliced from
 then on.
 """
@@ -142,6 +143,42 @@ def decode(data: bytes) -> Any:
     if pos != len(data):
         raise CodecError(f"{len(data) - pos} trailing bytes after decode")
     return obj
+
+
+def decode_parts(parts: Parts) -> Any:
+    """The inverse of :func:`encode_parts`: decode the join of ``parts``
+    (a transient buffer, dropped on return).  A ``b`` payload that is
+    exactly one fragment of exact type ``bytes`` — matched by position,
+    never by content — comes back as that very object; any other comes
+    back as a ``bytes`` copy, so nothing decoded is a view."""
+    joined = _Joined(sum(map(len, parts)))
+    at = joined.stored
+    pos = 0
+    with memoryview(joined) as view:    # a bytearray's own slice store copies
+        for part in parts:
+            end = pos + len(part)
+            view[pos:end] = part
+            if type(part) is bytes:
+                at[pos, end] = part
+            pos = end
+    return decode(joined)
+
+
+class _Joined(bytearray):
+    """The buffer :func:`decode_parts` decodes: a slice of it is the
+    stored fragment at exactly that span, or a ``bytes`` copy."""
+
+    __slots__ = ("stored",)
+
+    def __init__(self, size: int) -> None:
+        super().__init__(size)
+        self.stored: Dict[Tuple[int, int], bytes] = {}
+
+    def __getitem__(self, key):
+        if type(key) is not slice:
+            return bytearray.__getitem__(self, key)
+        frag = self.stored.get((key.start, key.stop))
+        return frag if frag is not None else bytes(memoryview(self)[key])
 
 
 # ---------------------------------------------------------------------------

@@ -141,22 +141,3 @@ def derive_restart_plan(
             })
     return plan
 
-
-def remap_addresses(meta_or_plan: Any, address_map: Dict[str, str]) -> Any:
-    """Rewrite virtual addresses per the migration mapping.
-
-    With pod-private virtual addresses the mapping is usually the
-    identity — the vnet layer re-homes addresses instead — but the
-    mechanism exists for restoring onto a cluster that must renumber
-    (the Cruz limitation ZapC lifts).  Works on nested lists/dicts.
-    """
-    def walk(obj: Any) -> Any:
-        if isinstance(obj, tuple) and len(obj) == 2 and isinstance(obj[0], str):
-            return (address_map.get(obj[0], obj[0]), obj[1])
-        if isinstance(obj, list):
-            return [walk(x) for x in obj]
-        if isinstance(obj, dict):
-            return {k: walk(v) for k, v in obj.items()}
-        return obj
-
-    return walk(meta_or_plan)

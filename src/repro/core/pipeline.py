@@ -858,6 +858,11 @@ class FileSink(Sink):
     byte-for-byte; filtered images write a chain container that a delta
     epoch extends (charged only for the appended bytes — the SAN write
     is an append, not a rewrite).
+
+    The file holds the container as the codec's fragments, each image's
+    bytes among them by reference, and a load hands those same objects
+    back: the only copies are the transient join a read-back decodes and
+    the cut fragment of a truncated stage.
     """
 
     kind = "file"
@@ -881,9 +886,9 @@ class FileSink(Sink):
               truncate: Optional[float] = None) -> None:
         """Write the image container (truncated: only that prefix of it
         reaches the SAN, which the read-back validation in :meth:`load`
-        must then reject).  The container is written as the codec's
-        fragments, the image's bytes among them by reference — it is
-        never joined into a second copy of the image."""
+        must then reject).  The file keeps the container's fragments,
+        the image's bytes among them by reference — it copies nothing but
+        the fragment a truncation cuts."""
         if not image.filters:
             container: Dict[str, Any] = {
                 "data": image.data,
@@ -894,8 +899,8 @@ class FileSink(Sink):
             entries: List[Dict[str, Any]] = []
             if image_extends_chain(image):
                 try:
-                    # the stored epochs' bytes are views of the file being
-                    # replaced, which lives until this stage is done
+                    # the stored epochs' bytes come back as the file's
+                    # own fragments, and go into the new file as they are
                     entries = list(self._stored().get("chain", []))
                 except Exception:
                     entries = []
@@ -905,17 +910,14 @@ class FileSink(Sink):
         if truncate is not None:
             room = max(1, int(sum(map(len, parts)) * float(truncate)))
             parts = _leading(parts, room)
-        handle = self.vfs.open(self.path, "w")
-        for part in parts:
-            handle.write(part)
+        fs, inner = self.vfs.resolve(self.path)
+        fs.create(inner, parts)
 
     def _stored(self) -> Any:
-        """The container at this path, decoded from a view of the file:
-        every ``data`` in it is a slice of the SAN's own bytes.  Whoever
-        calls this drops the result (and any exception it raised) before
-        returning — a file cannot grow while a view of it is alive."""
-        handle = self.vfs.open(self.path, "r")
-        return codec.decode(memoryview(handle.file.data).toreadonly())
+        """The container at this path, decoded from a transient join of
+        the file: every ``data`` in it is the file's own payload fragment
+        (a copy only when the file was rewritten through its bytearray)."""
+        return codec.decode_parts(self.vfs.open(self.path, "r").file.fragments)
 
     def exists(self, op_id: Optional[int] = None) -> bool:
         fs, inner = self.vfs.resolve(self.path)
@@ -942,15 +944,16 @@ class FileSink(Sink):
                 ValueError) as err:
             # raised below, outside the handler: an exception raised in
             # here would carry ``err``, its traceback and with it the
-            # decoder's views of the file for as long as a caller held it
+            # decoder's join of the file for as long as a caller held it
             corrupt = str(err)
         else:
             return restorable_chain(chain, self.path)
         raise RestartError(f"partial or corrupt image at {self.path!r}: {corrupt}")
 
     def _stored_chain(self, pod_id: str) -> List[PodImage]:
-        """Every stored epoch as an image owning its bytes (the one copy
-        the read-back makes); the views die with this frame."""
+        """Every stored epoch as an image whose bytes are the file's own
+        payload fragment — the object the staging Agent's image held —
+        so the read-back copies no image."""
         container = self._stored()
         # the historic single-image container is one bare entry
         entries = container.get("chain", [container])
@@ -1003,10 +1006,17 @@ def chain_entry(image: PodImage) -> Dict[str, Any]:
 
 
 def image_from_entry(pod_id: str, entry: Dict[str, Any]) -> PodImage:
+    """The image of one stored entry.  Exact ``bytes`` (immutable: a
+    file's fragment, a joined CAS payload, a wire message's) become its
+    data as they are; anything else, a view of a buffer that may still
+    change, is copied once."""
+    data = entry["data"]
+    if type(data) is not bytes:
+        data = bytes(data)
     return PodImage(
         pod_id=pod_id,
-        data=bytes(entry["data"]),
-        encoded_bytes=len(entry["data"]),
+        data=data,
+        encoded_bytes=len(data),
         accounted_bytes=int(entry["accounted"]),
         netstate_bytes=int(entry["netstate"]),
         filters=list(entry.get("filters") or []),

@@ -68,8 +68,9 @@ class Packet:
     real_dst: str
     #: Bytes charged against link bandwidth: header plus body, as built.
     size: int
-    #: the TCP end that sent it, counted on the wire until the packet is
-    #: delivered or dropped (``None``: not a connection's segment).
+    #: the TCP end that sent it (an RST: the end whose SYN it answers),
+    #: counted on the wire until the packet is delivered or dropped
+    #: (``None``: not a connection's segment).
     conn: Optional["TcpConn"]
 
     def __init__(self, proto: str, src: Endpoint, dst: Endpoint, payload: bytes = b"",

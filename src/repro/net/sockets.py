@@ -334,6 +334,7 @@ def default_release(stack: "NetStack", sock: Socket, proc: Any) -> None:
             conn.app_close()
         else:
             conn._cancel_rto()
+            conn.reap()     # a refused connect
         if sock.listening:
             stack.unbind(sock)
             for child in sock.accept_q:
@@ -547,7 +548,7 @@ class NetStack:
                 sock.conn.deliver(pkt.segment)
             else:
                 self._ingress_unconnected(pkt)
-            if pkt.conn is not None:  # an RST answering a SYN has none
+            if pkt.conn is not None:  # a hand-built packet has none
                 pkt.conn.landed()
         elif proto in self.extra_protocols:
             self.extra_protocols[proto](pkt)
@@ -574,6 +575,9 @@ class NetStack:
                          segment=Segment(seq=0, ack=pkt.segment.seq + 1, flags=RST_ACK))
             rst.real_src = self.vnet.resolve(pkt.dst.ip)
             rst.real_dst = self.vnet.resolve(pkt.src.ip)
+            conn = rst.conn = pkt.conn   # counted on the wire as its SYN's
+            if conn is not None:
+                conn.on_wire += 1
             self.fabric.transmit(self.nic, rst)
 
     def _spawn_child(self, listener: Socket, pkt: Packet) -> Socket:

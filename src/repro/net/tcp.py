@@ -425,9 +425,18 @@ class TcpConn:
         acknowledged and the peer's received, no timer, bottom half or
         backlog pending, none of its packets on the fabric.  A spent end
         still receives whatever its peer sends."""
-        return (self.sock.closed and self.fin_acked and self.fin_rcvd
-                and not self.on_wire and self.rto_handle is None
+        return self.fin_acked and self.fin_rcvd and self._quiet()
+
+    def _quiet(self) -> bool:
+        return (self.sock.closed and not self.on_wire and self.rto_handle is None
                 and self._backlog_kick is None and not self.backlog)
+
+    def refused(self) -> bool:
+        """A connect the peer's stack reset, app-closed and quiet: no
+        handshake linked a peer, and none of its SYNs — nor the RST that
+        answers one — is still on the fabric."""
+        return (self.peer is None and self.state == CLOSED
+                and self.sock.was_reset and self._quiet())
 
     def reapable(self) -> bool:
         """Both ends of the pair are :meth:`spent`: no event of the
@@ -438,12 +447,15 @@ class TcpConn:
 
     def reap(self) -> None:
         """Take a reapable pair out of both stacks' demux tables (and the
-        connecting end's port out of ``bound``)."""
+        connecting end's port out of ``bound``), or a :meth:`refused`
+        end out of its own."""
         if self.reapable():
             peer = self.peer
             self.peer = peer.peer = None
             self.sock.stack.forget(self.sock)
             peer.sock.stack.forget(peer.sock)
+        elif self.refused():
+            self.sock.stack.forget(self.sock)
 
     # ------------------------------------------------------------------
     # introspection for the checkpoint layer

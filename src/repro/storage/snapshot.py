@@ -5,21 +5,25 @@ snapshot functionality" (NetApp-style) rather than copying file data
 into the image: "a file-system snapshot (if desired) may be taken
 immediately prior to reactivating the pod".  This module provides that
 functionality for the simulated file systems: cheap point-in-time
-captures that can later be rolled back to.
+captures that can later be rolled back to.  A file written whole (a
+sink's image container) is captured and restored by sharing its
+immutable fragments; only a file written piecewise is copied.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, List, Set, Tuple
 
 from ..errors import ReproError
-from ..vos.filesystem import File, FileSystem
+from ..vos.filesystem import File, FileSystem, frozen
 
 
 class Snapshot:
-    """A point-in-time copy of one file system's contents."""
+    """A point-in-time copy of one file system's contents: each file as
+    the immutable fragments whose join is its bytes."""
 
-    def __init__(self, fs_name: str, files: Dict[str, bytes], dirs: Set[str], taken_at: float) -> None:
+    def __init__(self, fs_name: str, files: Dict[str, Tuple[bytes, ...]], dirs: Set[str],
+                 taken_at: float) -> None:
         self.fs_name = fs_name
         self.files = files
         self.dirs = dirs
@@ -28,7 +32,7 @@ class Snapshot:
     @property
     def total_bytes(self) -> int:
         """Bytes captured (drives snapshot-flush cost accounting)."""
-        return sum(len(d) for d in self.files.values())
+        return sum(len(part) for parts in self.files.values() for part in parts)
 
 
 class SnapshotManager:
@@ -41,7 +45,7 @@ class SnapshotManager:
         """Capture ``fs`` as of ``now`` and remember it."""
         snap = Snapshot(
             fs.name,
-            {path: bytes(f.data) for path, f in fs.files.items()},
+            {path: frozen(f.fragments) for path, f in fs.files.items()},
             set(fs.dirs),
             now,
         )
@@ -52,7 +56,7 @@ class SnapshotManager:
         """Roll ``fs`` back to ``snap`` (names must match)."""
         if fs.name != snap.fs_name:
             raise ReproError(f"snapshot of {snap.fs_name!r} cannot restore {fs.name!r}")
-        fs.files = {path: File(data) for path, data in snap.files.items()}
+        fs.files = {path: File(parts=parts) for path, parts in snap.files.items()}
         fs.dirs = set(snap.dirs)
 
     def latest(self, fs_name: str) -> Snapshot:

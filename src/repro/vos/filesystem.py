@@ -13,7 +13,7 @@ Pods get their own namespace via a chroot prefix, mirroring Zap's
 from __future__ import annotations
 
 import posixpath
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..errors import SyscallError, VosError
 
@@ -26,13 +26,66 @@ def normalize(path: str) -> str:
     return "/" if norm == "//" else norm
 
 
+def frozen(parts: Iterable[Any]) -> Tuple[bytes, ...]:
+    """``parts`` as immutable fragments: ``bytes`` kept by reference, a
+    mutable one (a bytearray, an array's view) copied once."""
+    return tuple(p if isinstance(p, bytes) else bytes(p) for p in parts)
+
+
 class File:
-    """Regular file contents."""
+    """Regular file contents, in one of two forms.
 
-    __slots__ = ("data",)
+    The mutable form is :attr:`data`, a bytearray.  A file written whole
+    from ``parts`` (:meth:`FileSystem.create`) holds instead the tuple of
+    immutable fragments whose join is its bytes — a sink's container, the
+    image among them, kept by reference.  The first access to
+    :attr:`data` joins them into the bytearray (copy-on-write); readers
+    that only read use :attr:`fragments` and never do.
+    """
 
-    def __init__(self, data: bytes = b"") -> None:
-        self.data = bytearray(data)
+    __slots__ = ("_buf", "_parts")
+
+    def __init__(self, parts: Optional[Iterable[Any]] = None) -> None:
+        self._buf = bytearray() if parts is None else None
+        self._parts = None if parts is None else frozen(parts)
+
+    @property
+    def data(self) -> bytearray:
+        """The contents as a mutable bytearray."""
+        if self._buf is None:
+            self._buf = bytearray().join(self._parts)
+            self._parts = None
+        return self._buf
+
+    @data.setter
+    def data(self, value: bytes) -> None:
+        # ``file.data += chunk`` extends in place, then lands here
+        self._buf = value if isinstance(value, bytearray) else bytearray(value)
+        self._parts = None
+
+    @property
+    def fragments(self) -> Tuple[Any, ...]:
+        """The contents as fragments whose join is the file, never
+        copied: the stored tuple, or the bytearray as the one fragment.
+        Read-only — a writer goes through :attr:`data`."""
+        return self._parts if self._parts is not None else (self._buf,)
+
+    def read(self, pos: int, n: int) -> bytes:
+        """Up to ``n`` bytes from offset ``pos``, in either form."""
+        if self._parts is None:
+            return bytes(self._buf[pos:pos + n])
+        out = []
+        for part in self._parts:
+            if n <= 0:
+                break
+            if pos < len(part):
+                piece = part[pos:pos + n]
+                out.append(piece)
+                n -= len(piece)
+                pos = 0
+            else:
+                pos -= len(part)
+        return b"".join(out)
 
 
 class FileSystem:
@@ -85,13 +138,14 @@ class FileSystem:
         return sorted(names)
 
     # -- file ops --------------------------------------------------------
-    def create(self, path: str) -> File:
-        """Create (or truncate) a regular file."""
+    def create(self, path: str, parts: Optional[Iterable[Any]] = None) -> File:
+        """Create (or truncate) a regular file; with ``parts``, one that
+        holds those fragments by reference (see :class:`File`)."""
         path = normalize(path)
         parent = posixpath.dirname(path)
         if parent not in self.dirs:
             raise SyscallError("ENOENT", f"parent of {path} missing")
-        f = File()
+        f = File(parts=parts)
         self.files[path] = f
         return f
 
@@ -127,7 +181,7 @@ class OpenFile:
         """Read up to ``n`` bytes from the current position."""
         if "r" not in self.mode and "+" not in self.mode:
             raise SyscallError("EBADF", f"{self.path} not open for reading")
-        data = bytes(self.file.data[self.pos:self.pos + n])
+        data = self.file.read(self.pos, n)
         self.pos += len(data)
         return data
 

@@ -13,8 +13,11 @@ image format.  Everything here holds the live path to them byte for byte:
   a send queue — pack to the same image sealed and unsealed, with the same
   ``netstate_bytes`` and the same netstate-phase charge;
 * every container kind lands on the SAN as the same bytes, whole or cut
-  short, and loads as the same chain or the same ``RestartError``;
-* a file written through the new ``write`` is the file POSIX describes.
+  short, and loads as the same chain or the same ``RestartError`` — from
+  the file as staged, whose payloads come back as the very objects the
+  images hold, and from the file once rewritten through its ``data``;
+* a file written through the new ``write`` is the file POSIX describes,
+  whether it started empty or as a sink's fragments.
 
 Then the new path is broken by hand, one edit at a time (``MUTATIONS``);
 each mutant must fail the check named beside it.
@@ -48,7 +51,7 @@ from ..mutation import mutant
 from ..net.tcp_script import Script, World, draw_script, tap
 from . import reference_codec
 from . import reference_flush as reference
-from .test_codec_differential import _values
+from .test_codec_differential import _same, _values
 from .testapps import checkpoint_app_once, migrate_pingpong_with_redirect
 
 
@@ -101,6 +104,17 @@ def test_encode_parts_holds_payloads_by_reference():
     assert any(part is blob for part in parts)
     assert any(isinstance(part, memoryview) and part.obj is grid for part in parts)
     assert b"".join(parts) == reference_codec.encode({"blob": blob, "grid": grid})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_values)
+def test_decode_parts_inverts_encode_parts_whole_or_cut_short(obj):
+    parts = codec.encode_parts(obj)
+    data = reference_codec.encode(obj)
+    assert _same(codec.decode_parts(parts), reference_codec.decode(data))
+    for cut in range(0, len(data), max(1, len(data) // 16)):
+        with pytest.raises(CodecError):
+            codec.decode_parts(pipeline_module._leading(parts, cut))
 
 
 def check_no_fragment_encodes_what_cannot_decode(cdc):
@@ -434,6 +448,15 @@ def _load(load, sink):
         return ("RestartError", str(err))
 
 
+def _rewritten(vfs):
+    """A copy of the file at ``/p.img`` of ``vfs``, written through
+    ``data`` (the form a kernel write or a corruption leaves)."""
+    copy_vfs = VFS()
+    copy_vfs.open("/p.img", "w").file.data += b"".join(
+        vfs.open("/p.img", "r").file.fragments)
+    return copy_vfs
+
+
 def check_containers_match_the_frozen_flush(kind, seed=5):
     chain, count = CONTAINERS[kind]
     images = _epochs(chain, seed, count)
@@ -449,21 +472,48 @@ def check_containers_match_the_frozen_flush(kind, seed=5):
                 cut = truncate if epoch == cut_epoch else None
                 live.stage(image, truncate=cut)
                 reference.stage(frozen, image, truncate=cut)
-                written = live_vfs.open("/p.img", "r").file.data
+                # read through the fragments: the staged file stays as staged
+                written = b"".join(live_vfs.open("/p.img", "r").file.fragments)
                 assert written == frozen_vfs.open("/p.img", "r").file.data, \
                     (kind, epoch, truncate)
+                expected = _load(reference.load, frozen)
                 outcome = _load(FileSink.load, live)
-                assert outcome == _load(reference.load, frozen), (kind, epoch, truncate)
+                assert outcome == expected, (kind, epoch, truncate)
                 if truncate is None or epoch < cut_epoch:
                     assert [chain_entry(image) for image in outcome] \
                         == [chain_entry(image) for image in images[:epoch + 1]]
+                    # each payload is the object its image holds, not a copy
+                    assert all(got.data is put.data for got, put in zip(outcome, images))
                 elif epoch == cut_epoch:
                     assert outcome[0] == "RestartError"
-                # nothing of the read-back is left holding the file: it
-                # can still grow while the loaded chain is held
-                tail = live_vfs.open("/p.img", "a")
+                # the same bytes rewritten through ``data`` load alike, and
+                # nothing of the read-back holds that file: it can still
+                # grow while the loaded chain is held
+                copy_vfs = _rewritten(live_vfs)
+                copied = _load(FileSink.load, FileSink(None, copy_vfs, "/p.img"))
+                assert copied == expected, (kind, epoch, truncate)
+                assert copied[0] == "RestartError" or all(
+                    type(got.data) is bytes for got in copied)
+                tail = copy_vfs.open("/p.img", "a")
                 tail.write(b"!")
                 del tail.file.data[-1:]
+
+
+def check_nothing_decoded_is_a_view(cdc):
+    """``decode_parts`` hands an exact ``bytes`` fragment back as itself
+    and copies every other payload: no result is a view of its join."""
+    kept, mutable = b"\x5a" * 5000, bytearray(b"\xa5" * 5000)
+    parts = cdc.encode_parts({"kept": kept, "copied": mutable, "grid": np.arange(9.0)})
+    # the payloads' own fragments, and one that is a view
+    assert any(part is kept for part in parts) and any(part is mutable for part in parts)
+    out = cdc.decode_parts(parts)
+    assert out["kept"] is kept
+    assert type(out["copied"]) is bytes and out["copied"] == mutable
+    assert np.array_equal(out["grid"], np.arange(9.0))
+
+
+def test_nothing_decoded_from_fragments_is_a_view():
+    check_nothing_decoded_is_a_view(codec)
 
 
 @pytest.mark.parametrize("kind", list(CONTAINERS))
@@ -497,6 +547,16 @@ def test_a_garbled_container_is_the_same_restart_error_and_holds_no_view():
             FileSink(None, vfs_live, "/p.img").load("p")
         vfs_live.open("/p.img", "a").write(b"more")     # while the error is held
         assert held.value.__context__ is None
+        # a staged file corrupted through ``data``: the first write joins
+        # the fragments into the file's own bytearray, the image keeps its bytes
+        vfs_staged = VFS()
+        FileSink(None, vfs_staged, "/p.img").stage(image)
+        staged = vfs_staged.open("/p.img", "r").file
+        fragments = staged.fragments
+        staged.data[:] = content
+        assert _load(FileSink.load, FileSink(None, vfs_staged, "/p.img")) == outcomes[1]
+        assert any(part is image.data for part in fragments)
+        assert b"".join(fragments) != content
 
 
 # ---------------------------------------------------------------------------
@@ -512,10 +572,31 @@ _ops = st.lists(st.one_of(
 ), max_size=12)
 
 
-def check_writes_follow_posix(ops):
+def _fragment_file(vfs, start):
+    """``/f`` on ``vfs`` as a file written whole from the fragments
+    ``start``; every read of it before the first write leaves it so."""
+    fs, inner = vfs.resolve("/f")
+    fs.create(inner, start)
+    whole = b"".join(start)
+    reader = vfs.open("/f", "r")
+    for pos in range(len(whole) + 2):
+        for n in (0, 1, 3, len(whole) + 1):
+            reader.pos = pos
+            assert reader.read(n) == whole[pos:pos + n]
+    kept = reader.file.fragments
+    assert len(kept) == len(start) and all(a is b for a, b in zip(kept, start))
+    return vfs.open("/f", "r+")
+
+
+def check_writes_follow_posix(ops, start=None):
+    """``start``: the fragments the file holds at first (None: it is
+    created empty)."""
     live_vfs, frozen_vfs = VFS(), VFS()
-    live, frozen = live_vfs.open("/f", "w"), frozen_vfs.open("/f", "w")
-    model, pos, in_range = bytearray(), 0, True
+    live = live_vfs.open("/f", "w") if start is None else _fragment_file(live_vfs, start)
+    frozen = frozen_vfs.open("/f", "w")
+    model, pos, in_range = bytearray(b"".join(start or ())), 0, True
+    reference.write(frozen, bytes(model))
+    frozen.pos = 0
     for op, arg in ops:
         if op == "seek":
             live.pos = frozen.pos = pos = arg
@@ -546,10 +627,20 @@ def test_writes_follow_posix_and_the_frozen_write_up_to_end_of_file(ops):
     check_writes_follow_posix(ops)
 
 
-def check_a_write_past_the_end_leaves_a_zero_filled_hole():
+@settings(max_examples=200, deadline=None)
+@given(_ops, st.lists(st.binary(max_size=16), max_size=4))
+def test_writes_to_a_fragment_file_follow_posix(ops, start):
+    check_writes_follow_posix(ops, start)
+
+
+def check_a_write_past_the_end_leaves_a_zero_filled_hole(start=None):
     vfs = VFS()
-    handle = vfs.open("/f", "w")
-    handle.write(b"abc")
+    if start is None:
+        handle = vfs.open("/f", "w")
+        handle.write(b"abc")
+    else:
+        handle = _fragment_file(vfs, start)
+        handle.pos = 3
     handle.pos = 10
     assert handle.write(b"xy") == 2 and handle.pos == 12
     assert bytes(handle.file.data) == b"abc" + bytes(7) + b"xy"
@@ -560,6 +651,7 @@ def check_a_write_past_the_end_leaves_a_zero_filled_hole():
 
 def test_a_write_past_the_end_leaves_a_zero_filled_hole():
     check_a_write_past_the_end_leaves_a_zero_filled_hole()
+    check_a_write_past_the_end_leaves_a_zero_filled_hole([b"a", b"", b"bc"])
 
 
 # ---------------------------------------------------------------------------
@@ -585,8 +677,8 @@ def _write_mutant(check):
     return catch
 
 
-def _view_kept_by_load(patch, twin):
-    patch.setattr(pipeline_module, "image_from_entry", twin.image_from_entry)
+def _payload_copied_by_load(patch, twin):
+    patch.setattr(codec, "decode_parts", twin.decode_parts)
     check_containers_match_the_frozen_flush("unfiltered")
 
 
@@ -631,8 +723,7 @@ MUTATIONS = {
         "room = max(1, int(sum(map(len, parts)) * float(truncate)) - 1)",
         _sink_mutant("stage", lambda: check_containers_match_the_frozen_flush("unfiltered"))),
     "the container's trailer dropped": (
-        pipeline_module, "        for part in parts:\n            handle.write(part)\n",
-        "        for part in parts[:-1]:\n            handle.write(part)\n",
+        pipeline_module, "fs.create(inner, parts)", "fs.create(inner, parts[:-1])",
         _sink_mutant("stage", lambda: check_containers_match_the_frozen_flush("delta chain"))),
     "a write at end-of-file extends but leaves pos": (
         filesystem, "        self.pos = pos + len(data)\n",
@@ -643,8 +734,11 @@ MUTATIONS = {
         filesystem, "                buf += bytes(pos - size)\n", "                pass\n",
         _write_mutant(check_a_write_past_the_end_leaves_a_zero_filled_hole)),
     "a view kept by load": (
-        pipeline_module, 'data=bytes(entry["data"]),', 'data=entry["data"],',
-        _view_kept_by_load),
+        codec, "bytes(memoryview(self)[key])", "memoryview(self)[key]",
+        _codec_mutant(check_nothing_decoded_is_a_view)),
+    "load copies the payload": (
+        codec, "            if type(part) is bytes:\n", "            if False:\n",
+        _payload_copied_by_load),
     "a view kept by a load that raised": (
         pipeline_module, "            corrupt = str(err)\n",
         "            raise RestartError(\n"

@@ -51,7 +51,7 @@ def test_checkpoint_with_fs_snapshot_captures_file_state(world):
     assert snap_id is not None
     # the snapshot froze the journal at the checkpoint instant...
     snap = cluster.snapshots.latest("san")
-    snap_journal = snap.files["/pods/fw/journal.log"]
+    snap_journal = b"".join(snap.files["/pods/fw/journal.log"])
     assert 0 < snap_journal.count(b"round-") < 10
     # ...while the live file kept growing afterwards
     live = bytes(cluster.san.lookup("/pods/fw/journal.log").data)
@@ -70,7 +70,7 @@ def test_restore_snapshot_rolls_files_back(world):
     cluster.engine.run(until=30.0)
     assert holder["c"].finished.result.ok
     snap = cluster.snapshots.latest("san")
-    frozen = snap.files["/pods/fw/journal.log"]
+    frozen = b"".join(snap.files["/pods/fw/journal.log"])
     # roll the SAN back: the journal returns to the checkpoint instant
     cluster.snapshots.restore(cluster.san, snap)
     assert bytes(cluster.san.lookup("/pods/fw/journal.log").data) == frozen

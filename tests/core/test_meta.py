@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.meta import build_pod_meta, connection_key, derive_restart_plan, remap_addresses
+from repro.core.meta import build_pod_meta, connection_key, derive_restart_plan
 from repro.errors import CheckpointError
 
 
@@ -102,9 +102,3 @@ def test_plan_rejects_impossible_topologies():
     with pytest.raises(CheckpointError):
         derive_restart_plan(metas)
 
-
-def test_remap_addresses_rewrites_endpoint_tuples():
-    plan = {"schedule": [{"src": ("10.77.0.1", 50), "dst": ("10.77.0.2", 60)}]}
-    out = remap_addresses(plan, {"10.77.0.1": "10.99.0.1"})
-    assert out["schedule"][0]["src"] == ("10.99.0.1", 50)
-    assert out["schedule"][0]["dst"] == ("10.77.0.2", 60)

@@ -11,7 +11,9 @@ their old ``self``: ``NetStack.transmit`` / ``_ingress`` /
 ``_ingress_tcp``, ``Fabric.transmit`` / ``_arrive`` (through ``Nic.send``
 / ``nic_for`` / ``Nic.deliver``), ``Netfilter.permits`` and the
 ``default_recvmsg`` / ``default_poll`` that take the socket lock on every
-call.  :func:`install` swaps the lot in through ``monkeypatch``.
+call — and ``default_release``, whose live close also reaps a refused
+connect, which this world's ``TcpConn`` cannot.  :func:`install` swaps
+the lot in through ``monkeypatch``.
 
 ``test_tcp_differential.py`` runs one script in both worlds and requires
 the same wire log, event count, clock and socket state, so what the
@@ -644,11 +646,46 @@ def default_poll(stack: "NetStack", sock: Socket) -> Set[str]:
     return events
 
 
+def default_release(stack: "NetStack", sock: Socket, proc: Any) -> None:
+    """Close a socket: FIN for TCP, unregister datagrams."""
+    if sock.closed:
+        return
+    sock.closed = True
+    if sock.proto == "tcp":
+        conn: TcpConn = sock.conn
+        if conn.state in (ESTABLISHED, SYN_RCVD) and sock.remote is not None:
+            conn.app_close()
+        else:
+            conn._cancel_rto()
+        if sock.listening:
+            stack.unbind(sock)
+            for child in sock.accept_q:
+                default_release(stack, child, proc)
+            sock.accept_q.clear()
+        # a connection keeps its demux entries until neither end can
+        # send or receive again (``TcpConn.reap``): its FIN exchange and
+        # any late retransmission still find it.
+    else:
+        stack.unbind(sock)
+    # error out anyone still parked on this socket
+    kernel = stack.kernel
+    for w in sock.recv_waiters:
+        kernel.complete_syscall(w[0], Errno("ECONNABORTED"))
+    sock.recv_waiters.clear()
+    for w in sock.send_waiters:
+        kernel.complete_syscall(w[0], Errno("ECONNABORTED"))
+    sock.send_waiters.clear()
+    for w in sock.accept_waiters:
+        kernel.complete_syscall(w, Errno("ECONNABORTED"))
+    sock.accept_waiters.clear()
+
+
 def install(monkeypatch) -> None:
     """Make every socket, packet and hop created from now on the parent's."""
     monkeypatch.setattr(live_sockets, "TcpConn", TcpConn)
     monkeypatch.setattr(live_sockets, "default_recvmsg", default_recvmsg)
     monkeypatch.setattr(live_sockets, "default_poll", default_poll)
+    monkeypatch.setattr(live_sockets, "default_release", default_release)
     monkeypatch.setattr(live_sockets.NetStack, "transmit", transmit)
     monkeypatch.setattr(live_sockets.NetStack, "_ingress", _ingress)
     monkeypatch.setattr(live_sockets.NetStack, "_ingress_tcp", _ingress_tcp, raising=False)

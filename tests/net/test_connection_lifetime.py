@@ -70,3 +70,64 @@ def test_a_pod_teardown_finishes_a_pair_that_waited_only_for_it(engine, hosts):
     assert child.closed and child.conn.spent() and not ends["a"].conn.spent()
     a.stack.abort_sockets_of(a.ip)
     assert not b.stack.established and not a.stack.established
+
+
+def _connect_nowhere(a, b, close_at=None):
+    """a connects to a port of b's nobody listens on; with ``close_at``
+    the socket is closed that long after the SYN left, from a channel of
+    its own, before the refusal is back.  Returns ``(socket, the connect's
+    result)``."""
+    ends = {}
+
+    def client(call):
+        fd = yield call("socket", "tcp")
+        if close_at is not None:
+            closer = a.kernel.host_channel("closer")
+            closer.fds[fd] = ends["chan"].fds[fd]
+            a.engine.schedule(close_at, a.kernel.host_call, closer, "close", fd)
+        ends["sock"] = ends["chan"].fds[fd]
+        ends["result"] = yield call("connect", fd, (b.ip, 9))
+        return fd
+
+    ends["chan"] = a.kernel.host_channel("cli")
+    task = a.engine.spawn(client(lambda *args: a.kernel.host_call(ends["chan"], *args)),
+                          name="cli")
+    return task, ends
+
+
+def test_a_refused_connect_leaves_the_stack_at_its_close(engine, hosts):
+    """The reset keeps the socket (the application may connect it again);
+    its close takes it out of both tables, sending nothing."""
+    a, b = hosts
+    task, ends = _connect_nowhere(a, b)
+    (fd,) = run_tasks(engine, task)
+    sock = ends["sock"]
+    assert ends["result"].name == "ECONNREFUSED"
+    engine.run(until=engine.now + 1.0)
+    assert list(a.stack.established.values()) == [sock]
+    assert list(a.stack.bound.values()) == [sock]
+    sent = a.stack.nic.tx_packets
+
+    def close():
+        yield a.kernel.host_call(ends["chan"], "close", fd)
+
+    run_tasks(engine, engine.spawn(close(), name="close"))
+    assert not a.stack.established and not a.stack.bound
+    engine.run(until=engine.now + 30.0)
+    assert a.stack.nic.tx_packets == sent and sock.conn.on_wire == 0
+
+
+def test_a_connect_closed_before_its_refusal_leaves_at_the_reset(engine, hosts):
+    """Closed while its SYN is out, the socket stays until the RST that
+    answers it has landed — counted on the wire as the SYN's — then goes."""
+    a, b = hosts
+    task, ends = _connect_nowhere(a, b, close_at=5e-5)
+    engine.run(until=1e-4)
+    sock = ends["sock"]
+    # the SYN, or the RST answering it, is out
+    assert sock.closed and not sock.was_reset and sock.conn.on_wire == 1
+    assert list(a.stack.established.values()) == [sock]
+    engine.run(until=1.0)
+    assert ends["result"].name == "ECONNREFUSED" and sock.was_reset
+    assert not a.stack.established and not a.stack.bound
+    assert sock.conn.on_wire == 0 and a.stack.nic.tx_packets == 1

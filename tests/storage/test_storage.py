@@ -1,10 +1,14 @@
 """Shared-storage and snapshot tests."""
 
+import tracemalloc
+
 import pytest
 
+from repro.core.image import PodImage
+from repro.core.pipeline import FileSink
 from repro.errors import ReproError
 from repro.storage import SharedStorage, SnapshotManager
-from repro.vos.filesystem import FileSystem, ensure_dirs
+from repro.vos.filesystem import VFS, FileSystem, ensure_dirs
 
 
 def test_san_transfer_delay_scales_with_bytes():
@@ -36,8 +40,36 @@ def test_snapshot_is_isolated_from_later_writes():
     mgr = SnapshotManager()
     snap = mgr.take(fs)
     fs.files["/f"].data.extend(b"v2")
-    assert snap.files["/f"] == b"v1"
+    assert b"".join(snap.files["/f"]) == b"v1"
     assert snap.total_bytes == 2
+
+
+def test_a_snapshot_shares_a_staged_image():
+    """A SAN file a sink staged is captured and restored by its fragments:
+    no image-sized buffer either way, and the restored file is the same
+    bytes — the image's own among its fragments — until written again."""
+    image_bytes = 8 << 20
+    san, vfs = FileSystem("san"), VFS()
+    vfs.mount("/san", san)
+    image = PodImage(pod_id="p", data=bytes(image_bytes), encoded_bytes=image_bytes,
+                     accounted_bytes=0, netstate_bytes=0)
+    FileSink(None, vfs, "/san/p.img").stage(image)
+    staged = b"".join(san.lookup("/p.img").fragments)
+    mgr = SnapshotManager()
+    tracemalloc.start()
+    try:
+        snap = mgr.take(san)
+        san.unlink("/p.img")
+        mgr.restore(san, snap)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * image_bytes, f"snapshot peaked at {peak / image_bytes:.2f} images"
+    restored = san.lookup("/p.img")
+    assert any(part is image.data for part in restored.fragments)
+    assert b"".join(restored.fragments) == staged and snap.total_bytes == len(staged)
+    restored.data[:4] = b"edit"                  # a write copies; the snapshot keeps its bytes
+    assert b"".join(snap.files["/p.img"]) == staged
 
 
 def test_latest_snapshot_lookup():
