@@ -611,6 +611,24 @@ def _connections_released(w: World) -> List[str]:
             if sock.proto == "tcp" and sock.conn.reapable()]
 
 
+@invariant("corpses-released")
+def _corpses_released(w: World) -> List[str]:
+    """(N2.)  A killed process keeps only its exit record: no SIGKILLed
+    process on any node — a destroyed pod's, a crashed blade's, a
+    migration's source copy — still holds registers, a call stack, a
+    blocked syscall or a parked result
+    (:meth:`~repro.vos.process.Process.keep_exit_record`)."""
+    out = []
+    for node in w.cluster.nodes:
+        for proc in node.kernel.procs.values():
+            held = [name for name in ("regs", "callstack", "blocked_on", "pending_result")
+                    if getattr(proc, name)]
+            if proc.exit_code == -9 and held:
+                out.append(f"{node.name} pid {proc.pid} ({proc.program.name}) "
+                           f"killed but holds {', '.join(held)}")
+    return out
+
+
 @invariant("threshold-respected", applies=_fleet)
 def _threshold_respected(w: World) -> List[str]:
     """(FC2.)  Once the failed fraction trips the threshold, no retry

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from heapq import heappop, heappush
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import DeadlockError, SimError
 from .clock import Clock
@@ -57,9 +57,10 @@ class Engine:
         self._seq = itertools.count()
         self._stopped = False
         self._events_executed = 0
-        #: every spawned host task, pruned of finished ones lazily; lets
-        #: failure tooling assert that no protocol task was orphaned.
-        self._tasks: List[Task] = []
+        #: every unfinished host task, keyed by its ``finished`` future in
+        #: spawn order; a task leaves when it finishes.  Lets failure
+        #: tooling assert that no protocol task was orphaned.
+        self._tasks: Dict[Future, Task] = {}
         #: Registered "is anything still blocked?" probes used for
         #: deadlock detection when the queue drains (kernels register one).
         self.blocked_probes: List[Callable[[], List[str]]] = []
@@ -113,17 +114,21 @@ class Engine:
         failure detection (e.g. the Manager noticing a dead Agent).
         """
         wrapped = Future(f"timeout({future.name})")
+        # emptied by whichever side wins: the loser (a timer stays queued
+        # until it fires) then pins neither ``wrapped`` nor its result
+        unsettled = [wrapped]
 
         def on_inner(fut: Future) -> None:
-            if not wrapped.done:
+            if unsettled:
+                outcome = unsettled.pop()
                 if fut.exception is not None:
-                    wrapped.set_exception(fut.exception)
+                    outcome.set_exception(fut.exception)
                 else:
-                    wrapped.set_result((True, fut._result))
+                    outcome.set_result((True, fut._result))
 
         def on_timer(_: Any) -> None:
-            if not wrapped.done:
-                wrapped.set_result((False, None))
+            if unsettled:
+                unsettled.pop().set_result((False, None))
 
         future.add_done_callback(on_inner)
         self.schedule(delay, on_timer, None)
@@ -135,9 +140,8 @@ class Engine:
     def spawn(self, gen: TaskGen, name: str = "task") -> Task:
         """Start a host task driving generator ``gen``; returns its Task."""
         task = Task(self, gen, name)
-        if len(self._tasks) > 512:
-            self._tasks = [t for t in self._tasks if not t.done]
-        self._tasks.append(task)
+        self._tasks[task.finished] = task
+        task.finished.add_done_callback(self._forget)
         self.schedule(0.0, task._step, None)
         return task
 
@@ -147,8 +151,10 @@ class Engine:
         The Manager's abort path must leave no protocol task behind;
         tests assert that through this registry.
         """
-        self._tasks = [t for t in self._tasks if not t.done]
-        return list(self._tasks)
+        return list(self._tasks.values())
+
+    def _forget(self, finished: Future) -> None:
+        del self._tasks[finished]
 
     # ------------------------------------------------------------------
     # running

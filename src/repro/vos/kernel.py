@@ -297,6 +297,7 @@ class Kernel:
         if sig == SIGKILL:
             self.scheduler.preempt_burn(proc)
             self.exit_process(proc, -9)
+            proc.keep_exit_record()
         elif sig == SIGSTOP:
             if proc.state == "running":
                 # a pure-compute burn can be preempted exactly; an

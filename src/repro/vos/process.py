@@ -384,6 +384,22 @@ class Process:
         self.cpu_cycles += used
         return used, reason, payload
 
+    def keep_exit_record(self) -> None:
+        """Keep only the *exit record* — identity (``pid``, ``vpid``,
+        ``pod_id``, ``program``), ``state``, ``exit_code``, ``exit_time``,
+        counters and ``memory`` accounting — and drop the registers, call
+        stack, blocked syscall and parked result.
+
+        The kernel calls this on SIGKILL: nothing reads a killed process's
+        registers, yet its corpse stays in the process table for
+        ``waitpid``.  A process that exits by itself keeps its registers:
+        they hold its results.
+        """
+        self.regs = {}
+        self.callstack = []
+        self.blocked_on = None
+        self.pending_result = None
+
     def _unset_register(self, pc: int, reg: str) -> VosError:
         return VosError(f"pid {self.pid} ({self.program.name}) pc={pc}: unset register {reg!r}")
 

@@ -22,6 +22,7 @@ from repro.fleet.scheduler import InflightGate
 from repro.net.tcp import TcpConn
 from repro.pod.pod import Pod
 from repro.storage import cas, ledger
+from repro.vos.process import Process
 
 from ..mutation import mutant
 
@@ -264,3 +265,21 @@ def test_connections_released_catches_a_disabled_reaper(monkeypatch):
     for scenario in chaos.SCENARIOS:
         params = {"crash_phase": MANAGER_PHASES[0]} if scenario == "failover" else {}
         assert "connections-released" in caught(chaos.run(scenario, 0, **params)), scenario
+
+
+def test_corpses_released_catches_a_kill_that_keeps_the_registers(monkeypatch):
+    # the release never runs: a killed process keeps its registers and
+    # its blocked syscall.  No battery's seed 0 kills a running process
+    # (its pair has already finished, or nothing crashes), so each
+    # battery that kills runs from seed 0 to its first episode that does
+    # — no seed picked for the mutation
+    kills = []
+    monkeypatch.setattr(Process, "keep_exit_record", lambda self: kills.append(self.pid))
+    for scenario in ("serial", "migration", "fleet"):
+        for seed in range(8):
+            kills.clear()
+            report = chaos.run(scenario, seed)
+            if kills:
+                break
+        assert kills, f"{scenario} seeds 0-7 kill no process"
+        assert "corpses-released" in caught(report), (scenario, seed)

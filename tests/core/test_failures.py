@@ -295,12 +295,23 @@ def _drop_a_param(image):
     (_drop_a_param, "'rounds'"),
 ], ids=["unregistered-program", "params-the-builder-rejects"])
 def test_restart_of_an_image_whose_program_cannot_be_built_fails_before_any_pod(
-        world, damage, reason):
+        world, damage, reason, monkeypatch):
     """The image was written by an interpreter whose programs differ from
     this one's.  The Agent must say so while all it has done is read the
     image: the reason reaches the Manager, no pod is created on any node
     and the Agent's session ends normally instead of raising."""
     cluster, manager = world
+    spawned = []
+    spawn = cluster.engine.spawn
+
+    def recording_spawn(gen, name="task"):
+        task = spawn(gen, name)
+        spawned.append(task)
+        return task
+
+    # the engine's registry forgets a task once it finishes, so the
+    # test keeps its own list of every task started from here on
+    monkeypatch.setattr(cluster.engine, "spawn", recording_spawn)
     launch_pingpong(cluster, rounds=ROUNDS)
     targets = [("blade0", "pp-srv", "mem"), ("blade1", "pp-cli", "mem")]
     holder = {}
@@ -325,7 +336,8 @@ def test_restart_of_an_image_whose_program_cannot_be_built_fails_before_any_pod(
     assert not result.ok
     assert any("pp-cli" in e and reason in e for e in result.errors), result.errors
     assert all(not node.kernel.pods for node in cluster.nodes)
-    crashed = [task.name for task in cluster.engine._tasks
+    assert spawned
+    crashed = [task.name for task in spawned
                if task.done and task.finished.exception is not None]
     assert crashed == []
 

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event engine and host tasks."""
 
+import weakref
+
 import pytest
 
 from repro.errors import DeadlockError, SimError
@@ -208,6 +210,24 @@ def test_timeout_beaten_by_result(engine):
         return ok, value
 
     assert engine.run_task(waiter()) == (True, "hi")
+
+
+class _Msg:
+    """A result a weak reference can watch."""
+
+
+def test_a_won_timeout_pins_nothing_while_its_timer_waits(engine):
+    fut, msg = Future("fast"), _Msg()
+    watched = weakref.ref(msg)
+    wrapped = engine.timeout(fut, 100.0)
+    fut.set_result(msg)
+    assert wrapped.result == (True, msg)
+    del fut, msg, wrapped
+    # the timer is still queued, and fires as a no-op later
+    assert len(engine._heap) == 1
+    assert watched() is None
+    engine.run()
+    assert engine.now == 100.0 and engine.events_executed == 1
 
 
 def test_future_double_resolve_rejected():

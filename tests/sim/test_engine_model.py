@@ -160,3 +160,85 @@ def test_engine_matches_sorted_list_model(script):
         _both(real, model, ("run", None, None))
     assert [h.time for h in real.handles] == model.times
     assert [h.cancelled for h in real.handles] == [k in model.cancelled for k in range(len(model.times))]
+
+
+# ---------------------------------------------------------------------------
+# the task registry: spawned, finished and cancelled tasks
+# ---------------------------------------------------------------------------
+
+# What a task does at each of its hops (it ``yield None``\ s before each):
+#   ("spawn", hops)  — a child task with that many hops
+#   ("cancel", k)    — the k-th task spawned so far, modulo their number
+# and how it ends: "return" or "raise".  The script between runs spawns,
+# cancels and runs with ``max_events``, so tasks finish, crash and are
+# cancelled in every order relative to each other.
+_hop = st.lists(st.one_of(st.tuples(st.just("spawn"), st.integers(min_value=0, max_value=3)),
+                          st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=20))),
+                max_size=2)
+_task = st.tuples(st.lists(_hop, max_size=3), st.sampled_from(["return", "raise"]))
+_task_script = st.lists(st.one_of(st.tuples(st.just("spawn"), _task),
+                                  st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=20)),
+                                  st.tuples(st.just("run"), st.integers(min_value=1, max_value=6))),
+                        max_size=12)
+
+
+class _Registry:
+    """A real engine running the drawn tasks, and the model: the tasks in
+    spawn order, minus those that returned, raised or were cancelled."""
+
+    def __init__(self, data):
+        self.engine = Engine(seed=0)
+        self.data = data
+        self.tasks = []
+        self.ended = set()  # indices the model saw finish
+
+    def spawn(self, body):
+        index = len(self.tasks)
+        self.tasks.append(self.engine.spawn(self.run(index, body), name=f"t{index}"))
+
+    def run(self, index, body):
+        hops, end = body
+        for hop in hops:
+            yield None
+            for action in hop:
+                if action[0] == "spawn":
+                    self.spawn((self.data.draw(st.lists(_hop, max_size=action[1])), "return"))
+                else:
+                    self.cancel(action[1], running=index)
+        self.ended.add(index)
+        if end == "raise":
+            raise RuntimeError(f"t{index}")
+
+    def cancel(self, k, running=None):
+        if not self.tasks:
+            return
+        k %= len(self.tasks)
+        if k != running:  # a generator cannot close itself
+            self.tasks[k].cancel()
+            self.ended.add(k)
+
+    def check(self):
+        live = [task for k, task in enumerate(self.tasks) if k not in self.ended]
+        assert self.engine.live_tasks() == live
+        # nothing finished stays registered
+        assert list(self.engine._tasks.values()) == live
+
+
+@settings(max_examples=200, deadline=None)
+@given(script=_task_script, data=st.data())
+def test_live_tasks_match_a_registry_model(script, data):
+    world = _Registry(data)
+    for step in script:
+        if step[0] == "spawn":
+            world.spawn(step[1])
+        elif step[0] == "cancel":
+            world.cancel(step[1])
+        else:
+            try:
+                world.engine.run(max_events=step[1])
+            except SimError:
+                pass
+        world.check()
+    world.engine.run()
+    world.check()
+    assert world.engine.live_tasks() == []
