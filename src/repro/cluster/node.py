@@ -10,7 +10,7 @@ scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from ..net.fabric import Fabric
@@ -45,7 +45,6 @@ class NodeSpec:
     #: fixed per-pod kernel work per restart (pod creation, address
     #: space rebuild), seconds.
     restart_fixed_s: float = 0.15
-    extra: dict = field(default_factory=dict)
 
 
 class Node:

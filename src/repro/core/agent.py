@@ -141,16 +141,14 @@ class _Checkpoint:
         # dirty byte count to tell changed blocks from clean ones
         self.track_dirty = self.sink.dest is None and (
             self.sink.wants_dirty or any(f.name == "delta" for f in filters))
-        #: where in the sequence the image is encoded; capture-then-resume
-        #: needs the pod to survive (snapshot context) and the image to
-        #: stay on this node's sinks.
-        if self.order == "standalone-first":
-            self.encode_at = "pre-meta"
-        elif (msg.get("async_ckpt", False) and self.context == "snapshot"
-              and self.sink.dest is None):
-            self.encode_at = "post-resume"
-        else:
-            self.encode_at = "overlap"
+        #: the encode waits until after resume: capture-then-resume needs
+        #: the pod to survive (snapshot context) and the image to stay on
+        #: this node's sinks; standalone-first, which exposes the sync,
+        #: never defers
+        self.deferred = (msg.get("async_ckpt", False)
+                         and self.context == "snapshot"
+                         and self.sink.dest is None
+                         and self.order != "standalone-first")
         #: the key the Manager registered its operation span under: every
         #: per-pod span hangs off it and inherits its ambient context
         #: (driving Manager span, owner), so a trace assembly attributes
@@ -353,8 +351,9 @@ class Agent:
 
     def _do_checkpoint(self, chan, fd, msg):
         """Figure 1, Agent side: one fixed sequence of steps sharing one
-        :class:`_Checkpoint`; only the position of :meth:`_encode` in it
-        varies (DESIGN §11 draws the three)."""
+        :class:`_Checkpoint`.  The encode either runs in the standalone
+        step or is deferred past resume, and the §4 ordering ablation
+        moves the standalone step ahead of the meta report (DESIGN §11)."""
         kernel = self.kernel
         pod: Optional[Pod] = kernel.pods.get(msg["pod"])
         if pod is None:
@@ -363,9 +362,15 @@ class Agent:
             return
         ck = _Checkpoint(self, chan, fd, msg, pod)
         yield from self._capture(ck)
+        # network state first, so the standalone step overlaps the
+        # Manager's sync; the §4 ablation serializes them
+        standalone_first = ck.order == "standalone-first"
+        if standalone_first:
+            yield from self._capture_standalone(ck)
         if not (yield from self._report_meta(ck)):
             return
-        yield from self._capture_standalone(ck)
+        if not standalone_first:
+            yield from self._capture_standalone(ck)
         reply = yield from self._await_continue(ck)
         if reply is None:
             return
@@ -411,16 +416,6 @@ class Agent:
         yield from self._cross(ck, "agent.suspend")
         phase.end()
 
-        # Ordering ablation: the default saves network state first so the
-        # standalone capture overlaps the Manager's meta-data sync; the
-        # "standalone-first" variant serializes them (the design §4 argues
-        # against), exposing the sync latency in the total.
-        if ck.encode_at == "pre-meta":
-            phase = self._phase(ck, "standalone", order=ck.order)
-            ck.standalone = capture_pod_standalone(pod)
-            yield engine.sleep(node.spec.ckpt_fixed_s)
-            phase.end()
-
         phase = self._phase(ck, "netstate")
         ck.sock_records, ck.sock_fd_rows = self._capture_network(pod)
         # the control blocks are fixed from here on: encode them once, for
@@ -435,12 +430,6 @@ class Agent:
         yield from self._cross(ck, "agent.netstate")
         phase.end(nbytes=net_bytes, sockets=len(ck.sock_records))
         self.cluster.count("agent.netstate.bytes", net_bytes)
-
-        if ck.encode_at == "pre-meta":
-            # serialize the image *before* reporting: nothing overlaps
-            phase = self._phase(ck, "standalone", order=ck.order)
-            yield from self._encode(ck, phase)
-            phase.end()
 
     def _report_meta(self, ck: "_Checkpoint"):
         """Step 2a: report meta-data; False when the Manager is gone."""
@@ -458,17 +447,16 @@ class Agent:
 
     def _capture_standalone(self, ck: "_Checkpoint"):
         """Step 3: the standalone checkpoint, overlapping the Manager's
-        meta-data sync."""
+        meta-data sync (ahead of the meta report under standalone-first)."""
         spec = self.node.spec
         phase = self._phase(ck, "standalone", order=ck.order)
-        if ck.encode_at != "pre-meta":
-            ck.standalone = capture_pod_standalone(ck.pod)
-        if ck.encode_at == "overlap":
-            yield from self._encode(ck, phase)
-        elif ck.encode_at == "post-resume":
+        ck.standalone = capture_pod_standalone(ck.pod)
+        if ck.deferred:
             # only the table snapshot happens inside the outage window
             yield self.engine.sleep(min(spec.capture_fixed_s, spec.ckpt_fixed_s))
             yield from self._cross(ck, "agent.async_capture")
+        else:
+            yield from self._encode(ck, phase)
         ck.t_standalone_done = self.engine.now
         yield from self._cross(ck, "agent.standalone")
         phase.end()
@@ -485,19 +473,16 @@ class Agent:
         """The encode step: pack the image, charge the pipeline's time,
         and replay its per-stage costs as ``stage`` spans under ``span``.
 
-        Where the step runs decides how the fixed kernel work (descriptor
-        walks, serialization prep) is charged beside the codec: the
-        ``pre-meta`` capture already paid it; ``overlap`` pays it in the
-        same sleep; ``post-resume`` pays the slice the short capture
-        deferred, against the frozen tables, before the codec touches
-        any bytes.
+        The fixed kernel work (descriptor walks, serialization prep) is
+        charged beside the codec: in the standalone step, in the same
+        sleep; deferred past resume, as the slice the short capture left,
+        against the frozen tables, before the codec touches any bytes.
         """
         spec = self.node.spec
         ck.image = self._pack(ck)
-        fused = 0.0
-        if ck.encode_at == "overlap":
-            fused = spec.ckpt_fixed_s
-        elif ck.encode_at == "post-resume":
+        fused = spec.ckpt_fixed_s
+        if ck.deferred:
+            fused = 0.0
             yield self.engine.sleep(max(0.0, spec.ckpt_fixed_s
                                         - spec.capture_fixed_s))
         t_enc = self.engine.now
@@ -571,7 +556,7 @@ class Agent:
 
     def _commit(self, ck: "_Checkpoint", reply):
         """Steps 3b/4: ``continue`` received — lift the block, finish
-        the image (send-queue redirect; the ``post-resume`` encode) and
+        the image (send-queue redirect; the deferred encode) and
         commit it to this node's stores."""
         kernel, engine, pod, pod_id = self.kernel, self.engine, ck.pod, ck.pod_id
         ck.commit_span = self._phase(ck, "commit")
@@ -584,7 +569,7 @@ class Agent:
         redirect_out = reply.get("redirect_out", [])
         if redirect_out and ck.image is not None:
             yield from self._redirect_send_queues(ck, redirect_out)
-        if ck.encode_at == "post-resume":
+        if ck.deferred:
             # zero-stall: the pod resumes *here* — the outage window ends
             # before any codec work; serialize/filter run against the
             # frozen capture tables while the application runs on
@@ -700,7 +685,7 @@ class Agent:
             # (and thus every existing schedule) is unchanged
             stats["t_suspend_at"] = ck.t0
             stats["residual_bytes"] = ck.residual
-        if ck.encode_at == "post-resume":
+        if ck.deferred:
             # async-only keys, same conditional-key discipline: serial
             # wire traffic (and thus every existing schedule) is unchanged
             stats["t_suspend_window"] = ck.t_resume - ck.t0
@@ -716,12 +701,12 @@ class Agent:
             "type": "done", "pod": ck.pod_id, "status": "ok", "stats": stats})
 
     def _deliver(self, ck: "_Checkpoint"):
-        """Finalize: resume the pod (unless the ``post-resume`` commit
+        """Finalize: resume the pod (unless the deferred-encode commit
         already did), then move the image to where its URI says —
         deliberately outside the checkpoint latency, per the paper
         (``post`` spans, excluded from phase reconciliation)."""
         image, sink = ck.image, ck.sink
-        if ck.context == "snapshot" and ck.encode_at != "post-resume":
+        if ck.context == "snapshot" and not ck.deferred:
             ck.pod.resume()
         if sink.ack is None:
             return  # memory was the destination: committed already
@@ -737,7 +722,7 @@ class Agent:
             post.end(nbytes=image.total_bytes)
         else:
             overlap_s = 0.0
-            if ck.encode_at == "post-resume":
+            if ck.deferred:
                 # stage-overlapped write-out: the SAN link ran while the
                 # codec did (network never idle behind the compressor),
                 # so only the write tail beyond the encode time remains
@@ -969,7 +954,7 @@ class Agent:
         ``flush-failed`` rather than left visible as restartable.
 
         ``overlap_s`` is codec time the write already ran behind (the
-        post-resume encode's stage overlap): the flush charges only
+        deferred encode's stage overlap): the flush charges only
         ``max(0, write + stall - overlap)`` — the tail of the slower of
         the two pipelines.
         """

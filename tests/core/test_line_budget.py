@@ -18,8 +18,8 @@ CEILINGS = {
     "": 1940,
     "apps": 613,
     "baselines": 322,
-    "cluster": 1903,
-    "core": 5741,
+    "cluster": 1902,
+    "core": 5726,
     "fleet": 1100,
     "middleware": 917,
     "net": 2235,
