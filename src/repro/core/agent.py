@@ -204,11 +204,11 @@ class Agent:
         #: (pod_id, sock_id) -> bytes, pushed by migrating peers'
         #: agents ("merge it with the peer's stream of checkpoint data").
         self.redirect_store: Dict[Tuple[str, int], bytes] = {}
-        #: pre-copy accounting for live migration: pod_id -> accumulated
-        #: byte counts shipped here round by round while the source pod
-        #: keeps running.  Pure accounting (the accounted bytes are never
-        #: materialized); the restartable image still arrives through the
-        #: normal push_image path at the final stop-and-copy.
+        #: pre-copy accounting for live migration: pod_id -> the op, the
+        #: rounds shipped here while the source pod kept running, and the
+        #: stop-and-copy residual (``placed``).  Pure accounting (the
+        #: accounted bytes are never materialized); the restartable image
+        #: still arrives through the normal push_image path.
         self.precopy_store: Dict[str, Dict[str, Any]] = {}
         #: op-id tombstones: operations the Manager garbage-collected.
         #: A session still working for a dead operation must not publish
@@ -808,15 +808,13 @@ class Agent:
         yield from send_msg(self.kernel, ck.chan, ck.fd, reply)
 
     def _push_to_agent(self, channel: str, target: Node, msg: Dict[str, Any],
-                       transfer_s: Optional[float] = None,
-                       read_unsent: bool = True):
+                       transfer_s: Optional[float] = None):
         """The one Agent→Agent push: on a fresh host ``channel``, connect
         to ``target``'s Agent, sleep the modelled ``transfer_s`` (no
-        sleep when None), send ``msg``, read the peer's reply and close.
-        Returns the reply (None when none came), or the connect
-        ``Errno`` when the peer cannot be reached.  ``read_unsent=False``
-        skips the read after a failed send (a pre-copy round does; the
-        stream and the redirect read anyway)."""
+        sleep when None), send ``msg``, read the peer's reply unless the
+        send failed, and close.  Returns the reply (None when none
+        came), or the connect ``Errno`` when the peer cannot be
+        reached."""
         kernel = self.kernel
         tchan = kernel.host_channel(channel)
         tfd = yield kernel.host_call(tchan, "socket", "tcp")
@@ -825,9 +823,8 @@ class Agent:
             return rc
         if transfer_s is not None:
             yield self.engine.sleep(transfer_s)
-        sent = yield from send_msg(kernel, tchan, tfd, msg)
         reply = None
-        if sent or read_unsent:
+        if (yield from send_msg(kernel, tchan, tfd, msg)):
             reply = yield from recv_msg(kernel, tchan, tfd)
         yield kernel.host_call(tchan, "close", tfd)
         return reply
@@ -919,7 +916,7 @@ class Agent:
             "agent-precopy", target,
             {"cmd": "precopy_push", "pod": pod_id, "bytes": int(nbytes),
              "round": round_no, "op_id": op_id},
-            nbytes / self.cluster.fabric.bandwidth, read_unsent=False)
+            nbytes / self.cluster.fabric.bandwidth)
         return _stored(ack)
 
     def _store_precopy(self, msg) -> None:
@@ -928,11 +925,10 @@ class Agent:
         if op_id and op_id in self.gc_ops:
             return  # aborted migration: don't accumulate stale rounds
         entry = self.precopy_store.setdefault(
-            msg["pod"], {"op_id": op_id, "bytes": 0, "rounds": 0})
+            msg["pod"], {"op_id": op_id, "rounds": 0})
         if entry.get("op_id") != op_id:
             # a new migration attempt supersedes any stale accounting
-            entry.update({"op_id": op_id, "bytes": 0, "rounds": 0})
-        entry["bytes"] += int(msg.get("bytes", 0))
+            entry.update({"op_id": op_id, "rounds": 0})
         entry["rounds"] += 1
 
     def _store_pushed(self, msg) -> None:
