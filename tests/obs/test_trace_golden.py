@@ -60,8 +60,8 @@ CASES = {
 
 GOLDEN = {
     "chaos-7": "a0cfe50f5d4d4122b700ad5cc76e08bc11b99d9cbddc5e1b0f7e09b8632b58af",
-    "chaos-9": "950c4836fe1ad922a140b3d8a8a167ca7941b9dac8d49805af8c1c8f5be80b61",
-    "chaos-17": "7a43947f40f92ad32f2276a5b9a363d8f487b79e28622087dfa4e66a310c6c31",
+    "chaos-9": "79f2c43ea20eacd11d27753e2f8bdb4643e792e7a7472205161a3163f117a3dd",
+    "chaos-17": "c9c4455f41adbc6f629e73387d8b73e5aff3ebdfc070277ea9d720ba699ab2eb",
     "failover-continue-3": "27cea4b83cf4d885418af5a04fb8c7a11f72ea387f9cbfd757bbb1089949f037",
     "failover-abort-3": "bdd76f22a359891843cff22b3d07305106bc53e249ccb59cd77010db4a87c397",
     "failover-meta-3": "56af15c37ae47746d68ff4976a72e27cf980e3ef9142a351a2e7e60f3be4f60f",
