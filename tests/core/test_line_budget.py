@@ -19,7 +19,7 @@ CEILINGS = {
     "apps": 613,
     "baselines": 322,
     "cluster": 1902,
-    "core": 5726,
+    "core": 5704,
     "fleet": 1100,
     "middleware": 917,
     "net": 2235,
