@@ -13,7 +13,7 @@ coordination protocol (:mod:`~repro.core.manager`,
 
 from .agent import AGENT_PORT, Agent, deploy_agents
 from .altqueue import AltQueue, active_altqueue, install
-from .image import PodImage, pack_pod_image
+from .image import PodImage
 from .manager import Manager, OpResult
 from .meta import build_pod_meta, derive_restart_plan
 from .netckpt import capture_pod_network, capture_socket, netstate_nbytes, restore_socket_state
@@ -43,7 +43,6 @@ __all__ = [
     "migrate",
     "migrate_task",
     "netstate_nbytes",
-    "pack_pod_image",
     "restore_pod_standalone",
     "restore_socket_state",
     "restore_timers",

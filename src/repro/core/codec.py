@@ -31,11 +31,11 @@ Both directions are one pass over one dispatch table (DESIGN §5):
 :data:`_ENCODERS` is keyed by ``type(obj)`` and every handler appends
 *fragments* (tag + header as one ``bytes``, payloads by reference) to a
 parts list that :func:`encode` joins once, :func:`encoded_size` only
-measures and :func:`encode_parts` hands over as it is;
-:data:`_DECODERS` is indexed by the tag byte, and :func:`decode_parts`
-gives each stored payload fragment back as itself.  A value that will be
-encoded more than once is sealed by :func:`fragment` and spliced from
-then on.
+measures, :func:`encode_parts` hands over as it is and :func:`encode_held`
+coalesces into a :class:`Blob`; :data:`_DECODERS` is indexed by the tag
+byte, and :func:`decode_parts` gives stored payload fragments back as
+themselves.  A value that will be encoded more than once is sealed by
+:func:`fragment` and spliced from then on.
 """
 
 from __future__ import annotations
@@ -101,6 +101,60 @@ class Fragment(bytes):
     __slots__ = ()
 
 
+class Blob:
+    """Held bytes: the fragments whose join is one byte string, kept as
+    they are.  It encodes as one ``b`` record with the fragments spliced
+    in by reference, :func:`decode` reads it in place, and ``bytes(blob)``
+    is the one join, for a consumer that needs contiguous bytes.  It
+    equals any bytes-like value with the same bytes."""
+
+    __slots__ = ("parts", "nbytes")
+
+    def __init__(self, parts) -> None:
+        self.parts: Tuple[bytes, ...] = tuple(parts)
+        self.nbytes = sum(map(len, self.parts))
+
+    def __len__(self) -> int:
+        return self.nbytes
+
+    def __bytes__(self) -> bytes:
+        return b"".join(self.parts)
+
+    def __iter__(self):
+        return iter(bytes(self))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (Blob, bytes, bytearray, memoryview)):
+            return NotImplemented
+        return bytes(self) == bytes(other)
+
+    __hash__ = None
+
+
+#: an exact ``bytes`` payload at least this long is held by reference in
+#: the :class:`Blob` :func:`encode_held` makes; anything shorter or
+#: mutable is copied into the runs between the held payloads.
+HELD_MIN = 4096
+
+
+def encode_held(obj: Any) -> Any:
+    """The bytes :func:`encode` gives, as a :class:`Blob`: every exact
+    ``bytes`` payload of at least :data:`HELD_MIN` bytes is the object
+    ``obj`` holds, and everything between two of them (headers, small
+    payloads, array and other mutable buffers) is copied once into one
+    run.  With nothing held, the one run itself."""
+    parts = encode_parts(obj)
+    held = [i for i, part in enumerate(parts)
+            if type(part) is bytes and len(part) >= HELD_MIN]
+    out: Parts = []
+    for start, end in zip([-1, *held], [*held, len(parts)]):
+        if start + 1 < end:
+            out.append(b"".join(parts[start + 1:end]))
+        if end < len(parts):
+            out.append(parts[end])
+    return Blob(out) if len(out) > 1 else out[0]
+
+
 def fragment(obj: Any) -> Fragment:
     """Seal ``obj``: encode it now, once, for every later :func:`encode`
     or :func:`encoded_size` of something that holds the result.  The
@@ -130,15 +184,16 @@ def encoded_size(obj: Any) -> int:
     """Byte size of ``obj`` in the intermediate format (no buffer built:
     the same fragments :func:`encode` would join, only measured — bytes
     and array payloads appear in them by reference)."""
-    parts: Parts = []
-    _emit(obj, parts, 0)
-    return sum(map(len, parts))
+    return sum(map(len, encode_parts(obj)))
 
 
-def decode(data: bytes) -> Any:
-    """Deserialize a buffer produced by :func:`encode`.  ``data`` may be a
-    byte ``memoryview``: ``b`` payloads then come back as views of it, not
-    copies, and the caller decides which to materialise."""
+def decode(data) -> Any:
+    """Deserialize a buffer produced by :func:`encode`, or a :class:`Blob`
+    (see :func:`decode_parts`).  ``data`` may be a byte ``memoryview``:
+    ``b`` payloads then come back as views of it, not copies, and the
+    caller decides which to materialise."""
+    if type(data) is Blob:
+        return decode_parts(data.parts)
     obj, pos = _read(data, 0, 0)
     if pos != len(data):
         raise CodecError(f"{len(data) - pos} trailing bytes after decode")
@@ -147,38 +202,42 @@ def decode(data: bytes) -> Any:
 
 def decode_parts(parts: Parts) -> Any:
     """The inverse of :func:`encode_parts`: decode the join of ``parts``
-    (a transient buffer, dropped on return).  A ``b`` payload that is
-    exactly one fragment of exact type ``bytes`` — matched by position,
-    never by content — comes back as that very object; any other comes
-    back as a ``bytes`` copy, so nothing decoded is a view."""
-    joined = _Joined(sum(map(len, parts)))
-    at = joined.stored
-    pos = 0
-    with memoryview(joined) as view:    # a bytearray's own slice store copies
-        for part in parts:
-            end = pos + len(part)
-            view[pos:end] = part
-            if type(part) is bytes:
-                at[pos, end] = part
-            pos = end
-    return decode(joined)
+    (a transient buffer).  A ``b`` payload that is exactly a run of whole
+    fragments of exact type ``bytes`` — matched by position, never by
+    content — comes back as those objects (one fragment itself, several
+    a :class:`Blob`); any other as a ``bytes`` copy, never a view."""
+    return decode(_Joined(parts))
 
 
 class _Joined(bytearray):
-    """The buffer :func:`decode_parts` decodes: a slice of it is the
-    stored fragment at exactly that span, or a ``bytes`` copy."""
+    """The buffer :func:`decode_parts` decodes.  Reads of it are plain
+    ``bytearray`` reads; only the ``b`` decoder asks :meth:`held` for a
+    payload, through the offsets at which the stored fragments start."""
 
-    __slots__ = ("stored",)
+    __slots__ = ("parts", "starts")
 
-    def __init__(self, size: int) -> None:
-        super().__init__(size)
-        self.stored: Dict[Tuple[int, int], bytes] = {}
+    def __init__(self, parts: Parts) -> None:
+        super().__init__(sum(map(len, parts)))
+        self.parts = parts
+        self.starts: Dict[int, int] = {}
+        pos = 0
+        with memoryview(self) as view:    # a bytearray's own slice store copies
+            for i, part in enumerate(parts):
+                end = pos + len(part)
+                view[pos:end] = part
+                self.starts[pos] = i    # an empty part yields to the next
+                pos = end
 
-    def __getitem__(self, key):
-        if type(key) is not slice:
-            return bytearray.__getitem__(self, key)
-        frag = self.stored.get((key.start, key.stop))
-        return frag if frag is not None else bytes(memoryview(self)[key])
+    def held(self, start: int, end: int) -> Any:
+        """The payload at ``[start, end)``: the stored fragments it is
+        made of when they are exact ``bytes``, else a ``bytes`` copy."""
+        i = self.starts.get(start)
+        j = self.starts.get(end) if end < len(self) else len(self.parts)
+        if i is not None and j is not None and i < j:
+            run = self.parts[i:j]
+            if set(map(type, run)) == {bytes}:
+                return run[0] if len(run) == 1 else Blob(run)
+        return bytes(memoryview(self)[start:end])
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +289,11 @@ def _enc_exact_str(obj, parts, depth) -> None:
 def _enc_bytes(obj, parts, depth) -> None:
     parts.append(_TAG_U32(b"b", len(obj)))
     parts.append(obj)
+
+
+def _enc_blob(obj, parts, depth) -> None:
+    parts.append(_TAG_U32(b"b", obj.nbytes))
+    parts.extend(obj.parts)
 
 
 def _enc_fragment(obj, parts, depth) -> None:
@@ -371,6 +435,7 @@ _ENCODERS: Dict[type, Encoder] = dict(_BASES)
 _ENCODERS[str] = _enc_exact_str
 # not through ``_resolve``: it is a ``bytes`` and would encode as a ``b``
 _ENCODERS[Fragment] = _enc_fragment
+_ENCODERS[Blob] = _enc_blob
 #: subclasses (NamedTuples, IntEnums, numpy scalar types) are resolved
 #: once and remembered; past this many types they are resolved per call.
 _ENCODERS_SIZE = 256
@@ -461,6 +526,8 @@ def _dec_str(data, pos, depth):
 
 def _dec_bytes(data, pos, depth):
     start, end = _span(data, pos)
+    if type(data) is _Joined:
+        return data.held(start, end), end
     return data[start:end], end
 
 

@@ -10,14 +10,10 @@ resident-set bytes (application memory the simulation tracks by count);
 their sum is the image size the paper's Figure 6(c) plots, and the
 network-state share is tracked separately (the "few kilobytes" claim).
 
-Images come in two shapes:
-
-* **v1** (:data:`FORMAT_VERSION`) — the raw codec payload, written when
-  no pipeline filters are configured; byte-identical to the historic
-  monolithic write path.
-* **v2** (:data:`PIPELINE_FORMAT_VERSION`) — a self-describing envelope
-  produced by :mod:`repro.core.pipeline` wrapping the filtered payload
-  plus the filter chain needed to reverse it.
+Images come in two shapes: **v1** (:data:`FORMAT_VERSION`), the raw
+codec payload written when no filters are configured, and **v2**
+(:data:`PIPELINE_FORMAT_VERSION`), the self-describing envelope
+:mod:`repro.core.pipeline` wraps around a filtered payload and its chain.
 """
 
 from __future__ import annotations
@@ -29,7 +25,6 @@ from ..errors import CheckpointError
 from . import codec
 from .devckpt import device_state_nbytes
 from .netckpt import netstate_nbytes
-from .standalone import accounted_memory_bytes
 
 #: unfiltered (raw payload) image format version stamp.
 FORMAT_VERSION = 1
@@ -41,15 +36,18 @@ PIPELINE_FORMAT_VERSION = 2
 class PodImage:
     """One pod's checkpoint: payload bytes plus size breakdown.
 
-    ``encoded_bytes``/``accounted_bytes`` are *post-filter* sizes (what a
-    write to storage costs); for an unfiltered image they equal the raw
-    sizes.  ``filters`` is the applied chain (empty for v1 images),
-    ``epoch`` the position in a delta chain, and ``stage_costs`` the
-    per-stage cost breakdown recorded at pack time.
+    ``data`` is ``bytes`` or a :class:`~repro.core.codec.Blob`: an
+    unfiltered image holds the registers' large ``bytes`` payloads by
+    reference (DESIGN §5).  ``encoded_bytes``/``accounted_bytes`` are
+    *post-filter* sizes (what a write to storage costs); for an
+    unfiltered image they equal the raw sizes.  ``filters`` is the
+    applied chain (empty for v1 images), ``epoch`` the position in a
+    delta chain, and ``stage_costs`` the per-stage cost breakdown
+    recorded at pack time.
     """
 
     pod_id: str
-    data: bytes
+    data: Any
     encoded_bytes: int
     accounted_bytes: int
     netstate_bytes: int
@@ -130,21 +128,3 @@ def image_netstate_bytes(
     """An image's network-state share: sockets plus bypass devices."""
     return (netstate_nbytes(socket_records)
             + device_state_nbytes(devices["states"] if devices else []))
-
-
-def pack_pod_image(
-    standalone: Dict[str, Any],
-    socket_records: List[Dict[str, Any]],
-    socket_fd_rows: List[Dict[str, Any]],
-    devices: Dict[str, Any] = None,
-) -> PodImage:
-    """Assemble and encode an *unfiltered* (v1) pod checkpoint image."""
-    payload = build_payload(standalone, socket_records, socket_fd_rows, devices)
-    data = codec.encode(payload)
-    return PodImage(
-        pod_id=standalone["pod_id"],
-        data=data,
-        encoded_bytes=len(data),
-        accounted_bytes=accounted_memory_bytes(standalone),
-        netstate_bytes=image_netstate_bytes(socket_records, devices),
-    )

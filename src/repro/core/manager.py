@@ -14,35 +14,19 @@ restart there is no barrier at all: each Agent proceeds as soon as it
 has the merged connectivity plan; synchronization is induced only by
 connection establishment itself.
 
-Failure semantics: the Manager keeps reliable connections to all Agents
-for the duration of an operation.  Each protocol phase (connect, meta,
-continue-barrier, done, flush) carries its own timeout
-(:class:`PhaseTimeouts`), so a single stalled Agent is detected at the
-phase where it stalls rather than at a coarse global deadline;
-idempotent phases (connect, restart image load) are retried with
-exponential backoff.  A failed operation is aborted gracefully: every
-still-running protocol task is reaped, every reachable Agent is told to
-abort (resuming its pod), partial checkpoint images are garbage
-collected from the SAN and from destination Agents' stores, and the
-Manager verifies that the pods actually resumed.  :meth:`Manager.recover`
-closes the loop of the paper's motivating use case: detect a crashed
-node and restart its pods elsewhere from the last good checkpoint.
+Failure semantics (DESIGN §6): each protocol phase carries its own
+timeout (:class:`PhaseTimeouts`); a failed operation is aborted
+gracefully — every reachable Agent resumes its pod, partial images are
+garbage collected, and the pods are verified to have resumed.
+:meth:`Manager.recover` restarts a crashed node's pods elsewhere from the
+last good checkpoint.
 
-**HA Manager.**  The Manager itself is stateless across phases: each
-operation is an explicit state machine (:class:`OpMachine`) whose every
-phase transition is appended to the durable op ledger
-(:class:`repro.storage.ledger.OpLedger`, a JSONL write-ahead log on the
-SAN) *before* the phase's actions run, and announced as a
-``manager.ledger.*`` trace crossing.  If the Manager fail-stops
-(:meth:`Manager.crash`), a replica deployed with
-:meth:`Manager.deploy_replica` scans the ledger, claims each orphaned
-op once its owner's lease expires, and — per op — resumes from the
-last durable phase (checkpoints past the continue broadcast are
-finished and committed; restarts with a durable plan are re-driven for
-the missing pods) or aborts through the same tombstone-GC path a
-normal failure takes.  Agents cooperate via the continue-wait
-re-attach: a session parked at the barrier can be completed or aborted
-by a *different* Manager connection (see ``continue_op`` / ``gc``).
+**HA Manager** (DESIGN §9): each operation is an :class:`OpMachine`
+whose phase transitions are appended to the durable op ledger on the
+SAN *before* the phase's actions run, so a replica
+(:meth:`Manager.deploy_replica`) can claim an orphaned op once its
+owner's lease expires and finish or abort it from the last durable
+phase.
 """
 
 from __future__ import annotations

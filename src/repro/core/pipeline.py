@@ -1,28 +1,19 @@
 """The staged checkpoint-image pipeline.
 
-The write path used to be a monolith: :func:`repro.core.codec.encode`
-produced one opaque buffer that the Agent handed to the SAN or a stream.
-This module turns it into a *pipeline*: the codec's payload bytes flow
-through an ordered chain of :class:`ImageFilter` stages before reaching a
-:class:`Sink`, with every stage charging its own simulated cost (CPU for
-filter work through the node cost model, bandwidth for I/O through the
-SAN/fabric models).  The pipeline is the seam later checkpoint systems
-ship by default — DMTCP gzips images in flight; incremental checkpoints
-write only dirty state — without giving up the intermediate format's
-portability: a filtered image is a self-describing v2 envelope recording
-the exact chain needed to reverse it.
+The codec's payload bytes flow through an ordered chain of
+:class:`ImageFilter` stages before reaching a :class:`Sink`, every stage
+charging its own simulated cost (CPU for filter work through the node
+cost model, bandwidth for I/O through the SAN/fabric models).  A
+filtered image is a self-describing v2 envelope recording the exact
+chain needed to reverse it, so the intermediate format stays portable.
 
-Two production filters prove the seam:
-
-* :class:`CompressFilter` — zlib compression of the materialized payload
-  (real ``zlib``, so round-trips are bit-exact) plus a modeled
-  compression ratio for the accounted (non-materialized) resident-set
-  bytes, charged at a level-dependent CPU bandwidth;
-* :class:`DeltaFilter` — incremental checkpointing: a block-level diff of
-  the payload against the previous epoch's payload, with accounted memory
-  charged the pod's measured dirty byte count, so periodic checkpoints
-  after epoch 0 write only dirty state.  Restart reassembles the chain
-  (epoch-0 full image + the deltas) in order.
+* :class:`CompressFilter` — real ``zlib`` on the materialized payload
+  (bit-exact round-trips) plus a modeled, level-dependent compression
+  ratio for the accounted (non-materialized) resident-set bytes;
+* :class:`DeltaFilter` — incremental checkpointing: a block-level diff
+  against the previous epoch's payload, accounted memory charged the
+  pod's measured dirty bytes.  Restart reassembles the chain (the full
+  epoch-0 image, then each delta) in order.
 
 An empty filter chain is the default everywhere and is byte-identical to
 the pre-pipeline write path: no envelope, no extra cost terms.
@@ -43,7 +34,6 @@ from .image import (
     PodImage,
     build_payload,
     image_netstate_bytes,
-    pack_pod_image,
 )
 from .standalone import accounted_memory_bytes
 
@@ -127,11 +117,12 @@ class FilterContext:
 
     pod_id: str
     epoch: int
-    #: previous-epoch full payload (chain filters only; reads and
+    #: previous-epoch full payload, ``bytes`` or a held
+    #: :class:`~repro.core.codec.Blob` (chain filters only; reads and
     #: restores).  None when the target holds no such epoch — a delta it
     #: cannot apply would be useless, so chain filters then emit
     #: self-contained output.
-    base: Optional[bytes] = None
+    base: Any = None
     #: the pod's accounted resident-set bytes before any stage.
     raw_accounted: int = 0
     #: bytes the pod wrote since its last checkpoint, counted at suspend
@@ -209,16 +200,11 @@ class _PodGenerations:
 
 
 class PipelineState:
-    """Per-Agent generation store: one record per pod (DESIGN §5).
-
-    A pod's record holds its committed :class:`Generation` (the *tip*),
-    the one generation the tip replaced, and the stage that will replace
-    it: :meth:`ImagePipeline.pack` stages the new base (so an Agent that
-    re-packs mid-protocol — the send-queue redirect — still diffs
-    against the *previous* epoch), :class:`MemorySink` adds the image
-    and publishes under the writing op.  A user with no sink ends an
-    epoch with :meth:`commit`.
-    """
+    """Per-Agent generation store: one :class:`_PodGenerations` record
+    per pod (DESIGN §5).  :meth:`ImagePipeline.pack` stages the new base
+    (so a re-pack mid-protocol still diffs against the *previous*
+    epoch), :class:`MemorySink` adds the image and publishes under the
+    writing op; a user with no sink ends an epoch with :meth:`commit`."""
 
     def __init__(self) -> None:
         self._pods: Dict[str, _PodGenerations] = {}
@@ -417,9 +403,9 @@ class DeltaFilter(ImageFilter):
 
     # -- payload bytes --------------------------------------------------
     def encode(self, data: bytes, ctx: FilterContext) -> Tuple[bytes, Dict[str, Any]]:
-        base = ctx.base
-        if base is None:
+        if ctx.base is None:
             return data, {"kind": "full"}
+        base = bytes(ctx.base)      # the one join of a held base
         blocks: List[Tuple[int, bytes]] = []
         nblocks = (len(data) + self.block - 1) // self.block
         for i in range(nblocks):
@@ -448,8 +434,9 @@ class DeltaFilter(ImageFilter):
         if data[:4] != _DELTA_MAGIC:
             raise RestartError("corrupt delta image (bad magic)")
         block, length, count = struct.unpack(">IQI", data[4:20])
+        base = bytes(ctx.base)      # the one join of a held base
         out = bytearray(length)
-        out[:min(length, len(ctx.base))] = ctx.base[:length]
+        out[:min(length, len(base))] = base[:length]
         pos = 20
         for _ in range(count):
             idx, n = struct.unpack(">II", data[pos:pos + 8])
@@ -550,9 +537,9 @@ class ReassembledImage:
 class ImagePipeline:
     """An ordered filter chain between the codec and a sink.
 
-    With no filters this is exactly the historic write path — the image
-    bytes are byte-identical to :func:`repro.core.image.pack_pod_image`
-    output and no extra cost stages appear.
+    With no filters this is exactly the historic write path: the image
+    is the v1 payload's bytes, held as :func:`repro.core.codec.encode_held`
+    gives them, and no extra cost stages appear.
     """
 
     def __init__(self, filters: Optional[List[ImageFilter]] = None) -> None:
@@ -584,18 +571,24 @@ class ImagePipeline:
         the Agent's :class:`MemorySink`, or ``state.commit(pod_id)``.
         """
         pod_id = standalone["pod_id"]
-        if not self.filters:
-            image = pack_pod_image(standalone, socket_records, socket_fd_rows,
-                                   devices)
-            image.acct_dirty_bytes = dirty_bytes
-            if state is not None:
-                state.stage_base(pod_id, image.data)
-            self._attach_serialize_cost(image, serialize_bandwidth)
-            return image
-
         payload = build_payload(standalone, socket_records, socket_fd_rows, devices)
-        raw = codec.encode(payload)
         raw_accounted = accounted_memory_bytes(standalone)
+        netstate = image_netstate_bytes(socket_records, devices)
+        # unfiltered, the registers' large payloads are held, not copied
+        # (DESIGN §5); a filter reads the contiguous bytes
+        raw = codec.encode(payload) if self.filters else codec.encode_held(payload)
+        costs: List[StageCost] = []
+        if serialize_bandwidth:
+            total = len(raw) + raw_accounted
+            costs.append(StageCost("serialize", total / serialize_bandwidth, total, total))
+        if not self.filters:
+            if state is not None:
+                state.stage_base(pod_id, raw)
+            return PodImage(pod_id=pod_id, data=raw, encoded_bytes=len(raw),
+                            accounted_bytes=raw_accounted, netstate_bytes=netstate,
+                            acct_dirty_bytes=dirty_bytes,
+                            stage_costs=[c.as_stats() for c in costs])
+
         epoch = state.epoch(pod_id) if state is not None else 0
         ctx = FilterContext(
             pod_id=pod_id,
@@ -605,14 +598,8 @@ class ImagePipeline:
             raw_accounted=raw_accounted,
             dirty_bytes=dirty_bytes,
         )
-
-        body = raw
-        accounted = raw_accounted
+        body, accounted = raw, raw_accounted
         applied: List[Dict[str, Any]] = []
-        costs: List[StageCost] = []
-        if serialize_bandwidth:
-            costs.append(StageCost("serialize", (len(raw) + raw_accounted) / serialize_bandwidth,
-                                   len(raw) + raw_accounted, len(raw) + raw_accounted))
         for filt in self.filters:
             in_total = len(body) + accounted
             body, params = filt.encode(body, ctx)
@@ -636,7 +623,7 @@ class ImagePipeline:
             data=envelope,
             encoded_bytes=len(envelope),
             accounted_bytes=accounted,
-            netstate_bytes=image_netstate_bytes(socket_records, devices),
+            netstate_bytes=netstate,
             filters=applied,
             epoch=epoch,
             raw_encoded_bytes=len(raw),
@@ -647,13 +634,6 @@ class ImagePipeline:
         if state is not None:
             state.stage_base(pod_id, raw)
         return image
-
-    def _attach_serialize_cost(self, image: PodImage,
-                               serialize_bandwidth: Optional[float]) -> None:
-        if serialize_bandwidth:
-            image.stage_costs = [StageCost(
-                "serialize", image.total_bytes / serialize_bandwidth,
-                image.total_bytes, image.total_bytes).as_stats()]
 
     # -- restart side ---------------------------------------------------
     @staticmethod
@@ -695,11 +675,10 @@ class ImagePipeline:
         if payload.get("format") != FORMAT_VERSION:
             raise CheckpointError(f"unsupported image format {payload.get('format')!r}")
         last = chain[-1]
-        full_total = (last.raw_total_bytes if last.filters else last.total_bytes)
         if state is not None:
             state.note_full(last.pod_id, raw, last.epoch)
         return ReassembledImage(payload=payload, raw=raw,
-                                full_total_bytes=full_total,
+                                full_total_bytes=last.raw_total_bytes,
                                 decode_seconds=decode_seconds, stage_costs=costs)
 
 
@@ -857,12 +836,9 @@ class FileSink(Sink):
     Unfiltered images keep the historic single-image container format
     byte-for-byte; filtered images write a chain container that a delta
     epoch extends (charged only for the appended bytes — the SAN write
-    is an append, not a rewrite).
-
-    The file holds the container as the codec's fragments, each image's
-    bytes among them by reference, and a load hands those same objects
-    back: the only copies are the transient join a read-back decodes and
-    the cut fragment of a truncated stage.
+    is an append, not a rewrite).  The file holds the container as the
+    codec's fragments, each image's among them by reference, and a load
+    hands those same objects back (DESIGN §5).
     """
 
     kind = "file"
@@ -886,9 +862,8 @@ class FileSink(Sink):
               truncate: Optional[float] = None) -> None:
         """Write the image container (truncated: only that prefix of it
         reaches the SAN, which the read-back validation in :meth:`load`
-        must then reject).  The file keeps the container's fragments,
-        the image's bytes among them by reference — it copies nothing but
-        the fragment a truncation cuts."""
+        must then reject), copying nothing but the fragment a truncation
+        cuts."""
         if not image.filters:
             container: Dict[str, Any] = {
                 "data": image.data,
@@ -915,8 +890,8 @@ class FileSink(Sink):
 
     def _stored(self) -> Any:
         """The container at this path, decoded from a transient join of
-        the file: every ``data`` in it is the file's own payload fragment
-        (a copy only when the file was rewritten through its bytearray)."""
+        the file: every ``data`` in it is the file's own fragments (a
+        copy only when the file was rewritten through its bytearray)."""
         return codec.decode_parts(self.vfs.open(self.path, "r").file.fragments)
 
     def exists(self, op_id: Optional[int] = None) -> bool:
@@ -939,7 +914,10 @@ class FileSink(Sink):
         if not self.exists():
             raise RestartError(f"no image at {self.path!r}")
         try:
-            chain = self._stored_chain(pod_id)
+            container = self._stored()
+            # the historic single-image container is one bare entry
+            chain = [image_from_entry(pod_id, entry)
+                     for entry in container.get("chain", [container])]
         except (CodecError, AttributeError, KeyError, TypeError,
                 ValueError) as err:
             # raised below, outside the handler: an exception raised in
@@ -949,15 +927,6 @@ class FileSink(Sink):
         else:
             return restorable_chain(chain, self.path)
         raise RestartError(f"partial or corrupt image at {self.path!r}: {corrupt}")
-
-    def _stored_chain(self, pod_id: str) -> List[PodImage]:
-        """Every stored epoch as an image whose bytes are the file's own
-        payload fragment — the object the staging Agent's image held —
-        so the read-back copies no image."""
-        container = self._stored()
-        # the historic single-image container is one bare entry
-        entries = container.get("chain", [container])
-        return [image_from_entry(pod_id, entry) for entry in entries]
 
 
 class StreamSink(Sink):
@@ -1006,12 +975,13 @@ def chain_entry(image: PodImage) -> Dict[str, Any]:
 
 
 def image_from_entry(pod_id: str, entry: Dict[str, Any]) -> PodImage:
-    """The image of one stored entry.  Exact ``bytes`` (immutable: a
-    file's fragment, a joined CAS payload, a wire message's) become its
-    data as they are; anything else, a view of a buffer that may still
-    change, is copied once."""
+    """The image of one stored entry.  Exact ``bytes`` and a
+    :class:`~repro.core.codec.Blob` (immutable: a file's fragments, a
+    joined CAS payload, a wire message's) become its data as they are;
+    anything else, a view of a buffer that may still change, is copied
+    once."""
     data = entry["data"]
-    if type(data) is not bytes:
+    if type(data) not in (bytes, codec.Blob):
         data = bytes(data)
     return PodImage(
         pod_id=pod_id,

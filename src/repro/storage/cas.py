@@ -54,6 +54,7 @@ from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
+from ..core import codec
 from ..core.image import PodImage
 from ..core.pipeline import StageCost, Sink, chain_entry, check_chain, \
     image_from_entry, image_extends_chain
@@ -547,9 +548,8 @@ class CasSink(Sink):
         self.path = path
         self.chunking = chunking
         self.store_ = CasStore.on(san)
-        #: the payload bytes last chunked, and their chunk list.
-        self._chunked: Tuple[Optional[bytes], List[Tuple[str, int, bytes]]] \
-            = (None, [])
+        #: the payload last chunked, and its chunk list.
+        self._chunked: Tuple[Any, List[Tuple[str, int, bytes]]] = (None, [])
         #: the entry last priced: (what it was derived from, by identity;
         #: the image fields it read; the chunk list and accounted state).
         self._priced: Optional[Tuple[Any, ...]] = None
@@ -561,12 +561,12 @@ class CasSink(Sink):
         once per image: a flush prices the write, charges its delay and
         stages from one chunk-and-hash pass.  A sink lives for one
         checkpoint, so nothing is remembered beyond the op."""
-        # bytes pass through uncopied; a mutable buffer is snapshotted
-        # into a fresh object that can never match the remembered one
-        blob = bytes(image.data)
-        if blob is not self._chunked[0]:
-            self._chunked = (blob, [(chunk_id(b), len(b), b) for b in
-                                    split_chunks(blob, *self.chunking)])
+        # keyed on the payload object (bytes and a Blob are immutable); a
+        # mutable buffer is snapshotted into a fresh object that never matches
+        data = image.data if type(image.data) is codec.Blob else bytes(image.data)
+        if data is not self._chunked[0]:
+            self._chunked = (data, [(chunk_id(b), len(b), b) for b in
+                                    split_chunks(bytes(data), *self.chunking)])
         return self._chunked[1]
 
     def _entry_chunks(self, image: PodImage

@@ -7,6 +7,12 @@ image format.  Everything here holds the live path to them byte for byte:
 
 * a sealed value is its encoding and splices as the value would have been
   walked, at any depth the format allows and no deeper;
+* a held image (``codec.encode_held``) is the encoding of payloads drawn
+  with arrays, ``bytearray``s, memoryviews, sealed fragments and a
+  ``bytes`` reached twice: it decodes to the same value, holds each large
+  ``bytes`` of the payload as itself, copies the rest into at most one run
+  between two, and does not move when the mutable buffers change after
+  the pack; a decode over fragments makes no Python call per read;
 * drawn captures — two ends of a TCP connection cut mid-traffic (queued and
   urgent data, a segment still in the backlog), their listener, a datagram
   socket; BT/NAS and PETSc under the real Agent; a migration that redirects
@@ -24,7 +30,9 @@ each mutant must fail the check named beside it.
 """
 
 import copy
+import operator
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -115,6 +123,123 @@ def test_decode_parts_inverts_encode_parts_whole_or_cut_short(obj):
     for cut in range(0, len(data), max(1, len(data) // 16)):
         with pytest.raises(CodecError):
             codec.decode_parts(pipeline_module._leading(parts, cut))
+
+
+def _python_calls(fn, arg):
+    """Python-level calls ``fn(arg)`` makes (C functions not counted)."""
+    calls = 0
+
+    def profile(frame, event, _arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        fn(arg)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_a_decode_over_fragments_makes_no_call_per_read():
+    """Only the ``b`` decoder consults the stored fragments: every tag
+    byte and ``s``/``i`` read is a plain buffer read, as in a decode of
+    the joined bytes."""
+    value = {"ints": list(range(500)), "names": [f"k{i}" for i in range(300)],
+             "blobs": [b"\x01" * 10, b"\x02" * 9000], "grid": np.arange(64.0)}
+    parts = codec.encode_parts(value)
+    records = 3                 # the two ``b`` records and the array's payload
+    extra = _python_calls(codec.decode_parts, parts) \
+        - _python_calls(codec.decode, b"".join(parts))
+    # the wrapper, building the table, and one lookup per ``b`` record
+    assert extra <= 2 + records, extra
+
+
+# ---------------------------------------------------------------------------
+# a held image: the registers' payloads by reference, runs copied once
+# ---------------------------------------------------------------------------
+
+_KINDS = ("bytes", "bytearray", "memoryview", "array", "fragment")
+
+
+def parts_of(data):
+    """The fragments an image's data is made of."""
+    return data.parts if type(data) is codec.Blob else (data,)
+
+
+def _exact_bytes(obj):
+    """Every exact ``bytes`` object ``obj`` reaches, once per reach."""
+    if type(obj) is bytes:
+        return [obj]
+    if isinstance(obj, dict):
+        return [b for value in obj.values() for b in _exact_bytes(value)]
+    if isinstance(obj, (list, tuple)):
+        return [b for value in obj for b in _exact_bytes(value)]
+    return []
+
+
+def held_payload(cdc, rnd, leaves, extra=None):
+    """``(live, plain, buffers)``: a payload of ``leaves`` (kind, size)
+    pairs plus one ``bytes`` reached twice, the same payload with every
+    ``Fragment`` ``cdc`` sealed unsealed, and the mutable buffers it holds."""
+    twice = rnd.randbytes(codec.HELD_MIN + rnd.randrange(2 * codec.HELD_MIN))
+    live, plain, buffers = [], [], []
+    for kind, size in leaves:
+        raw = rnd.randbytes(size)
+        value = raw
+        if kind == "bytearray":
+            value = bytearray(raw)
+            buffers.append(value)
+        elif kind == "memoryview":
+            buffers.append(bytearray(raw))
+            value = memoryview(buffers[-1])
+        elif kind == "array":
+            value = np.frombuffer(raw[:size - size % 8], dtype="f8").copy()
+            buffers.append(value)
+        live.append(cdc.fragment({"sealed": raw}) if kind == "fragment" else value)
+        plain.append({"sealed": raw} if kind == "fragment" else value)
+    shared = {"twice": [twice, {"again": twice}], "extra": extra}
+    return {"frames": live, **shared}, {"frames": plain, **shared}, buffers
+
+
+def check_a_held_image(cdc, live, plain, buffers):
+    expected = reference_codec.encode(plain)
+    image = cdc.encode_held(live)
+    parts = image.parts if type(image) is cdc.Blob else (image,)
+    assert b"".join(parts) == expected and len(image) == len(expected)
+    assert _same(cdc.decode(image), reference_codec.decode(expected))
+    # every mutable buffer changed once the image is packed: not one
+    # byte of the image moves
+    for buf in buffers:
+        view = buf.view("u1") if isinstance(buf, np.ndarray) else np.frombuffer(buf, "u1")
+        view ^= 0xFF
+    assert b"".join(parts) == expected
+    # through a container and back: the very same fragments
+    back = cdc.decode_parts(cdc.encode_parts({"data": image}))["data"]
+    assert type(back) is type(image)
+    assert all(map(operator.is_, back.parts if type(back) is cdc.Blob else (back,), parts))
+    # every large exact ``bytes`` the payload reaches is held, each
+    # time it is reached; the rest is at most one run between two
+    big = [b for b in _exact_bytes(live) if len(b) >= cdc.HELD_MIN]
+    held = [part for part in parts if any(part is b for b in big)]
+    assert len(held) == len(big) >= 2
+    assert all(type(part) is bytes for part in parts)
+    assert len(parts) <= 2 * len(held) + 1, f"{len(parts)} fragments for {len(held)} held"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32),
+       st.lists(st.tuples(st.sampled_from(_KINDS), st.integers(0, 3 * codec.HELD_MIN)),
+                max_size=8),
+       _values)
+def test_a_held_image_is_the_encoding_and_holds_only_immutable_payloads(seed, leaves, extra):
+    check_a_held_image(codec, *held_payload(codec, random.Random(seed), leaves, extra))
+
+
+def _held_example(cdc):
+    """One payload with every kind of leaf, each larger than a held one."""
+    leaves = [(kind, 2 * codec.HELD_MIN) for kind in _KINDS] + [("bytes", 7)]
+    check_a_held_image(cdc, *held_payload(cdc, random.Random(3), leaves, {"n": 1}))
 
 
 def check_no_fragment_encodes_what_cannot_decode(cdc):
@@ -421,8 +546,10 @@ def _epochs(chain, seed, count):
     state, images = PipelineState(), []
     for epoch in range(count):
         grid[rnd.randrange(len(grid))] = epoch      # a little dirtied per epoch
+        frame = rnd.randbytes(2 * codec.HELD_MIN)   # held by an unfiltered image
         standalone = {"pod_id": "p", "procs": [
-            {"vpid": 1, "memory": {"heap": 1 << 20}, "regs": {"grid": grid, "step": epoch}}]}
+            {"vpid": 1, "memory": {"heap": 1 << 20},
+             "regs": {"grid": grid, "step": epoch, "frame": frame}}]}
         records = [{"sock_id": 1, "proto": "tcp", "options": {"SO_RCVBUF": 65536 + epoch},
                     "pcb": {"sent": 10, "acked": 9, "recv": 4 + epoch},
                     "recv_data": rnd.randbytes(40), "oob_data": b"", "send_data": b"xyz",
@@ -482,8 +609,10 @@ def check_containers_match_the_frozen_flush(kind, seed=5):
                 if truncate is None or epoch < cut_epoch:
                     assert [chain_entry(image) for image in outcome] \
                         == [chain_entry(image) for image in images[:epoch + 1]]
-                    # each payload is the object its image holds, not a copy
-                    assert all(got.data is put.data for got, put in zip(outcome, images))
+                    # each payload is the fragments its image holds, not a copy
+                    assert all(type(got.data) is type(put.data)
+                               and all(map(operator.is_, parts_of(got.data), parts_of(put.data)))
+                               for got, put in zip(outcome, images))
                 elif epoch == cut_epoch:
                     assert outcome[0] == "RestartError"
                 # the same bytes rewritten through ``data`` load alike, and
@@ -555,7 +684,7 @@ def test_a_garbled_container_is_the_same_restart_error_and_holds_no_view():
         fragments = staged.fragments
         staged.data[:] = content
         assert _load(FileSink.load, FileSink(None, vfs_staged, "/p.img")) == outcomes[1]
-        assert any(part is image.data for part in fragments)
+        assert all(any(part is held for part in fragments) for held in image.data.parts)
         assert b"".join(fragments) != content
 
 
@@ -734,11 +863,24 @@ MUTATIONS = {
         filesystem, "                buf += bytes(pos - size)\n", "                pass\n",
         _write_mutant(check_a_write_past_the_end_leaves_a_zero_filled_hole)),
     "a view kept by load": (
-        codec, "bytes(memoryview(self)[key])", "memoryview(self)[key]",
+        codec, "bytes(memoryview(self)[start:end])", "memoryview(self)[start:end]",
         _codec_mutant(check_nothing_decoded_is_a_view)),
     "load copies the payload": (
-        codec, "            if type(part) is bytes:\n", "            if False:\n",
+        codec, "            if set(map(type, run)) == {bytes}:\n",
+        "            if False:\n",
         _payload_copied_by_load),
+    "a bytearray kept by reference": (
+        codec, "if type(part) is bytes and len(part) >= HELD_MIN]",
+        "if isinstance(part, (bytes, bytearray)) and len(part) >= HELD_MIN]",
+        _codec_mutant(_held_example)),
+    "a run split per fragment": (
+        codec, "            out.append(b\"\".join(parts[start + 1:end]))\n",
+        "            out.extend(map(bytes, parts[start + 1:end]))\n",
+        _codec_mutant(_held_example)),
+    "load copies a run": (
+        codec, "return run[0] if len(run) == 1 else Blob(run)",
+        "return run[0] if len(run) == 1 else bytes(Blob(run))",
+        _codec_mutant(_held_example)),
     "a view kept by a load that raised": (
         pipeline_module, "            corrupt = str(err)\n",
         "            raise RestartError(\n"

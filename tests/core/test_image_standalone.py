@@ -3,7 +3,8 @@
 import pytest
 
 from repro.cluster import Cluster
-from repro.core.image import PodImage, pack_pod_image
+from repro.core.image import PodImage
+from repro.core.pipeline import ImagePipeline
 from repro.core.standalone import (
     accounted_memory_bytes,
     activate_pod,
@@ -65,7 +66,7 @@ def test_accounted_memory_drives_image_size(world):
     pod, _proc = _suspend_midway(cluster, ballast=5_000_000)
     standalone = capture_pod_standalone(pod)
     assert accounted_memory_bytes(standalone) >= 5_000_000
-    img = pack_pod_image(standalone, [], [])
+    img = ImagePipeline().pack(standalone, [], [])
     assert img.total_bytes == img.encoded_bytes + img.accounted_bytes
     assert img.accounted_bytes >= 5_000_000
     assert img.encoded_bytes < 100_000  # registers, not ballast
@@ -75,7 +76,7 @@ def test_pack_unpack_round_trip(world):
     cluster = world
     pod, _proc = _suspend_midway(cluster)
     standalone = capture_pod_standalone(pod)
-    img = pack_pod_image(standalone, [], [{"vpid": 1, "fd": 9, "sock_id": 3}])
+    img = ImagePipeline().pack(standalone, [], [{"vpid": 1, "fd": 9, "sock_id": 3}])
     payload = img.unpack()
     assert payload["standalone"]["pod_id"] == "img"
     assert payload["socket_fds"] == [{"vpid": 1, "fd": 9, "sock_id": 3}]

@@ -6,7 +6,7 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.core import codec
-from repro.core.image import PodImage, build_payload, pack_pod_image
+from repro.core.image import PodImage, build_payload
 from repro.core.pipeline import (
     CompressFilter,
     DeltaFilter,
@@ -16,11 +16,13 @@ from repro.core.pipeline import (
     negotiate_filters,
     parse_filter_args,
 )
-from repro.core.standalone import capture_pod_standalone, count_dirty
+from repro.core.standalone import accounted_memory_bytes, capture_pod_standalone, count_dirty
 from repro.errors import CheckpointError
 from repro.vos import build_program, imm, program
 
 import numpy as np
+
+from . import reference_codec
 
 
 @program("testapp.pipeapp")
@@ -72,11 +74,11 @@ def _recapture(cluster, pod, until):
 
 def test_empty_chain_is_byte_identical(world):
     _pod, standalone = _capture(world)
-    legacy = pack_pod_image(standalone, [], [])
+    legacy = reference_codec.encode(build_payload(standalone, [], []))
     piped = ImagePipeline([]).pack(standalone, [], [])
-    assert piped.data == legacy.data
-    assert piped.encoded_bytes == legacy.encoded_bytes
-    assert piped.accounted_bytes == legacy.accounted_bytes
+    assert piped.data == legacy
+    assert piped.encoded_bytes == len(legacy)
+    assert piped.accounted_bytes == accounted_memory_bytes(standalone)
     assert piped.filters == [] and piped.epoch == 0
     assert codec.decode(piped.data)["format"] == 1
 
